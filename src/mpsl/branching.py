@@ -3,7 +3,7 @@
 Branches of nontrivial solutions bifurcate from the trivial line at
 (lam_k/f0, 0) and from infinity at (lam_k/finf, infty).  Both are traced in
 shooting coordinates z = (lam, a, b) by pseudo-arclength continuation: a
-secant predictor followed by a damped Newton corrector on the two boundary
+secant predictor followed by ``shooting.damped_newton`` on the two boundary
 residuals plus the arclength constraint.  Folds in lam are expected and
 handled; every accepted point carries a BVP-residual certificate, a nodal
 audit and the nonlinear energy deviation.
@@ -37,9 +37,9 @@ from .shooting import (
     RESIDUAL_TOL,
     SampledSolution,
     ShootingState,
+    damped_newton,
     nonlinear_energy_deviation,
-    shooting_residuals,
-    side_scale,
+    scaled_residuals,
     solve_bvp,
 )
 from .spectrum import Eigenpair, continuation_spectrum, eigen_continuation
@@ -91,26 +91,16 @@ class Branch:
         return [p.amplitude for p in self.points]
 
 
-class _BranchProblem:
-    """Residuals of the lam-parameterized BVP in shooting coordinates."""
-
-    def __init__(self, spec: ProblemSpec, nl: NonlinearitySpec):
-        self.spec = spec
-        self.nl = nl
-
-    def residuals(self, z) -> tuple[float, float, object, float, float]:
-        lam, a, b = z
-        rm, rp, trace = shooting_residuals(self.spec, self.nl, None, lam, a, b)
-        sm = side_scale(self.spec.minus, trace)
-        sp = side_scale(self.spec.plus, trace)
-        return rm, rp, trace, sm, sp
-
-    def bvp_error(self, rm, rp, sm, sp) -> float:
-        return max(abs(rm) / sm, abs(rp) / sp)
+def _lam_residual(spec: ProblemSpec, nl: NonlinearitySpec, z):
+    """Residual of -u'' = lam*f(u) at z = (lam, a, b), in the (F, err,
+    payload) form of damped_newton; payload is (r-, r+, trace, s-, s+)."""
+    rm, rp, trace, sm, sp, err = scaled_residuals(spec, nl, None, *z)
+    return np.array([rm, rp]), err, (rm, rp, trace, sm, sp)
 
 
-def _make_point(problem: _BranchProblem, z, rm, rp, trace, sm, sp, arclength) -> BranchPoint:
+def _make_point(nl: NonlinearitySpec, z, payload, arclength) -> BranchPoint:
     lam, a, b = z
+    rm, rp, trace, sm, sp = payload
     amplitude = trace.sup_u()
     memberships: tuple[NodalClass, ...] = ()
     if amplitude > 0.0:
@@ -121,7 +111,7 @@ def _make_point(problem: _BranchProblem, z, rm, rp, trace, sm, sp, arclength) ->
     energy = None
     if lam > 0.0 and amplitude > 0.0:
         try:
-            energy = nonlinear_energy_deviation(trace, problem.nl, lam)
+            energy = nonlinear_energy_deviation(trace, nl, lam)
         except NumericError:
             energy = None
     return BranchPoint(
@@ -135,59 +125,25 @@ def _make_point(problem: _BranchProblem, z, rm, rp, trace, sm, sp, arclength) ->
     )
 
 
-def _corrector(problem: _BranchProblem, z_pred, tau, weights, tol=RESIDUAL_TOL,
-               max_iter=8, max_halvings=12):
-    """Newton on (r-, r+, arc) from the predicted point.
+def _corrector(spec, nl, z_pred, tau, weights, tol=RESIDUAL_TOL, max_iter=8,
+               max_halvings=12):
+    """Newton on (r-, r+, arc) in all of z = (lam, a, b) from the predicted point.
 
     The arc constraint <w*(z - z_pred), w*tau> = 0 pins the parameterization;
     acceptance is judged on the scaled BVP residuals alone.
     """
-    z = np.asarray(z_pred, dtype=float)
-    rm, rp, trace, sm, sp = problem.residuals(z)
-    err = problem.bvp_error(rm, rp, sm, sp)
     wtau = weights * tau
-    for _ in range(max_iter):
-        if err <= tol:
-            return z, rm, rp, trace, sm, sp
-        arc = float(np.dot(weights * (z - z_pred), wtau))
-        J = np.empty((3, 3))
-        base = np.array([rm, rp, arc])
-        for col in range(3):
-            dz = 1e-6 * (1.0 + abs(z[col]))
-            zp = z.copy()
-            zp[col] += dz
-            try:
-                rm2, rp2, _, _, _ = problem.residuals(zp)
-            except DivergenceError:
-                raise NoConvergence(err, "Jacobian probe diverged")
-            arc2 = float(np.dot(weights * (zp - z_pred), wtau))
-            J[:, col] = [(rm2 - rm) / dz, (rp2 - rp) / dz, (arc2 - arc) / dz]
-        try:
-            step = np.linalg.solve(J, -base)
-        except np.linalg.LinAlgError:
-            raise SingularSystem(math.inf)
-        damp = 1.0
-        for _h in range(max_halvings):
-            cand = z + damp * step
-            try:
-                rm2, rp2, trace2, sm2, sp2 = problem.residuals(cand)
-            except DivergenceError:
-                damp *= 0.5
-                continue
-            err2 = problem.bvp_error(rm2, rp2, sm2, sp2)
-            if err2 < err or err2 <= tol:
-                z, rm, rp, trace, sm, sp, err = cand, rm2, rp2, trace2, sm2, sp2, err2
-                break
-            damp *= 0.5
-        else:
-            raise NoConvergence(err, "corrector damping exhausted")
-    if err <= tol:
-        return z, rm, rp, trace, sm, sp
-    raise NoConvergence(err, "corrector iteration budget exhausted")
+
+    def residual(z):
+        F, err, payload = _lam_residual(spec, nl, z)
+        return np.append(F, float(np.dot(weights * (z - z_pred), wtau))), err, payload
+
+    return damped_newton(residual, z_pred, (0, 1, 2), tol, max_iter, max_halvings)
 
 
 def _continue_branch(
-    problem: _BranchProblem,
+    spec: ProblemSpec,
+    nl: NonlinearitySpec,
     branch: Branch,
     z_prev,
     z_curr,
@@ -215,18 +171,18 @@ def _continue_branch(
         while True:
             z_pred = z + ds * tau / weights
             try:
-                accepted = _corrector(problem, z_pred, tau, weights)
+                accepted = _corrector(spec, nl, z_pred, tau, weights)
                 break
-            except (NoConvergence, SingularSystem) as exc:
+            except (NoConvergence, SingularSystem):
                 if ds <= DS_MIN:
                     branch.termination = TERM_SECONDARY
                     return
                 ds = max(DS_MIN, 0.5 * ds)
-        z_new, rm, rp, trace, sm, sp = accepted
+        z_new, payload = accepted
         arclength = branch.points[-1].arclength + float(
             np.linalg.norm((z_new - z) * weights)
         )
-        point = _make_point(problem, z_new, rm, rp, trace, sm, sp, arclength)
+        point = _make_point(nl, z_new, payload, arclength)
         prev_lam = z[0]
         z_prev, z = z, z_new
         branch.points.append(point)
@@ -307,7 +263,6 @@ def branch_from_zero(
     if lambda_cap is None:
         finf = nl.finf if math.isfinite(nl.finf) else 0.0
         lambda_cap = 10.0 * max(nl.f0, finf, ep.lam, 1.0)
-    problem = _BranchProblem(spec, nl)
     branch = Branch(k=k, sign=sign, origin=FROM_ZERO, origin_lambda=lam_star)
     branch.points.append(
         BranchPoint(
@@ -340,63 +295,28 @@ def branch_from_zero(
     st = seed_sol.shooting
     z0 = np.array([lam_star, 0.0, 0.0])
     z1 = np.array([lam_star, st.a, st.b])
-    sm = side_scale(spec.minus, seed_sol.trace)
-    sp = side_scale(spec.plus, seed_sol.trace)
+    payload = (*st.residuals, seed_sol.trace, *seed_sol.scales)
     branch.points.append(
-        _make_point(problem, z1, st.residuals[0], st.residuals[1],
-                    seed_sol.trace, sm, sp, arclength=float(np.linalg.norm(z1 - z0)))
+        _make_point(nl, z1, payload, arclength=float(np.linalg.norm(z1 - z0)))
     )
     targets = _trivial_targets(spec, nl, k, lambda_cap)
     _continue_branch(
-        problem, branch, z0, z1, stop_at_lambda, amplitude_cap, lambda_cap,
+        spec, nl, branch, z0, z1, stop_at_lambda, amplitude_cap, lambda_cap,
         point_budget, targets,
     )
     return branch
 
 
-def _pinned_correct(problem: _BranchProblem, lam0: float, a: float, b: float,
-                    pin: int, tol=RESIDUAL_TOL, max_iter=20):
-    """Newton on (lam, free shooting coordinate) with the other pinned.
+def _pinned_correct(spec, nl, lam0: float, a: float, b: float, pin: int,
+                    tol=RESIDUAL_TOL, max_iter=20):
+    """Newton on (lam, free shooting coordinate) with coordinate ``pin`` of
+    z = (lam, a, b) fixed.
 
     Used to land on the branch near infinity, where fixing lam would be
     ill-posed (the branch is one-sided in lam near its asymptote).
     """
-    z = np.array([lam0, a, b])
-    free = 2 if pin == 1 else 1
-    rm, rp, trace, sm, sp = problem.residuals(z)
-    err = problem.bvp_error(rm, rp, sm, sp)
-    for _ in range(max_iter):
-        if err <= tol:
-            return z, rm, rp, trace, sm, sp
-        J = np.empty((2, 2))
-        for j, col in enumerate((0, free)):
-            dz = 1e-6 * (1.0 + abs(z[col]))
-            zp = z.copy()
-            zp[col] += dz
-            rm2, rp2, _, _, _ = problem.residuals(zp)
-            J[:, j] = [(rm2 - rm) / dz, (rp2 - rp) / dz]
-        try:
-            step = np.linalg.solve(J, [-rm, -rp])
-        except np.linalg.LinAlgError:
-            raise SingularSystem(math.inf)
-        damp = 1.0
-        for _h in range(12):
-            cand = z.copy()
-            cand[0] += damp * step[0]
-            cand[free] += damp * step[1]
-            try:
-                rm2, rp2, trace2, sm2, sp2 = problem.residuals(cand)
-            except DivergenceError:
-                damp *= 0.5
-                continue
-            err2 = problem.bvp_error(rm2, rp2, sm2, sp2)
-            if err2 < err or err2 <= tol:
-                z, rm, rp, trace, sm, sp, err = cand, rm2, rp2, trace2, sm2, sp2, err2
-                break
-            damp *= 0.5
-        else:
-            raise NoConvergence(err, "pinned corrector stalled")
-    raise NoConvergence(err, "pinned corrector budget exhausted")
+    return damped_newton(lambda z: _lam_residual(spec, nl, z), (lam0, a, b),
+                         (0, 2 if pin == 1 else 1), tol, max_iter, 12)
 
 
 def branch_from_infinity(
@@ -426,34 +346,26 @@ def branch_from_infinity(
     lam_star = ep.lam / nl.finf
     if lambda_cap is None:
         lambda_cap = 10.0 * max(nl.f0, nl.finf, ep.lam, 1.0)
-    problem = _BranchProblem(spec, nl)
     branch = Branch(k=k, sign=sign, origin=FROM_INFINITY, origin_lambda=lam_star)
 
     s = 1.0 if sign == "+" else -1.0
     pin = 1 if abs(ep.psi.A) >= abs(ep.psi.B) else 2
-    z1 = z0 = None
     for A in (amplitude_start, 10.0 * amplitude_start, 100.0 * amplitude_start):
         a, b = A * s * ep.psi.A, A * s * ep.psi.B
         try:
-            big = _pinned_correct(problem, lam_star, a, b, pin)
-            shrunk = _pinned_correct(problem, lam_star, a / 1.05, b / 1.05, pin)
+            zb, big = _pinned_correct(spec, nl, lam_star, a, b, pin)
+            zs, shrunk = _pinned_correct(spec, nl, lam_star, a / 1.05, b / 1.05, pin)
+            break
         except (NoConvergence, SingularSystem, DivergenceError):
             continue
-        z0, z1 = big, shrunk
-        break
-    if z1 is None:
+    else:
         raise SeedFailure(f"from-infinity seeding failed starting at A={amplitude_start:g}")
 
-    zb, rmb, rpb, traceb, smb, spb = z0
-    zs, rms, rps, traces, sms, sps = z1
-    branch.points.append(_make_point(problem, zb, rmb, rpb, traceb, smb, spb, 0.0))
-    branch.points.append(
-        _make_point(problem, zs, rms, rps, traces, sms, sps,
-                    float(np.linalg.norm(zs - zb)))
-    )
+    branch.points.append(_make_point(nl, zb, big, 0.0))
+    branch.points.append(_make_point(nl, zs, shrunk, float(np.linalg.norm(zs - zb))))
     targets = _trivial_targets(spec, nl, k, lambda_cap)
     _continue_branch(
-        problem, branch, zb, zs, stop_at_lambda, AMPLITUDE_CAP, lambda_cap,
+        spec, nl, branch, zb, zs, stop_at_lambda, AMPLITUDE_CAP, lambda_cap,
         point_budget, targets,
     )
     return branch

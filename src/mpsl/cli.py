@@ -42,9 +42,6 @@ TOL_RANGE = (1e-14, 1e-2)
 
 
 def _worker_count() -> int:
-    env = os.environ.get("MPSL_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
     return min(4, os.cpu_count() or 1)
 
 
@@ -409,8 +406,7 @@ def cmd_selftest(args) -> int:
     problem_path = os.path.join(args.out, "problem.json")
     reporting.atomic_write_text(problem_path, json.dumps(SELFTEST_PROBLEM, indent=2, sort_keys=True) + "\n")
 
-    ns = argparse.Namespace(problem=problem_path, out=args.out, seed=args.seed,
-                            tol=1e-8, format="csv")
+    ns = argparse.Namespace(problem=problem_path, out=args.out, seed=args.seed, tol=1e-8)
     code = cmd_validate(ns)
     if code != EXIT_OK:
         return code
@@ -454,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--format", choices=["json", "csv", "svg"], default="csv")
 
     p = sub.add_parser("validate", help="validate a problem file")
     common(p)

@@ -424,9 +424,6 @@ class NonlinearitySpec:
             raise QuadratureError(f"antiderivative quadrature failed at xi={xi:.6g}")
         return 2.0 * val
 
-    def is_linear_identity(self) -> bool:
-        return self.expr == Var("xi")
-
 
 @dataclass
 class ForcingTerm:

@@ -430,19 +430,11 @@ def classify(
                     result.status["R"] = ("unclassified", "no-admissible-count")
 
     if spec is not None:
-        result.satisfies_minus_bc = _bc_satisfied(spec.minus, trace, sup_u, sup_up, tol)
-        result.satisfies_plus_bc = _bc_satisfied(spec.plus, trace, sup_u, sup_up, tol)
+        result.satisfies_minus_bc, result.satisfies_plus_bc = (
+            abs(side.residual(trace.eval)) <= tol * side.scale(sup_u, sup_up)
+            for side in spec.sides
+        )
     return result
-
-
-def _bc_satisfied(side, trace: FunctionTrace, sup_u: float, sup_up: float, tol: float) -> bool:
-    u_nu, up_nu = trace.eval(side.endpoint)
-    r = side.alpha0 * u_nu + side.beta0 * up_nu
-    for ai, bi, ei in zip(side.alpha, side.beta, side.eta):
-        ue, upe = trace.eval(ei)
-        r -= ai * ue + bi * upe
-    scale = 1.0 + abs(side.alpha0) * sup_u + abs(side.beta0) * sup_up
-    return abs(r) <= tol * scale
 
 
 def energy_deviation(lam: float, trace: FunctionTrace, n_samples: int = 2001) -> float:

@@ -132,6 +132,23 @@ class BoundarySide:
         fb = self.sum_beta / abs(self.beta0) if self.beta0 != 0.0 else 0.0
         return fa, fb
 
+    def residual(self, at) -> float:
+        """alpha0*u(nu) + beta0*u'(nu) - sum_i (alpha_i*u(eta_i) + beta_i*u'(eta_i)).
+
+        ``at(x)`` returns (u(x), u'(x)) and nu is the side's endpoint; zero
+        means the condition holds.
+        """
+        u_nu, up_nu = at(self.endpoint)
+        r = self.alpha0 * u_nu + self.beta0 * up_nu
+        for ai, bi, ei in zip(self.alpha, self.beta, self.eta):
+            u_e, up_e = at(ei)
+            r -= ai * u_e + bi * up_e
+        return r
+
+    def scale(self, sup_u: float, sup_up: float) -> float:
+        """Acceptance scale 1 + |alpha0|*|u|_0 + |beta0|*|u'|_0 of the residual."""
+        return 1.0 + abs(self.alpha0) * sup_u + abs(self.beta0) * sup_up
+
     def scaled(self, t: float) -> "BoundarySide":
         return replace(
             self,
@@ -158,7 +175,7 @@ class ProblemSpec:
     @property
     def hypothesis_level(self) -> str:
         """Computed hypothesis level; never user-asserted."""
-        return _hypothesis_level(self)
+        return _hypotheses(self)[0]
 
     @property
     def is_neumann_type(self) -> bool:
@@ -224,15 +241,19 @@ def _side_hypotheses(side: BoundarySide, messages: list) -> tuple[bool, bool]:
     return quadratic_ok, linear_ok
 
 
-def _hypothesis_level(spec: ProblemSpec) -> str:
+def _hypotheses(spec: ProblemSpec) -> tuple[str, bool, bool, list]:
+    """(level, quadratic_ok, linear_ok, messages), the flags over both sides."""
     messages: list = []
     q_m, l_m = _side_hypotheses(spec.minus, messages)
     q_p, l_p = _side_hypotheses(spec.plus, messages)
-    if l_m and l_p:
-        return LEVEL_LINEAR
-    if q_m and q_p:
-        return LEVEL_QUADRATIC
-    return LEVEL_VIOLATED
+    quadratic_ok, linear_ok = q_m and q_p, l_m and l_p
+    if linear_ok:
+        level = LEVEL_LINEAR
+    elif quadratic_ok:
+        level = LEVEL_QUADRATIC
+    else:
+        level = LEVEL_VIOLATED
+    return level, quadratic_ok, linear_ok, messages
 
 
 def level_at_least(level: str, required: str) -> bool:
@@ -257,16 +278,7 @@ def validate_problem(spec: ProblemSpec) -> ValidationReport:
     spec.minus.check_structure()
     spec.plus.check_structure()
 
-    messages: list = []
-    q_m, l_m = _side_hypotheses(spec.minus, messages)
-    q_p, l_p = _side_hypotheses(spec.plus, messages)
-    if l_m and l_p:
-        level = LEVEL_LINEAR
-    elif q_m and q_p:
-        level = LEVEL_QUADRATIC
-    else:
-        level = LEVEL_VIOLATED
-
+    level, quadratic_ok, linear_ok, messages = _hypotheses(spec)
     side_types = {"minus": _side_type(spec.minus), "plus": _side_type(spec.plus)}
     types = set(side_types.values())
     if types == {"dirichlet-type"}:
@@ -283,8 +295,8 @@ def validate_problem(spec: ProblemSpec) -> ValidationReport:
         level=level,
         messages=messages,
         strict_alpha_positive=spec.minus.alpha0 + spec.plus.alpha0 > 0.0,
-        quadratic_ok=q_m and q_p,
-        linear_ok=l_m and l_p,
+        quadratic_ok=quadratic_ok,
+        linear_ok=linear_ok,
         side_types=side_types,
         problem_type=problem_type,
     )

@@ -3,9 +3,11 @@
 The BVP is reduced to two residuals r-(a, b), r+(a, b): integrate the IVP
 from x = -1 with (u, u')(-1) = (a, b) and evaluate both boundary
 functionals on the resulting trace (interior eta values come from the
-integrator's dense output, never from re-gridding).  Newton iteration with
-a forward-difference Jacobian and step-halving damping drives both
-residuals below tolerance.
+integrator's dense output, never from re-gridding).  ``damped_newton``, a
+Newton iteration with a forward-difference Jacobian and step-halving
+damping, drives both residuals below tolerance.  It is the one Newton loop
+in the package: forced solves here, the pseudo-arclength corrector and the
+from-infinity seeding in ``branching`` all run it on their own residual.
 
 Acceptance scale per side: 1 + |alpha0|*|u|_0 + |beta0|*|u'|_0.
 """
@@ -134,16 +136,11 @@ def integrate_ivp(
 
 
 def bc_residual_on_trace(side: BoundarySide, trace) -> float:
-    u_nu, up_nu = trace.eval(side.endpoint)
-    r = side.alpha0 * u_nu + side.beta0 * up_nu
-    for ai, bi, ei in zip(side.alpha, side.beta, side.eta):
-        ue, upe = trace.eval(ei)
-        r -= ai * ue + bi * upe
-    return r
+    return side.residual(trace.eval)
 
 
 def side_scale(side: BoundarySide, trace) -> float:
-    return 1.0 + abs(side.alpha0) * trace.sup_u() + abs(side.beta0) * trace.sup_uprime()
+    return side.scale(trace.sup_u(), trace.sup_uprime())
 
 
 def shooting_residuals(
@@ -160,6 +157,22 @@ def shooting_residuals(
         bc_residual_on_trace(spec.plus, trace),
         trace,
     )
+
+
+def scaled_residuals(
+    spec: ProblemSpec,
+    nl: NonlinearitySpec | None,
+    h: ForcingTerm | None,
+    lam: float,
+    a: float,
+    b: float,
+) -> tuple[float, float, IntegratedTrace, float, float, float]:
+    """(r-, r+, trace, s-, s+, err): residuals, their acceptance scales and
+    the scaled error err = max(|r-|/s-, |r+|/s+)."""
+    rm, rp, trace = shooting_residuals(spec, nl, h, lam, a, b)
+    sm = side_scale(spec.minus, trace)
+    sp = side_scale(spec.plus, trace)
+    return rm, rp, trace, sm, sp, max(abs(rm) / sm, abs(rp) / sp)
 
 
 def collocation_residual(
@@ -202,6 +215,70 @@ def nonlinear_energy_deviation(
     return float(np.max(np.abs(vals - med)) / med)
 
 
+def damped_newton(
+    residual,
+    z,
+    free,
+    tol: float = RESIDUAL_TOL,
+    max_iter: int = 50,
+    max_halvings: int = 30,
+    cond_limit: float | None = None,
+):
+    """Newton on residual(z) = (F, err, payload), moving only z[free].
+
+    The Jacobian of F in the free coordinates is a forward difference with
+    step 1e-6*(1 + |z_j|).  Each step is halved until err decreases or
+    reaches tol; a candidate whose integration blows up counts as not
+    improving.  Returns (z, payload) at the first iterate with err <= tol.
+
+    Raises NoConvergence when a Jacobian probe diverges, the halvings run
+    out or the iterations do, and SingularSystem when the Jacobian cannot
+    be solved or its condition number exceeds ``cond_limit``.
+    """
+    z = np.array(z, dtype=float)
+    free = list(free)
+    F, err, payload = residual(z)
+    for _ in range(max_iter):
+        if err <= tol:
+            return z, payload
+        J = np.empty((len(F), len(free)))
+        for j, col in enumerate(free):
+            dz = 1e-6 * (1.0 + abs(z[col]))
+            zp = z.copy()
+            zp[col] += dz
+            try:
+                Fp = residual(zp)[0]
+            except DivergenceError:
+                raise NoConvergence(err, "Jacobian probe diverged")
+            J[:, j] = (Fp - F) / dz
+        if cond_limit is not None:
+            cond = np.linalg.cond(J)
+            if not math.isfinite(cond) or cond > cond_limit:
+                raise SingularSystem(float(cond))
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            raise SingularSystem(math.inf)
+        damp = 1.0
+        for _h in range(max_halvings):
+            cand = z.copy()
+            cand[free] += damp * step
+            try:
+                F2, err2, payload2 = residual(cand)
+            except DivergenceError:
+                damp *= 0.5
+                continue
+            if err2 < err or err2 <= tol:
+                z, F, err, payload = cand, F2, err2, payload2
+                break
+            damp *= 0.5
+        else:
+            raise NoConvergence(err, "damping exhausted")
+    if err <= tol:
+        return z, payload
+    raise NoConvergence(err, "iteration budget exhausted")
+
+
 def solve_bvp(
     spec: ProblemSpec,
     nl: NonlinearitySpec | None,
@@ -213,7 +290,7 @@ def solve_bvp(
     tol: float = RESIDUAL_TOL,
     amplitude_runaway: float = 1e8,
 ) -> SampledSolution:
-    """Newton on (a, b) -> (r-, r+), damped by step halving.
+    """Damped Newton on (a, b) -> (r-, r+) at fixed lam.
 
     Raises NoConvergence with the best residual on stagnation and
     SingularSystem when the forward-difference Jacobian has condition
@@ -223,66 +300,17 @@ def solve_bvp(
     a solution.
     """
     if isinstance(initial_guess, ShootingState):
-        a, b = initial_guess.a, initial_guess.b
-    else:
-        a, b = float(initial_guess[0]), float(initial_guess[1])
+        initial_guess = (initial_guess.a, initial_guess.b)
 
-    def eval_point(av, bv):
-        rm, rp, trace = shooting_residuals(spec, nl, h, lam, av, bv)
+    def residual(z):
+        rm, rp, trace, sm, sp, err = scaled_residuals(spec, nl, h, lam, z[0], z[1])
         if trace.sup_u() > amplitude_runaway:
-            raise NoConvergence(
-                math.inf, "amplitude runaway (possible resonance)"
-            )
-        sm = side_scale(spec.minus, trace)
-        sp = side_scale(spec.plus, trace)
-        err = max(abs(rm) / sm, abs(rp) / sp)
-        return rm, rp, trace, sm, sp, err
+            raise NoConvergence(math.inf, "amplitude runaway (possible resonance)")
+        return np.array([rm, rp]), err, (rm, rp, trace, sm, sp)
 
-    rm, rp, trace, sm, sp, err = eval_point(a, b)
-    best = err
-    for _ in range(max_iter):
-        if err <= tol:
-            return _package(spec, nl, h, lam, a, b, rm, rp, trace, sm, sp)
-        # Forward-difference Jacobian.
-        da = 1e-6 * (1.0 + abs(a))
-        db = 1e-6 * (1.0 + abs(b))
-        try:
-            rma, rpa, *_ = shooting_residuals(spec, nl, h, lam, a + da, b)
-            rmb, rpb, *_ = shooting_residuals(spec, nl, h, lam, a, b + db)
-        except DivergenceError:
-            raise NoConvergence(best, "Jacobian probe diverged")
-        J = np.array([
-            [(rma - rm) / da, (rmb - rm) / db],
-            [(rpa - rp) / da, (rpb - rp) / db],
-        ])
-        cond = np.linalg.cond(J)
-        if not math.isfinite(cond) or cond > JACOBIAN_COND_LIMIT:
-            raise SingularSystem(float(cond))
-        try:
-            step = np.linalg.solve(J, [-rm, -rp])
-        except np.linalg.LinAlgError:
-            raise SingularSystem(math.inf)
-
-        damp = 1.0
-        improved = False
-        for _h in range(max_halvings):
-            try:
-                cand = eval_point(a + damp * step[0], b + damp * step[1])
-            except DivergenceError:
-                damp *= 0.5
-                continue
-            if cand[5] < err or cand[5] <= tol:
-                a, b = a + damp * step[0], b + damp * step[1]
-                rm, rp, trace, sm, sp, err = cand
-                improved = True
-                break
-            damp *= 0.5
-        if not improved:
-            raise NoConvergence(min(best, err), "damping exhausted")
-        best = min(best, err)
-    if err <= tol:
-        return _package(spec, nl, h, lam, a, b, rm, rp, trace, sm, sp)
-    raise NoConvergence(best, "iteration budget exhausted")
+    z, payload = damped_newton(residual, initial_guess, (0, 1), tol, max_iter,
+                               max_halvings, cond_limit=JACOBIAN_COND_LIMIT)
+    return _package(spec, nl, h, lam, z[0], z[1], *payload)
 
 
 def _package(spec, nl, h, lam, a, b, rm, rp, trace, sm, sp) -> SampledSolution:
@@ -336,12 +364,11 @@ def solve_bvp_multistart(
     del seed  # the guess list is already deterministic
     if guesses is None:
         guesses = default_guesses(spec)
-    failures: list[str] = []
     for g in guesses:
         try:
             return solve_bvp(spec, nl, h, lam, g)
-        except (NoConvergence, SingularSystem, DivergenceError) as exc:
-            failures.append(f"guess {g}: {exc}")
+        except (NoConvergence, SingularSystem, DivergenceError):
+            pass
     raise NoConvergence(math.inf, f"not found from {len(guesses)} starts")
 
 

@@ -59,18 +59,9 @@ def eval_solution(sol: TrigSolution, x: float) -> tuple[float, float]:
 
 
 def bc_functional(side, sol: TrigSolution) -> float:
-    """Residual of one multi-point boundary condition on a closed-form solution.
-
-    Returns alpha0*u(nu) + beta0*u'(nu) - sum_i alpha_i*u(eta_i)
-    - sum_i beta_i*u'(eta_i) where nu is the side's endpoint; zero means
-    the condition holds.
-    """
-    u_nu, up_nu = eval_solution(sol, side.endpoint)
-    r = side.alpha0 * u_nu + side.beta0 * up_nu
-    for ai, bi, ei in zip(side.alpha, side.beta, side.eta):
-        u_e, up_e = eval_solution(sol, ei)
-        r -= ai * u_e + bi * up_e
-    return r
+    """Residual of one multi-point boundary condition (``BoundarySide.residual``)
+    on a closed-form solution; zero means the condition holds."""
+    return side.residual(sol)
 
 
 def sup_norms(sol: TrigSolution) -> tuple[float, float]:

@@ -8,6 +8,7 @@ from mpsl.expressions import ForcingTerm, NonlinearitySpec
 from mpsl.problem import BoundarySide, ProblemSpec
 from mpsl.shooting import (
     collocation_residual,
+    damped_newton,
     integrate_ivp,
     nonlinear_energy_deviation,
     nonresonance_check,
@@ -127,6 +128,54 @@ def test_shooting_jacobian_conditioning_near_spectrum(half_u0_spec):
     assert jac_cond(lam0 + 0.01) > 1e3 * 0.001
     assert jac_cond(lam0 + 0.01) / jac_cond(mid) > 1e3 * 1e-3
     assert jac_cond(lam0 + 1e-7) > 1e3 * jac_cond(mid)
+
+
+def _toy(fun):
+    """A damped_newton residual from F(z): err is max |F_i|, payload is F."""
+    def residual(z):
+        F = np.asarray(fun(z), dtype=float)
+        return F, float(np.max(np.abs(F))), F
+    return residual
+
+
+def test_damped_newton_converges_on_free_coordinates():
+    # Circle x^2 + y^2 = 4 meets the diagonal at (sqrt 2, sqrt 2); the middle
+    # coordinate is a passenger the kernel must leave alone.
+    res = _toy(lambda z: [z[0] ** 2 + z[2] ** 2 - 4.0, z[0] - z[2]])
+    z, F = damped_newton(res, (1.0, 7.0, 0.5), (0, 2), tol=1e-12, max_iter=20)
+    assert z[0] == pytest.approx(math.sqrt(2.0), abs=1e-10)
+    assert z[2] == pytest.approx(math.sqrt(2.0), abs=1e-10)
+    assert z[1] == 7.0
+    assert np.max(np.abs(F)) <= 1e-12
+
+
+def test_damped_newton_accepts_tolerance_on_last_iteration():
+    # A linear residual is solved by one Newton step, so a budget of one
+    # iteration suffices: the result must be returned, not raised.
+    res = _toy(lambda z: [z[0] - 0.25])
+    z, _ = damped_newton(res, (3.0,), (0,), tol=1e-8, max_iter=1)
+    assert z[0] == pytest.approx(0.25, abs=1e-8)
+    with pytest.raises(NoConvergence, match="budget"):
+        damped_newton(_toy(lambda z: [z[0] ** 3 - 8.0]), (5.0,), (0,), tol=1e-8, max_iter=1)
+
+
+def test_damped_newton_cond_limit():
+    # Scales 1 and 1e-14: solvable, but beyond a 1e12 condition limit.
+    res = _toy(lambda z: [z[0] - 1.0, 1e-14 * z[1]])
+    z, _ = damped_newton(res, (0.0, 1.0), (0, 1), tol=1e-10, max_iter=5)
+    assert z[0] == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(SingularSystem):
+        damped_newton(res, (0.0, 1.0), (0, 1), tol=1e-10, max_iter=5, cond_limit=1e12)
+
+
+def test_damped_newton_probe_divergence_is_no_convergence():
+    def res(z):
+        if z[0] != 1.0:
+            raise DivergenceError(0.5)
+        return np.array([1.0]), 1.0, None
+
+    with pytest.raises(NoConvergence, match="probe"):
+        damped_newton(res, (1.0,), (0,), tol=1e-8, max_iter=5)
 
 
 def test_multistart_deterministic(half_u0_spec):
