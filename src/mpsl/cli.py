@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -47,15 +48,33 @@ def _worker_count() -> int:
 
 def _parse_k_range(text: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ProblemDataError(f"empty k range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    if "," in text:
-        return [int(p) for p in text.split(",")]
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            ks = list(range(int(lo), int(hi) + 1))
+        else:
+            ks = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise ProblemDataError(f"k must be an integer, a list a,b,c or a range lo..hi, not {text!r}") from None
+    if not ks:
+        raise ProblemDataError(f"empty k range {text!r}")
+    if min(ks) < 0:
+        raise ProblemDataError(f"k must be >= 0, not {text!r}")
+    return ks
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
 
 
 def _check_tol(tol: float) -> float:
@@ -449,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("problem", help="problem JSON file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=_finite_float, default=1e-8)
 
     p = sub.add_parser("validate", help="validate a problem file")
     common(p)
@@ -457,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="scan the spectrum")
     common(p)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=30.0)
+    p.add_argument("--lambda-max", dest="lambda_max", type=_positive_float, default=30.0)
     p.add_argument("--reference", choices=["dirichlet", "neumann", "mixed"], default=None)
     p.add_argument("--count", type=int, default=21, help="indices for --reference")
     p.set_defaults(fn=cmd_spectrum)
@@ -466,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", nargs="?", default=None)
     p.add_argument("--out", default=".")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite_float, default=1e-8)
     p.add_argument("--format", choices=["json", "csv", "svg"], default="json")
     p.add_argument("--k", default="0..3")
     p.add_argument("--trace", default=None, help="CSV trace with columns x,u,uprime")
@@ -481,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve -u'' = f(u) + h")
     common(p)
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--lam", type=_finite_float, default=1.0)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("branch", help="trace a bifurcation branch")
@@ -489,18 +508,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="0")
     p.add_argument("--sign", choices=["+", "-"], default=None)
     p.add_argument("--from-infinity", dest="from_infinity", action="store_true")
-    p.add_argument("--eps-seed", dest="eps_seed", type=float, default=1e-3)
+    p.add_argument("--eps-seed", dest="eps_seed", type=_finite_float, default=1e-3)
     p.set_defaults(fn=cmd_branch)
 
     p = sub.add_parser("nodal-solve", help="nodal solutions at lambda = 1")
     common(p)
     p.add_argument("--k", default="0")
-    p.add_argument("--eps-seed", dest="eps_seed", type=float, default=1e-3)
+    p.add_argument("--eps-seed", dest="eps_seed", type=_finite_float, default=1e-3)
     p.set_defaults(fn=cmd_nodal_solve)
 
     p = sub.add_parser("selftest", help="deterministic end-to-end smoke run")
     common(p, problem=False)
-    p.add_argument("--eps-seed", dest="eps_seed", type=float, default=1e-3)
+    p.add_argument("--eps-seed", dest="eps_seed", type=_finite_float, default=1e-3)
     p.set_defaults(fn=cmd_selftest)
     return ap
 

@@ -16,6 +16,12 @@ J = (alpha0/beta0)^2: lam <= J gives derivative-pinning, lam >= J gives
 value-pinning, so crossover indices against the reference spectra split
 the index axis into a T range, an S range, an intermediate R range, and a
 handful of boundary indices needing strengthened pointwise checks.
+
+The reference sequences strictly increase in k and both conditions are
+monotone in lam, so every crossover or threshold index is the length of
+the run of leading indices on which a predicate holds.  One doubling-then-
+bisection search (``_leading_count``) finds each of them in
+O(log _SEARCH_CAP) evaluations.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .problem import (
 from .reference import separated_eigenvalue
 
 BOUNDARY_EQUALITY_WARN = 1e-9
-_SEARCH_CAP = 100000
+_SEARCH_CAP = 100000  # largest index an index search can return
 
 
 @dataclass(frozen=True)
@@ -116,31 +122,48 @@ class CrossoverIndices:
     warnings: tuple[str, ...] = ()
 
 
-def _max_index_leq(value_fn, bound: float, start: int = 0) -> int | None:
-    """max{k >= start-1 : value_fn(k) <= bound}, None when unbounded."""
+def _leading_count(pred) -> int:
+    """Number of leading j >= 0 with pred(j), for a down-set predicate.
+
+    Only j <= _SEARCH_CAP are tested, so _SEARCH_CAP is the largest index an
+    answer can have and a count of _SEARCH_CAP + 1 means that pred holds
+    through the cap.  Doubling then bisection: O(log _SEARCH_CAP) calls.
+    """
+    if not pred(0):
+        return 0
+    lo, hi = 0, 1  # pred(lo) holds; pred(hi) fails or hi is past the cap
+    while hi <= _SEARCH_CAP and pred(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, _SEARCH_CAP + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _capped_count(pred, what: str) -> int:
+    """_leading_count that raises when pred holds through the index cap."""
+    n = _leading_count(pred)
+    if n > _SEARCH_CAP:
+        raise HypothesisError(f"{what} search exceeded the index cap")
+    return n
+
+
+def _max_index_leq(value_fn, bound: float) -> int | None:
+    """max{k >= -1 : value_fn(k) <= bound}, None when unbounded."""
     if math.isinf(bound):
         return None
-    k = start
-    last = start - 1
-    while k < _SEARCH_CAP:
-        if value_fn(k) <= bound:
-            last = k
-            k += 1
-        else:
-            return last
-    raise HypothesisError("crossover search exceeded the index cap")
+    return _capped_count(lambda k: value_fn(k) <= bound, "crossover") - 1
 
 
 def _min_index_geq(value_fn, bound: float) -> int | None:
     """min{k >= 0 : value_fn(k) >= bound}, None when no such k exists."""
     if math.isinf(bound):
         return None
-    k = 0
-    while k < _SEARCH_CAP:
-        if value_fn(k) >= bound:
-            return k
-        k += 1
-    raise HypothesisError("crossover search exceeded the index cap")
+    return _capped_count(lambda k: not value_fn(k) >= bound, "crossover")
 
 
 def _single_point_side(spec: ProblemSpec) -> BoundarySide | None:
@@ -186,8 +209,8 @@ def crossover_indices(spec: ProblemSpec) -> CrossoverIndices:
     lam_n, lam_d, lam_m = _lam_ref("N"), _lam_ref("D"), _lam_ref("M")
     k_T = _max_index_leq(lam_n, J_min)
     k_S = _min_index_geq(lam_d, J_max)
-    # k_TM may come out -1 via the sentinel lam_{-1}^M = 0 <= J_min.
-    k_TM = _max_index_leq(lam_m, J_min, start=0)
+    # k_TM may come out -1 when lam_0^M > J_min.
+    k_TM = _max_index_leq(lam_m, J_min)
     k_SM = _min_index_geq(lam_m, J_max)
 
     for name, fn, idx, bound in (
@@ -211,12 +234,7 @@ def crossover_indices(spec: ProblemSpec) -> CrossoverIndices:
         else:
             lam_rd = _ref_with_robin(single, "dirichlet")
             # unique k >= -1 with lam_{k}^{RD} < J <= lam_{k+1}^{RD}
-            k = -1
-            while lam_rd(k + 1) < J_mp:
-                k += 1
-                if k > _SEARCH_CAP:
-                    raise HypothesisError("k_c search exceeded the index cap")
-            k_c = k
+            k_c = _capped_count(lambda j: lam_rd(j) < J_mp, "k_c") - 1
             if abs(lam_rd(k_c + 1) - J_mp) < BOUNDARY_EQUALITY_WARN or (
                 k_c >= 0 and abs(lam_rd(k_c) - J_mp) < BOUNDARY_EQUALITY_WARN
             ):
@@ -339,12 +357,14 @@ def _predict_single_mp(spec: ProblemSpec, k: int, single: BoundarySide, level: s
 
     # Pointwise thresholds (valid at the squared-fraction level): the
     # derivative-pinning range is a down-set, the value-pinning range an
-    # up-set, over the Robin reference sequences.
-    k_T_ind = _max_index_leq_pred(lambda j: th.holds_ud(lam_rn(j)))
-    if k_T_ind is not None and k <= k_T_ind - 1:
+    # up-set, over the Robin reference sequences.  n_T - 1 is the last index
+    # in the first; n_S the first index in the second, unless it lies past
+    # the cap.
+    n_T = _leading_count(lambda j: th.holds_ud(lam_rn(j)))
+    if k <= n_T - 2:
         return predict_T("T-below-crossover")
-    k_S_ind = _min_index_pred(lambda j: th.holds_u(lam_rd(j)))
-    if k_S_ind is not None and (k >= k_S_ind + 1 or k_S_ind == 0):
+    n_S = _leading_count(lambda j: not th.holds_u(lam_rd(j)))
+    if n_S <= _SEARCH_CAP and (k >= n_S + 1 or n_S == 0):
         return predict_S("S-above-crossover")
 
     if not level_at_least(level, LEVEL_LINEAR):
@@ -417,7 +437,7 @@ def confirm_prediction(pred: Prediction, trace, tol: float = 1e-8) -> bool:
     zero counts, simplicity, interleaving — is checked as usual, with the
     pinned u'-zero of a Neumann end counted toward the T index.
     """
-    from .nodal import classify, reflected_trace, zeros_of
+    from .nodal import classify, interleaves, reflected_trace, zeros_of
 
     if not pred.determinate:
         raise ValueError("cannot confirm an indeterminate prediction")
@@ -454,47 +474,6 @@ def confirm_prediction(pred: Prediction, trace, tol: float = 1e-8) -> bool:
         if len(zeros_up) != pred.class_index - 1:
             return False
         zeros_u = [x for x, _ in zeros_of(trace, "u", tol)]
-        stations = sorted([end] + [x for x, _ in zeros_up])
-        for d1, d2 in zip(stations, stations[1:]):
-            if not any(d1 < z < d2 for z in zeros_u):
-                return False
-        return True
+        return interleaves(sorted([end] + [x for x, _ in zeros_up]), zeros_u)
     return False
 
-
-def _max_index_leq_pred(pred) -> int | None:
-    """max{j >= 0 : pred(j)} for a down-set predicate; None when pred(0) fails.
-
-    Returns _SEARCH_CAP (effectively 'all k') if the predicate never fails.
-    """
-    if not pred(0):
-        return None
-    j = 0
-    while j < _SEARCH_CAP:
-        if not pred(j + 1):
-            return j
-        j += 1
-    return _SEARCH_CAP
-
-
-def _min_index_pred(pred) -> int | None:
-    """min{j >= 0 : pred(j)} for an up-set predicate; None when empty.
-
-    The predicate is monotone, so failure out to the cap means empty for
-    any index of practical interest.
-    """
-    if pred(0):
-        return 0
-    # Monotone: find the first success by doubling then bisecting.
-    lo, hi = 0, 1
-    while hi < _SEARCH_CAP and not pred(hi):
-        lo, hi = hi, hi * 2
-    if hi >= _SEARCH_CAP:
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

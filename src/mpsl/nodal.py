@@ -17,6 +17,7 @@ sampled traces.  Boundary data within tolerance of a degeneracy yields an
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -328,6 +329,29 @@ def _sign(v: float) -> str:
     return "+" if v > 0.0 else "-"
 
 
+def _t_obstruction(ds: list[float], zs: list[float]) -> str | None:
+    """Why sorted u'-zeros ds and u-zeros zs fail the T interleaving, or None.
+
+    Some d within CLUSTER_TOL of a u-zero is a coincidence; only the two
+    neighbours of d's insertion point into zs can be nearest.
+    """
+    for d in ds:
+        i = bisect_left(zs, d)
+        if any(abs(z - d) <= CLUSTER_TOL for z in zs[max(i - 1, 0):i + 1]):
+            return "zero-coincidence"
+    return None if interleaves(ds, zs) else "no-interleaving-zero"
+
+
+def interleaves(stations: list[float], zeros: list[float]) -> bool:
+    """Does every gap between consecutive stations hold a point of the
+    sorted list zeros strictly inside it?"""
+    for d1, d2 in zip(stations, stations[1:]):
+        i = bisect_right(zeros, d1)
+        if i == len(zeros) or not zeros[i] < d2:
+            return False
+    return True
+
+
 def classify(
     trace: FunctionTrace,
     family_hint: str | None = None,
@@ -390,23 +414,13 @@ def classify(
             if not all(simple for _, simple in zup):
                 result.status["T"] = ("unclassified", "nonsimple-zero")
             else:
-                zu = get_zeros_u()
-                verdict: tuple | None = None
-                coincide_tol = CLUSTER_TOL
-                for (d, _) in zup:
-                    if any(abs(z - d) <= coincide_tol for z, _s in zu):
-                        verdict = ("unclassified", "zero-coincidence")
-                        break
-                if verdict is None:
-                    for (d1, _), (d2, _) in zip(zup, zup[1:]):
-                        if not any(d1 < z < d2 for z, _s in zu):
-                            verdict = ("unclassified", "no-interleaving-zero")
-                            break
-                if verdict is None:
+                reason = _t_obstruction([d for d, _ in zup], [z for z, _s in get_zeros_u()])
+                if reason is not None:
+                    result.status["T"] = ("unclassified", reason)
+                else:
                     cls = NodalClass("T", len(zup), _sign(up_m))
-                    verdict = ("member", cls)
+                    result.status["T"] = ("member", cls)
                     result.memberships.append(cls)
-                result.status["T"] = verdict
 
     if "R" in families:
         if sup_up == 0.0 or abs(up_m) <= tol * sup_up or abs(u_p) <= tol * sup_u:

@@ -292,12 +292,14 @@ def solve_bvp(
 ) -> SampledSolution:
     """Damped Newton on (a, b) -> (r-, r+) at fixed lam.
 
-    Raises NoConvergence with the best residual on stagnation and
-    SingularSystem when the forward-difference Jacobian has condition
-    number beyond 1e12 (the resonant signature).  Amplitudes beyond the
-    runaway cap also abort: at resonance the relative residual can be
-    driven down by inflating the iterate along the kernel, which is not
-    a solution.
+    Newton runs to 0.5*tol, so the returned solution keeps a margin for
+    the integration error and still meets tol when it is re-integrated
+    more accurately.  Raises NoConvergence with the best residual on
+    stagnation and SingularSystem when the forward-difference Jacobian has
+    condition number beyond 1e12 (the resonant signature).  Amplitudes
+    beyond the runaway cap also abort: at resonance the relative residual
+    can be driven down by inflating the iterate along the kernel, which is
+    not a solution.
     """
     if isinstance(initial_guess, ShootingState):
         initial_guess = (initial_guess.a, initial_guess.b)
@@ -308,7 +310,7 @@ def solve_bvp(
             raise NoConvergence(math.inf, "amplitude runaway (possible resonance)")
         return np.array([rm, rp]), err, (rm, rp, trace, sm, sp)
 
-    z, payload = damped_newton(residual, initial_guess, (0, 1), tol, max_iter,
+    z, payload = damped_newton(residual, initial_guess, (0, 1), 0.5 * tol, max_iter,
                                max_halvings, cond_limit=JACOBIAN_COND_LIMIT)
     return _package(spec, nl, h, lam, z[0], z[1], *payload)
 

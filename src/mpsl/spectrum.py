@@ -190,8 +190,8 @@ def eigen_scan(
     flagged non-simple (a hypothesis-violation signal).  A touching root
     without a sign change cannot be seen by this scan.
     """
-    if lambda_max <= 0.0:
-        raise ValueError("lambda_max must be positive")
+    if not 0.0 < lambda_max < math.inf:
+        raise ValueError("lambda_max must be positive and finite")
     grid = []
     mu = math.sqrt(max(lambda_min_guard, 0.0))
     while mu > 0.0:

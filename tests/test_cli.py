@@ -185,3 +185,20 @@ def test_console_entry_point(problem_file, tmp_path):
     )
     assert proc.returncode == 0
     assert "level: linear" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lambda-max", "nan"],
+    ["spectrum", "--lambda-max", "inf"],
+    ["spectrum", "--lambda-max", "-1"],
+    ["predict", "--k", "x"],
+    ["solve", "--lam", "nan"],
+])
+def test_bad_flag_values_exit_2(argv, problem_file, tmp_path, capsys):
+    try:
+        code = main([argv[0], problem_file, *argv[1:], "--out", str(tmp_path)])
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error" in err

@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spec
 from mpsl.conditions import (
+    _SEARCH_CAP,
+    _leading_count,
+    _max_index_leq,
+    _min_index_geq,
     confirm_prediction,
     crossover_indices,
     predict_nodal_class,
@@ -12,6 +18,7 @@ from mpsl.conditions import (
 )
 from mpsl.errors import HypothesisError
 from mpsl.problem import BoundarySide, ProblemSpec
+from mpsl.reference import _separated_eigenvalue_cached
 
 
 def test_thresholds_worked_example():
@@ -237,3 +244,57 @@ def test_R_range_orientation_flag():
     )
     r_preds = [p for p in (predict_nodal_class(spec_mir, k) for k in range(10)) if p.family == "R"]
     assert r_preds and all(p.mirrored for p in r_preds)
+
+
+def _linear_leading_count(pred) -> int:
+    j = 0
+    while j <= _SEARCH_CAP and pred(j):
+        j += 1
+    return j
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(min_value=-1, max_value=_SEARCH_CAP + 1))
+@example(-1)
+@example(0)
+@example(1)
+@example(2)
+@example(_SEARCH_CAP - 1)
+@example(_SEARCH_CAP)
+@example(_SEARCH_CAP + 1)
+def test_leading_count_matches_linear_walk(T):
+    calls = []
+
+    def pred(j):
+        calls.append(j)
+        return j <= T
+
+    n = _leading_count(pred)
+    assert n == _linear_leading_count(lambda j: j <= T)
+    assert all(0 <= j <= _SEARCH_CAP for j in calls)
+    assert len(calls) <= 2 * math.ceil(math.log2(_SEARCH_CAP)) + 2
+
+
+def test_index_searches_raise_past_the_cap():
+    with pytest.raises(HypothesisError):
+        _max_index_leq(lambda k: 0.0, 1.0)
+    with pytest.raises(HypothesisError):
+        _min_index_geq(lambda k: 0.0, 1.0)
+    assert _max_index_leq(lambda k: float(k), 0.5) == 0
+    assert _max_index_leq(lambda k: float(k + 1), 0.5) == -1
+    assert _min_index_geq(lambda k: float(k), 3.0) == 3
+
+
+def test_predict_neumann_single_point_side_work():
+    # u'(-1) = 0 facing an alpha-only side: the derivative-pinning threshold
+    # holds for every lam, so the T range is found at the index cap.
+    spec = ProblemSpec(
+        minus=BoundarySide(0.0, -1.0, side="minus"),
+        plus=BoundarySide(0.6, 0.0, (-0.2, -0.19), (0.0, 0.0), (0.31, -0.69), "plus"),
+    )
+    before = _separated_eigenvalue_cached.cache_info().currsize
+    preds = [predict_nodal_class(spec, k) for k in range(11)]
+    assert _separated_eigenvalue_cached.cache_info().currsize - before <= 200
+    for k, p in enumerate(preds):
+        assert (p.family, p.class_index, p.theorem) == ("T", k + 1, "T-below-crossover")
+        assert p.redefined and p.redefined_end == -1.0

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpsl.errors import UnresolvableZeros
 from mpsl.nodal import (
+    CLUSTER_TOL,
     ClosedTrace,
     SampledTrace,
+    _t_obstruction,
     classify,
     energy_deviation,
     reflected_trace,
@@ -280,3 +284,43 @@ def test_sampled_trace_validation():
     xs = np.linspace(-1.0, 1.0, 101)  # step 0.02 > 1e-3
     with pytest.raises(ValueError):
         SampledTrace(xs, xs, np.ones_like(xs))
+
+
+def _quadratic_t_obstruction(ds, zs):
+    for d in ds:
+        if any(abs(z - d) <= CLUSTER_TOL for z in zs):
+            return "zero-coincidence"
+    for d1, d2 in zip(ds, ds[1:]):
+        if not any(d1 < z < d2 for z in zs):
+            return "no-interleaving-zero"
+    return None
+
+
+_unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def _zero_lists(draw):
+    zs = sorted(draw(st.lists(_unit, max_size=10)))
+    ds = draw(st.lists(_unit, max_size=8))
+    # u'-zeros placed at, or exactly CLUSTER_TOL (and one ulp more or less)
+    # away from, u-zeros: the edge of the coincidence test.
+    for z in draw(st.lists(st.sampled_from(zs), max_size=4)) if zs else ():
+        d = z + draw(st.sampled_from((-CLUSTER_TOL, 0.0, CLUSTER_TOL)))
+        ds.append(draw(st.sampled_from((d, math.nextafter(d, -2.0), math.nextafter(d, 2.0)))))
+    return sorted(ds), zs
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_zero_lists())
+def test_t_obstruction_matches_quadratic_scan(lists):
+    ds, zs = lists
+    assert _t_obstruction(ds, zs) == _quadratic_t_obstruction(ds, zs)
+
+
+def test_t_obstruction_at_cluster_tolerance():
+    zs = [0.0, 0.5]
+    assert _t_obstruction([CLUSTER_TOL], zs) == "zero-coincidence"
+    assert _t_obstruction([math.nextafter(CLUSTER_TOL, 1.0)], zs) is None
+    assert _t_obstruction([0.1, 0.4], zs) == "no-interleaving-zero"
+    assert _t_obstruction([-0.1, 0.1], zs) is None

@@ -210,3 +210,23 @@ def test_nonresonance_out_of_scope():
     nl = NonlinearitySpec.from_text("xi/(1+abs(xi))", f0=1.0, finf=0.0)
     v = nonresonance_check(spec, nl)
     assert not v.ok and v.out_of_scope
+
+
+@pytest.mark.parametrize("alpha, amp", [
+    (0.29810729566171096, 0.9436768956193125),
+    (0.3520984195738305, 1.7954548971212296),
+])
+def test_solve_bvp_margin_survives_tighter_integration(alpha, amp):
+    # Forced solves that once stopped just under the residual tolerance and
+    # failed it when integrated again at rtol 1e-12.
+    spec = ProblemSpec(
+        minus=BoundarySide(1.0, 0.0, side="minus"),
+        plus=BoundarySide(1.0, 0.0, alpha=(alpha,), beta=(0.0,), eta=(0.0,), side="plus"),
+    )
+    nl = NonlinearitySpec.from_text("xi/(1+abs(xi))", f0=1.0, finf=0.0)
+    h = ForcingTerm.from_text(f"{amp!r}*x")
+    sol = solve_bvp_multistart(spec, nl, h, 1.0)
+    assert sol.accepted()
+    tight = integrate_ivp(nl, h, 1.0, sol.shooting.a, sol.shooting.b, rtol=1e-12, atol=1e-14)
+    for side, scale in zip(spec.sides, sol.scales):
+        assert abs(side.residual(tight.eval)) <= 1e-8 * scale
