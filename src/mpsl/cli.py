@@ -14,13 +14,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import reporting
 from .branching import branch_from_infinity, branch_from_zero, nodal_solutions_at_one
-from .conditions import predict_nodal_class
+from .conditions import _SEARCH_CAP, predict_nodal_class
 from .errors import (
     HypothesisError,
     MpslError,
@@ -42,24 +41,23 @@ EXIT_HYPOTHESIS = 4
 TOL_RANGE = (1e-14, 1e-2)
 
 
-def _worker_count() -> int:
-    return min(4, os.cpu_count() or 1)
-
-
 def _parse_k_range(text: str) -> list[int]:
     text = text.strip()
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            ks = list(range(int(lo), int(hi) + 1))
+            given = [int(lo), int(hi)]
         else:
-            ks = [int(p) for p in text.split(",")]
+            given = [int(p) for p in text.split(",")]
     except ValueError:
         raise ProblemDataError(f"k must be an integer, a list a,b,c or a range lo..hi, not {text!r}") from None
+    if min(given) < 0:
+        raise ProblemDataError(f"k must be >= 0, not {text!r}")
+    if max(given) > _SEARCH_CAP:
+        raise ProblemDataError(f"k must be <= {_SEARCH_CAP}, not {text!r}")
+    ks = list(range(given[0], given[1] + 1)) if ".." in text else given
     if not ks:
         raise ProblemDataError(f"empty k range {text!r}")
-    if min(ks) < 0:
-        raise ProblemDataError(f"k must be >= 0, not {text!r}")
     return ks
 
 
@@ -147,23 +145,18 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
-def _spectrum_rows(spec: ProblemSpec, window):
-    def row(ep):
-        res = classify(ClosedTrace(ep.psi))
-        m = _primary_membership(res)
-        pred = predict_nodal_class(spec, ep.k)
-        return [
-            ep.k,
-            ep.lam,
-            m.family if m else "",
-            m.k if m else "",
-            m.sign if m else "",
-            pred.bracket[0] if pred.determinate else "",
-            pred.bracket[1] if pred.determinate else "",
-        ]
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return list(pool.map(row, window.eigenpairs))
+def _spectrum_row(spec: ProblemSpec, ep) -> list:
+    m = _primary_membership(classify(ClosedTrace(ep.psi)))
+    pred = predict_nodal_class(spec, ep.k)
+    return [
+        ep.k,
+        ep.lam,
+        m.family if m else "",
+        m.k if m else "",
+        m.sign if m else "",
+        pred.bracket[0] if pred.determinate else "",
+        pred.bracket[1] if pred.determinate else "",
+    ]
 
 
 def cmd_spectrum(args) -> int:
@@ -175,7 +168,7 @@ def cmd_spectrum(args) -> int:
         reporting.write_csv(os.path.join(args.out, "reference.csv"), ["k", "lambda"], rows)
         return EXIT_OK
     window = eigen_scan(spec, args.lambda_max)
-    rows = _spectrum_rows(spec, window)
+    rows = [_spectrum_row(spec, ep) for ep in window.eigenpairs]
     reporting.write_csv(
         os.path.join(args.out, "spectrum.csv"),
         ["k", "lambda", "family", "class_k", "sign", "bracket_lo", "bracket_hi"],

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ParseError, QuadratureError
 
@@ -348,6 +347,14 @@ def free_variables(node: Expr) -> set[str]:
 # nonlinearity / forcing wrappers
 
 
+def _quad(*args, **kwargs):
+    # scipy.integrate would be most of mpsl's import time: import it on the first
+    # call, which rebinds _quad to scipy's quad, so the hot F pays nothing.
+    global _quad
+    from scipy.integrate import quad as _quad
+    return _quad(*args, **kwargs)
+
+
 def _richardson_limit(g: Callable[[float], float], scales: list[float]) -> float:
     """Richardson-extrapolated limit of g along a geometric sequence."""
     vals = [g(s) for s in scales]
@@ -418,7 +425,7 @@ class NonlinearitySpec:
         """F(xi) = 2*int_0^xi f(s) ds by adaptive quadrature."""
         if xi == 0.0:
             return 0.0
-        out = quad(self._f, 0.0, xi, epsabs=1e-10, epsrel=1e-10, limit=200, full_output=1)
+        out = _quad(self._f, 0.0, xi, epsabs=1e-10, epsrel=1e-10, limit=200, full_output=1)
         val, err = out[0], out[1]
         if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
             raise QuadratureError(f"antiderivative quadrature failed at xi={xi:.6g}")
@@ -525,7 +532,7 @@ def certify_hypotheses(
         prev = 0.0
         for xi in branch:
             xi = float(xi)
-            seg = quad(f, prev, xi, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)[0]
+            seg = _quad(f, prev, xi, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)[0]
             if not math.isfinite(seg):
                 raise QuadratureError(f"quadrature failed on [{prev:.3g}, {xi:.3g}]")
             acc += seg

@@ -320,20 +320,25 @@ _TOP_KEYS = {"minus", "plus", "nonlinearity", "forcing"}
 
 
 def side_from_dict(data: dict, side: str) -> BoundarySide:
+    if not isinstance(data, dict):
+        raise ProblemDataError(f"{side} side must be a JSON object")
     unknown = set(data) - _SIDE_KEYS
     if unknown:
         raise ProblemDataError(f"{side} side: unknown keys {sorted(unknown)}")
     for key in ("alpha0", "beta0"):
         if key not in data:
             raise ProblemDataError(f"{side} side: missing key '{key}'")
-    return BoundarySide(
-        alpha0=data["alpha0"],
-        beta0=data["beta0"],
-        alpha=tuple(data.get("alpha", ())),
-        beta=tuple(data.get("beta", ())),
-        eta=tuple(data.get("eta", ())),
-        side=side,
-    )
+    try:
+        return BoundarySide(
+            alpha0=data["alpha0"],
+            beta0=data["beta0"],
+            alpha=tuple(data.get("alpha", ())),
+            beta=tuple(data.get("beta", ())),
+            eta=tuple(data.get("eta", ())),
+            side=side,
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemDataError(f"{side} side: coefficients must be numbers ({exc})") from None
 
 
 def problem_from_dict(data: dict) -> tuple[ProblemSpec, dict]:
@@ -341,6 +346,8 @@ def problem_from_dict(data: dict) -> tuple[ProblemSpec, dict]:
 
     extras carries the optional 'nonlinearity' and 'forcing' sections.
     """
+    if not isinstance(data, dict):
+        raise ProblemDataError("a problem must be a JSON object")
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise ProblemDataError(f"unknown top-level keys {sorted(unknown)}")
@@ -356,6 +363,11 @@ def problem_from_dict(data: dict) -> tuple[ProblemSpec, dict]:
 
 
 def load_problem(path) -> tuple[ProblemSpec, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ProblemDataError(f"cannot read problem file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ProblemDataError(f"problem file {path} is not valid JSON: {exc}") from None
     return problem_from_dict(data)

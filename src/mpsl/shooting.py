@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DivergenceError, NoConvergence, NumericError, SingularSystem
 from .expressions import ForcingTerm, NonlinearitySpec
 from .nodal import SampledTrace
 from .problem import BoundarySide, ProblemSpec
-from .spectrum import eigen_scan, robin_anchor
+from .spectrum import ANCHOR_ERRORS, eigen_scan, robin_anchor
 from .trig import TrigSolution, sup_norms
 
 IVP_RTOL = 1e-11
@@ -112,6 +111,7 @@ def integrate_ivp(
     Adaptive high-order explicit integration with dense output; blow-up
     beyond |u| = 1e12 raises DivergenceError with the location.
     """
+    from scipy.integrate import solve_ivp
 
     def blowup(x, y):
         return abs(y[0]) - BLOWUP_LIMIT
@@ -344,7 +344,7 @@ def default_guesses(spec: ProblemSpec, count_refs: int = 3) -> list[tuple[float,
             base = (psi.A / su, psi.B / su)
             for amp in (1e-2, 1e-1, 1.0, 1e1, 1e2):
                 guesses.append((amp * base[0], amp * base[1]))
-    except Exception:
+    except ANCHOR_ERRORS:
         # Robin anchors need the sign convention; fall back to axis seeds.
         pass
     return guesses

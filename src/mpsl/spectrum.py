@@ -20,12 +20,13 @@ import math
 from dataclasses import dataclass, field
 
 from . import nodal
-from .errors import ContinuationBreakdown, HypothesisError, NumericError
+from .errors import ContinuationBreakdown, HypothesisError, NumericError, ProblemDataError
 from .problem import LEVEL_QUADRATIC, ProblemSpec, level_at_least, scale_coefficients
 from .reference import separated_eigenvalue
 from .trig import TrigSolution, _fundamental, bc_functional, sup_norms
 
 SCAN_STEP_OMEGA = min(0.25, (math.pi / 2.0) / 8.0)
+SCAN_MAX_POINTS = 10_000  # positive scan grid ceiling: lambda_max <= ~3.9e6
 LAMBDA_MIN_GUARD = 25.0
 SIMPLE_DET_TOL = 1e-8  # |dGamma/dlam| below this * scale flags "possibly non-simple"
 ROOT_SEPARATION = 1e-8
@@ -146,6 +147,11 @@ def robin_anchor(spec: ProblemSpec, k: int) -> float:
     )
 
 
+# What robin_anchor raises on purpose: a side breaks the endpoint sign
+# convention (ProblemDataError) or a Robin bracket lost its sign change.
+ANCHOR_ERRORS = (ProblemDataError, ArithmeticError)
+
+
 def _refine_root(spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: float) -> float:
     """Bisection to 1e-12 relative followed by a Newton polish."""
     a, b, fa = lo, hi, flo
@@ -188,10 +194,18 @@ def eigen_scan(
     roots are sampled several times per gap; each bracket is refined by
     bisection and polished by Newton.  Roots where |dGamma/dlam| is tiny are
     flagged non-simple (a hypothesis-violation signal).  A touching root
-    without a sign change cannot be seen by this scan.
+    without a sign change cannot be seen by this scan.  The positive grid
+    has sqrt(lambda_max)/SCAN_STEP_OMEGA points; a lambda_max that needs
+    more than SCAN_MAX_POINTS raises ProblemDataError, as does a
+    non-positive or non-finite one.
     """
     if not 0.0 < lambda_max < math.inf:
-        raise ValueError("lambda_max must be positive and finite")
+        raise ProblemDataError(f"lambda_max must be positive and finite, not {lambda_max:g}")
+    if math.sqrt(lambda_max) > SCAN_MAX_POINTS * SCAN_STEP_OMEGA:
+        raise ProblemDataError(
+            f"lambda_max {lambda_max:g} needs more than {SCAN_MAX_POINTS} scan points "
+            f"(largest allowed {(SCAN_MAX_POINTS * SCAN_STEP_OMEGA) ** 2:.6g})"
+        )
     grid = []
     mu = math.sqrt(max(lambda_min_guard, 0.0))
     while mu > 0.0:
@@ -251,7 +265,7 @@ def eigen_scan(
         robin_count = 0
         while robin_anchor(spec, robin_count) <= lambda_max:
             robin_count += 1
-    except Exception:
+    except ANCHOR_ERRORS:
         robin_count = None
     return SpectrumWindow(lambda_max=lambda_max, eigenpairs=pairs, robin_count=robin_count)
 

@@ -3,11 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from mpsl.cli import main
+import mpsl
+from mpsl.cli import _parse_k_range, main
+from mpsl.conditions import _SEARCH_CAP
+from mpsl.spectrum import SCAN_MAX_POINTS, SCAN_STEP_OMEGA
 
 HALF_U0 = {
     "minus": {"alpha0": 1.0, "beta0": 0.0, "alpha": [], "beta": [], "eta": []},
@@ -202,3 +206,76 @@ def test_bad_flag_values_exit_2(argv, problem_file, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "error" in err
+
+
+# Runs the CLI in a fresh interpreter, then prints which scipy modules it loaded.
+SCIPY_PROBE = (
+    "import json, sys\n"
+    "from mpsl.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_probe(argv):
+    src = os.path.dirname(os.path.dirname(mpsl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["spectrum"],
+    ["predict", "--k", "0..10"],
+    ["classify", "--k", "0..3", "--format", "svg"],
+])
+def test_linear_subcommands_never_import_scipy(argv, problem_file, tmp_path):
+    assert run_probe([argv[0], problem_file, *argv[1:], "--out", str(tmp_path)]) == []
+
+
+def test_solve_imports_scipy_when_it_integrates(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, "nonlinearity": {"f": "xi/(1+abs(xi))", "f0": 1.0, "finf": 0.0},
+                                "forcing": {"h": "x"}}))
+    assert "scipy.integrate" in run_probe(["solve", str(path), "--out", str(tmp_path)])
+    assert (tmp_path / "solution.json").exists()
+
+
+@pytest.mark.parametrize("body", [
+    '{"minus": {"alpha0": 1.0, ',  # malformed JSON
+    json.dumps({**HALF_U0, "minus": {"alpha0": "a", "beta0": 0.0}}),  # non-numeric coefficient
+    None,  # missing file
+], ids=["malformed-json", "non-numeric-coefficient", "missing-file"])
+def test_problem_file_errors_exit_2(body, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    if body is not None:
+        path.write_text(body)
+    assert main(["validate", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", [str(_SEARCH_CAP + 1), f"0..{_SEARCH_CAP + 1}", f"0..{10**30}"])
+def test_k_above_search_cap_exits_2(k, problem_file, tmp_path, capsys):
+    # A range past sys.maxsize cannot be materialised, so a missing bound
+    # fails at once instead of allocating.
+    assert main(["predict", problem_file, "--k", k, "--out", str(tmp_path)]) == 2
+    assert f"<= {_SEARCH_CAP}" in capsys.readouterr().err
+
+
+def test_k_range_reaches_the_search_cap():
+    assert _parse_k_range(f"{_SEARCH_CAP - 1}..{_SEARCH_CAP}") == [_SEARCH_CAP - 1, _SEARCH_CAP]
+    assert _parse_k_range(f"3,{_SEARCH_CAP}") == [3, _SEARCH_CAP]
+
+
+def test_lambda_max_above_scan_ceiling_exits_2(problem_file, tmp_path, capsys):
+    ceiling = (SCAN_MAX_POINTS * SCAN_STEP_OMEGA) ** 2
+    t0 = time.perf_counter()
+    for lam_max in (ceiling * 1.001, 1e300):
+        assert main(["spectrum", problem_file, "--lambda-max", repr(lam_max), "--out", str(tmp_path)]) == 2
+        assert "scan points" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1.0

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_spec
-from mpsl.errors import HypothesisError
+from mpsl.errors import HypothesisError, ProblemDataError
 from mpsl.problem import BoundarySide, ProblemSpec, scale_coefficients
 from mpsl.spectrum import (
+    SCAN_MAX_POINTS,
+    SCAN_STEP_OMEGA,
     char_det,
     char_det_scale,
     continuation_spectrum,
@@ -14,6 +16,7 @@ from mpsl.spectrum import (
     eigen_scan,
     robin_anchor,
 )
+from mpsl.shooting import default_guesses
 
 
 def bisect_half_u0_ground() -> float:
@@ -215,3 +218,31 @@ def test_scan_guard_window_includes_negatives():
     # with a tiny guard the negative root (~ -0.9166) is outside the window
     assert all(ep.lam > 0 for ep in eigen_scan(spec, 10.0, lambda_min_guard=0.5).eigenpairs)
     assert any(ep.negative for ep in eigen_scan(spec, 10.0, lambda_min_guard=25.0).eigenpairs)
+
+
+def test_eigen_scan_rejects_lambda_max_above_grid_ceiling(half_u0_spec):
+    ceiling = (SCAN_MAX_POINTS * SCAN_STEP_OMEGA) ** 2
+    for lam_max in (ceiling * 1.001, 1e300, math.inf, math.nan, 0.0):
+        with pytest.raises(ProblemDataError):
+            eigen_scan(half_u0_spec, lam_max)
+
+
+@pytest.mark.parametrize("exc, caught", [
+    (ProblemDataError("sign convention"), True),
+    (ArithmeticError("bracket lost its sign change"), True),
+    (TypeError("programming error"), False),
+], ids=["sign-convention", "lost-bracket", "programming-error"])
+def test_robin_anchor_errors(exc, caught, half_u0_spec, monkeypatch):
+    def anchor(spec, k):
+        raise exc
+
+    monkeypatch.setattr("mpsl.spectrum.robin_anchor", anchor)
+    monkeypatch.setattr("mpsl.shooting.robin_anchor", anchor)
+    if caught:
+        assert eigen_scan(half_u0_spec, 12.0).robin_count is None
+        assert default_guesses(half_u0_spec) == [(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)]
+    else:
+        with pytest.raises(TypeError):
+            eigen_scan(half_u0_spec, 12.0)
+        with pytest.raises(TypeError):
+            default_guesses(half_u0_spec)
