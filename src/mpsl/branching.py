@@ -50,6 +50,7 @@ FOLD_CAP = 40
 DS_INIT = 1e-2
 DS_MIN = 1e-5
 DS_MAX = 0.2
+UNIQUENESS_MARGIN = 2.0  # nodal uniqueness window reaches this past the larger slope
 
 FROM_ZERO = "from_zero"
 FROM_INFINITY = "from_infinity"
@@ -464,7 +465,6 @@ def nodal_solutions_at_one(
     nl: NonlinearitySpec,
     k: int,
     eps_seed: float = 1e-3,
-    uniqueness_margin: float = 2.0,
 ) -> NodalSolutionsResult:
     """Produce the pair u_k^+/- of nodal solutions of -u'' = f(u) at lam = 1.
 
@@ -495,10 +495,7 @@ def nodal_solutions_at_one(
     route_errors: list[str] = []
     for family in ("T", "S"):
         try:
-            return _run_route(
-                spec, nl, k, ep, family, orientation, in_T, in_S, eps_seed,
-                uniqueness_margin,
-            )
+            return _run_route(spec, nl, k, ep, family, orientation, in_T, in_S, eps_seed)
         except HypothesisReport as exc:
             route_errors.append(f"{family}-route: {exc.failed}")
     raise HypothesisReport("; ".join(route_errors))
@@ -508,8 +505,7 @@ def classify_eigenpair(ep: Eigenpair):
     return classify(ClosedTrace(ep.psi))
 
 
-def _run_route(spec, nl, k, ep, family, orientation, in_T, in_S, eps_seed,
-               uniqueness_margin) -> NodalSolutionsResult:
+def _run_route(spec, nl, k, ep, family, orientation, in_T, in_S, eps_seed) -> NodalSolutionsResult:
     lam_k, f0, finf = ep.lam, nl.f0, nl.finf
     if family == "T":
         if not in_T:
@@ -544,7 +540,7 @@ def _run_route(spec, nl, k, ep, family, orientation, in_T, in_S, eps_seed,
     # lam_j inside the crossing window.  The theorems quantify over all such
     # j; this checks the computed spectrum up to the larger slope + margin.
     window = max(f0, finf) if math.isfinite(finf) else f0
-    _check_uniqueness(spec, k, family, class_index, window + uniqueness_margin)
+    _check_uniqueness(spec, k, family, class_index, window + UNIQUENESS_MARGIN)
 
     certs = {"envelope": cert}
     branches: dict[str, Branch] = {}

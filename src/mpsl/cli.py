@@ -3,8 +3,7 @@
 Subcommands: validate, spectrum, classify, predict, solve, branch,
 nodal-solve, selftest.  Exit codes: 0 success, 2 problem-data/validation
 failure, 3 numeric failure, 4 theorem-hypothesis failure.  All outputs are
-written atomically and are byte-identical for identical configuration and
-seed.
+written atomically and are byte-identical for identical configuration.
 """
 
 from __future__ import annotations
@@ -89,28 +88,38 @@ def _load(path: str):
     return spec, extras
 
 
-def _nonlinearity(extras: dict) -> NonlinearitySpec | None:
-    section = extras.get("nonlinearity")
+def _section(extras: dict, name: str, expr_key: str, keys: set) -> dict | None:
+    """An optional problem-file section: an object with known keys and an
+    expression string under ``expr_key``; None when absent or empty."""
+    section = extras.get(name)
     if not section:
         return None
-    unknown = set(section) - {"f", "f0", "finf"}
+    if not isinstance(section, dict):
+        raise ProblemDataError(f"{name} must be a JSON object")
+    unknown = set(section) - keys
     if unknown:
-        raise ProblemDataError(f"nonlinearity: unknown keys {sorted(unknown)}")
-    if "f" not in section:
-        raise ProblemDataError("nonlinearity: missing expression key 'f'")
-    return NonlinearitySpec.from_text(
-        section["f"], f0=section.get("f0"), finf=section.get("finf")
-    )
+        raise ProblemDataError(f"{name}: unknown keys {sorted(unknown)}")
+    if expr_key not in section:
+        raise ProblemDataError(f"{name}: missing expression key '{expr_key}'")
+    if not isinstance(section[expr_key], str):
+        raise ProblemDataError(f"{name}: '{expr_key}' must be an expression string")
+    return section
+
+
+def _nonlinearity(extras: dict) -> NonlinearitySpec | None:
+    section = _section(extras, "nonlinearity", "f", {"f", "f0", "finf"})
+    if section is None:
+        return None
+    try:
+        f0, finf = (None if section.get(key) is None else float(section[key]) for key in ("f0", "finf"))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemDataError(f"nonlinearity: f0 and finf must be numbers ({exc})") from None
+    return NonlinearitySpec.from_text(section["f"], f0=f0, finf=finf)
 
 
 def _forcing(extras: dict) -> ForcingTerm | None:
-    section = extras.get("forcing")
-    if not section:
-        return None
-    unknown = set(section) - {"h"}
-    if unknown:
-        raise ProblemDataError(f"forcing: unknown keys {sorted(unknown)}")
-    return ForcingTerm.from_text(section["h"])
+    section = _section(extras, "forcing", "h", {"h"})
+    return None if section is None else ForcingTerm.from_text(section["h"])
 
 
 def _primary_membership(result):
@@ -203,8 +212,15 @@ def _classification_payload(result) -> dict:
 def cmd_classify(args) -> int:
     tol = _check_tol(args.tol)
     if args.trace:
-        data = np.loadtxt(args.trace, delimiter=",", skiprows=1)
-        trace = SampledTrace(data[:, 0], data[:, 1], data[:, 2])
+        try:
+            data = np.loadtxt(args.trace, delimiter=",", skiprows=1, ndmin=2)
+            if data.shape[1] != 3:
+                raise ValueError(f"needs the 3 columns x,u,uprime, not {data.shape[1]}")
+            if not np.isfinite(data).all():
+                raise ValueError("holds a value that is not a finite number")
+            trace = SampledTrace(data[:, 0], data[:, 1], data[:, 2])
+        except (OSError, ValueError) as exc:
+            raise ProblemDataError(f"trace file {args.trace}: {exc}") from None
         spec = None
         if args.problem:
             spec, _ = _load(args.problem)
@@ -335,7 +351,7 @@ def cmd_solve(args) -> int:
     if nl is None:
         raise ProblemDataError("solve needs a 'nonlinearity' section in the problem file")
     verdict = nonresonance_check(spec, nl)
-    sol = solve_bvp_multistart(spec, nl, h, args.lam, seed=args.seed)
+    sol = solve_bvp_multistart(spec, nl, h, args.lam)
     _solution_files(args, sol, "solution", {
         "nonresonance": {
             "ok": verdict.ok,
@@ -418,32 +434,26 @@ def cmd_selftest(args) -> int:
     problem_path = os.path.join(args.out, "problem.json")
     reporting.atomic_write_text(problem_path, json.dumps(SELFTEST_PROBLEM, indent=2, sort_keys=True) + "\n")
 
-    ns = argparse.Namespace(problem=problem_path, out=args.out, seed=args.seed, tol=1e-8)
-    code = cmd_validate(ns)
+    parser = build_parser()
+
+    def run(*argv) -> int:
+        step = parser.parse_args([*argv, f"--out={args.out}"])
+        return step.fn(step)
+
+    code = run("validate", problem_path)
     if code != EXIT_OK:
         return code
-    ns.lambda_max = 40.0
-    ns.reference = None
-    ns.count = 0
-    cmd_spectrum(ns)
-    ns.k = "0..6"
-    cmd_predict(ns)
-    ns.trace = None
-    ns.from_spectrum = None
-    ns.k = "0..3"
-    ns.format = "svg"
-    cmd_classify(ns)
+    run("spectrum", problem_path, "--lambda-max", "40")
+    run("predict", problem_path, "--k", "0..6")
+    run("classify", problem_path, "--k", "0..3", "--format", "svg")
     # nonresonance solve of the forced problem with a sublinear f.
     solve_problem = dict(SELFTEST_PROBLEM)
     solve_problem["nonlinearity"] = {"f": "xi/(1+abs(xi))", "f0": 1.0, "finf": 0.0}
     solve_path = os.path.join(args.out, "problem_forced.json")
     reporting.atomic_write_text(solve_path, json.dumps(solve_problem, indent=2, sort_keys=True) + "\n")
-    ns2 = argparse.Namespace(problem=solve_path, out=args.out, seed=args.seed, lam=1.0)
-    cmd_solve(ns2)
+    run("solve", solve_path)
     # one short branch of the crossing nonlinearity.
-    ns3 = argparse.Namespace(problem=problem_path, out=args.out, seed=args.seed,
-                             k="0", sign="+", from_infinity=False, eps_seed=args.eps_seed)
-    cmd_branch(ns3)
+    run("branch", problem_path, "--k", "0", "--sign", "+", f"--eps-seed={args.eps_seed!r}")
     print("selftest complete")
     return EXIT_OK
 
@@ -460,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         if problem:
             p.add_argument("problem", help="problem JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=_finite_float, default=1e-8)
 
     p = sub.add_parser("validate", help="validate a problem file")
     common(p)
@@ -477,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify eigenfunctions or a trace file")
     p.add_argument("problem", nargs="?", default=None)
     p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_finite_float, default=1e-8)
     p.add_argument("--format", choices=["json", "csv", "svg"], default="json")
     p.add_argument("--k", default="0..3")
@@ -512,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="deterministic end-to-end smoke run")
     common(p, problem=False)
+    p.add_argument("--seed", type=int, default=0, help="accepted and ignored: the run is deterministic")
     p.add_argument("--eps-seed", dest="eps_seed", type=_finite_float, default=1e-3)
     p.set_defaults(fn=cmd_selftest)
     return ap
@@ -521,8 +529,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if hasattr(args, "tol"):
-            _check_tol(args.tol)
         return args.fn(args)
     except (ProblemDataError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -459,6 +459,8 @@ class ForcingTerm:
 
 F_SMALL = "F_small"  # F(xi) <= gamma*xi^2
 F_BIG = "F_big"  # F(xi) >= gamma*xi^2
+CERT_XI_MAX = 1e4  # certificate grid covers [-CERT_XI_MAX, CERT_XI_MAX]
+CERT_GRID = 10000  # certificate grid points
 
 
 @dataclass
@@ -478,14 +480,12 @@ def certify_hypotheses(
     nl: NonlinearitySpec,
     gamma: float,
     direction: str,
-    xi_max: float = 1e4,
-    n_grid: int = 10000,
 ) -> Certificate:
     """Grid certificate for the sign condition and a quadratic F-envelope.
 
     Checks xi*f(xi) > 0 and F(xi) <= gamma*xi^2 (direction F_small) or
-    F(xi) >= gamma*xi^2 (F_big) on a log-spaced grid of n_grid points in
-    [-xi_max, xi_max], accumulating F by adaptive quadrature.  Also applies
+    F(xi) >= gamma*xi^2 (F_big) on a log-spaced grid of CERT_GRID points in
+    [-CERT_XI_MAX, CERT_XI_MAX], accumulating F by adaptive quadrature.  Also applies
     the sufficient sign test on g(xi) = f(xi)/xi - f0 (g <= 0 certifies the
     small envelope with gamma = f0; g >= 0 the big one).  This is a desk-
     scale certificate: the envelopes are only verified on the grid.
@@ -495,11 +495,10 @@ def certify_hypotheses(
     if direction not in (F_SMALL, F_BIG):
         raise ValueError(f"direction must be {F_SMALL!r} or {F_BIG!r}")
     if not (math.isfinite(nl.f0) and nl.f0 > 0.0):
-        return Certificate(False, "f0 not positive", direction, gamma, xi_max,
+        return Certificate(False, "f0 not positive", direction, gamma, CERT_XI_MAX,
                            math.nan, math.nan, False, None)
 
-    half = max(n_grid // 2, 10)
-    pos = np.logspace(math.log10(xi_max) - 8.0, math.log10(xi_max), half)
+    pos = np.logspace(math.log10(CERT_XI_MAX) - 8.0, math.log10(CERT_XI_MAX), CERT_GRID // 2)
     grid = np.concatenate([-pos[::-1], pos])
 
     f = nl.f
@@ -523,7 +522,7 @@ def certify_hypotheses(
 
     if not sign_ok:
         return Certificate(False, "sign condition xi*f(xi) > 0 failed", direction,
-                           gamma, xi_max, math.nan, math.nan, False, sufficient)
+                           gamma, CERT_XI_MAX, math.nan, math.nan, False, sufficient)
 
     worst_ratio = -math.inf
     worst_xi = 0.0
@@ -545,5 +544,5 @@ def certify_hypotheses(
 
     passed = worst_ratio <= 1.0 + 1e-9
     reason = "" if passed else f"envelope violated by ratio {worst_ratio:.6g} at xi={worst_xi:.6g}"
-    return Certificate(passed, reason, direction, gamma, xi_max,
+    return Certificate(passed, reason, direction, gamma, CERT_XI_MAX,
                        worst_ratio, worst_xi, sign_ok, sufficient)

@@ -62,14 +62,14 @@ class ClosedTrace(FunctionTrace):
     def sup_uprime(self) -> float:
         return sup_norms(self.sol)[1]
 
-    def grid(self, n: int = 2001) -> np.ndarray:
-        return np.linspace(-1.0, 1.0, n)
+    def grid(self) -> np.ndarray:
+        return np.linspace(-1.0, 1.0, 2001)
 
 
 class SampledTrace(FunctionTrace):
     """Dense (x, u, u') samples with cubic Hermite interpolation between nodes."""
 
-    def __init__(self, x, u, uprime, max_step: float = MAX_SAMPLE_STEP):
+    def __init__(self, x, u, uprime):
         self.x = np.asarray(x, dtype=float)
         self.u = np.asarray(u, dtype=float)
         self.up = np.asarray(uprime, dtype=float)
@@ -82,9 +82,9 @@ class SampledTrace(FunctionTrace):
             raise ValueError("sample x must be strictly increasing")
         if abs(self.x[0] + 1.0) > 1e-9 or abs(self.x[-1] - 1.0) > 1e-9:
             raise ValueError("samples must cover [-1, 1] endpoint to endpoint")
-        if dx.max() > max_step:
+        if dx.max() > MAX_SAMPLE_STEP:
             raise ValueError(
-                f"sample step {dx.max():.3g} exceeds the allowed {max_step:.3g}"
+                f"sample step {dx.max():.3g} exceeds the allowed {MAX_SAMPLE_STEP:.3g}"
             )
 
     def _locate(self, x: float) -> int:
@@ -128,7 +128,7 @@ class SampledTrace(FunctionTrace):
         vals = np.maximum(np.abs(2.0 * b), np.abs(6.0 * a + 2.0 * b)) / h2
         return float(np.max(vals))
 
-    def grid(self, n: int = 0) -> np.ndarray:
+    def grid(self) -> np.ndarray:
         return self.x
 
 
@@ -451,15 +451,16 @@ def classify(
     return result
 
 
-def energy_deviation(lam: float, trace: FunctionTrace, n_samples: int = 2001) -> float:
-    """Relative non-constancy of lam*u^2 + u'^2 along the trace.
+def energy_deviation(lam: float, trace: FunctionTrace) -> float:
+    """Relative non-constancy of lam*u^2 + u'^2 on the trace's grid (2001
+    points for a closed form, the nodes of a sampled trace).
 
     For an exact solution of -u'' = lam*u this profile is constant, so the
     deviation is a solver-independent correctness check.
     """
     if lam <= 0.0:
         raise ValueError("energy deviation requires lam > 0")
-    xs = trace.grid(n_samples)
+    xs = trace.grid()
     profile = np.empty(len(xs))
     for i, xv in enumerate(xs):
         u, upv = trace.eval(float(xv))

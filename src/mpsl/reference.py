@@ -111,6 +111,42 @@ def _sep_det(bc_minus, bc_plus, lam: float) -> float:
     return a0p * u1 + b0p * up1
 
 
+def _bracketed_root(g, lo: float, hi: float, g_lo: float) -> float:
+    """Root of g in [lo, hi], where g changes sign and g(lo) = g_lo.
+
+    Bisection to _REL_TOL relative, then at most 3 centred-difference Newton
+    steps; a polish that leaves [lo - w, hi + w], w = hi - lo, falls back to
+    the midpoint of the last bracket.  Shared by the separated reference
+    spectra and the Gamma scan in ``spectrum``.
+    """
+    a, b, fa = lo, hi, g_lo
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = g(mid)
+        if fm == 0.0:
+            return mid
+        if fa * fm < 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+        if b - a <= _REL_TOL * max(1.0, abs(mid)):
+            break
+    lam = 0.5 * (a + b)
+    width = hi - lo
+    for _ in range(3):
+        h = 1e-7 * max(1.0, abs(lam))
+        slope = (g(lam + h) - g(lam - h)) / (2 * h)
+        if slope == 0.0:
+            break
+        step = g(lam) / slope
+        if not math.isfinite(step) or abs(step) > width:
+            break
+        lam -= step
+    if not lo - width <= lam <= hi + width:
+        lam = 0.5 * (a + b)
+    return lam
+
+
 @lru_cache(maxsize=None)
 def _separated_eigenvalue_cached(bc_minus, bc_plus, k: int) -> float:
     a0m, b0m = bc_minus
@@ -143,33 +179,7 @@ def _separated_eigenvalue_cached(bc_minus, bc_plus, k: int) -> float:
         raise ArithmeticError(
             f"separated eigenvalue bracket [{lo:.6g}, {hi:.6g}] lost its sign change"
         )
-    # Bisection to relative tolerance, then a Newton polish.
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = _sep_det(bc_minus, bc_plus, mid)
-        if fm == 0.0:
-            a = b = mid
-            break
-        if fa * fm < 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-        if b - a <= _REL_TOL * max(1.0, abs(mid)):
-            break
-    lam = 0.5 * (a + b)
-    for _ in range(3):
-        h = 1e-7 * max(1.0, abs(lam))
-        g = _sep_det(bc_minus, bc_plus, lam)
-        gp = (_sep_det(bc_minus, bc_plus, lam + h) - _sep_det(bc_minus, bc_plus, lam - h)) / (2 * h)
-        if gp == 0.0:
-            break
-        step = g / gp
-        if abs(step) > (hi - lo):
-            break
-        lam -= step
-    if not lo <= lam <= hi:
-        lam = 0.5 * (a + b)
-    return lam
+    return _bracketed_root(lambda lam: _sep_det(bc_minus, bc_plus, lam), a, b, fa)
 
 
 def separated_eigenvalue(bc_minus: tuple[float, float], bc_plus: tuple[float, float], k: int) -> float:

@@ -32,6 +32,9 @@ DENSE_STEP = 1e-3
 BLOWUP_LIMIT = 1e12
 RESIDUAL_TOL = 1e-8
 JACOBIAN_COND_LIMIT = 1e12
+AMPLITUDE_RUNAWAY = 1e8  # forced-solve iterates beyond this |u|_0 are resonance artefacts
+ENERGY_STRIDE = 20
+NONRESONANCE_MARGIN = 10.0
 
 
 class IntegratedTrace(SampledTrace):
@@ -197,11 +200,10 @@ def collocation_residual(
     return float(np.max(np.abs(res)))
 
 
-def nonlinear_energy_deviation(
-    trace: SampledTrace, nl: NonlinearitySpec, lam: float, stride: int = 20
-) -> float:
-    """Relative non-constancy of lam*F(u) + u'^2 along the trace (h == 0 form)."""
-    idx = list(range(0, len(trace.x), stride))
+def nonlinear_energy_deviation(trace: SampledTrace, nl: NonlinearitySpec, lam: float) -> float:
+    """Relative non-constancy of lam*F(u) + u'^2 along the trace (h == 0 form),
+    sampled at every ENERGY_STRIDE-th node and the last one."""
+    idx = list(range(0, len(trace.x), ENERGY_STRIDE))
     if idx[-1] != len(trace.x) - 1:
         idx.append(len(trace.x) - 1)
     vals = []
@@ -288,7 +290,6 @@ def solve_bvp(
     max_iter: int = 50,
     max_halvings: int = 30,
     tol: float = RESIDUAL_TOL,
-    amplitude_runaway: float = 1e8,
 ) -> SampledSolution:
     """Damped Newton on (a, b) -> (r-, r+) at fixed lam.
 
@@ -306,7 +307,7 @@ def solve_bvp(
 
     def residual(z):
         rm, rp, trace, sm, sp, err = scaled_residuals(spec, nl, h, lam, z[0], z[1])
-        if trace.sup_u() > amplitude_runaway:
+        if trace.sup_u() > AMPLITUDE_RUNAWAY:
             raise NoConvergence(math.inf, "amplitude runaway (possible resonance)")
         return np.array([rm, rp]), err, (rm, rp, trace, sm, sp)
 
@@ -330,12 +331,12 @@ def _package(spec, nl, h, lam, a, b, rm, rp, trace, sm, sp) -> SampledSolution:
     )
 
 
-def default_guesses(spec: ProblemSpec, count_refs: int = 3) -> list[tuple[float, float]]:
-    """Deterministic multistart list: axis seeds plus Robin-anchor
-    eigenfunctions scaled over amplitudes 10^-2 .. 10^2."""
+def default_guesses(spec: ProblemSpec) -> list[tuple[float, float]]:
+    """Deterministic multistart list: axis seeds plus the first three
+    Robin-anchor eigenfunctions scaled over amplitudes 10^-2 .. 10^2."""
     guesses: list[tuple[float, float]] = [(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)]
     try:
-        for k in range(count_refs):
+        for k in range(3):
             lam = robin_anchor(spec, k)
             psi = TrigSolution(lam, -spec.minus.beta0, spec.minus.alpha0)
             su, _ = sup_norms(psi)
@@ -355,15 +356,9 @@ def solve_bvp_multistart(
     nl: NonlinearitySpec | None,
     h: ForcingTerm | None,
     lam: float,
-    seed: int = 0,
     guesses: list[tuple[float, float]] | None = None,
 ) -> SampledSolution:
-    """Try the deterministic guess list in order; first accepted solution wins.
-
-    ``seed`` only pins the (currently deterministic) guess order so runs are
-    reproducible byte for byte.
-    """
-    del seed  # the guess list is already deterministic
+    """Try the deterministic guess list in order; first accepted solution wins."""
     if guesses is None:
         guesses = default_guesses(spec)
     for g in guesses:
@@ -384,10 +379,9 @@ class NonresonanceVerdict:
     out_of_scope: bool = False
 
 
-def nonresonance_check(
-    spec: ProblemSpec, nl: NonlinearitySpec, margin: float = 10.0
-) -> NonresonanceVerdict:
-    """Solvability check for -u'' = f(u) + h: finf finite and off the spectrum.
+def nonresonance_check(spec: ProblemSpec, nl: NonlinearitySpec) -> NonresonanceVerdict:
+    """Solvability check for -u'' = f(u) + h: finf finite and off the spectrum
+    (scanned up to finf + NONRESONANCE_MARGIN).
 
     Requires alpha0- + alpha0+ > 0; the Neumann-type case is a different
     (non-invertible) theory and is reported out of scope.
@@ -403,7 +397,7 @@ def nonresonance_check(
         )
     if not math.isfinite(nl.finf):
         return NonresonanceVerdict(False, "finf is not finite", nl.finf, None, None)
-    window = eigen_scan(spec, max(nl.finf + margin, margin))
+    window = eigen_scan(spec, max(nl.finf + NONRESONANCE_MARGIN, NONRESONANCE_MARGIN))
     lams = window.lambdas()
     if not lams:
         return NonresonanceVerdict(True, "no eigenvalues in the window", nl.finf, None, None)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from . import nodal
 from .errors import ContinuationBreakdown, HypothesisError, NumericError, ProblemDataError
 from .problem import LEVEL_QUADRATIC, ProblemSpec, level_at_least, scale_coefficients
-from .reference import separated_eigenvalue
+from .reference import _bracketed_root, separated_eigenvalue
 from .trig import TrigSolution, _fundamental, bc_functional, sup_norms
 
 SCAN_STEP_OMEGA = min(0.25, (math.pi / 2.0) / 8.0)
@@ -30,6 +30,8 @@ SCAN_MAX_POINTS = 10_000  # positive scan grid ceiling: lambda_max <= ~3.9e6
 LAMBDA_MIN_GUARD = 25.0
 SIMPLE_DET_TOL = 1e-8  # |dGamma/dlam| below this * scale flags "possibly non-simple"
 ROOT_SEPARATION = 1e-8
+DT_INIT, DT_MIN = 0.05, 1e-6  # continuation step in t: initial/maximal and floor
+NEIGHBOR_MARGIN = 0.1  # neighbouring paths closer than this halve the t step
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,16 @@ def _sign_rule(sol: TrigSolution) -> tuple[bool, str]:
     return lead < 0.0, "boundary-data"
 
 
+def _eigenpair(spec: ProblemSpec, k: int, lam: float,
+               t_path: tuple[tuple[float, float], ...] | None = None) -> Eigenpair:
+    """Eigenpair at the root lam: eigenfunction, Gamma slope and simple flag."""
+    psi, res = assemble_eigenfunction(spec, lam)
+    slope = det_slope(spec, lam)
+    return Eigenpair(k=k, lam=lam, psi=psi, t_path=t_path,
+                     simple=abs(slope) >= SIMPLE_DET_TOL * char_det_scale(spec, lam),
+                     det_slope=slope, bc_residuals=res)
+
+
 def robin_anchor(spec: ProblemSpec, k: int) -> float:
     """Anchor lam_k of the t=0 (single-point Robin) problem."""
     return separated_eigenvalue(
@@ -152,41 +164,10 @@ def robin_anchor(spec: ProblemSpec, k: int) -> float:
 ANCHOR_ERRORS = (ProblemDataError, ArithmeticError)
 
 
-def _refine_root(spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Bisection to 1e-12 relative followed by a Newton polish."""
-    a, b, fa = lo, hi, flo
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = char_det(spec, mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-        if b - a <= 1e-12 * max(1.0, abs(mid)):
-            break
-    lam = 0.5 * (a + b)
-    width = hi - lo
-    for _ in range(3):
-        g = char_det(spec, lam)
-        gp = det_slope(spec, lam)
-        if gp == 0.0:
-            break
-        step = g / gp
-        if not math.isfinite(step) or abs(step) > width:
-            break
-        lam -= step
-    if not lo - width <= lam <= hi + width:
-        lam = 0.5 * (a + b)
-    return lam
-
-
 def eigen_scan(
     spec: ProblemSpec,
     lambda_max: float,
     lambda_min_guard: float = LAMBDA_MIN_GUARD,
-    assign_k: bool = True,
 ) -> SpectrumWindow:
     """All roots of Gamma in (-lambda_min_guard, lambda_max] by sign-change scan.
 
@@ -230,7 +211,7 @@ def eigen_scan(
         if fj == 0.0:
             continue  # captured as the left endpoint of the next cell
         if fi * fj < 0.0:
-            roots.append(_refine_root(spec, lam_i, lam_j, fi, fj))
+            roots.append(_bracketed_root(lambda lam: char_det(spec, lam), lam_i, lam_j, fi))
     if vals[-1] == 0.0:
         roots.append(grid[-1])
 
@@ -242,22 +223,7 @@ def eigen_scan(
             continue
         merged.append(r)
 
-    pairs = []
-    for idx, lam in enumerate(merged):
-        scale = char_det_scale(spec, lam)
-        slope = det_slope(spec, lam)
-        psi, res = assemble_eigenfunction(spec, lam)
-        pairs.append(
-            Eigenpair(
-                k=idx if assign_k else -1,
-                lam=lam,
-                psi=psi,
-                t_path=None,
-                simple=abs(slope) >= SIMPLE_DET_TOL * scale,
-                det_slope=slope,
-                bc_residuals=res,
-            )
-        )
+    pairs = [_eigenpair(spec, idx, lam) for idx, lam in enumerate(merged)]
 
     # Anchors exist only under the endpoint sign convention; specs violating
     # it simply get no Robin count.
@@ -270,11 +236,11 @@ def eigen_scan(
     return SpectrumWindow(lambda_max=lambda_max, eigenpairs=pairs, robin_count=robin_count)
 
 
-def _newton_root(spec_t: ProblemSpec, lam0: float, max_iter: int = 15) -> float:
+def _newton_root(spec_t: ProblemSpec, lam0: float) -> float:
     """Newton iteration on Gamma(., spec_t) from lam0; raises on failure."""
     lam = lam0
     last_step = math.inf
-    for _ in range(max_iter):
+    for _ in range(15):
         g = char_det(spec_t, lam)
         gp = det_slope(spec_t, lam)
         if gp == 0.0 or not math.isfinite(gp):
@@ -291,49 +257,36 @@ def _newton_root(spec_t: ProblemSpec, lam0: float, max_iter: int = 15) -> float:
     raise NumericError("corrector did not converge")
 
 
-def eigen_continuation(
-    spec: ProblemSpec,
-    k: int,
-    dt_init: float = 0.05,
-    dt_min: float = 1e-6,
-    neighbor_margin: float = 0.1,
-) -> Eigenpair:
+def eigen_continuation(spec: ProblemSpec, k: int) -> Eigenpair:
     """Track lam_k from its Robin anchor at t=0 to the full problem at t=1.
 
     Secant predictor in t, Newton corrector in lam.  The neighbours k-1 and
     k+1 are tracked alongside to watch for path collisions, which abort with
     a diagnostic rather than re-indexing.
     """
-    pairs = continuation_spectrum(spec, k, k_lo=max(0, k - 1), extra_upper=1,
-                                  dt_init=dt_init, dt_min=dt_min,
-                                  neighbor_margin=neighbor_margin)
-    for ep in pairs:
+    for ep in continuation_spectrum(spec, k, k_lo=max(0, k - 1)):
         if ep.k == k:
             return ep
     raise NumericError(f"continuation lost index k={k}")  # pragma: no cover
 
 
-def continuation_spectrum(
-    spec: ProblemSpec,
-    k_max: int,
-    k_lo: int = 0,
-    extra_upper: int = 1,
-    dt_init: float = 0.05,
-    dt_min: float = 1e-6,
-    neighbor_margin: float = 0.1,
-) -> list[Eigenpair]:
-    """Continue all indices k_lo..k_max together (plus guard paths above)."""
+def continuation_spectrum(spec: ProblemSpec, k_max: int, k_lo: int = 0) -> list[Eigenpair]:
+    """Continue all indices k_lo..k_max together (plus one guard path above).
+
+    The t step starts at DT_INIT, halves on a corrector failure or when two
+    paths come closer than NEIGHBOR_MARGIN, and breaks down below DT_MIN.
+    """
     if k_max < k_lo or k_lo < 0:
         raise ValueError("bad index range")
     if not level_at_least(spec.hypothesis_level, LEVEL_QUADRATIC):
         raise HypothesisError(
             "eigenvalue continuation requires the squared-fraction hypothesis level"
         )
-    indices = list(range(k_lo, k_max + 1 + extra_upper))
+    indices = list(range(k_lo, k_max + 2))
     lams = [robin_anchor(spec, j) for j in indices]
     paths: dict[int, list[tuple[float, float]]] = {j: [(0.0, lam)] for j, lam in zip(indices, lams)}
 
-    t, dt = 0.0, dt_init
+    t, dt = 0.0, DT_INIT
     prev_t, prev_lams = 0.0, list(lams)
     while t < 1.0:
         t_next = min(1.0, t + dt)
@@ -359,38 +312,20 @@ def continuation_spectrum(
                 if b - a < ROOT_SEPARATION * max(1.0, abs(b)):
                     raise ContinuationBreakdown(t_next, f"paths merged near lam={b:.6g}")
         if ok:
-            tight = any(b - a < neighbor_margin for a, b in zip(news, news[1:]))
-            if tight and dt > dt_min * 2.0:
-                dt = max(dt_min, 0.5 * dt)
+            tight = any(b - a < NEIGHBOR_MARGIN for a, b in zip(news, news[1:]))
+            if tight and dt > DT_MIN * 2.0:
+                dt = max(DT_MIN, 0.5 * dt)
                 # accept anyway at the reduced future step
         if not ok:
-            if dt <= dt_min:
+            if dt <= DT_MIN:
                 raise ContinuationBreakdown(t_next, "corrector failed at minimal step")
-            dt = max(dt_min, 0.5 * dt)
+            dt = max(DT_MIN, 0.5 * dt)
             continue
         prev_t, prev_lams = t, list(lams)
         t, lams = t_next, news
         for j, lam in zip(indices, lams):
             paths[j].append((t, lam))
-        if dt < dt_init:
-            dt = min(dt_init, dt * 1.6)
+        if dt < DT_INIT:
+            dt = min(DT_INIT, dt * 1.6)
 
-    out = []
-    for j, lam in zip(indices, lams):
-        if j > k_max:
-            continue
-        psi, res = assemble_eigenfunction(spec, lam)
-        scale = char_det_scale(spec, lam)
-        slope = det_slope(spec, lam)
-        out.append(
-            Eigenpair(
-                k=j,
-                lam=lam,
-                psi=psi,
-                t_path=tuple(paths[j]),
-                simple=abs(slope) >= SIMPLE_DET_TOL * scale,
-                det_slope=slope,
-                bc_residuals=res,
-            )
-        )
-    return out
+    return [_eigenpair(spec, j, lam, tuple(paths[j])) for j, lam in zip(indices, lams) if j <= k_max]

@@ -259,6 +259,42 @@ def test_problem_file_errors_exit_2(body, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+NONLINEAR = {"f": "xi/(1+abs(xi))", "f0": 1.0, "finf": 0.0}
+
+
+@pytest.mark.parametrize("sections, message", [
+    ({"nonlinearity": {"f": 5}}, "'f' must be an expression string"),
+    ({"nonlinearity": NONLINEAR, "forcing": {"h": 3}}, "'h' must be an expression string"),
+    ({"nonlinearity": {**NONLINEAR, "f0": "a"}}, "f0 and finf must be numbers"),
+    ({"nonlinearity": "xi"}, "nonlinearity must be a JSON object"),
+], ids=["f-number", "h-number", "f0-string", "section-string"])
+def test_nonlinear_section_errors_exit_2(sections, message, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, **sections}))
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("body", [
+    None,
+    "x,u\n-1,0\n1,0\n",
+    "x,u,uprime\n-1,0,1\n",
+    "x,u,uprime\n-1,0,a\n1,0,1\n",
+    # a dense trace of u = x, valid but for one NaN
+    "x,u,uprime\n" + "".join(f"{x!r},{'nan' if i == 1000 else repr(x)},1\n"
+                              for i, x in enumerate(np.linspace(-1.0, 1.0, 2001).tolist())),
+    "x,u,uprime\n1,0,1\n-1,0,1\n",
+], ids=["missing-file", "two-columns", "single-row", "non-numeric", "nan", "x-decreasing"])
+def test_classify_trace_errors_exit_2(body, tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    if body is not None:
+        path.write_text(body)
+    assert main(["classify", "--trace", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace file ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("k", [str(_SEARCH_CAP + 1), f"0..{_SEARCH_CAP + 1}", f"0..{10**30}"])
 def test_k_above_search_cap_exits_2(k, problem_file, tmp_path, capsys):
     # A range past sys.maxsize cannot be materialised, so a missing bound

@@ -5,6 +5,7 @@ import pytest
 from mpsl.nodal import ClosedTrace, classify
 from mpsl.reference import (
     ReferenceKind,
+    _bracketed_root,
     reference_bc_residuals,
     reference_eigenfunction,
     reference_eigenvalue,
@@ -178,3 +179,36 @@ def test_separated_eigenvalue_memoized():
     # scaling a condition pair does not change the problem
     c = separated_eigenvalue((2.0, -1.4), (0.5, 0.4), 3)
     assert c == pytest.approx(a, rel=1e-12)
+
+
+def test_bracketed_root_bisects_to_relative_tolerance():
+    # A triple root: the Newton polish barely moves, so the bisection alone
+    # has to reach 1e-12.
+    assert abs(_bracketed_root(lambda x: (x - 0.3) ** 3, 0.0, 1.0, -0.027) - 0.3) <= 1e-12
+
+
+def test_bracketed_root_returns_an_exact_zero_at_once():
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x - 0.5
+
+    assert _bracketed_root(g, 0.0, 1.0, -0.5) == 0.5
+    assert calls == [0.5]
+
+
+def test_bracketed_root_falls_back_when_the_polish_leaves_the_bracket():
+    # A sign change by a jump at r.  The spike next to r sends the first
+    # Newton step 0.4 across it, and the exponential tails carry the next
+    # two steps 0.6 further out each: every step fits the bracket width, but
+    # the sum ends past [lo - w, hi + w], so the midpoint is returned.
+    r, h = 0.3, 1e-7  # h: the polish's difference step at |lam| <= 1
+
+    def g(x):
+        d = x - r
+        if abs(d) < 1e-9:
+            return math.copysign(0.4 / h, d)
+        return math.copysign(math.exp(-abs(d) / 0.6), d)
+
+    assert abs(_bracketed_root(g, r - 0.5, r + 0.5, g(r - 0.5)) - r) <= 1e-12

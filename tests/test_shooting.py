@@ -181,8 +181,8 @@ def test_damped_newton_probe_divergence_is_no_convergence():
 def test_multistart_deterministic(half_u0_spec):
     nl = NonlinearitySpec.from_text("xi/(1+abs(xi))", f0=1.0, finf=0.0)
     h = ForcingTerm.from_text("x")
-    s1 = solve_bvp_multistart(half_u0_spec, nl, h, 1.0, seed=3)
-    s2 = solve_bvp_multistart(half_u0_spec, nl, h, 1.0, seed=3)
+    s1 = solve_bvp_multistart(half_u0_spec, nl, h, 1.0)
+    s2 = solve_bvp_multistart(half_u0_spec, nl, h, 1.0)
     assert s1.shooting.a == s2.shooting.a
     assert s1.shooting.b == s2.shooting.b
     assert list(s1.trace.u) == list(s2.trace.u)
