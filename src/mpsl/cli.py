@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -213,11 +214,13 @@ def cmd_classify(args) -> int:
     tol = _check_tol(args.tol)
     if args.trace:
         try:
-            data = np.loadtxt(args.trace, delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():  # an empty file is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(args.trace, delimiter=",", skiprows=1, ndmin=2)
+            if data.size == 0:
+                raise ValueError("holds no data rows")
             if data.shape[1] != 3:
                 raise ValueError(f"needs the 3 columns x,u,uprime, not {data.shape[1]}")
-            if not np.isfinite(data).all():
-                raise ValueError("holds a value that is not a finite number")
             trace = SampledTrace(data[:, 0], data[:, 1], data[:, 2])
         except (OSError, ValueError) as exc:
             raise ProblemDataError(f"trace file {args.trace}: {exc}") from None

@@ -22,6 +22,7 @@ antiderivative F(xi) = 2*int_0^xi f.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -297,14 +298,27 @@ _EVAL_NS = {
     "_sqrt": math.sqrt,
 }
 
+# The same functions as numpy ufuncs: a domain error or overflow gives a
+# non-finite value instead of an exception.
+_ARRAY_NS = {
+    "_sin": np.sin,
+    "_cos": np.cos,
+    "_atan": np.arctan,
+    "_exp": np.exp,
+    "_log": np.log,
+    "_abs": np.abs,
+    "_sqrt": np.sqrt,
+}
 
-def compile_callable(node: Expr, varname: str) -> Callable[[float], float]:
-    """Compile to a fast scalar callable of one variable."""
+
+def compile_callable(node: Expr, varname: str, namespace: dict = _EVAL_NS) -> Callable:
+    """Compile to a fast callable of one variable: scalar by default, or
+    elementwise over numpy arrays with ``namespace=_ARRAY_NS``."""
     free = free_variables(node)
     if not free <= {varname}:
         raise ParseError(f"expression uses variables {sorted(free - {varname})}", 0)
     src = f"lambda {varname}: {_to_python(node)}"
-    return eval(src, dict(_EVAL_NS))  # noqa: S307 - our own AST, closed namespace
+    return eval(src, dict(namespace))  # noqa: S307 - our own AST, closed namespace
 
 
 def evaluate(node: Expr, **values: float) -> float:
@@ -353,6 +367,42 @@ def _quad(*args, **kwargs):
     global _quad
     from scipy.integrate import quad as _quad
     return _quad(*args, **kwargs)
+
+
+GAUSS_ORDERS = (10, 20)  # the two Gauss-Legendre rules compared on every gap
+GAUSS_RTOL = 1e-12  # they must agree to this fraction of int |f| over the gap
+GAUSS_BLOCK = 256  # gaps per numpy evaluation of f: keeps each temporary near 60 kB
+
+
+def _legendre(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(t) and P_n'(t) by the three-term recurrence."""
+    p_prev, p = np.ones_like(t), t
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * t * p - (j - 1) * p_prev) / j
+    return p, n * (t * p - p_prev) / (t * t - 1.0)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive nodes and their weights of the n-point Gauss-Legendre rule on
+    [-1, 1], n even, by Newton's method on P_n; the other half of the rule
+    is their mirror image."""
+    t = np.cos(np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, t)
+        step = p / dp
+        t = t - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    return t, 2.0 / ((1.0 - t * t) * _legendre(n, t)[1] ** 2)
+
+
+@functools.cache
+def _gauss_rules() -> tuple[np.ndarray, np.ndarray, int]:
+    """The GAUSS_ORDERS rules side by side: (t, w, n) with the positive nodes
+    t and weights w of the low rule in [:n] and of the high rule in [n:].
+    Computed on first use, so importing mpsl computes nothing."""
+    (t_low, w_low), (t_high, w_high) = (_gauss_legendre(n) for n in GAUSS_ORDERS)
+    return np.concatenate([t_low, t_high]), np.concatenate([w_low, w_high]), len(t_low)
 
 
 def _richardson_limit(g: Callable[[float], float], scales: list[float]) -> float:
@@ -417,19 +467,66 @@ class NonlinearitySpec:
 
     def __post_init__(self):
         self._f = compile_callable(self.expr, "xi")
+        self._f_array = compile_callable(self.expr, "xi", _ARRAY_NS)
 
     def f(self, xi: float) -> float:
         return self._f(xi)
 
     def F(self, xi: float) -> float:
-        """F(xi) = 2*int_0^xi f(s) ds by adaptive quadrature."""
-        if xi == 0.0:
-            return 0.0
-        out = _quad(self._f, 0.0, xi, epsabs=1e-10, epsrel=1e-10, limit=200, full_output=1)
-        val, err = out[0], out[1]
-        if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-            raise QuadratureError(f"antiderivative quadrature failed at xi={xi:.6g}")
-        return 2.0 * val
+        """F(xi) = 2*int_0^xi f(s) ds: the one-value view of ``F_many``."""
+        return float(self.F_many(xi))
+
+    def F_many(self, xs) -> np.ndarray:
+        """F(xi) = 2*int_0^xi f(s) ds at every value of ``xs``, in one pass.
+
+        The values are sorted together with 0.  Each gap between neighbours
+        is integrated with the 10- and 20-node Gauss-Legendre rules, with one
+        numpy evaluation of f per GAUSS_BLOCK gaps, and F is the cumulative
+        sum outward from 0.
+        Where the two rules differ, on int f or on int |f|, by more than
+        GAUSS_RTOL of int |f| over the gap, or a value of f is not finite,
+        the gap is integrated again by adaptive quadrature on the scalar f:
+        that raises QuadratureError when it fails, and an error of the
+        scalar f itself (a math domain error, a complex power) propagates.
+        """
+        xs = np.asarray(xs, dtype=float)
+        values = np.append(xs, 0.0)
+        order = np.argsort(values, kind="stable")
+        nodes = values[order]  # a repeated value leaves a gap of width 0
+        lo, hi = nodes[:-1], nodes[1:]
+        gaps = np.zeros(len(lo))
+        for i in range(0, len(lo), GAUSS_BLOCK):
+            gaps[i:i + GAUSS_BLOCK] = self._gap_integrals(lo[i:i + GAUSS_BLOCK], hi[i:i + GAUSS_BLOCK])
+        zero = int(np.searchsorted(nodes, 0.0))
+        integral = np.zeros(len(nodes))
+        integral[zero + 1:] = np.cumsum(gaps[zero:])
+        integral[:zero] = -np.cumsum(gaps[:zero][::-1])[::-1]
+        values[order] = integral
+        return 2.0 * values[:-1].reshape(xs.shape)
+
+    def _gap_integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """int_lo^hi f on each gap; f is summed in mirrored node pairs, so an
+        odd f gives exactly opposite integrals on mirrored gaps."""
+        t, w, n = _gauss_rules()
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        with np.errstate(all="ignore"):
+            pts = mid[:, None] + half[:, None] * np.concatenate([t, -t])
+            fx = self._f_array(pts)
+            if np.shape(fx) != pts.shape:  # f does not depend on xi
+                fx = np.broadcast_to(fx, pts.shape)
+            plus, minus = fx[:, :len(t)], fx[:, len(t):]
+            signed = (plus + minus) * w
+            absolute = (np.abs(plus) + np.abs(minus)) * w
+            low, high = half * signed[:, :n].sum(axis=1), half * signed[:, n:].sum(axis=1)
+            size_low, size = half * absolute[:, :n].sum(axis=1), half * absolute[:, n:].sum(axis=1)
+            agree = (np.abs(high - low) <= GAUSS_RTOL * size) & (np.abs(size - size_low) <= GAUSS_RTOL * size)
+        for i in np.flatnonzero(~agree):
+            a, b = float(lo[i]), float(hi[i])
+            val, err = _quad(self._f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)[:2]
+            if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
+                raise QuadratureError(f"antiderivative quadrature failed on [{a:.6g}, {b:.6g}]")
+            high[i] = val
+        return high
 
 
 @dataclass
@@ -485,7 +582,8 @@ def certify_hypotheses(
 
     Checks xi*f(xi) > 0 and F(xi) <= gamma*xi^2 (direction F_small) or
     F(xi) >= gamma*xi^2 (F_big) on a log-spaced grid of CERT_GRID points in
-    [-CERT_XI_MAX, CERT_XI_MAX], accumulating F by adaptive quadrature.  Also applies
+    [-CERT_XI_MAX, CERT_XI_MAX], with F at every grid point from one
+    ``NonlinearitySpec.F_many`` call.  Also applies
     the sufficient sign test on g(xi) = f(xi)/xi - f0 (g <= 0 certifies the
     small envelope with gamma = f0; g >= 0 the big one).  This is a desk-
     scale certificate: the envelopes are only verified on the grid.
@@ -524,23 +622,15 @@ def certify_hypotheses(
         return Certificate(False, "sign condition xi*f(xi) > 0 failed", direction,
                            gamma, CERT_XI_MAX, math.nan, math.nan, False, sufficient)
 
-    worst_ratio = -math.inf
-    worst_xi = 0.0
-    for branch in (pos, -pos):
-        acc = 0.0
-        prev = 0.0
-        for xi in branch:
-            xi = float(xi)
-            seg = _quad(f, prev, xi, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)[0]
-            if not math.isfinite(seg):
-                raise QuadratureError(f"quadrature failed on [{prev:.3g}, {xi:.3g}]")
-            acc += seg
-            prev = xi
-            Fxi = 2.0 * acc
-            denom = gamma * xi * xi
-            ratio = Fxi / denom if direction == F_SMALL else denom / Fxi
-            if ratio > worst_ratio:
-                worst_ratio, worst_xi = ratio, xi
+    # Scan the positive branch outward, then the negative one: argmax keeps
+    # the first maximum, so a tie resolves to the earlier point of the scan.
+    xs = np.concatenate([pos, -pos])
+    Fx = nl.F_many(xs)
+    denom = gamma * xs * xs
+    with np.errstate(divide="ignore"):
+        ratios = Fx / denom if direction == F_SMALL else denom / Fx
+    worst = int(np.argmax(ratios))
+    worst_ratio, worst_xi = float(ratios[worst]), float(xs[worst])
 
     passed = worst_ratio <= 1.0 + 1e-9
     reason = "" if passed else f"envelope violated by ratio {worst_ratio:.6g} at xi={worst_xi:.6g}"

@@ -77,6 +77,11 @@ class SampledTrace(FunctionTrace):
             raise ValueError("x, u, uprime must be 1-d arrays of equal length")
         if len(self.x) < 2:
             raise ValueError("need at least two samples")
+        finite = np.isfinite(self.x) & np.isfinite(self.u) & np.isfinite(self.up)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"sample row {row} is not finite: "
+                             f"x={self.x[row]!r}, u={self.u[row]!r}, uprime={self.up[row]!r}")
         dx = np.diff(self.x)
         if not np.all(dx > 0.0):
             raise ValueError("sample x must be strictly increasing")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, NoConvergence, NumericError, SingularSystem
+from .errors import DivergenceError, NoConvergence, SingularSystem
 from .expressions import ForcingTerm, NonlinearitySpec
 from .nodal import SampledTrace
 from .problem import BoundarySide, ProblemSpec
@@ -32,6 +32,8 @@ DENSE_STEP = 1e-3
 BLOWUP_LIMIT = 1e12
 RESIDUAL_TOL = 1e-8
 JACOBIAN_COND_LIMIT = 1e12
+NEWTON_MAX_ITER = 50  # solve_bvp iterations
+NEWTON_MAX_HALVINGS = 30  # solve_bvp step halvings per iteration
 AMPLITUDE_RUNAWAY = 1e8  # forced-solve iterates beyond this |u|_0 are resonance artefacts
 ENERGY_STRIDE = 20
 NONRESONANCE_MARGIN = 10.0
@@ -40,13 +42,13 @@ NONRESONANCE_MARGIN = 10.0
 class IntegratedTrace(SampledTrace):
     """Sampled trace backed by the integrator's dense output."""
 
-    def __init__(self, sol, x=None, u=None, uprime=None):
+    def __init__(self, sol):
         self._sol = sol
-        if x is None:
-            n = int(round(2.0 / DENSE_STEP)) + 1
-            x = np.linspace(-1.0, 1.0, n)
-            vals = sol(x)
-            u, uprime = vals[0], vals[1]
+        x = np.linspace(-1.0, 1.0, int(round(2.0 / DENSE_STEP)) + 1)
+        u, uprime = sol(x)
+        finite = np.isfinite(u) & np.isfinite(uprime)
+        if not finite.all():
+            raise DivergenceError(float(x[np.argmin(finite)]))
         super().__init__(x, u, uprime)
 
     def eval(self, x: float) -> tuple[float, float]:
@@ -111,8 +113,13 @@ def integrate_ivp(
 ) -> IntegratedTrace:
     """Integrate -u'' = lam*f(u) + h from (u, u')(-1) = (a, b) over [-1, 1].
 
-    Adaptive high-order explicit integration with dense output; blow-up
-    beyond |u| = 1e12 raises DivergenceError with the location.
+    Adaptive high-order explicit integration with dense output.  Blow-up
+    beyond |u| = 1e12 and a state that is not finite are divergence and
+    raise DivergenceError with the location.  The integrator never accepts
+    a non-finite step: a right-hand side that is not finite (f overflows,
+    or is NaN) makes it shrink the step, and when the step size collapses
+    that is divergence at the last accepted x.  So is a dense-output sample
+    that is not finite.
     """
     from scipy.integrate import solve_ivp
 
@@ -133,8 +140,8 @@ def integrate_ivp(
     )
     if sol.status == 1:
         raise DivergenceError(float(sol.t_events[0][0]))
-    if not sol.success:  # pragma: no cover - defensive
-        raise NumericError(f"integration failed: {sol.message}")
+    if not sol.success:  # the step size collapsed
+        raise DivergenceError(float(sol.t[-1]))
     return IntegratedTrace(sol.sol)
 
 
@@ -202,15 +209,13 @@ def collocation_residual(
 
 def nonlinear_energy_deviation(trace: SampledTrace, nl: NonlinearitySpec, lam: float) -> float:
     """Relative non-constancy of lam*F(u) + u'^2 along the trace (h == 0 form),
-    sampled at every ENERGY_STRIDE-th node and the last one."""
-    idx = list(range(0, len(trace.x), ENERGY_STRIDE))
+    sampled at every ENERGY_STRIDE-th node and the last one, with F at all
+    samples from one ``NonlinearitySpec.F_many`` call."""
+    idx = np.arange(0, len(trace.x), ENERGY_STRIDE)
     if idx[-1] != len(trace.x) - 1:
-        idx.append(len(trace.x) - 1)
-    vals = []
-    for i in idx:
-        u, up = float(trace.u[i]), float(trace.up[i])
-        vals.append(lam * nl.F(u) + up * up)
-    vals = np.asarray(vals)
+        idx = np.append(idx, len(trace.x) - 1)
+    up = trace.up[idx]
+    vals = lam * nl.F_many(trace.u[idx]) + up * up
     med = float(np.median(vals))
     if med == 0.0:
         return math.nan
@@ -287,15 +292,12 @@ def solve_bvp(
     h: ForcingTerm | None,
     lam: float,
     initial_guess: ShootingState | tuple[float, float],
-    max_iter: int = 50,
-    max_halvings: int = 30,
-    tol: float = RESIDUAL_TOL,
 ) -> SampledSolution:
     """Damped Newton on (a, b) -> (r-, r+) at fixed lam.
 
-    Newton runs to 0.5*tol, so the returned solution keeps a margin for
-    the integration error and still meets tol when it is re-integrated
-    more accurately.  Raises NoConvergence with the best residual on
+    Newton runs to 0.5*RESIDUAL_TOL, so the returned solution keeps a
+    margin for the integration error and still meets RESIDUAL_TOL when it
+    is re-integrated more accurately.  Raises NoConvergence with the best residual on
     stagnation and SingularSystem when the forward-difference Jacobian has
     condition number beyond 1e12 (the resonant signature).  Amplitudes
     beyond the runaway cap also abort: at resonance the relative residual
@@ -311,8 +313,8 @@ def solve_bvp(
             raise NoConvergence(math.inf, "amplitude runaway (possible resonance)")
         return np.array([rm, rp]), err, (rm, rp, trace, sm, sp)
 
-    z, payload = damped_newton(residual, initial_guess, (0, 1), 0.5 * tol, max_iter,
-                               max_halvings, cond_limit=JACOBIAN_COND_LIMIT)
+    z, payload = damped_newton(residual, initial_guess, (0, 1), 0.5 * RESIDUAL_TOL,
+                               NEWTON_MAX_ITER, NEWTON_MAX_HALVINGS, cond_limit=JACOBIAN_COND_LIMIT)
     return _package(spec, nl, h, lam, z[0], z[1], *payload)
 
 
@@ -356,11 +358,9 @@ def solve_bvp_multistart(
     nl: NonlinearitySpec | None,
     h: ForcingTerm | None,
     lam: float,
-    guesses: list[tuple[float, float]] | None = None,
 ) -> SampledSolution:
-    """Try the deterministic guess list in order; first accepted solution wins."""
-    if guesses is None:
-        guesses = default_guesses(spec)
+    """Try ``default_guesses(spec)`` in order; first accepted solution wins."""
+    guesses = default_guesses(spec)
     for g in guesses:
         try:
             return solve_bvp(spec, nl, h, lam, g)

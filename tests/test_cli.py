@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mpsl
-from mpsl.cli import _parse_k_range, main
+from mpsl.cli import SELFTEST_PROBLEM, _parse_k_range, main
 from mpsl.conditions import _SEARCH_CAP
 from mpsl.spectrum import SCAN_MAX_POINTS, SCAN_STEP_OMEGA
 
@@ -208,12 +208,15 @@ def test_bad_flag_values_exit_2(argv, problem_file, tmp_path, capsys):
     assert "Traceback" not in err and "error" in err
 
 
-# Runs the CLI in a fresh interpreter, then prints which scipy modules it loaded.
+# Runs the CLI in a fresh interpreter, then prints which scipy and
+# numpy.polynomial modules it loaded: both are import costs that only
+# subcommands which integrate may pay.
 SCIPY_PROBE = (
     "import json, sys\n"
     "from mpsl.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    "print(json.dumps(sorted(m for m in sys.modules\n"
+    "                        if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial'))))\n"
     "sys.exit(code)\n"
 )
 
@@ -295,6 +298,17 @@ def test_classify_trace_errors_exit_2(body, tmp_path, capsys):
     assert err.startswith("error: trace file ") and err.count("\n") == 1
 
 
+def test_classify_trace_header_only_prints_one_error_line(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("x,u,uprime\n")
+    src = os.path.dirname(os.path.dirname(mpsl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mpsl", "classify", "--trace", str(path), "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: trace file {path}: holds no data rows\n"
+
+
 @pytest.mark.parametrize("k", [str(_SEARCH_CAP + 1), f"0..{_SEARCH_CAP + 1}", f"0..{10**30}"])
 def test_k_above_search_cap_exits_2(k, problem_file, tmp_path, capsys):
     # A range past sys.maxsize cannot be materialised, so a missing bound
@@ -315,3 +329,24 @@ def test_lambda_max_above_scan_ceiling_exits_2(problem_file, tmp_path, capsys):
         assert main(["spectrum", problem_file, "--lambda-max", repr(lam_max), "--out", str(tmp_path)]) == 2
         assert "scan points" in capsys.readouterr().err
     assert time.perf_counter() - t0 < 1.0
+
+
+# f = xi^1e6 underflows to 0 where |u| < 1 and overflows where |u| > 1, so
+# -u'' = f(u) + h has the solution of -u'' = h when that stays inside
+# |u| < 1: u = c*(x - x^3) for h = 6c*x on the selftest boundary conditions.
+@pytest.mark.parametrize("h, code, c", [("x", 0, 1 / 6), ("3*x", 0, 1 / 2), ("2", 3, None)],
+                         ids=["inside", "start-overflows", "no-solution"])
+def test_solve_with_overflowing_f(h, code, c, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**SELFTEST_PROBLEM, "nonlinearity": {"f": "xi^1e6", "f0": 0.0},
+                                "forcing": {"h": h}}))
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if c is None:
+        assert "solution found" not in out and not (tmp_path / "solution.json").exists()
+        return
+    _, rows = read_csv(tmp_path / "solution.csv")
+    x, u = np.array([[float(r[0]), float(r[1])] for r in rows]).T
+    assert np.all(np.isfinite(u))
+    assert np.max(np.abs(u - c * (x - x**3))) <= 1e-8

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mpsl.errors import ParseError
+from mpsl.errors import ParseError, QuadratureError
 from mpsl.expressions import (
     F_BIG,
     F_SMALL,
@@ -181,3 +181,136 @@ def test_certificate_sign_failure():
     nl = NonlinearitySpec.from_text("xi - 2", f0=1.0, finf=1.0)
     cert = certify_hypotheses(nl, 1.0, F_SMALL)
     assert not cert.passed and not cert.sign_ok
+
+
+# --- F_many: the vectorised antiderivative kernel -------------------------
+
+def _sympy_F(text):
+    """F(X) = 2*int_0^X f from sympy, evaluated at 30 digits (test oracle)."""
+    import mpmath
+    import sympy as sp
+
+    s, X = sp.symbols("s X", real=True)
+    f = sp.sympify(text.replace("^", "**"), locals={"xi": s, "abs": sp.Abs}, rational=True)
+    F = sp.lambdify(X, sp.integrate(2 * f, (s, 0, X)), "mpmath")
+
+    def exact(xs):
+        with mpmath.workdps(30):
+            return np.array([float(F(mpmath.mpf(float(x)))) for x in xs])
+
+    return exact
+
+
+@pytest.fixture()
+def quad_calls(monkeypatch):
+    """Count the adaptive-quadrature fallbacks of the antiderivative kernel."""
+    from scipy.integrate import quad
+
+    import mpsl.expressions as expressions
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(expressions, "_quad", counting)
+    return calls
+
+
+KERNEL_FS = ["xi", "xi*(1+3/(1+xi^2))", "sin(xi)+xi^3", "xi + abs(xi - 1.3)"]
+
+
+@pytest.mark.parametrize("text", KERNEL_FS)
+def test_F_many_matches_exact_antiderivative(text):
+    nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
+    xs = np.concatenate([np.linspace(-10.4, 10.4, 26), [10.4, -1e-6, 2e-9, 0.7]])
+    got = nl.F_many(xs)
+    exact = _sympy_F(text)(xs)
+    assert got.shape == xs.shape
+    assert np.all(np.abs(got - exact) <= 1e-12 * np.abs(exact))
+    # the scalar F is the one-value view of the same kernel
+    for x in xs[:5]:
+        assert nl.F(float(x)) == nl.F_many([x])[0]
+    assert nl.F(0.0) == 0.0 and nl.F_many([]).shape == (0,)
+
+
+def test_F_many_falls_back_to_quadrature_across_a_kink(quad_calls):
+    nl = NonlinearitySpec.from_text("xi + abs(xi - 1.3)", f0=1.0, finf=1.0)
+    assert nl.F(10.4) == pytest.approx(10.4**2 + 1.3**2 + 9.1**2, rel=1e-12)
+    assert quad_calls == [(0.0, 10.4)]
+    # a smooth f, and a kink that falls on a sample, need no fallback
+    quad_calls.clear()
+    nl.F_many([-2.0, 1.3, 5.0])
+    NonlinearitySpec.from_text("sin(xi)+xi^3").F_many(np.linspace(-20.0, 20.0, 101))
+    assert quad_calls == []
+
+
+def test_energy_certificate_makes_no_quadrature_call_on_a_smooth_f(quad_calls):
+    from mpsl.shooting import integrate_ivp, nonlinear_energy_deviation
+
+    nl = NonlinearitySpec.from_text("xi*(1+3/(1+xi^2))", f0=4.0, finf=1.0)
+    tr = integrate_ivp(nl, None, 0.5, 0.0, 3.0)
+    assert nonlinear_energy_deviation(tr, nl, 0.5) <= 1e-8
+    assert quad_calls == []
+
+
+@pytest.mark.parametrize("text, xi, error", [
+    ("1/xi", 1.0, QuadratureError),      # non-integrable at 0
+    ("1/xi", -1.0, QuadratureError),
+    ("log(xi)", -1.0, ValueError),       # math domain error
+    ("sqrt(xi)", -1.0, ValueError),
+    ("xi^0.5", -1.0, TypeError),         # Python's complex power
+    ("1/(xi-1)", 2.0, ZeroDivisionError),  # quadrature lands on the pole
+])
+def test_F_errors_match_the_scalar_quadrature(text, xi, error):
+    nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
+    with pytest.raises(error):
+        nl.F(xi)
+    with pytest.raises(error):
+        nl.F_many([0.5 * xi, xi])
+
+
+def test_gauss_legendre_rules_match_numpy():
+    from numpy.polynomial.legendre import leggauss
+
+    from mpsl.expressions import GAUSS_ORDERS, _gauss_legendre
+
+    for n in GAUSS_ORDERS:
+        t, w = _gauss_legendre(n)
+        ref_t, ref_w = leggauss(n)
+        order = np.argsort(np.concatenate([-t, t]))
+        assert np.allclose(np.concatenate([-t, t])[order], ref_t, rtol=0, atol=1e-15)
+        assert np.allclose(np.concatenate([w, w])[order], ref_w, rtol=1e-13, atol=0)
+
+
+# (passed, sign_ok, sufficient_sign, worst_xi) from the per-segment quadrature
+# scan that F_many replaced.
+CERT_BEFORE = [
+    ("xi*(1+3/(1+xi^2))", 4.0, 1.0, 4.0, F_SMALL, (True, True, "<=0", 1e-4)),
+    ("xi*(1+3/(1+xi^2))", 4.0, 1.0, 4.0, F_BIG, (False, True, "<=0", 1e4)),
+    ("xi*(1+3/(1+xi^2))", 4.0, 1.0, 1.0, F_SMALL, (False, True, "<=0", 1e-4)),
+    ("xi*(1+3/(1+xi^2))", 4.0, 1.0, 1.0, F_BIG, (True, True, "<=0", 1e4)),
+    ("xi/(1+abs(xi))", 1.0, 0.0, 1.0, F_SMALL, (True, True, "<=0", 1e-4)),
+    ("xi/(1+abs(xi))", 1.0, 0.0, 1.0, F_BIG, (False, True, "<=0", 1e4)),
+    ("xi^3", None, None, 1.0, F_BIG, (False, False, None, math.nan)),
+    ("xi - 2", 1.0, 1.0, 1.0, F_SMALL, (False, False, None, math.nan)),
+]
+
+
+@pytest.mark.parametrize("text, f0, finf, gamma, direction, before", CERT_BEFORE)
+def test_certificate_verdicts_unchanged(text, f0, finf, gamma, direction, before):
+    cert = certify_hypotheses(NonlinearitySpec.from_text(text, f0=f0, finf=finf), gamma, direction)
+    got = (cert.passed, cert.sign_ok, cert.sufficient_sign, cert.worst_xi)
+    assert got[:3] == before[:3]
+    assert got[3] == before[3] or (math.isnan(got[3]) and math.isnan(before[3]))
+
+
+def test_certificate_linear_ratio_is_one_everywhere():
+    # F = xi^2 exactly, so every grid point ties at ratio 1 and worst_xi is
+    # decided by rounding; only the ratio is a property of f.
+    nl = NonlinearitySpec.from_text("xi", f0=1.0, finf=1.0)
+    for direction in (F_SMALL, F_BIG):
+        cert = certify_hypotheses(nl, 1.0, direction)
+        assert cert.passed and cert.sufficient_sign == "<=0"
+        assert abs(cert.worst_ratio - 1.0) <= 1e-14

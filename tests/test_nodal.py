@@ -286,6 +286,23 @@ def test_sampled_trace_validation():
         SampledTrace(xs, xs, np.ones_like(xs))
 
 
+def test_sampled_trace_rejects_non_finite_samples():
+    # u = cos(pi*(x+1)/2) is S_1^+; with u = NaN at x = 0 it used to
+    # classify as S_0^+ without an error.
+    xs = np.linspace(-1.0, 1.0, 2001)
+    u = np.cos(math.pi * (xs + 1) / 2)
+    up = -math.pi / 2 * np.sin(math.pi * (xs + 1) / 2)
+    assert "S_1^+" in [m.label() for m in classify(SampledTrace(xs, u, up)).memberships]
+    bad_u = u.copy()
+    bad_u[1000] = math.nan
+    with pytest.raises(ValueError, match="row 1000 is not finite"):
+        SampledTrace(xs, bad_u, up)
+    bad_up = up.copy()
+    bad_up[7] = math.inf
+    with pytest.raises(ValueError, match="row 7 is not finite"):
+        SampledTrace(xs, u, bad_up)
+
+
 def _quadratic_t_obstruction(ds, zs):
     for d in ds:
         if any(abs(z - d) <= CLUSTER_TOL for z in zs):

@@ -230,3 +230,13 @@ def test_solve_bvp_margin_survives_tighter_integration(alpha, amp):
     tight = integrate_ivp(nl, h, 1.0, sol.shooting.a, sol.shooting.b, rtol=1e-12, atol=1e-14)
     for side, scale in zip(spec.sides, sol.scales):
         assert abs(side.residual(tight.eval)) <= 1e-8 * scale
+
+
+def test_non_finite_state_is_divergence():
+    # xi^1e6 overflows to inf once |u| > 1: at once from u(-1) = 1.5, and
+    # on the way for u'(-1) = 3; (-u)^0.5 is NaN once u < 0.
+    for text, a, b in (("xi^1e6", 1.5, 0.0), ("xi^1e6", 0.9, 3.0), ("xi^0.5", 0.5, -5.0)):
+        nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
+        with pytest.raises(DivergenceError) as exc:
+            integrate_ivp(nl, None, 1.0, a, b)
+        assert -1.0 <= exc.value.x <= 1.0
