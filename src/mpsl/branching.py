@@ -31,7 +31,7 @@ from .errors import (
     SingularSystem,
 )
 from .expressions import F_BIG, F_SMALL, NonlinearitySpec, certify_hypotheses
-from .nodal import ClosedTrace, NodalClass, classify
+from .nodal import NodalClass, classify
 from .problem import ProblemSpec
 from .shooting import (
     RESIDUAL_TOL,
@@ -51,6 +51,10 @@ DS_INIT = 1e-2
 DS_MIN = 1e-5
 DS_MAX = 0.2
 UNIQUENESS_MARGIN = 2.0  # nodal uniqueness window reaches this past the larger slope
+CORRECTOR_MAX_ITER = 8  # arclength corrector iterations per predicted point
+SEED_MAX_ITER = 20  # pinned from-infinity seed corrections
+MAX_HALVINGS = 12  # Newton step halvings per iteration, in both
+SEED_AMPLITUDE = 1e2  # first from-infinity seed amplitude, then 10x and 100x
 
 FROM_ZERO = "from_zero"
 FROM_INFINITY = "from_infinity"
@@ -126,8 +130,7 @@ def _make_point(nl: NonlinearitySpec, z, payload, arclength) -> BranchPoint:
     )
 
 
-def _corrector(spec, nl, z_pred, tau, weights, tol=RESIDUAL_TOL, max_iter=8,
-               max_halvings=12):
+def _corrector(spec, nl, z_pred, tau, weights):
     """Newton on (r-, r+, arc) in all of z = (lam, a, b) from the predicted point.
 
     The arc constraint <w*(z - z_pred), w*tau> = 0 pins the parameterization;
@@ -139,22 +142,25 @@ def _corrector(spec, nl, z_pred, tau, weights, tol=RESIDUAL_TOL, max_iter=8,
         F, err, payload = _lam_residual(spec, nl, z)
         return np.append(F, float(np.dot(weights * (z - z_pred), wtau))), err, payload
 
-    return damped_newton(residual, z_pred, (0, 1, 2), tol, max_iter, max_halvings)
+    return damped_newton(residual, z_pred, (0, 1, 2), RESIDUAL_TOL, CORRECTOR_MAX_ITER, MAX_HALVINGS)
 
 
 def _continue_branch(
     spec: ProblemSpec,
     nl: NonlinearitySpec,
     branch: Branch,
+    ep: Eigenpair,
     z_prev,
     z_curr,
     stop_at_lambda: float | None,
     amplitude_cap: float,
-    lambda_cap: float,
     point_budget: int,
-    trivial_targets: list[tuple[int, float]],
 ) -> None:
-    """March the branch from z_curr with initial tangent z_curr - z_prev."""
+    """March the branch from z_curr with initial tangent z_curr - z_prev,
+    up to lam = 10x the largest of f0, a finite finf, lam_k and 1."""
+    finf = nl.finf if math.isfinite(nl.finf) else 0.0
+    lambda_cap = 10.0 * max(nl.f0, finf, ep.lam, 1.0)
+    trivial_targets = _trivial_targets(spec, nl, branch.k, lambda_cap)
     ds = DS_INIT
     z_prev = np.asarray(z_prev, dtype=float)
     z = np.asarray(z_curr, dtype=float)
@@ -245,7 +251,6 @@ def branch_from_zero(
     eps_seed: float = 1e-3,
     stop_at_lambda: float | None = None,
     amplitude_cap: float = AMPLITUDE_CAP,
-    lambda_cap: float | None = None,
     point_budget: int = POINT_BUDGET,
     eigenpair: Eigenpair | None = None,
 ) -> Branch:
@@ -261,9 +266,6 @@ def branch_from_zero(
         raise ValueError("sign must be '+' or '-'")
     ep = eigenpair if eigenpair is not None else eigen_continuation(spec, k)
     lam_star = ep.lam / nl.f0
-    if lambda_cap is None:
-        finf = nl.finf if math.isfinite(nl.finf) else 0.0
-        lambda_cap = 10.0 * max(nl.f0, finf, ep.lam, 1.0)
     branch = Branch(k=k, sign=sign, origin=FROM_ZERO, origin_lambda=lam_star)
     branch.points.append(
         BranchPoint(
@@ -300,16 +302,11 @@ def branch_from_zero(
     branch.points.append(
         _make_point(nl, z1, payload, arclength=float(np.linalg.norm(z1 - z0)))
     )
-    targets = _trivial_targets(spec, nl, k, lambda_cap)
-    _continue_branch(
-        spec, nl, branch, z0, z1, stop_at_lambda, amplitude_cap, lambda_cap,
-        point_budget, targets,
-    )
+    _continue_branch(spec, nl, branch, ep, z0, z1, stop_at_lambda, amplitude_cap, point_budget)
     return branch
 
 
-def _pinned_correct(spec, nl, lam0: float, a: float, b: float, pin: int,
-                    tol=RESIDUAL_TOL, max_iter=20):
+def _pinned_correct(spec, nl, lam0: float, a: float, b: float, pin: int):
     """Newton on (lam, free shooting coordinate) with coordinate ``pin`` of
     z = (lam, a, b) fixed.
 
@@ -317,7 +314,7 @@ def _pinned_correct(spec, nl, lam0: float, a: float, b: float, pin: int,
     ill-posed (the branch is one-sided in lam near its asymptote).
     """
     return damped_newton(lambda z: _lam_residual(spec, nl, z), (lam0, a, b),
-                         (0, 2 if pin == 1 else 1), tol, max_iter, 12)
+                         (0, 2 if pin == 1 else 1), RESIDUAL_TOL, SEED_MAX_ITER, MAX_HALVINGS)
 
 
 def branch_from_infinity(
@@ -325,15 +322,13 @@ def branch_from_infinity(
     nl: NonlinearitySpec,
     k: int,
     sign: str,
-    amplitude_start: float = 1e2,
     stop_at_lambda: float | None = None,
-    lambda_cap: float | None = None,
     point_budget: int = POINT_BUDGET,
     eigenpair: Eigenpair | None = None,
 ) -> Branch:
     """Trace the continuum bifurcating from infinity at lam_k/finf.
 
-    Seeds at large amplitude A (escalating from amplitude_start) with the
+    Seeds at large amplitude A (escalating from SEED_AMPLITUDE) with the
     eigenfunction direction, corrected with the dominant shooting coordinate
     pinned, then continues toward decreasing amplitude.  finf must be a
     positive finite limit; the superlinear case is handled by the from-zero
@@ -345,13 +340,11 @@ def branch_from_infinity(
         raise ValueError("sign must be '+' or '-'")
     ep = eigenpair if eigenpair is not None else eigen_continuation(spec, k)
     lam_star = ep.lam / nl.finf
-    if lambda_cap is None:
-        lambda_cap = 10.0 * max(nl.f0, nl.finf, ep.lam, 1.0)
     branch = Branch(k=k, sign=sign, origin=FROM_INFINITY, origin_lambda=lam_star)
 
     s = 1.0 if sign == "+" else -1.0
     pin = 1 if abs(ep.psi.A) >= abs(ep.psi.B) else 2
-    for A in (amplitude_start, 10.0 * amplitude_start, 100.0 * amplitude_start):
+    for A in (SEED_AMPLITUDE, 10.0 * SEED_AMPLITUDE, 100.0 * SEED_AMPLITUDE):
         a, b = A * s * ep.psi.A, A * s * ep.psi.B
         try:
             zb, big = _pinned_correct(spec, nl, lam_star, a, b, pin)
@@ -360,15 +353,11 @@ def branch_from_infinity(
         except (NoConvergence, SingularSystem, DivergenceError):
             continue
     else:
-        raise SeedFailure(f"from-infinity seeding failed starting at A={amplitude_start:g}")
+        raise SeedFailure(f"from-infinity seeding failed starting at A={SEED_AMPLITUDE:g}")
 
     branch.points.append(_make_point(nl, zb, big, 0.0))
     branch.points.append(_make_point(nl, zs, shrunk, float(np.linalg.norm(zs - zb))))
-    targets = _trivial_targets(spec, nl, k, lambda_cap)
-    _continue_branch(
-        spec, nl, branch, zb, zs, stop_at_lambda, AMPLITUDE_CAP, lambda_cap,
-        point_budget, targets,
-    )
+    _continue_branch(spec, nl, branch, ep, zb, zs, stop_at_lambda, AMPLITUDE_CAP, point_budget)
     return branch
 
 
@@ -488,27 +477,23 @@ def nodal_solutions_at_one(
             f"lam_k={lam_k:.6g} not strictly between f0={f0:.6g} and finf={finf:.6g}",
         )
 
-    psi_classes = classify_eigenpair(ep)
-    in_T = psi_classes.has("T", k + 1)
-    in_S = psi_classes.has("S", k)
-
     route_errors: list[str] = []
     for family in ("T", "S"):
         try:
-            return _run_route(spec, nl, k, ep, family, orientation, in_T, in_S, eps_seed)
+            return _run_route(spec, nl, k, ep, family, orientation, eps_seed)
         except HypothesisReport as exc:
             route_errors.append(f"{family}-route: {exc.failed}")
     raise HypothesisReport("; ".join(route_errors))
 
 
-def classify_eigenpair(ep: Eigenpair):
-    return classify(ClosedTrace(ep.psi))
+def _in_family(nodal: tuple[NodalClass, ...], family: str, index: int) -> bool:
+    return any(m.family == family and m.k == index for m in nodal)
 
 
-def _run_route(spec, nl, k, ep, family, orientation, in_T, in_S, eps_seed) -> NodalSolutionsResult:
+def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutionsResult:
     lam_k, f0, finf = ep.lam, nl.f0, nl.finf
     if family == "T":
-        if not in_T:
+        if not _in_family(ep.nodal, "T", k + 1):
             raise HypothesisReport("eigenfunction membership in the derivative family")
         gamma = f0 if orientation == "slopes-fall" else finf
         if not math.isfinite(gamma):
@@ -522,7 +507,7 @@ def _run_route(spec, nl, k, ep, family, orientation, in_T, in_S, eps_seed) -> No
         route = FROM_ZERO
         class_index = k + 1
     else:
-        if not in_S:
+        if not _in_family(ep.nodal, "S", k):
             raise HypothesisReport("eigenfunction membership in the value family")
         gamma = finf if orientation == "slopes-fall" else f0
         if not (math.isfinite(gamma) and gamma > 0.0):
@@ -585,13 +570,7 @@ def _check_uniqueness(spec, k, family, class_index, lam_window) -> None:
     except NumericError:
         raise HypothesisReport("eigenfunction uniqueness", "could not compute the window")
     for epj in pairs:
-        if epj.k == k or epj.lam > lam_window:
-            continue
-        try:
-            res = classify(ClosedTrace(epj.psi))
-        except NumericError:
-            continue
-        if res.has(family, class_index):
+        if epj.k != k and epj.lam <= lam_window and _in_family(epj.nodal, family, class_index):
             raise HypothesisReport(
                 "eigenfunction uniqueness",
                 f"psi_{epj.k} also lies in the target family",

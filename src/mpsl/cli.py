@@ -123,14 +123,6 @@ def _forcing(extras: dict) -> ForcingTerm | None:
     return None if section is None else ForcingTerm.from_text(section["h"])
 
 
-def _primary_membership(result):
-    for fam in ("S", "T", "R"):
-        m = result.member(fam)
-        if m is not None:
-            return m
-    return None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -156,7 +148,7 @@ def cmd_validate(args) -> int:
 
 
 def _spectrum_row(spec: ProblemSpec, ep) -> list:
-    m = _primary_membership(classify(ClosedTrace(ep.psi)))
+    m = ep.nodal[0] if ep.nodal else None
     pred = predict_nodal_class(spec, ep.k)
     return [
         ep.k,
@@ -489,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", nargs="?", default=None)
     p.add_argument("--out", default=".")
     p.add_argument("--tol", type=_finite_float, default=1e-8)
-    p.add_argument("--format", choices=["json", "csv", "svg"], default="json")
+    p.add_argument("--format", choices=["json", "svg"], default="json")
     p.add_argument("--k", default="0..3")
     p.add_argument("--trace", default=None, help="CSV trace with columns x,u,uprime")
     p.add_argument("--from", dest="from_spectrum", default=None,

@@ -582,8 +582,8 @@ def certify_hypotheses(
 
     Checks xi*f(xi) > 0 and F(xi) <= gamma*xi^2 (direction F_small) or
     F(xi) >= gamma*xi^2 (F_big) on a log-spaced grid of CERT_GRID points in
-    [-CERT_XI_MAX, CERT_XI_MAX], with F at every grid point from one
-    ``NonlinearitySpec.F_many`` call.  Also applies
+    [-CERT_XI_MAX, CERT_XI_MAX], with f at every grid point from one numpy
+    evaluation and F from one ``NonlinearitySpec.F_many`` call.  Also applies
     the sufficient sign test on g(xi) = f(xi)/xi - f0 (g <= 0 certifies the
     small envelope with gamma = f0; g >= 0 the big one).  This is a desk-
     scale certificate: the envelopes are only verified on the grid.
@@ -599,23 +599,19 @@ def certify_hypotheses(
     pos = np.logspace(math.log10(CERT_XI_MAX) - 8.0, math.log10(CERT_XI_MAX), CERT_GRID // 2)
     grid = np.concatenate([-pos[::-1], pos])
 
-    f = nl.f
-    sign_ok = True
-    g_sign: set[str] = set()
     g_tol = 1e-12 * max(1.0, abs(nl.f0))
-    for xi in grid:
-        fx = f(float(xi))
-        if xi * fx <= 0.0:
-            sign_ok = False
-        g = fx / xi - nl.f0
-        if g > g_tol:
-            g_sign.add(">")
-        elif g < -g_tol:
-            g_sign.add("<")
+    with np.errstate(all="ignore"):
+        fx = np.array(np.broadcast_to(nl._f_array(grid), grid.shape), dtype=float)
+        # numpy turns the errors of the scalar f (a math domain error, an
+        # overflow, a complex power) into inf or nan: raise them as f does.
+        for i in np.flatnonzero(~np.isfinite(fx)):
+            fx[i] = nl.f(float(grid[i]))
+        sign_ok = not np.any(grid * fx <= 0.0)
+        g = fx / grid - nl.f0
     sufficient = None
-    if g_sign <= {"<"}:
+    if not np.any(g > g_tol):
         sufficient = "<=0"
-    elif g_sign <= {">"}:
+    elif not np.any(g < -g_tol):
         sufficient = ">=0"
 
     if not sign_ok:

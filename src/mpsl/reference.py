@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ProblemDataError
-from .trig import TrigSolution, _fundamental, eval_solution, sup_norms
+from .trig import TrigSolution, _fundamental, eval_solution, normalized
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -221,14 +221,11 @@ def reference_eigenfunction(kind: ReferenceKind | str, k: int, **robin) -> TrigS
     lam = separated_eigenvalue(bm, bp, k)
     a0m, b0m = _normalize_pair(bm, "minus")
     # (A, B) = (-beta0-, alpha0-) satisfies the minus condition exactly.
-    A, B = -b0m, a0m
-    sol = TrigSolution(lam, A, B)
-    su, _ = sup_norms(sol)
-    A, B = A / su, B / su
-    lead = A if A != 0.0 else B
+    sol = normalized(TrigSolution(lam, -b0m, a0m))
+    lead = sol.A if sol.A != 0.0 else sol.B
     if lead < 0.0:
-        A, B = -A, -B
-    return TrigSolution(lam, A, B)
+        sol = TrigSolution(lam, -sol.A, -sol.B)
+    return sol
 
 
 def reference_bc_residuals(kind: ReferenceKind | str, k: int, **robin) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from .expressions import ForcingTerm, NonlinearitySpec
 from .nodal import SampledTrace
 from .problem import BoundarySide, ProblemSpec
 from .spectrum import ANCHOR_ERRORS, eigen_scan, robin_anchor
-from .trig import TrigSolution, sup_norms
+from .trig import TrigSolution, normalized
 
 IVP_RTOL = 1e-11
 IVP_ATOL = 1e-12
@@ -340,13 +340,9 @@ def default_guesses(spec: ProblemSpec) -> list[tuple[float, float]]:
     try:
         for k in range(3):
             lam = robin_anchor(spec, k)
-            psi = TrigSolution(lam, -spec.minus.beta0, spec.minus.alpha0)
-            su, _ = sup_norms(psi)
-            if su == 0.0:
-                continue
-            base = (psi.A / su, psi.B / su)
+            psi = normalized(TrigSolution(lam, -spec.minus.beta0, spec.minus.alpha0))
             for amp in (1e-2, 1e-1, 1.0, 1e1, 1e2):
-                guesses.append((amp * base[0], amp * base[1]))
+                guesses.append((amp * psi.A, amp * psi.B))
     except ANCHOR_ERRORS:
         # Robin anchors need the sign convention; fall back to axis seeds.
         pass

@@ -17,13 +17,13 @@ a homotopy continuation that scales the interior coefficients by t in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from . import nodal
 from .errors import ContinuationBreakdown, HypothesisError, NumericError, ProblemDataError
+from .nodal import ClosedTrace, NodalClass, classify
 from .problem import LEVEL_QUADRATIC, ProblemSpec, level_at_least, scale_coefficients
 from .reference import _bracketed_root, separated_eigenvalue
-from .trig import TrigSolution, _fundamental, bc_functional, sup_norms
+from .trig import TrigSolution, _fundamental, bc_functional, normalized
 
 SCAN_STEP_OMEGA = min(0.25, (math.pi / 2.0) / 8.0)
 SCAN_MAX_POINTS = 10_000  # positive scan grid ceiling: lambda_max <= ~3.9e6
@@ -36,7 +36,8 @@ NEIGHBOR_MARGIN = 0.1  # neighbouring paths closer than this halve the t step
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """One eigenvalue with its normalized eigenfunction.
+    """One eigenvalue with its normalized eigenfunction and the nodal
+    classes (S, T, R order) of that eigenfunction.
 
     ``k`` is the oscillation index: continuation ancestry when ``t_path``
     is present, position in the scanned window otherwise.
@@ -45,8 +46,8 @@ class Eigenpair:
     k: int
     lam: float
     psi: TrigSolution
+    nodal: tuple[NodalClass, ...]
     t_path: tuple[tuple[float, float], ...] | None = None
-    sign_convention: str = "nodal-plus"
     simple: bool = True
     det_slope: float = 0.0
     bc_residuals: tuple[float, float] = (0.0, 0.0)
@@ -99,15 +100,17 @@ def det_slope(spec: ProblemSpec, lam: float) -> float:
     return (char_det(spec, lam + h) - char_det(spec, lam - h)) / (2.0 * h)
 
 
-def assemble_eigenfunction(spec: ProblemSpec, lam: float) -> tuple[TrigSolution, tuple[float, float]]:
-    """Null direction of the boundary matrix at lam, normalized and signed.
+def _eigenpair(spec: ProblemSpec, k: int, lam: float,
+               t_path: tuple[tuple[float, float], ...] | None = None) -> Eigenpair:
+    """Eigenpair at the root lam: the null direction of the boundary matrix,
+    normalized and signed, with its nodal class, Gamma slope and simple flag.
 
     Sign rule: '+' nodal class when the classifier gives one; otherwise the
-    first nonvanishing of (u(-1), u'(-1)) is positive.
+    first nonvanishing of (u(-1), u'(-1)) is positive.  A flip mirrors the
+    memberships (X_k^- := -X_k^+), so psi is classified once.
     """
-    rows = _bc_rows(spec, lam)
     # Take the null vector of the larger row for stability.
-    (m11, m12), (m21, m22) = rows
+    (m11, m12), (m21, m22) = _bc_rows(spec, lam)
     if math.hypot(m11, m12) >= math.hypot(m21, m22):
         A, B = -m12, m11
     else:
@@ -115,41 +118,24 @@ def assemble_eigenfunction(spec: ProblemSpec, lam: float) -> tuple[TrigSolution,
     nrm = math.hypot(A, B)
     if nrm == 0.0:
         raise NumericError(f"boundary matrix vanished identically at lam={lam:.6g}")
-    sol = TrigSolution(lam, A / nrm, B / nrm)
-    su, _ = sup_norms(sol)
-    if su == 0.0:
-        raise NumericError(f"degenerate eigenfunction at lam={lam:.6g}")
-    sol = TrigSolution(lam, sol.A / su, sol.B / su)
-
-    flip, convention = _sign_rule(sol)
-    if flip:
-        sol = TrigSolution(lam, -sol.A, -sol.B)
-    residuals = (bc_functional(spec.minus, sol), bc_functional(spec.plus, sol))
-    return sol, residuals
-
-
-def _sign_rule(sol: TrigSolution) -> tuple[bool, str]:
     try:
-        result = nodal.classify(nodal.ClosedTrace(sol))
-        signs = {m.sign for m in result.memberships}
+        psi = normalized(TrigSolution(lam, A / nrm, B / nrm))
+    except ValueError:
+        raise NumericError(f"degenerate eigenfunction at lam={lam:.6g}") from None
+    try:
+        memberships = tuple(classify(ClosedTrace(psi)).memberships)
     except NumericError:
-        signs = set()
-    if signs == {"-"}:
-        return True, "nodal-plus"
-    if signs == {"+"}:
-        return False, "nodal-plus"
-    lead = sol.A if sol.A != 0.0 else sol.B
-    return lead < 0.0, "boundary-data"
-
-
-def _eigenpair(spec: ProblemSpec, k: int, lam: float,
-               t_path: tuple[tuple[float, float], ...] | None = None) -> Eigenpair:
-    """Eigenpair at the root lam: eigenfunction, Gamma slope and simple flag."""
-    psi, res = assemble_eigenfunction(spec, lam)
+        memberships = ()
+    signs = {m.sign for m in memberships}
+    lead = psi.A if psi.A != 0.0 else psi.B
+    if signs == {"-"} or (signs != {"+"} and lead < 0.0):
+        psi = TrigSolution(lam, -psi.A, -psi.B)
+        memberships = tuple(replace(m, sign="-" if m.sign == "+" else "+") for m in memberships)
     slope = det_slope(spec, lam)
-    return Eigenpair(k=k, lam=lam, psi=psi, t_path=t_path,
+    return Eigenpair(k=k, lam=lam, psi=psi, nodal=memberships, t_path=t_path,
                      simple=abs(slope) >= SIMPLE_DET_TOL * char_det_scale(spec, lam),
-                     det_slope=slope, bc_residuals=res)
+                     det_slope=slope,
+                     bc_residuals=(bc_functional(spec.minus, psi), bc_functional(spec.plus, psi)))
 
 
 def robin_anchor(spec: ProblemSpec, k: int) -> float:

@@ -91,8 +91,7 @@ def test_sign_symmetry_for_odd_f(spec):
 
 
 def test_from_infinity_linear_eigenline(spec, lam0):
-    br = branch_from_infinity(spec, LIN, 0, "+", amplitude_start=100.0,
-                              point_budget=40)
+    br = branch_from_infinity(spec, LIN, 0, "+", point_budget=40)
     for p in br.points:
         assert p.lam == pytest.approx(lam0, abs=1e-8)
     amps = br.amplitudes()

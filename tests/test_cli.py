@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mpsl
+from mpsl import nodal
 from mpsl.cli import SELFTEST_PROBLEM, _parse_k_range, main
 from mpsl.conditions import _SEARCH_CAP
 from mpsl.spectrum import SCAN_MAX_POINTS, SCAN_STEP_OMEGA
@@ -92,6 +93,36 @@ def test_classify_roundtrip_from_spectrum(problem_file, tmp_path):
         "--out", str(tmp_path),
     ])
     assert code == 0
+
+
+def test_spectrum_classifies_each_eigenpair_once(tmp_path, monkeypatch):
+    two_mp = {
+        "minus": {"alpha0": 1.0, "beta0": -1.0, "alpha": [0.1], "beta": [0.1], "eta": [0.5]},
+        "plus": {"alpha0": 2.0, "beta0": 1.0, "alpha": [0.2], "beta": [0.1], "eta": [0.0]},
+    }
+    path = tmp_path / "two_mp.json"
+    path.write_text(json.dumps(two_mp))
+    calls = []
+    original = nodal.classify
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mpsl") and getattr(module, "classify", None) is original:
+            monkeypatch.setattr(module, "classify", counted)
+    assert main(["spectrum", str(path), "--lambda-max", "2e4", "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    assert len(rows) == 91
+    assert len(calls) == 91
+
+
+def test_classify_format_csv_exits_2(problem_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", problem_file, "--format", "csv", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_classify_trace_file(tmp_path):

@@ -306,6 +306,19 @@ def test_certificate_verdicts_unchanged(text, f0, finf, gamma, direction, before
     assert got[3] == before[3] or (math.isnan(got[3]) and math.isnan(before[3]))
 
 
+@pytest.mark.parametrize("text, error", [
+    ("log(xi)", ValueError),        # math domain error
+    ("sqrt(xi)", ValueError),
+    ("xi^0.5", TypeError),          # Python's complex power
+    ("xi/0", ZeroDivisionError),
+    ("exp(xi)", OverflowError),
+])
+def test_certificate_raises_the_scalar_error_of_f(text, error):
+    nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
+    with pytest.raises(error):
+        certify_hypotheses(nl, 1.0, F_SMALL)
+
+
 def test_certificate_linear_ratio_is_one_everywhere():
     # F = xi^2 exactly, so every grid point ties at ratio 1 and worst_xi is
     # decided by rounding; only the ratio is a property of f.

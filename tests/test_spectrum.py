@@ -5,7 +5,8 @@ import pytest
 
 from conftest import random_spec
 from mpsl.errors import HypothesisError, ProblemDataError
-from mpsl.problem import BoundarySide, ProblemSpec, scale_coefficients
+from mpsl.nodal import ClosedTrace, classify
+from mpsl.problem import LEVEL_QUADRATIC, BoundarySide, ProblemSpec, level_at_least, scale_coefficients
 from mpsl.spectrum import (
     SCAN_MAX_POINTS,
     SCAN_STEP_OMEGA,
@@ -155,6 +156,20 @@ def test_eigenpair_invariants(half_u0_spec):
             half_u0_spec, ep.lam
         )
         assert ep.simple
+
+
+def test_eigenpair_nodal_is_the_classification_of_psi():
+    # The builder classifies psi before the sign rule and mirrors the signs
+    # when the rule flips psi; that must equal a fresh classification.
+    rng = np.random.default_rng(1001)
+    for i in range(40):
+        spec = random_spec(rng, level="linear" if i % 2 else "quadratic")
+        pairs = list(eigen_scan(spec, 2000.0).eigenpairs)
+        if level_at_least(spec.hypothesis_level, LEVEL_QUADRATIC):
+            pairs += continuation_spectrum(spec, 10)
+        assert pairs
+        for ep in pairs:
+            assert ep.nodal == tuple(classify(ClosedTrace(ep.psi)).memberships)
 
 
 def test_neumann_type_ground_state_is_zero():
