@@ -157,10 +157,13 @@ def _continue_branch(
     point_budget: int,
 ) -> None:
     """March the branch from z_curr with initial tangent z_curr - z_prev,
-    up to lam = 10x the largest of f0, a finite finf, lam_k and 1."""
+    up to lam = 10x the largest of f0, a finite finf, lam_k and 1.
+
+    The returned-to-trivial targets are computed the first time a point
+    comes near u = 0; most branches never do."""
     finf = nl.finf if math.isfinite(nl.finf) else 0.0
     lambda_cap = 10.0 * max(nl.f0, finf, ep.lam, 1.0)
-    trivial_targets = _trivial_targets(spec, nl, branch.k, lambda_cap)
+    trivial_targets = None
     ds = DS_INIT
     z_prev = np.asarray(z_prev, dtype=float)
     z = np.asarray(z_curr, dtype=float)
@@ -216,6 +219,8 @@ def _continue_branch(
             branch.termination = TERM_FOLDS
             return
         if point.amplitude < 1e-5:
+            if trivial_targets is None:
+                trivial_targets = _trivial_targets(spec, nl, branch.k, lambda_cap)
             for j, lam_triv in trivial_targets:
                 if abs(point.lam - lam_triv) < 1e-3:
                     branch.termination = TERM_TRIVIAL

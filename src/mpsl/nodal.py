@@ -96,8 +96,9 @@ class SampledTrace(FunctionTrace):
         i = int(np.searchsorted(self.x, x, side="right")) - 1
         return min(max(i, 0), len(self.x) - 2)
 
-    def _cell_coeffs(self, i: int) -> tuple[float, float, float, float, float]:
-        """Cubic u = a s^3 + b s^2 + c s + d on cell i, s in [0, 1]."""
+    def _cell_coeffs(self, i):
+        """Cubic u = a s^3 + b s^2 + c s + d on cell i, s in [0, 1]; with an
+        index array i, the coefficient arrays of those cells."""
         h = self.x[i + 1] - self.x[i]
         u0, u1 = self.u[i], self.u[i + 1]
         p0, p1 = h * self.up[i], h * self.up[i + 1]
@@ -228,45 +229,52 @@ def _closed_zeros(sol: TrigSolution, which: str) -> list[float]:
     return [y - 1.0] if ENDPOINT_GUARD < y < 2.0 - ENDPOINT_GUARD else []
 
 
-def _sampled_zeros(trace: SampledTrace, which: str) -> list[float]:
-    """Real roots of the per-cell interpolant of the requested channel."""
-    x, u, up = trace.x, trace.u, trace.up
+def _sampled_zeros(trace: SampledTrace, which: str, slope_bound: float) -> list[float]:
+    """Real roots of the per-cell interpolant of the requested channel.
+
+    Candidate cells are those with a sign change or a value within reach of
+    ``slope_bound`` (a bound on the channel's slope).  Each candidate's
+    cubic (u) or quadratic (u') loses its leading coefficients below 1e-14
+    of its largest; the cells are grouped by trimmed length and trailing
+    zeros, and each group's companion matrices go through one
+    ``np.linalg.eigvals`` call.  That is what ``np.roots`` does cell by
+    cell, so the roots are the same to the bit.
+    """
+    x = trace.x
+    vals = trace.u if which == "u" else trace.up
     dx = np.diff(x)
-    if which == "u":
-        vals = u
-        slope_bound = trace.sup_uprime()
-    else:
-        vals = up
-        slope_bound = trace.sup_usecond()
     v0, v1 = vals[:-1], vals[1:]
     sign_change = v0 * v1 < 0.0
     near = np.minimum(np.abs(v0), np.abs(v1)) <= dx * slope_bound * 1.5 + 1e-300
-    candidates = np.nonzero(sign_change | near)[0]
+    cells = np.nonzero(sign_change | near)[0]
 
-    zeros: list[float] = []
-    for i in candidates:
-        a, b, c, d, h = trace._cell_coeffs(i)
-        if which == "u":
-            poly = [a, b, c, d]
-        else:
-            poly = [3.0 * a, 2.0 * b, c]
-        poly = np.array(poly, dtype=float)
-        lead = np.max(np.abs(poly))
-        if lead == 0.0:
-            continue
-        nz = np.nonzero(np.abs(poly) > 1e-14 * lead)[0]
-        poly = poly[nz[0]:]
-        if len(poly) < 2:
-            continue
-        roots = np.roots(poly)
-        last_cell = i == len(dx) - 1
-        for r in roots:
-            if abs(r.imag) > 1e-9:
-                continue
-            s = r.real
-            hi = 1.0 + 1e-12 if last_cell else 1.0
-            if -1e-12 <= s < hi:
-                zeros.append(float(x[i] + min(max(s, 0.0), 1.0) * h))
+    a, b, c, d, h = trace._cell_coeffs(cells)
+    polys = np.stack([a, b, c, d] if which == "u" else [3.0 * a, 2.0 * b, c], axis=1)
+    width = polys.shape[1] - 1  # most roots a cell can have
+    mags = np.abs(polys)
+    lead = mags.max(axis=1, initial=0.0)
+    first = np.argmax(mags > 1e-14 * lead[:, None], axis=1)
+    last = width - np.argmax(polys[:, ::-1] != 0.0, axis=1)
+    live = (lead > 0.0) & (first < width)
+    # Row j holds the roots of cell cells[j] in np.roots order; NaN pads.
+    roots = np.full((len(cells), width), np.nan, dtype=complex)
+    for lo, hi in set(zip(first[live].tolist(), last[live].tolist())):
+        rows = np.nonzero(live & (first == lo) & (last == hi))[0]
+        n = hi - lo  # companion size
+        if n > 0:
+            p = polys[rows, lo:hi + 1]
+            comp = np.zeros((len(rows), n, n))
+            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+            roots[rows, :n] = np.linalg.eigvals(comp)
+        roots[rows, n:width - lo] = 0.0  # one root s = 0 per trailing zero coefficient
+    s = roots.real
+    top = np.where(cells == len(dx) - 1, 1.0 + 1e-12, 1.0)[:, None]
+    ok = (np.abs(roots.imag) <= 1e-9) & (s >= -1e-12) & (s < top)
+    j, s = np.nonzero(ok)[0], s[ok]
+    s = np.where(0.0 > s, 0.0, s)  # min(max(s, 0.0), 1.0), signed zeros included
+    s = np.where(1.0 < s, 1.0, s)
+    zeros = (x[cells[j]] + s * h[j]).tolist()
     zeros.sort()
     # Roots recovered from both sides of a shared node differ by solver
     # noise (~1e-12); merge well below the cluster threshold so genuine
@@ -299,7 +307,6 @@ def zeros_of(trace: FunctionTrace, which: str = "u", tol: float = DEFAULT_TOL) -
             deriv_sup = abs(trace.sol.lam) * trace.sup_u()
             deriv = lambda x: -trace.sol.lam * trace.eval(x)[0]
     elif isinstance(trace, SampledTrace):
-        xs = _sampled_zeros(trace, which)
         if which == "u":
             deriv_sup = trace.sup_uprime()
             deriv = lambda x: trace.eval(x)[1]
@@ -311,6 +318,7 @@ def zeros_of(trace: FunctionTrace, which: str = "u", tol: float = DEFAULT_TOL) -
                 a, b, c, _, h = _t._cell_coeffs(i)
                 s = (xv - _t.x[i]) / h
                 return (6.0 * a * s + 2.0 * b) / (h * h)
+        xs = _sampled_zeros(trace, which, deriv_sup)
     else:
         raise TypeError(f"unsupported trace type {type(trace).__name__}")
 

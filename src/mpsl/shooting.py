@@ -30,6 +30,7 @@ IVP_RTOL = 1e-11
 IVP_ATOL = 1e-12
 DENSE_STEP = 1e-3
 BLOWUP_LIMIT = 1e12
+IVP_MAX_RHS_CALLS = 625_000  # one IVP's right-hand-side budget; beyond it the run is divergence
 RESIDUAL_TOL = 1e-8
 JACOBIAN_COND_LIMIT = 1e12
 NEWTON_MAX_ITER = 50  # solve_bvp iterations
@@ -40,22 +41,52 @@ NONRESONANCE_MARGIN = 10.0
 
 
 class IntegratedTrace(SampledTrace):
-    """Sampled trace backed by the integrator's dense output."""
+    """Sampled trace backed by the integrator's dense output.
+
+    The DOP853 interpolants of ``sol`` (an ascending ``OdeSolution``) are
+    stacked once, and ``_dense`` evaluates them at many points in one pass:
+    the segment choice of ``OdeSolution.__call__`` and the Horner loop of
+    ``Dop853DenseOutput._call_impl`` in the same operation order, so every
+    value equals scipy's bit for bit.  The sample nodes and ``eval`` both go
+    through it.
+    """
 
     def __init__(self, sol):
-        self._sol = sol
+        pieces = sol.interpolants
+        self._ts, self._side = sol.ts_sorted, sol.side
+        self._t_old = np.array([p.t_old for p in pieces])
+        self._h = np.array([p.h for p in pieces])
+        # (power, segment, state), highest power first as the Horner loop reads it
+        self._F = np.stack([p.F[::-1] for p in pieces], axis=1)
+        self._y_old = np.stack([p.y_old for p in pieces])
         x = np.linspace(-1.0, 1.0, int(round(2.0 / DENSE_STEP)) + 1)
-        u, uprime = sol(x)
+        u, uprime = self._dense(x)
         finite = np.isfinite(u) & np.isfinite(uprime)
         if not finite.all():
             raise DivergenceError(float(x[np.argmin(finite)]))
         super().__init__(x, u, uprime)
 
+    def _dense(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        seg = np.searchsorted(self._ts, t, side=self._side) - 1
+        np.clip(seg, 0, len(self._h) - 1, out=seg)
+        s = ((t - self._t_old.take(seg)) / self._h.take(seg))[:, None]
+        r = 1 - s
+        y = np.zeros((len(t), self._y_old.shape[1]))
+        for i, F in enumerate(self._F.take(seg, axis=1)):
+            y += F
+            y *= r if i % 2 else s
+        y += self._y_old.take(seg, axis=0)
+        return y[:, 0], y[:, 1]
+
     def eval(self, x: float) -> tuple[float, float]:
         if not -1.0 - 1e-12 <= x <= 1.0 + 1e-12:
             raise ValueError(f"x={x} outside [-1, 1]")
-        u, up = self._sol(min(max(x, -1.0), 1.0))
-        return float(u), float(up)
+        x = min(max(x, -1.0), 1.0)
+        if abs(x) == 1.0:  # an end node, already sampled by the same kernel
+            i = 0 if x < 0.0 else -1
+            return float(self.u[i]), float(self.up[i])
+        u, up = self._dense(np.array([x]))
+        return float(u[0]), float(up[0])
 
 
 @dataclass(frozen=True)
@@ -119,9 +150,25 @@ def integrate_ivp(
     a non-finite step: a right-hand side that is not finite (f overflows,
     or is NaN) makes it shrink the step, and when the step size collapses
     that is divergence at the last accepted x.  So is a dense-output sample
-    that is not finite.
+    that is not finite.  So is a run that cannot end: one that needs more
+    than IVP_MAX_RHS_CALLS right-hand-side evaluations, or one whose step
+    size is NaN (it starts so when the right-hand side at (a, b) is not
+    finite); either stops at the last x where the right-hand side was
+    evaluated.
     """
     from scipy.integrate import solve_ivp
+
+    rhs = _rhs(nl, h, lam)
+    calls = 0
+    x_last = -1.0
+
+    def counted_rhs(x, y):
+        nonlocal calls, x_last
+        calls += 1
+        if calls > IVP_MAX_RHS_CALLS or x != x:  # x is NaN once the step size is
+            raise DivergenceError(float(x_last))
+        x_last = x
+        return rhs(x, y)
 
     def blowup(x, y):
         return abs(y[0]) - BLOWUP_LIMIT
@@ -129,7 +176,7 @@ def integrate_ivp(
     blowup.terminal = True
 
     sol = solve_ivp(
-        _rhs(nl, h, lam),
+        counted_rhs,
         (-1.0, 1.0),
         (a, b),
         method="DOP853",

@@ -1,12 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from mpsl import branching
 from mpsl.branching import (
     FROM_INFINITY,
     FROM_ZERO,
     TERM_AMPLITUDE,
     TERM_CROSSED,
+    TERM_TRIVIAL,
     branch_from_infinity,
     branch_from_zero,
     branch_nodal_audit,
@@ -152,3 +155,46 @@ def test_superlinear_from_zero_crosses_downward(spec, lam0):
     assert br.origin_lambda == pytest.approx(lam0, rel=1e-9)
     assert br.termination == TERM_CROSSED
     assert br.points[-1].lam < br.origin_lambda
+
+
+def _count_target_windows(monkeypatch, extra=()):
+    """Record each continuation_spectrum(spec, k + 4) the tracer makes (k = 0),
+    optionally appending fake eigenpairs to the window."""
+    calls = []
+    real = branching.continuation_spectrum
+
+    def counted(spec, k_max, *args):
+        if k_max == 4:
+            calls.append(k_max)
+            return real(spec, k_max, *args) + list(extra)
+        return real(spec, k_max, *args)
+
+    monkeypatch.setattr(branching, "continuation_spectrum", counted)
+    return calls
+
+
+def test_trivial_targets_wait_for_a_small_point(spec, monkeypatch):
+    calls = _count_target_windows(monkeypatch)
+    br = branch_from_zero(spec, LIN, 0, "+", amplitude_cap=10.0)
+    assert min(p.amplitude for p in br.points[1:]) >= 1e-5
+    assert calls == []
+
+
+def test_trivial_targets_are_computed_once(spec, monkeypatch):
+    # A tiny seed and first step keep the first points below 1e-5.
+    monkeypatch.setattr(branching, "DS_INIT", 1e-9)
+    calls = _count_target_windows(monkeypatch)
+    br = branch_from_zero(spec, LIN, 0, "+", eps_seed=1e-9, amplitude_cap=1e-3)
+    assert sum(p.amplitude < 1e-5 for p in br.points[2:]) >= 5
+    assert br.termination == TERM_AMPLITUDE
+    assert calls == [4]
+
+
+def test_returned_to_trivial_reads_targets_on_demand(spec, lam0, monkeypatch):
+    # A fake index-9 eigenvalue at the branch's own lambda: the first point
+    # below 1e-5 is within 1e-3 of it.
+    monkeypatch.setattr(branching, "DS_INIT", 1e-9)
+    calls = _count_target_windows(monkeypatch, [SimpleNamespace(k=9, lam=lam0)])
+    br = branch_from_zero(spec, LIN, 0, "+", eps_seed=1e-9, amplitude_cap=1e-3)
+    assert br.termination == TERM_TRIVIAL and br.returned_to_trivial_j == 9
+    assert len(br.points) == 3 and calls == [4]

@@ -381,3 +381,28 @@ def test_solve_with_overflowing_f(h, code, c, tmp_path, capsys):
     x, u = np.array([[float(r[0]), float(r[1])] for r in rows]).T
     assert np.all(np.isfinite(u))
     assert np.max(np.abs(u - c * (x - x**3))) <= 1e-8
+
+
+# Each of these f's makes the integrator's step size NaN when it starts
+# from a state where f is not finite (u < 0 for the powers, any u for
+# xi/0), and scipy's DOP853 then rejects the step forever: `solve` used to
+# hang there.  xi/0 has no solution; the two powers have a genuine solution
+# that stays in u >= 0, where they are finite.
+@pytest.mark.parametrize("f, code", [("xi^0.5", 0), ("xi/0", 3), ("xi^xi", 0)],
+                         ids=["sqrt", "divide-by-zero", "complex-power"])
+def test_solve_ends_when_f_is_not_finite(f, code, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**SELFTEST_PROBLEM, "nonlinearity": {"f": f, "f0": 4.0, "finf": 1.0}}))
+    src = os.path.dirname(os.path.dirname(mpsl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "mpsl", "solve", str(path), "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - t0 < 30.0  # about 1.5 s on 2 vCPUs
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        _, rows = read_csv(tmp_path / "solution.csv")
+        assert min(float(r[1]) for r in rows) >= 0.0
+    else:
+        assert not (tmp_path / "solution.json").exists()

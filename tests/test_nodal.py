@@ -10,6 +10,7 @@ from mpsl.nodal import (
     CLUSTER_TOL,
     ClosedTrace,
     SampledTrace,
+    _sampled_zeros,
     _t_obstruction,
     classify,
     energy_deviation,
@@ -341,3 +342,100 @@ def test_t_obstruction_at_cluster_tolerance():
     assert _t_obstruction([math.nextafter(CLUSTER_TOL, 1.0)], zs) is None
     assert _t_obstruction([0.1, 0.4], zs) == "no-interleaving-zero"
     assert _t_obstruction([-0.1, 0.1], zs) is None
+
+
+def _per_cell_sampled_zeros(trace, which, slope_bound):
+    """Reference: one np.roots call per candidate cell, in a Python loop."""
+    x, dx = trace.x, np.diff(trace.x)
+    vals = trace.u if which == "u" else trace.up
+    v0, v1 = vals[:-1], vals[1:]
+    near = np.minimum(np.abs(v0), np.abs(v1)) <= dx * slope_bound * 1.5 + 1e-300
+    zeros = []
+    for i in np.nonzero((v0 * v1 < 0.0) | near)[0]:
+        a, b, c, d, h = trace._cell_coeffs(i)
+        poly = np.array([a, b, c, d] if which == "u" else [3.0 * a, 2.0 * b, c])
+        lead = np.max(np.abs(poly))
+        if lead == 0.0:
+            continue
+        poly = poly[np.nonzero(np.abs(poly) > 1e-14 * lead)[0][0]:]
+        if len(poly) < 2:
+            continue
+        for r in np.roots(poly):
+            hi = 1.0 + 1e-12 if i == len(dx) - 1 else 1.0
+            if abs(r.imag) <= 1e-9 and -1e-12 <= r.real < hi:
+                zeros.append(float(x[i] + min(max(r.real, 0.0), 1.0) * h))
+    zeros.sort()
+    merged = []
+    for z in zeros:
+        if not merged or z - merged[-1] >= 1e-10:
+            merged.append(z)
+    return [z for z in merged if -1.0 + 1e-12 < z < 1.0 - 1e-12]
+
+
+def _assert_same_zeros(trace):
+    for which, bound in (("u", trace.sup_uprime()), ("uprime", trace.sup_usecond())):
+        got = _sampled_zeros(trace, which, bound)
+        want = _per_cell_sampled_zeros(trace, which, bound)
+        assert [z.hex() for z in got] == [z.hex() for z in want]
+
+
+_X = np.linspace(-1.0, 1.0, 2001)
+
+
+@st.composite
+def _traces(draw):
+    """Sampled oscillations with a window rounded to a coarse grid (exact
+    zeros and flat cells), a window of exactly linear u (vanishing leading
+    coefficients) and scattered exact zeros in both channels."""
+    k = draw(st.floats(0.5, 60.0))
+    phase = draw(st.floats(-math.pi, math.pi))
+    amp = draw(st.sampled_from((1e-7, 1e-2, 1.0, 1e4)))
+    u = amp * np.sin(k * _X + phase)
+    up = amp * k * np.cos(k * _X + phase)
+    start, width = draw(st.integers(0, 2000)), draw(st.integers(0, 80))
+    step = draw(st.sampled_from((0.05, 0.3)))
+    window = slice(start, start + width)
+    u[window] = np.round(u[window] / (amp * step)) * (amp * step)
+    up[window] = np.round(up[window] / (amp * k * step)) * (amp * k * step)
+    start, width = draw(st.integers(0, 2000)), draw(st.integers(0, 60))
+    slope, offset = draw(st.floats(-5.0, 5.0)), draw(st.sampled_from((0.0, 0.25)))
+    u[start:start + width] = slope * (_X[start:start + width] - _X[start]) + offset
+    up[start:start + width] = slope
+    u[draw(st.lists(st.integers(0, 2000), max_size=30))] = 0.0
+    up[draw(st.lists(st.integers(0, 2000), max_size=30))] = 0.0
+    return SampledTrace(_X, u, up)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_traces())
+def test_batched_cell_roots_equal_per_cell_np_roots(trace):
+    _assert_same_zeros(trace)
+
+
+def test_batched_cell_roots_on_degenerate_cells():
+    """Cells with d == 0, with the leading coefficient trimmed away and with
+    2-coefficient polynomials, in both channels, match np.roots cell by cell."""
+    u = np.sin(3.0 * _X)
+    up = 3.0 * np.cos(3.0 * _X)
+    u[100:140] = 0.5 * (_X[100:140] - _X[100])  # linear: a, b ~ 0, d == 0 at node 100
+    up[100:140] = 0.5
+    u[600:620] = 0.0  # flat at zero: the all-zero polynomial is skipped
+    up[600:620] = 0.0
+    u[900:960] = 0.0
+    up[900:960] = np.linspace(-1e-3, 1e-3, 60)
+    trace = SampledTrace(_X, u, up)
+    cells = np.arange(2000)
+    a, b, c, d, _ = trace._cell_coeffs(cells)
+    assert np.any(d == 0.0) and np.any((a == 0.0) & (b != 0.0))
+    assert np.any((a == 0.0) & (b == 0.0) & (c != 0.0))  # u: 2 coefficients
+    assert np.any((a == 0.0) & (b != 0.0) & (c != 0.0))  # u': 2 coefficients
+    _assert_same_zeros(trace)
+
+
+def test_zeros_of_estimates_the_second_derivative_once(monkeypatch):
+    trace = sampled_from_solution(TrigSolution(30.0, 0.3, 1.0))
+    calls = []
+    real = SampledTrace.sup_usecond
+    monkeypatch.setattr(SampledTrace, "sup_usecond", lambda self: calls.append(1) or real(self))
+    zeros_of(trace, "uprime")
+    assert len(calls) == 1

@@ -6,7 +6,11 @@ import pytest
 from mpsl.errors import DivergenceError, NoConvergence, SingularSystem
 from mpsl.expressions import ForcingTerm, NonlinearitySpec
 from mpsl.problem import BoundarySide, ProblemSpec
+from mpsl import shooting
 from mpsl.shooting import (
+    IVP_ATOL,
+    IVP_RTOL,
+    IntegratedTrace,
     collocation_residual,
     damped_newton,
     integrate_ivp,
@@ -240,3 +244,51 @@ def test_non_finite_state_is_divergence():
         with pytest.raises(DivergenceError) as exc:
             integrate_ivp(nl, None, 1.0, a, b)
         assert -1.0 <= exc.value.x <= 1.0
+
+
+def _scipy_solution(text, lam, a, b):
+    from scipy.integrate import solve_ivp
+
+    nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
+    sol = solve_ivp(lambda x, y: (y[1], -lam * nl.f(y[0])), (-1.0, 1.0), (a, b),
+                    method="DOP853", rtol=IVP_RTOL, atol=IVP_ATOL, dense_output=True)
+    return sol.sol
+
+
+@pytest.mark.parametrize("text, lam, a, b, few", [
+    ("xi", 1.0, 0.0, 1.0, True),
+    ("xi*(1+3/(1+xi^2))", 0.5, 0.0, 0.1, True),
+    ("xi", 9000.0, 0.3, 5.0, False),
+    ("xi+xi^3", 400.0, 1.0, 0.0, False),
+], ids=["linear-slow", "crossing", "linear-fast", "cubic-fast"])
+def test_dense_kernel_is_scipys_interpolant_bit_for_bit(text, lam, a, b, few):
+    sol = _scipy_solution(text, lam, a, b)
+    n = len(sol.interpolants)
+    assert n < 20 if few else n > 200
+    trace = IntegratedTrace(sol)
+    u, up = sol(trace.x)
+    assert np.array_equal(trace.u, u) and np.array_equal(trace.up, up)
+    # segment boundaries, where OdeSolution picks the lower segment, and the ends
+    ts = np.asarray(sol.ts)
+    points = np.concatenate([ts, np.nextafter(ts, -2.0), np.nextafter(ts, 2.0), [-1.0, 0.0, 1.0]])
+    points = points[(points >= -1.0) & (points <= 1.0)]
+    for name, got in zip(("u", "up"), trace._dense(points)):
+        assert np.array_equal(got, sol(points)[0 if name == "u" else 1])
+    for t in points.tolist():
+        assert np.array_equal(np.array(trace.eval(t)), sol(t))
+
+
+def test_rhs_budget_bounds_one_ivp(monkeypatch):
+    monkeypatch.setattr(shooting, "IVP_MAX_RHS_CALLS", 50)
+    with pytest.raises(DivergenceError) as exc:
+        integrate_ivp(LIN, None, 400.0, 0.0, 1.0)
+    assert -1.0 < exc.value.x < 1.0
+
+
+def test_nan_step_size_is_divergence_at_once():
+    # f is NaN at u(-1) = -0.5, so DOP853's first step size is NaN and it
+    # would reject that step forever.
+    nl = NonlinearitySpec.from_text("xi^0.5", f0=1.0, finf=1.0)
+    with pytest.raises(DivergenceError) as exc:
+        integrate_ivp(nl, None, 1.0, -0.5, 1.0)
+    assert exc.value.x == -1.0
