@@ -3,10 +3,10 @@
 Branches of nontrivial solutions bifurcate from the trivial line at
 (lam_k/f0, 0) and from infinity at (lam_k/finf, infty).  Both are traced in
 shooting coordinates z = (lam, a, b) by pseudo-arclength continuation: a
-secant predictor followed by ``shooting.damped_newton`` on the two boundary
-residuals plus the arclength constraint.  Folds in lam are expected and
-handled; every accepted point carries a BVP-residual certificate, a nodal
-audit and the nonlinear energy deviation.
+secant predictor followed by ``shooting.damped_newton`` on
+``shooting.bvp_residual`` plus the arclength constraint.  Folds in lam are
+expected and handled; every accepted point carries a BVP-residual
+certificate, a nodal audit and the nonlinear energy deviation.
 
 The nodal-solution pipeline runs the appropriate tracer when the slopes
 f0, finf straddle lam_k, refines the crossing of lam = 1 and returns the
@@ -37,9 +37,9 @@ from .shooting import (
     RESIDUAL_TOL,
     SampledSolution,
     ShootingState,
+    bvp_residual,
     damped_newton,
     nonlinear_energy_deviation,
-    scaled_residuals,
     solve_bvp,
 )
 from .spectrum import Eigenpair, continuation_spectrum, eigen_continuation
@@ -96,13 +96,6 @@ class Branch:
         return [p.amplitude for p in self.points]
 
 
-def _lam_residual(spec: ProblemSpec, nl: NonlinearitySpec, z):
-    """Residual of -u'' = lam*f(u) at z = (lam, a, b), in the (F, err,
-    payload) form of damped_newton; payload is (r-, r+, trace, s-, s+)."""
-    rm, rp, trace, sm, sp, err = scaled_residuals(spec, nl, None, *z)
-    return np.array([rm, rp]), err, (rm, rp, trace, sm, sp)
-
-
 def _make_point(nl: NonlinearitySpec, z, payload, arclength) -> BranchPoint:
     lam, a, b = z
     rm, rp, trace, sm, sp = payload
@@ -139,7 +132,7 @@ def _corrector(spec, nl, z_pred, tau, weights):
     wtau = weights * tau
 
     def residual(z):
-        F, err, payload = _lam_residual(spec, nl, z)
+        F, err, payload = bvp_residual(spec, nl, None, z)
         return np.append(F, float(np.dot(weights * (z - z_pred), wtau))), err, payload
 
     return damped_newton(residual, z_pred, (0, 1, 2), RESIDUAL_TOL, CORRECTOR_MAX_ITER, MAX_HALVINGS)
@@ -318,7 +311,7 @@ def _pinned_correct(spec, nl, lam0: float, a: float, b: float, pin: int):
     Used to land on the branch near infinity, where fixing lam would be
     ill-posed (the branch is one-sided in lam near its asymptote).
     """
-    return damped_newton(lambda z: _lam_residual(spec, nl, z), (lam0, a, b),
+    return damped_newton(lambda z: bvp_residual(spec, nl, None, z), (lam0, a, b),
                          (0, 2 if pin == 1 else 1), RESIDUAL_TOL, SEED_MAX_ITER, MAX_HALVINGS)
 
 
@@ -439,21 +432,6 @@ class NodalSolutionsResult:
     verdicts: dict  # sign -> tuple[NodalClass, ...]
 
 
-def _endpoint_inequalities_at(spec: ProblemSpec, lam: float, gamma: float, which: str) -> bool:
-    """Pointwise endpoint inequalities of the nonlinear preservation lemma,
-    evaluated at parameter lam with envelope constant gamma."""
-    root = math.sqrt(lam * gamma)
-    for side in spec.sides:
-        th = side_thresholds(side)
-        if which == "ud":
-            if not th.alpha0 > th.sum_alpha + root * th.sum_beta:
-                return False
-        else:
-            if not th.beta0_abs > th.sum_alpha / root + th.sum_beta:
-                return False
-    return True
-
-
 def nodal_solutions_at_one(
     spec: ProblemSpec,
     nl: NonlinearitySpec,
@@ -506,9 +484,9 @@ def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutions
         cert = certify_hypotheses(nl, gamma, F_SMALL)
         if not cert.passed:
             raise HypothesisReport("F-envelope (upper)", cert.reason)
-        if not _endpoint_inequalities_at(spec, 1.0, gamma, "ud"):
+        # The endpoint inequalities at lambda = 1 are tested at lam*gamma = gamma.
+        if not all(side_thresholds(side).holds_ud(gamma) for side in spec.sides):
             raise HypothesisReport("endpoint derivative-pinning inequality at lambda=1")
-        target = NodalClass("T", k + 1, "+")
         route = FROM_ZERO
         class_index = k + 1
     else:
@@ -520,9 +498,8 @@ def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutions
         cert = certify_hypotheses(nl, gamma, F_BIG)
         if not cert.passed:
             raise HypothesisReport("F-envelope (lower)", cert.reason)
-        if not _endpoint_inequalities_at(spec, 1.0, gamma, "u"):
+        if not all(side_thresholds(side).holds_u(gamma) for side in spec.sides):
             raise HypothesisReport("endpoint value-pinning inequality at lambda=1")
-        target = NodalClass("S", k, "+")
         route = FROM_ZERO if orientation == "slopes-rise" else FROM_INFINITY
         class_index = k
 

@@ -166,6 +166,8 @@ def cmd_spectrum(args) -> int:
     if args.reference:
         from .reference import reference_eigenvalue
 
+        if not 1 <= args.count <= _SEARCH_CAP + 1:
+            raise ProblemDataError(f"--count must be in [1, {_SEARCH_CAP + 1}], not {args.count}")
         rows = [[k, reference_eigenvalue(args.reference, k)] for k in range(args.count)]
         reporting.write_csv(os.path.join(args.out, "reference.csv"), ["k", "lambda"], rows)
         return EXIT_OK
@@ -229,8 +231,7 @@ def cmd_classify(args) -> int:
         raise ProblemDataError("classify needs a problem file unless --trace is given")
     spec, _ = _load(args.problem)
     if args.from_spectrum:
-        rows = _read_csv_rows(args.from_spectrum)
-        ks = [int(float(r["k"])) for r in rows]
+        ks, rows = _read_spectrum_csv(args.from_spectrum)
     else:
         ks = _parse_k_range(args.k)
     pairs = continuation_spectrum(spec, max(ks))
@@ -250,7 +251,7 @@ def cmd_classify(args) -> int:
     if args.format == "svg":
         reporting.eigenfunction_gallery_svg(os.path.join(args.out, "gallery.svg"), curves)
     if args.from_spectrum:
-        mism = _roundtrip_mismatches(rows, out)
+        mism = _roundtrip_mismatches(ks, rows, out)
         if mism:
             print(f"{len(mism)} verdict mismatches vs {args.from_spectrum}", file=sys.stderr)
             return EXIT_NUMERIC
@@ -261,17 +262,23 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _read_csv_rows(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+def _read_spectrum_csv(path: str) -> tuple[list[int], list[dict]]:
+    """The k column and the rows of a spectrum.csv; k gets the checks of --k."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise ProblemDataError(f"spectrum file {path}: {exc}") from None
+    header = lines[0].split(",") if lines else []
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    if not rows or not all(r.get("k", "").isdecimal() for r in rows):
+        raise ProblemDataError(f"spectrum file {path}: needs data rows, each with an integer k >= 0")
+    return _parse_k_range(",".join(r["k"] for r in rows)), rows
 
 
-def _roundtrip_mismatches(rows: list[dict], out: dict) -> list[int]:
+def _roundtrip_mismatches(ks: list[int], rows: list[dict], out: dict) -> list[int]:
     mism = []
-    for r in rows:
-        k = int(float(r["k"]))
+    for k, r in zip(ks, rows):
         entry = out[str(k)]["classification"]
         fam, ck, sign = r.get("family", ""), r.get("class_k", ""), r.get("sign", "")
         if not fam:

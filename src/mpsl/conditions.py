@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import HypothesisError
 from .problem import (
@@ -37,7 +38,7 @@ from .problem import (
     ProblemSpec,
     level_at_least,
 )
-from .reference import separated_eigenvalue
+from .reference import ReferenceKind, reference_eigenvalue
 
 BOUNDARY_EQUALITY_WARN = 1e-9
 _SEARCH_CAP = 100000  # largest index an index search can return
@@ -174,23 +175,16 @@ def _single_point_side(spec: ProblemSpec) -> BoundarySide | None:
     return spec.plus if mp[0] is spec.minus else spec.minus
 
 
-def _ref_with_robin(single_side: BoundarySide, mp_tag: str):
-    """Reference eigenvalue family with the Robin data on the single-point side
-    and a Dirichlet/Neumann replacement on the multi-point side."""
-    robin_pair = (single_side.alpha0, single_side.beta0)
-    repl = (1.0, 0.0) if mp_tag == "dirichlet" else (0.0, 1.0)
-    if single_side.side == "minus":
-        return lambda k: 0.0 if k < 0 else separated_eigenvalue(robin_pair, repl, k)
-    return lambda k: 0.0 if k < 0 else separated_eigenvalue(repl, robin_pair, k)
+# k -> lam_k of the Neumann, Dirichlet and mixed reference families.
+_lam_n, _lam_d, _lam_m = (partial(reference_eigenvalue, ReferenceKind(tag))
+                          for tag in ("neumann", "dirichlet", "mixed"))
 
 
-def _lam_ref(tag: str):
-    table = {
-        "N": lambda k: (k * math.pi / 2.0) ** 2,
-        "D": lambda k: 0.0 if k < 0 else ((k + 1) * math.pi / 2.0) ** 2,
-        "M": lambda k: 0.0 if k < 0 else ((2 * k + 1) * math.pi / 4.0) ** 2,
-    }
-    return table[tag]
+def _ref_with_robin(single_side: BoundarySide, tag: str):
+    """k -> lam_k of the reference family ``tag`` ('robin-dirichlet' or
+    'robin-neumann') with the Robin data of the single-point side."""
+    robin = {f"robin_{single_side.side}": (single_side.alpha0, single_side.beta0)}
+    return partial(reference_eigenvalue, ReferenceKind(tag, **robin))
 
 
 def crossover_indices(spec: ProblemSpec) -> CrossoverIndices:
@@ -206,18 +200,17 @@ def crossover_indices(spec: ProblemSpec) -> CrossoverIndices:
     J_max = max(th_m.J, th_p.J)
     warnings: list[str] = []
 
-    lam_n, lam_d, lam_m = _lam_ref("N"), _lam_ref("D"), _lam_ref("M")
-    k_T = _max_index_leq(lam_n, J_min)
-    k_S = _min_index_geq(lam_d, J_max)
+    k_T = _max_index_leq(_lam_n, J_min)
+    k_S = _min_index_geq(_lam_d, J_max)
     # k_TM may come out -1 when lam_0^M > J_min.
-    k_TM = _max_index_leq(lam_m, J_min)
-    k_SM = _min_index_geq(lam_m, J_max)
+    k_TM = _max_index_leq(_lam_m, J_min)
+    k_SM = _min_index_geq(_lam_m, J_max)
 
     for name, fn, idx, bound in (
-        ("k_T", lam_n, k_T, J_min),
-        ("k_S", lam_d, k_S, J_max),
-        ("k_TM", lam_m, k_TM, J_min),
-        ("k_SM", lam_m, k_SM, J_max),
+        ("k_T", _lam_n, k_T, J_min),
+        ("k_S", _lam_d, k_S, J_max),
+        ("k_TM", _lam_m, k_TM, J_min),
+        ("k_SM", _lam_m, k_SM, J_max),
     ):
         if idx is not None and idx >= 0 and abs(fn(idx) - bound) < BOUNDARY_EQUALITY_WARN:
             warnings.append(f"{name}: reference eigenvalue within 1e-9 of J boundary")
@@ -232,7 +225,7 @@ def crossover_indices(spec: ProblemSpec) -> CrossoverIndices:
         elif math.isinf(J_mp):
             k_c = None
         else:
-            lam_rd = _ref_with_robin(single, "dirichlet")
+            lam_rd = _ref_with_robin(single, "robin-dirichlet")
             # unique k >= -1 with lam_{k}^{RD} < J <= lam_{k+1}^{RD}
             k_c = _capped_count(lambda j: lam_rd(j) < J_mp, "k_c") - 1
             if abs(lam_rd(k_c + 1) - J_mp) < BOUNDARY_EQUALITY_WARN or (
@@ -313,7 +306,6 @@ def predict_nodal_class(spec: ProblemSpec, k: int) -> Prediction:
     if not level_at_least(level, LEVEL_QUADRATIC):
         return _indet(k, "hypotheses violated: no nodal theorem applies")
 
-    lam_n, lam_d, lam_m = _lam_ref("N"), _lam_ref("D"), _lam_ref("M")
     th_m = side_thresholds(spec.minus)
     th_p = side_thresholds(spec.plus)
 
@@ -321,23 +313,23 @@ def predict_nodal_class(spec: ProblemSpec, k: int) -> Prediction:
     if spec.minus.sum_beta == 0.0 and spec.plus.sum_beta == 0.0 and (
         spec.minus.alpha0 > 0.0 and spec.plus.alpha0 > 0.0
     ):
-        return Prediction(k, "T", k + 1, (lam_n(k), lam_n(k + 2)), theorem="T-all")
+        return Prediction(k, "T", k + 1, (_lam_n(k), _lam_n(k + 2)), theorem="T-all")
     if spec.minus.sum_alpha == 0.0 and spec.plus.sum_alpha == 0.0 and (
         spec.minus.beta0 != 0.0 and spec.plus.beta0 != 0.0
     ):
-        return Prediction(k, "S", k, (lam_d(k - 2), lam_d(k)), theorem="S-all")
+        return Prediction(k, "S", k, (_lam_d(k - 2), _lam_d(k)), theorem="S-all")
 
     single = _single_point_side(spec)
     if single is not None:
         return _predict_single_mp(spec, k, single, level)
-    return _predict_two_mp(spec, k, th_m, th_p, level, lam_n, lam_d, lam_m)
+    return _predict_two_mp(spec, k, th_m, th_p, level)
 
 
 def _predict_single_mp(spec: ProblemSpec, k: int, single: BoundarySide, level: str) -> Prediction:
     mp_side = spec.minus if single is spec.plus else spec.plus
     th = side_thresholds(mp_side)
-    lam_rn = _ref_with_robin(single, "neumann")
-    lam_rd = _ref_with_robin(single, "dirichlet")
+    lam_rn = _ref_with_robin(single, "robin-neumann")
+    lam_rd = _ref_with_robin(single, "robin-dirichlet")
     # A degenerate single-point side pins u or u' at its endpoint, so the
     # corresponding family holds only in the BC-restricted sense.
     t_redef = single.is_neumann_type
@@ -393,15 +385,15 @@ def _predict_single_mp(spec: ProblemSpec, k: int, single: BoundarySide, level: s
     return _indet(k, "crossover-pair tests failed at the crossover indices")
 
 
-def _predict_two_mp(spec, k, th_m, th_p, level, lam_n, lam_d, lam_m) -> Prediction:
+def _predict_two_mp(spec, k, th_m, th_p, level) -> Prediction:
     if not level_at_least(level, LEVEL_LINEAR):
         return _indet(k, "two multi-point sides need the summed-fraction level")
     idx = crossover_indices(spec)
 
     if idx.k_T is not None and k <= idx.k_T - 2:
-        return Prediction(k, "T", k + 1, (lam_n(k), lam_n(k + 2)), theorem="T-range")
+        return Prediction(k, "T", k + 1, (_lam_n(k), _lam_n(k + 2)), theorem="T-range")
     if idx.k_S is not None and k >= idx.k_S + 2:
-        return Prediction(k, "S", k, (lam_d(k - 2), lam_d(k)), theorem="S-range")
+        return Prediction(k, "S", k, (_lam_d(k - 2), _lam_d(k)), theorem="S-range")
 
     both_finite = not math.isinf(idx.J_minus) and not math.isinf(idx.J_plus)
     if both_finite and idx.J_minus != idx.J_plus and idx.k_TM is not None and idx.k_SM is not None:
@@ -410,20 +402,20 @@ def _predict_two_mp(spec, k, th_m, th_p, level, lam_n, lam_d, lam_m) -> Predicti
                 k,
                 "R",
                 k,
-                (lam_m(k - 1), lam_m(k + 1)),
+                (_lam_m(k - 1), _lam_m(k + 1)),
                 theorem="R-intermediate",
                 mirrored=idx.J_minus < idx.J_plus,
             )
 
     # Strengthened boundary tests on the remaining indices.
     if idx.k_TM is not None and k <= idx.k_TM:
-        lam0 = lam_n(idx.k_TM + 2)
+        lam0 = _lam_n(idx.k_TM + 2)
         if th_m.holds_ud(lam0) and th_p.holds_ud(lam0):
-            return Prediction(k, "T", k + 1, (lam_n(k), lam_n(k + 2)), theorem="T-gap-strengthened")
+            return Prediction(k, "T", k + 1, (_lam_n(k), _lam_n(k + 2)), theorem="T-gap-strengthened")
     if idx.k_SM is not None and k >= idx.k_SM:
-        lam0 = lam_d(idx.k_SM - 2)
+        lam0 = _lam_d(idx.k_SM - 2)
         if th_m.holds_u(lam0) and th_p.holds_u(lam0):
-            return Prediction(k, "S", k, (lam_d(k - 2), lam_d(k)), theorem="S-gap-strengthened")
+            return Prediction(k, "S", k, (_lam_d(k - 2), _lam_d(k)), theorem="S-gap-strengthened")
     return _indet(k, "between the T and S ranges; strengthened tests failed")
 
 

@@ -34,6 +34,9 @@ from .errors import ParseError, QuadratureError
 FUNCTIONS = ("sin", "cos", "atan", "exp", "log", "abs", "sqrt")
 VARIABLES = ("xi", "x")
 CONSTANTS = {"pi": math.pi}
+# Nesting levels an expression may use (parentheses, calls, unary minus and
+# operators); from about 195 on, Python's recursion limit or compiler fails.
+MAX_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +147,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -152,6 +156,15 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def nested(self, parse) -> Expr:
+        """``parse()`` one nesting level deeper."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", self.peek()[2])
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self) -> Expr:
         node = self.expr()
@@ -178,14 +191,14 @@ class _Parser:
         node = self.unary()
         if self.peek()[0] == _TOK_OP and self.peek()[1] == "^":
             self.advance()
-            node = BinOp("^", node, self.factor())
+            node = BinOp("^", node, self.nested(self.factor))
         return node
 
     def unary(self) -> Expr:
         kind, val, at = self.peek()
         if kind == _TOK_OP and val == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary))
         return self.primary()
 
     def primary(self) -> Expr:
@@ -197,7 +210,7 @@ class _Parser:
                 k2, v2, a2 = self.advance()
                 if k2 != _TOK_LPAREN:
                     raise ParseError(f"function {val!r} needs an argument list", a2)
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 k3, v3, a3 = self.advance()
                 if k3 == _TOK_COMMA:
                     raise ParseError(f"function {val!r} takes exactly one argument", a3)
@@ -210,7 +223,7 @@ class _Parser:
                 return Num(CONSTANTS[val])
             raise ParseError(f"unknown identifier {val!r}", at)
         if kind == _TOK_LPAREN:
-            node = self.expr()
+            node = self.nested(self.expr)
             k2, v2, a2 = self.advance()
             if k2 != _TOK_RPAREN:
                 raise ParseError("expected ')'", a2)
@@ -222,7 +235,10 @@ def parse_expr(text: str) -> Expr:
     """Parse an expression; raises ParseError with a 0-based position."""
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text).parse()
+    node = _Parser(text).parse()
+    if max(level for _, level in _walk(node)) > MAX_DEPTH:  # a long chain of + - * /
+        raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +361,20 @@ def evaluate(node: Expr, **values: float) -> float:
     return a ** b
 
 
+def _walk(node: Expr):
+    """Every (node, level) of a syntax tree, the root at level 1, without recursion."""
+    stack = [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        yield node, level
+        if isinstance(node, BinOp):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+        elif isinstance(node, (Neg, Call)):
+            stack.append((node.child if isinstance(node, Neg) else node.arg, level + 1))
+
+
 def free_variables(node: Expr) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return free_variables(node.child)
-    if isinstance(node, Call):
-        return free_variables(node.arg)
-    if isinstance(node, BinOp):
-        return free_variables(node.left) | free_variables(node.right)
-    return set()
+    return {n.name for n, _ in _walk(node) if isinstance(n, Var)}
 
 
 # ---------------------------------------------------------------------------

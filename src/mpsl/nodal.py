@@ -123,15 +123,10 @@ class SampledTrace(FunctionTrace):
         return float(np.max(np.abs(self.up)))
 
     def sup_usecond(self) -> float:
-        """Estimated |u''|_0 from the interpolant (used for zero simplicity)."""
-        dx = np.diff(self.x)
-        du = np.diff(self.u)
-        # H''(0)/h^2 and H''(1)/h^2 per cell, vectorized.
-        p0, p1 = self.up[:-1] * dx, self.up[1:] * dx
-        a = 2.0 * self.u[:-1] + p0 - 2.0 * self.u[1:] + p1
-        b = -3.0 * self.u[:-1] - 2.0 * p0 + 3.0 * self.u[1:] - p1
-        h2 = dx * dx
-        vals = np.maximum(np.abs(2.0 * b), np.abs(6.0 * a + 2.0 * b)) / h2
+        """Estimated |u''|_0 from the interpolant (used for zero simplicity):
+        the largest of H''(0)/h^2 and H''(1)/h^2 over the cells."""
+        a, b, _, _, h = self._cell_coeffs(np.arange(len(self.x) - 1))
+        vals = np.maximum(np.abs(2.0 * b), np.abs(6.0 * a + 2.0 * b)) / (h * h)
         return float(np.max(vals))
 
     def grid(self) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Shooting solver for -u'' = lam*f(u) + h with multi-point boundary conditions.
 
-The BVP is reduced to two residuals r-(a, b), r+(a, b): integrate the IVP
-from x = -1 with (u, u')(-1) = (a, b) and evaluate both boundary
-functionals on the resulting trace (interior eta values come from the
-integrator's dense output, never from re-gridding).  ``damped_newton``, a
-Newton iteration with a forward-difference Jacobian and step-halving
-damping, drives both residuals below tolerance.  It is the one Newton loop
-in the package: forced solves here, the pseudo-arclength corrector and the
-from-infinity seeding in ``branching`` all run it on their own residual.
+The BVP is reduced to two residuals r-, r+ of z = (lam, a, b):
+``bvp_residual`` integrates the IVP from x = -1 with (u, u')(-1) = (a, b)
+and evaluates both boundary functionals on the resulting trace (interior
+eta values come from the integrator's dense output, never from
+re-gridding).  ``damped_newton``, a Newton iteration with a
+forward-difference Jacobian and step-halving damping, drives both residuals
+below tolerance.  It is the one Newton loop in the package: forced solves
+here, the pseudo-arclength corrector and the from-infinity seeding in
+``branching`` all run it on ``bvp_residual``, each in its own coordinates.
 
 Acceptance scale per side: 1 + |alpha0|*|u|_0 + |beta0|*|u'|_0.
 """
@@ -133,6 +134,8 @@ def _rhs(nl: NonlinearitySpec | None, h: ForcingTerm | None, lam: float):
     return rhs
 
 
+# A value of f that is not finite ends as a rejected step or divergence; numpy need not warn.
+@np.errstate(all="ignore")
 def integrate_ivp(
     nl: NonlinearitySpec | None,
     h: ForcingTerm | None,
@@ -196,40 +199,18 @@ def bc_residual_on_trace(side: BoundarySide, trace) -> float:
     return side.residual(trace.eval)
 
 
-def side_scale(side: BoundarySide, trace) -> float:
-    return side.scale(trace.sup_u(), trace.sup_uprime())
-
-
-def shooting_residuals(
-    spec: ProblemSpec,
-    nl: NonlinearitySpec | None,
-    h: ForcingTerm | None,
-    lam: float,
-    a: float,
-    b: float,
-) -> tuple[float, float, IntegratedTrace]:
-    trace = integrate_ivp(nl, h, lam, a, b)
-    return (
-        bc_residual_on_trace(spec.minus, trace),
-        bc_residual_on_trace(spec.plus, trace),
-        trace,
-    )
-
-
-def scaled_residuals(
-    spec: ProblemSpec,
-    nl: NonlinearitySpec | None,
-    h: ForcingTerm | None,
-    lam: float,
-    a: float,
-    b: float,
-) -> tuple[float, float, IntegratedTrace, float, float, float]:
-    """(r-, r+, trace, s-, s+, err): residuals, their acceptance scales and
-    the scaled error err = max(|r-|/s-, |r+|/s+)."""
-    rm, rp, trace = shooting_residuals(spec, nl, h, lam, a, b)
-    sm = side_scale(spec.minus, trace)
-    sp = side_scale(spec.plus, trace)
-    return rm, rp, trace, sm, sp, max(abs(rm) / sm, abs(rp) / sp)
+def bvp_residual(spec: ProblemSpec, nl: NonlinearitySpec | None, h: ForcingTerm | None, z):
+    """(F, err, payload) of -u'' = lam*f(u) + h at z = (lam, a, b), the form
+    ``damped_newton`` takes: F = (r-, r+) on the IVP trace from (u, u')(-1)
+    = (a, b), err = max(|r-|/s-, |r+|/s+) with the acceptance scales
+    ``BoundarySide.scale``, and payload = (r-, r+, trace, s-, s+)."""
+    trace = integrate_ivp(nl, h, *z)
+    rm = spec.minus.residual(trace.eval)
+    rp = spec.plus.residual(trace.eval)
+    sup_u, sup_up = trace.sup_u(), trace.sup_uprime()
+    sm = spec.minus.scale(sup_u, sup_up)
+    sp = spec.plus.scale(sup_u, sup_up)
+    return np.array([rm, rp]), max(abs(rm) / sm, abs(rp) / sp), (rm, rp, trace, sm, sp)
 
 
 def collocation_residual(
@@ -340,7 +321,7 @@ def solve_bvp(
     lam: float,
     initial_guess: ShootingState | tuple[float, float],
 ) -> SampledSolution:
-    """Damped Newton on (a, b) -> (r-, r+) at fixed lam.
+    """Damped Newton on ``bvp_residual`` in (a, b) at fixed lam.
 
     Newton runs to 0.5*RESIDUAL_TOL, so the returned solution keeps a
     margin for the integration error and still meets RESIDUAL_TOL when it
@@ -355,27 +336,22 @@ def solve_bvp(
         initial_guess = (initial_guess.a, initial_guess.b)
 
     def residual(z):
-        rm, rp, trace, sm, sp, err = scaled_residuals(spec, nl, h, lam, z[0], z[1])
-        if trace.sup_u() > AMPLITUDE_RUNAWAY:
+        F, err, payload = bvp_residual(spec, nl, h, z)
+        if payload[2].sup_u() > AMPLITUDE_RUNAWAY:
             raise NoConvergence(math.inf, "amplitude runaway (possible resonance)")
-        return np.array([rm, rp]), err, (rm, rp, trace, sm, sp)
+        return F, err, payload
 
-    z, payload = damped_newton(residual, initial_guess, (0, 1), 0.5 * RESIDUAL_TOL,
+    z, payload = damped_newton(residual, (lam, *initial_guess), (1, 2), 0.5 * RESIDUAL_TOL,
                                NEWTON_MAX_ITER, NEWTON_MAX_HALVINGS, cond_limit=JACOBIAN_COND_LIMIT)
-    return _package(spec, nl, h, lam, z[0], z[1], *payload)
-
-
-def _package(spec, nl, h, lam, a, b, rm, rp, trace, sm, sp) -> SampledSolution:
-    state = ShootingState(a=a, b=b, lam=lam, residuals=(rm, rp))
+    rm, rp, trace, sm, sp = payload
     energy = None
     if h is None and nl is not None and trace.sup_u() > 0.0 and lam > 0.0:
         energy = nonlinear_energy_deviation(trace, nl, lam)
-    coll = collocation_residual(trace, nl, h, lam)
     return SampledSolution(
         trace=trace,
-        shooting=state,
+        shooting=ShootingState(a=z[1], b=z[2], lam=lam, residuals=(rm, rp)),
         energy_dev=energy,
-        collocation_residual=coll,
+        collocation_residual=collocation_residual(trace, nl, h, lam),
         scales=(sm, sp),
     )
 

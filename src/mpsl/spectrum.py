@@ -68,7 +68,7 @@ class SpectrumWindow:
 
 
 def _bc_rows(spec: ProblemSpec, lam: float):
-    """Rows (bc(c), bc(s)) for both sides, evaluating the pair once per point."""
+    """``BoundarySide.residual`` on (c, s) for both sides, one pair evaluation per point."""
     rows = []
     for side in spec.sides:
         c, cp, s, sp = _fundamental(lam, side.endpoint + 1.0)

@@ -406,3 +406,51 @@ def test_solve_ends_when_f_is_not_finite(f, code, tmp_path):
         assert min(float(r[1]) for r in rows) >= 0.0
     else:
         assert not (tmp_path / "solution.json").exists()
+
+
+# Nested about 200 levels deep, each of these used to end in a traceback:
+# RecursionError in the parser, and SyntaxError or MemoryError from Python's
+# compiler on the fully parenthesised source of f.
+@pytest.mark.parametrize("f", ["(" * 200 + "xi" + ")" * 200, "+".join(["xi"] * 250),
+                               "^".join(["xi"] * 250)], ids=["parentheses", "sum", "power-chain"])
+def test_deep_expression_exits_2(f, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, "nonlinearity": {"f": f, "f0": 1.0, "finf": 1.0}}))
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression nests deeper than") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("body", [None, "", "k,lambda,family,class_k,sign,bracket_lo,bracket_hi\nx,1.7,T,1,+,,\n"],
+                         ids=["missing-file", "empty-file", "non-numeric-k"])
+def test_classify_from_bad_spectrum_file_exits_2(body, problem_file, tmp_path, capsys):
+    path = tmp_path / "spectrum.csv"
+    if body is not None:
+        path.write_text(body)
+    assert main(["classify", problem_file, "--from", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: spectrum file {path}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-1", str(_SEARCH_CAP + 2), "100000000"])
+def test_reference_count_out_of_range_exits_2(count, problem_file, tmp_path, capsys):
+    argv = ["spectrum", problem_file, "--reference", "mixed", "--count", count, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --count must be in") and err.count("\n") == 1
+    assert not (tmp_path / "reference.csv").exists()
+
+
+# numpy warns about every value of f that is not finite; the integrator
+# already turns those into rejected steps or divergence.
+@pytest.mark.parametrize("f, code", [("xi/0", 3), ("xi^0.5", 0)], ids=["divide-by-zero", "sqrt"])
+def test_solve_prints_no_runtime_warning_when_f_is_not_finite(f, code, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**SELFTEST_PROBLEM, "nonlinearity": {"f": f, "f0": 4.0, "finf": 1.0}}))
+    src = os.path.dirname(os.path.dirname(mpsl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mpsl", "solve", str(path), "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.count("\n") == (0 if code == 0 else 1)

@@ -7,6 +7,7 @@ from mpsl.errors import ParseError, QuadratureError
 from mpsl.expressions import (
     F_BIG,
     F_SMALL,
+    MAX_DEPTH,
     BinOp,
     Call,
     ForcingTerm,
@@ -327,3 +328,18 @@ def test_certificate_linear_ratio_is_one_everywhere():
         cert = certify_hypotheses(nl, 1.0, direction)
         assert cert.passed and cert.sufficient_sign == "<=0"
         assert abs(cert.worst_ratio - 1.0) <= 1e-14
+
+
+DEEP_SHAPES = {
+    "parentheses": lambda n: "(" * n + "xi" + ")" * n,
+    "sum": lambda n: "+".join(["xi"] * n),
+    "power-chain": lambda n: "^".join(["xi"] * n),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_expression_at_the_depth_cap_compiles(shape):
+    node = parse_expr(DEEP_SHAPES[shape](MAX_DEPTH))
+    assert compile_callable(node, "xi")(0.5) == evaluate(node, xi=0.5)
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_expr(DEEP_SHAPES[shape](MAX_DEPTH + 1))

@@ -3,15 +3,17 @@ import math
 import pytest
 
 from mpsl.nodal import ClosedTrace, classify
+from mpsl.problem import BoundarySide
 from mpsl.reference import (
     ReferenceKind,
     _bracketed_root,
+    _sep_det,
     reference_bc_residuals,
     reference_eigenfunction,
     reference_eigenvalue,
     separated_eigenvalue,
 )
-from mpsl.trig import eval_solution, sup_norms
+from mpsl.trig import TrigSolution, eval_solution, sup_norms
 
 ROBIN_MINUS = (1.0, -1.0)
 ROBIN_PLUS = (1.0, 1.0)
@@ -212,3 +214,15 @@ def test_bracketed_root_falls_back_when_the_polish_leaves_the_bracket():
         return math.copysign(math.exp(-abs(d) / 0.6), d)
 
     assert abs(_bracketed_root(g, r - 0.5, r + 0.5, g(r - 0.5)) - r) <= 1e-12
+
+
+# _sep_det keeps its own copy of the plus-side functional for speed (the
+# Robin root search calls it dozens of times per eigenvalue); it must equal
+# BoundarySide.residual on the solution that meets the minus condition.
+@pytest.mark.parametrize("bc_minus", [(1.0, 0.0), (0.0, -1.0), (0.7, -1.3)])
+@pytest.mark.parametrize("bc_plus", [(1.0, 0.0), (0.0, 1.0), (2.0, 0.4)])
+def test_sep_det_equals_the_boundary_functional(bc_minus, bc_plus):
+    plus = BoundarySide(*bc_plus, side="plus")
+    for lam in (-2.0, 0.0, 0.3, 2.4674, 17.0, 900.5):
+        sol = TrigSolution(lam, -bc_minus[1], bc_minus[0])
+        assert _sep_det(bc_minus, bc_plus, lam) == plus.residual(sol)

@@ -11,12 +11,12 @@ from mpsl.shooting import (
     IVP_ATOL,
     IVP_RTOL,
     IntegratedTrace,
+    bvp_residual,
     collocation_residual,
     damped_newton,
     integrate_ivp,
     nonlinear_energy_deviation,
     nonresonance_check,
-    shooting_residuals,
     solve_bvp,
     solve_bvp_multistart,
 )
@@ -118,12 +118,10 @@ def test_shooting_jacobian_conditioning_near_spectrum(half_u0_spec):
     # For f = xi the shooting Jacobian degenerates exactly on the spectrum:
     # near lam_0 its condition number dwarfs the mid-gap value.
     def jac_cond(lam):
-        base = shooting_residuals(half_u0_spec, LIN, None, lam, 0.3, 0.4)[:2]
+        base = bvp_residual(half_u0_spec, LIN, None, (lam, 0.3, 0.4))[0]
         J = np.empty((2, 2))
         for col, d in enumerate(((1e-6, 0.0), (0.0, 1e-6))):
-            r = shooting_residuals(
-                half_u0_spec, LIN, None, lam, 0.3 + d[0], 0.4 + d[1]
-            )[:2]
+            r = bvp_residual(half_u0_spec, LIN, None, (lam, 0.3 + d[0], 0.4 + d[1]))[0]
             J[:, col] = [(r[0] - base[0]) / 1e-6, (r[1] - base[1]) / 1e-6]
         return np.linalg.cond(J)
 

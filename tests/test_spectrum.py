@@ -10,6 +10,7 @@ from mpsl.problem import LEVEL_QUADRATIC, BoundarySide, ProblemSpec, level_at_le
 from mpsl.spectrum import (
     SCAN_MAX_POINTS,
     SCAN_STEP_OMEGA,
+    _bc_rows,
     char_det,
     char_det_scale,
     continuation_spectrum,
@@ -18,6 +19,7 @@ from mpsl.spectrum import (
     robin_anchor,
 )
 from mpsl.shooting import default_guesses
+from mpsl.trig import TrigSolution
 
 
 def bisect_half_u0_ground() -> float:
@@ -261,3 +263,17 @@ def test_robin_anchor_errors(exc, caught, half_u0_spec, monkeypatch):
             eigen_scan(half_u0_spec, 12.0)
         with pytest.raises(TypeError):
             default_guesses(half_u0_spec)
+
+
+# _bc_rows is Gamma's hot path and keeps its own copy of the boundary
+# functional, sharing each fundamental-pair evaluation between the c and s
+# columns; it must equal BoundarySide.residual on c and on s.
+def test_bc_rows_equal_the_boundary_functional_on_c_and_s():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        spec = random_spec(rng)
+        for lam in (-3.7, 0.0, 1e-12, 2.5, 81.0, 1234.5):
+            rows = _bc_rows(spec, lam)
+            for side, (rc, rs) in zip(spec.sides, rows):
+                assert rc == side.residual(TrigSolution(lam, 1.0, 0.0))
+                assert rs == side.residual(TrigSolution(lam, 0.0, 1.0))
