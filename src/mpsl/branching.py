@@ -42,7 +42,7 @@ from .shooting import (
     nonlinear_energy_deviation,
     solve_bvp,
 )
-from .spectrum import Eigenpair, continuation_spectrum, eigen_continuation
+from .spectrum import CONTINUATION_K_MAX, Eigenpair, continuation_spectrum, eigen_continuation
 
 AMPLITUDE_CAP = 1e6
 POINT_BUDGET = 10000
@@ -96,30 +96,29 @@ class Branch:
         return [p.amplitude for p in self.points]
 
 
-def _make_point(nl: NonlinearitySpec, z, payload, arclength) -> BranchPoint:
-    lam, a, b = z
-    rm, rp, trace, sm, sp = payload
-    amplitude = trace.sup_u()
+def _make_point(nl: NonlinearitySpec, sol: SampledSolution, arclength) -> BranchPoint:
+    lam = sol.shooting.lam
+    amplitude = sol.amplitude
     memberships: tuple[NodalClass, ...] = ()
     if amplitude > 0.0:
         try:
-            memberships = tuple(classify(trace).memberships)
+            memberships = tuple(classify(sol.trace).memberships)
         except NumericError:
             memberships = ()
     energy = None
     if lam > 0.0 and amplitude > 0.0:
         try:
-            energy = nonlinear_energy_deviation(trace, nl, lam)
+            energy = nonlinear_energy_deviation(sol.trace, nl, lam)
         except NumericError:
             energy = None
     return BranchPoint(
         lam=lam,
-        shooting=ShootingState(a=a, b=b, lam=lam, residuals=(rm, rp)),
+        shooting=sol.shooting,
         amplitude=amplitude,
         nodal=memberships,
         arclength=arclength,
         energy_dev=energy,
-        scales=(sm, sp),
+        scales=sol.scales,
     )
 
 
@@ -132,8 +131,8 @@ def _corrector(spec, nl, z_pred, tau, weights):
     wtau = weights * tau
 
     def residual(z):
-        F, err, payload = bvp_residual(spec, nl, None, z)
-        return np.append(F, float(np.dot(weights * (z - z_pred), wtau))), err, payload
+        F, err, sol = bvp_residual(spec, nl, None, z)
+        return np.append(F, float(np.dot(weights * (z - z_pred), wtau))), err, sol
 
     return damped_newton(residual, z_pred, (0, 1, 2), RESIDUAL_TOL, CORRECTOR_MAX_ITER, MAX_HALVINGS)
 
@@ -181,11 +180,11 @@ def _continue_branch(
                     branch.termination = TERM_SECONDARY
                     return
                 ds = max(DS_MIN, 0.5 * ds)
-        z_new, payload = accepted
+        z_new, sol = accepted
         arclength = branch.points[-1].arclength + float(
             np.linalg.norm((z_new - z) * weights)
         )
-        point = _make_point(nl, z_new, payload, arclength)
+        point = _make_point(nl, sol, arclength)
         prev_lam = z[0]
         z_prev, z = z, z_new
         branch.points.append(point)
@@ -227,7 +226,7 @@ def _trivial_targets(spec: ProblemSpec, nl: NonlinearitySpec, k: int, lambda_cap
     returned-to-trivial detection (windowed to a handful of indices)."""
     targets = []
     try:
-        pairs = continuation_spectrum(spec, k + 4)
+        pairs = continuation_spectrum(spec, min(k + 4, CONTINUATION_K_MAX))
         for ep in pairs:
             if ep.k != k and ep.lam / nl.f0 <= lambda_cap:
                 targets.append((ep.k, ep.lam / nl.f0))
@@ -296,10 +295,7 @@ def branch_from_zero(
     st = seed_sol.shooting
     z0 = np.array([lam_star, 0.0, 0.0])
     z1 = np.array([lam_star, st.a, st.b])
-    payload = (*st.residuals, seed_sol.trace, *seed_sol.scales)
-    branch.points.append(
-        _make_point(nl, z1, payload, arclength=float(np.linalg.norm(z1 - z0)))
-    )
+    branch.points.append(_make_point(nl, seed_sol, arclength=float(np.linalg.norm(z1 - z0))))
     _continue_branch(spec, nl, branch, ep, z0, z1, stop_at_lambda, amplitude_cap, point_budget)
     return branch
 
@@ -353,8 +349,8 @@ def branch_from_infinity(
     else:
         raise SeedFailure(f"from-infinity seeding failed starting at A={SEED_AMPLITUDE:g}")
 
-    branch.points.append(_make_point(nl, zb, big, 0.0))
-    branch.points.append(_make_point(nl, zs, shrunk, float(np.linalg.norm(zs - zb))))
+    branch.points.append(_make_point(nl, big, 0.0))
+    branch.points.append(_make_point(nl, shrunk, float(np.linalg.norm(zs - zb))))
     _continue_branch(spec, nl, branch, ep, zb, zs, stop_at_lambda, AMPLITUDE_CAP, point_budget)
     return branch
 
@@ -373,11 +369,9 @@ class AuditReport:
     detail: str = ""
 
 
-def branch_nodal_audit(
-    branch: Branch, lambda_gate: float, family: str | None = None,
-    certified_side: str | None = None,
-) -> AuditReport:
-    """Check nodal-class constancy on the certified side of the gate.
+def branch_nodal_audit(branch: Branch, lambda_gate: float, family: str | None = None) -> AuditReport:
+    """Check nodal-class constancy on the certified side of the gate, the
+    side of the branch's origin.
 
     The baseline is the first nontrivial point's membership in the audited
     family; every gated point must repeat it.  Violations are legitimate
@@ -386,8 +380,7 @@ def branch_nodal_audit(
     pts = [p for p in branch.points if p.amplitude > 0.0]
     if not pts:
         return AuditReport(True, family or "", None, 0, None, "empty branch")
-    if certified_side is None:
-        certified_side = "below" if branch.origin_lambda < lambda_gate else "above"
+    below = branch.origin_lambda < lambda_gate
 
     baseline = None
     fam = family
@@ -404,7 +397,7 @@ def branch_nodal_audit(
 
     audited = 0
     for i, p in enumerate(pts):
-        gated = p.lam < lambda_gate if certified_side == "below" else p.lam > lambda_gate
+        gated = p.lam < lambda_gate if below else p.lam > lambda_gate
         if not gated:
             continue
         audited += 1
@@ -548,7 +541,7 @@ def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutions
 
 def _check_uniqueness(spec, k, family, class_index, lam_window) -> None:
     try:
-        pairs = continuation_spectrum(spec, max(k + 3, 6))
+        pairs = continuation_spectrum(spec, min(max(k + 3, 6), CONTINUATION_K_MAX))
     except NumericError:
         raise HypothesisReport("eigenfunction uniqueness", "could not compute the window")
     for epj in pairs:

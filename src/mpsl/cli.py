@@ -107,10 +107,10 @@ def _section(extras: dict, name: str, expr_key: str, keys: set) -> dict | None:
     return section
 
 
-def _nonlinearity(extras: dict) -> NonlinearitySpec | None:
+def _nonlinearity(extras: dict, command: str) -> NonlinearitySpec:
     section = _section(extras, "nonlinearity", "f", {"f", "f0", "finf"})
     if section is None:
-        return None
+        raise ProblemDataError(f"{command} needs a 'nonlinearity' section in the problem file")
     try:
         f0, finf = (None if section.get(key) is None else float(section[key]) for key in ("f0", "finf"))
     except (TypeError, ValueError, OverflowError) as exc:
@@ -348,10 +348,8 @@ def _solution_files(args, sol, tag: str, extra: dict) -> None:
 
 def cmd_solve(args) -> int:
     spec, extras = _load(args.problem)
-    nl = _nonlinearity(extras)
+    nl = _nonlinearity(extras, "solve")
     h = _forcing(extras)
-    if nl is None:
-        raise ProblemDataError("solve needs a 'nonlinearity' section in the problem file")
     verdict = nonresonance_check(spec, nl)
     sol = solve_bvp_multistart(spec, nl, h, args.lam)
     _solution_files(args, sol, "solution", {
@@ -381,15 +379,12 @@ def _branch_files(args, branch, tag: str) -> None:
     reporting.bifurcation_diagram_svg(
         os.path.join(args.out, f"{tag}.svg"),
         [(tag, branch.lambdas(), branch.amplitudes())],
-        gate=1.0,
     )
 
 
 def cmd_branch(args) -> int:
     spec, extras = _load(args.problem)
-    nl = _nonlinearity(extras)
-    if nl is None:
-        raise ProblemDataError("branch needs a 'nonlinearity' section in the problem file")
+    nl = _nonlinearity(extras, "branch")
     signs = [args.sign] if args.sign else ["+", "-"]
     for k in _parse_k_range(args.k):
         for sign in signs:
@@ -405,9 +400,7 @@ def cmd_branch(args) -> int:
 
 def cmd_nodal_solve(args) -> int:
     spec, extras = _load(args.problem)
-    nl = _nonlinearity(extras)
-    if nl is None:
-        raise ProblemDataError("nodal-solve needs a 'nonlinearity' section in the problem file")
+    nl = _nonlinearity(extras, "nodal-solve")
     for k in _parse_k_range(args.k):
         res = nodal_solutions_at_one(spec, nl, k, eps_seed=args.eps_seed)
         for sign, sol in res.solutions.items():

@@ -40,7 +40,6 @@ from .problem import (
 )
 from .reference import ReferenceKind, reference_eigenvalue
 
-BOUNDARY_EQUALITY_WARN = 1e-9
 _SEARCH_CAP = 100000  # largest index an index search can return
 
 
@@ -79,17 +78,25 @@ class SideThresholds:
         return self.beta0_abs > self.sum_alpha / math.sqrt(lam) + self.sum_beta
 
 
+def _square(v: float) -> float:
+    """v**2, saturating to inf as an overflowing quotient already does."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
 def side_thresholds(side: BoundarySide) -> SideThresholds:
     a0 = side.alpha0
     b0 = abs(side.beta0)
     sa = side.sum_alpha
     sb = side.sum_beta
     if a0 > sa:
-        ud_max = math.inf if sb == 0.0 else ((a0 - sa) / sb) ** 2
+        ud_max = math.inf if sb == 0.0 else _square((a0 - sa) / sb)
     else:
         ud_max = None
-    u_min = (sa / (b0 - sb)) ** 2 if b0 > sb else None
-    J = math.inf if side.beta0 == 0.0 else (a0 / side.beta0) ** 2
+    u_min = _square(sa / (b0 - sb)) if b0 > sb else None
+    J = math.inf if side.beta0 == 0.0 else _square(a0 / side.beta0)
     return SideThresholds(
         side=side.side,
         lambda_ud_max=ud_max,
@@ -120,7 +127,6 @@ class CrossoverIndices:
     k_S: int | None
     k_TM: int | None
     k_SM: int | None
-    warnings: tuple[str, ...] = ()
 
 
 def _leading_count(pred) -> int:
@@ -198,22 +204,12 @@ def crossover_indices(spec: ProblemSpec) -> CrossoverIndices:
     th_p = side_thresholds(spec.plus)
     J_min = min(th_m.J, th_p.J)
     J_max = max(th_m.J, th_p.J)
-    warnings: list[str] = []
 
     k_T = _max_index_leq(_lam_n, J_min)
     k_S = _min_index_geq(_lam_d, J_max)
     # k_TM may come out -1 when lam_0^M > J_min.
     k_TM = _max_index_leq(_lam_m, J_min)
     k_SM = _min_index_geq(_lam_m, J_max)
-
-    for name, fn, idx, bound in (
-        ("k_T", _lam_n, k_T, J_min),
-        ("k_S", _lam_d, k_S, J_max),
-        ("k_TM", _lam_m, k_TM, J_min),
-        ("k_SM", _lam_m, k_SM, J_max),
-    ):
-        if idx is not None and idx >= 0 and abs(fn(idx) - bound) < BOUNDARY_EQUALITY_WARN:
-            warnings.append(f"{name}: reference eigenvalue within 1e-9 of J boundary")
 
     k_c: int | None = None
     single = _single_point_side(spec)
@@ -228,10 +224,6 @@ def crossover_indices(spec: ProblemSpec) -> CrossoverIndices:
             lam_rd = _ref_with_robin(single, "robin-dirichlet")
             # unique k >= -1 with lam_{k}^{RD} < J <= lam_{k+1}^{RD}
             k_c = _capped_count(lambda j: lam_rd(j) < J_mp, "k_c") - 1
-            if abs(lam_rd(k_c + 1) - J_mp) < BOUNDARY_EQUALITY_WARN or (
-                k_c >= 0 and abs(lam_rd(k_c) - J_mp) < BOUNDARY_EQUALITY_WARN
-            ):
-                warnings.append("k_c: J within 1e-9 of a reference eigenvalue")
 
     return CrossoverIndices(
         J_minus=th_m.J,
@@ -243,7 +235,6 @@ def crossover_indices(spec: ProblemSpec) -> CrossoverIndices:
         k_S=k_S,
         k_TM=k_TM,
         k_SM=k_SM,
-        warnings=tuple(warnings),
     )
 
 
@@ -278,12 +269,13 @@ class Prediction:
     def determinate(self) -> bool:
         return self.family is not None
 
-    def bracket_contains(self, lam: float, tol: float = 1e-9) -> bool:
+    def bracket_contains(self, lam: float) -> bool:
+        """lam in the open bracket; a bracket from 0 admits lam down to -1e-9."""
         if self.bracket is None:
             return False
         lo, hi = self.bracket
         if lo == 0.0:
-            return -tol <= lam < hi
+            return -1e-9 <= lam < hi
         return lo < lam < hi
 
 
@@ -419,7 +411,7 @@ def _predict_two_mp(spec, k, th_m, th_p, level) -> Prediction:
     return _indet(k, "between the T and S ranges; strengthened tests failed")
 
 
-def confirm_prediction(pred: Prediction, trace, tol: float = 1e-8) -> bool:
+def confirm_prediction(pred: Prediction, trace) -> bool:
     """Does a computed eigenfunction trace confirm a determinate prediction?
 
     Plain verdicts are checked by literal family membership (R verdicts in
@@ -429,8 +421,9 @@ def confirm_prediction(pred: Prediction, trace, tol: float = 1e-8) -> bool:
     zero counts, simplicity, interleaving — is checked as usual, with the
     pinned u'-zero of a Neumann end counted toward the T index.
     """
-    from .nodal import classify, interleaves, reflected_trace, zeros_of
+    from .nodal import DEFAULT_TOL, classify, interleaves, reflected_trace, zeros_of
 
+    tol = DEFAULT_TOL
     if not pred.determinate:
         raise ValueError("cannot confirm an indeterminate prediction")
     if pred.family == "R" and pred.mirrored:

@@ -322,11 +322,7 @@ def zeros_of(trace: FunctionTrace, which: str = "u", tol: float = DEFAULT_TOL) -
             raise UnresolvableZeros(
                 f"zeros of {which} at {za:.12g} and {zb:.12g} are unresolvably close"
             )
-    out = []
-    for z in xs:
-        simple = abs(deriv(z)) > tol * deriv_sup
-        out.append((z, simple))
-    return out
+    return [(z, bool(abs(deriv(z)) > tol * deriv_sup)) for z in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +356,7 @@ def interleaves(stations: list[float], zeros: list[float]) -> bool:
     return True
 
 
-def classify(
-    trace: FunctionTrace,
-    family_hint: str | None = None,
-    tol: float = DEFAULT_TOL,
-    spec=None,
-) -> ClassificationResult:
+def classify(trace: FunctionTrace, tol: float = DEFAULT_TOL, spec=None) -> ClassificationResult:
     """All S/T/R memberships of a trace (they are not mutually exclusive).
 
     Boundary data within tol (relative) of a family's degeneracy makes that
@@ -383,7 +374,6 @@ def classify(
 
     result = ClassificationResult()
     result.boundary = {"u(-1)": u_m, "u(1)": u_p, "uprime(-1)": up_m, "uprime(1)": up_p}
-    families = [family_hint] if family_hint else ["S", "T", "R"]
 
     zeros_u: list[tuple[float, bool]] | None = None
     zeros_up: list[tuple[float, bool]] | None = None
@@ -402,58 +392,55 @@ def classify(
             result.zeros_uprime = zeros_up
         return zeros_up
 
-    if "S" in families:
-        if min(abs(u_m), abs(u_p)) <= tol * sup_u:
-            result.status["S"] = ("unclassified", "boundary-degenerate")
+    if min(abs(u_m), abs(u_p)) <= tol * sup_u:
+        result.status["S"] = ("unclassified", "boundary-degenerate")
+    else:
+        zu = get_zeros_u()
+        if all(simple for _, simple in zu):
+            cls = NodalClass("S", len(zu), _sign(u_m))
+            result.status["S"] = ("member", cls)
+            result.memberships.append(cls)
         else:
-            zu = get_zeros_u()
-            if all(simple for _, simple in zu):
-                cls = NodalClass("S", len(zu), _sign(u_m))
-                result.status["S"] = ("member", cls)
+            result.status["S"] = ("unclassified", "nonsimple-zero")
+
+    if sup_up == 0.0 or min(abs(up_m), abs(up_p)) <= tol * sup_up:
+        result.status["T"] = ("unclassified", "boundary-degenerate")
+    else:
+        zup = get_zeros_up()
+        if not all(simple for _, simple in zup):
+            result.status["T"] = ("unclassified", "nonsimple-zero")
+        else:
+            reason = _t_obstruction([d for d, _ in zup], [z for z, _s in get_zeros_u()])
+            if reason is not None:
+                result.status["T"] = ("unclassified", reason)
+            else:
+                cls = NodalClass("T", len(zup), _sign(up_m))
+                result.status["T"] = ("member", cls)
                 result.memberships.append(cls)
-            else:
-                result.status["S"] = ("unclassified", "nonsimple-zero")
 
-    if "T" in families:
-        if sup_up == 0.0 or min(abs(up_m), abs(up_p)) <= tol * sup_up:
-            result.status["T"] = ("unclassified", "boundary-degenerate")
+    if sup_up == 0.0 or abs(up_m) <= tol * sup_up or abs(u_p) <= tol * sup_u:
+        result.status["R"] = ("unclassified", "boundary-degenerate")
+    else:
+        zu = get_zeros_u()
+        if not all(simple for _, simple in zu):
+            result.status["R"] = ("unclassified", "nonsimple-zero")
         else:
-            zup = get_zeros_up()
-            if not all(simple for _, simple in zup):
-                result.status["T"] = ("unclassified", "nonsimple-zero")
-            else:
-                reason = _t_obstruction([d for d, _ in zup], [z for z, _s in get_zeros_u()])
-                if reason is not None:
-                    result.status["T"] = ("unclassified", reason)
-                else:
-                    cls = NodalClass("T", len(zup), _sign(up_m))
-                    result.status["T"] = ("member", cls)
-                    result.memberships.append(cls)
-
-    if "R" in families:
-        if sup_up == 0.0 or abs(up_m) <= tol * sup_up or abs(u_p) <= tol * sup_u:
-            result.status["R"] = ("unclassified", "boundary-degenerate")
-        else:
-            zu = get_zeros_u()
-            if not all(simple for _, simple in zu):
-                result.status["R"] = ("unclassified", "nonsimple-zero")
-            else:
-                s = _sign(up_m)
-                # u(1)*sign > 0 wants k even, < 0 wants k odd; of the two
-                # admissible counts {z-1, z} exactly one has the right parity.
-                want_even = (u_p > 0.0) == (s == "+")
-                z = len(zu)
-                k = z if (z % 2 == 0) == want_even else z - 1
-                if k >= -1:
-                    cls = NodalClass("R", k, s, note="nonstandard" if k == -1 else "")
-                    result.status["R"] = ("member", cls)
-                    result.memberships.append(cls)
-                else:  # pragma: no cover - unreachable: z >= 0
-                    result.status["R"] = ("unclassified", "no-admissible-count")
+            s = _sign(up_m)
+            # u(1)*sign > 0 wants k even, < 0 wants k odd; of the two
+            # admissible counts {z-1, z} exactly one has the right parity.
+            want_even = (u_p > 0.0) == (s == "+")
+            z = len(zu)
+            k = z if (z % 2 == 0) == want_even else z - 1
+            if k >= -1:
+                cls = NodalClass("R", k, s, note="nonstandard" if k == -1 else "")
+                result.status["R"] = ("member", cls)
+                result.memberships.append(cls)
+            else:  # pragma: no cover - unreachable: z >= 0
+                result.status["R"] = ("unclassified", "no-admissible-count")
 
     if spec is not None:
         result.satisfies_minus_bc, result.satisfies_plus_bc = (
-            abs(side.residual(trace.eval)) <= tol * side.scale(sup_u, sup_up)
+            bool(abs(side.residual(trace.eval)) <= tol * side.scale(sup_u, sup_up))
             for side in spec.sides
         )
     return result

@@ -70,10 +70,6 @@ class BoundarySide:
             )
 
     @property
-    def m(self) -> int:
-        return len(self.alpha)
-
-    @property
     def endpoint(self) -> float:
         return 1.0 if self.side == "plus" else -1.0
 
@@ -177,10 +173,6 @@ class ProblemSpec:
         """Computed hypothesis level; never user-asserted."""
         return _hypotheses(self)[0]
 
-    @property
-    def is_neumann_type(self) -> bool:
-        return self.minus.is_neumann_type and self.plus.is_neumann_type
-
     def multipoint_sides(self) -> list[BoundarySide]:
         return [s for s in self.sides if not s.interior_is_zero()]
 
@@ -195,12 +187,6 @@ class ValidationReport:
     linear_ok: bool = False
     side_types: dict = field(default_factory=dict)
     problem_type: str = ""
-
-    def errors(self) -> list[str]:
-        return [text for sev, text in self.messages if sev == "error"]
-
-    def warnings(self) -> list[str]:
-        return [text for sev, text in self.messages if sev == "warning"]
 
 
 def _side_hypotheses(side: BoundarySide, messages: list) -> tuple[bool, bool]:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ProblemDataError
+from .errors import BracketLost, ProblemDataError
 from .problem import BoundarySide
 from .trig import TrigSolution, _fundamental, normalized
 
@@ -176,7 +176,7 @@ def _separated_eigenvalue_cached(bc_minus, bc_plus, k: int) -> float:
     if fb == 0.0:
         return b
     if fa * fb > 0.0:
-        raise ArithmeticError(
+        raise BracketLost(
             f"separated eigenvalue bracket [{lo:.6g}, {hi:.6g}] lost its sign change"
         )
     return _bracketed_root(lambda lam: _sep_det(bc_minus, bc_plus, lam), a, b, fa)

@@ -51,15 +51,7 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def write_json(path: str, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
-
-
-def _json_default(v):
-    if isinstance(v, float):
-        return None if math.isnan(v) else v
-    if hasattr(v, "__dict__"):
-        return v.__dict__
-    return str(v)
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +94,19 @@ def _svg_frame(title: str, xlabel: str, ylabel: str, body: list[str]) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _curves(body: list[str], curves, xlim, ylim) -> None:
+    """Append each (label, xs, ys) curve as a polyline with its legend entry."""
+    for i, (label, xs, ys) in enumerate(curves):
+        color = _PALETTE[i % len(_PALETTE)]
+        pts = _map_points(xs, ys, xlim, ylim)
+        body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>')
+        body.append(
+            f'<text x="{SVG_W - _MARGIN - 4:.0f}" y="{_MARGIN + 18 + 16 * i:.0f}" '
+            f'text-anchor="end" font-size="12" font-family="sans-serif" '
+            f'fill="{color}">{label}</text>'
+        )
+
+
 def eigenfunction_gallery_svg(path: str, curves: list[tuple[str, list[float], list[float]]]) -> None:
     """Curves (label, xs, us) on [-1, 1] with boundary markers at +-1."""
     ymax = 1.05 * max((max(abs(v) for v in us) for _, _, us in curves), default=1.0)
@@ -112,37 +117,21 @@ def eigenfunction_gallery_svg(path: str, curves: list[tuple[str, list[float], li
     for xb in (-1.0, 1.0):
         pts = _map_points([xb, xb], [-ymax, ymax], xlim, ylim)
         body.append(f'<polyline points="{pts}" fill="none" stroke="#bbb"/>')
-    for i, (label, xs, us) in enumerate(curves):
-        color = _PALETTE[i % len(_PALETTE)]
-        pts = _map_points(xs, us, xlim, ylim)
-        body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>')
-        body.append(
-            f'<text x="{SVG_W - _MARGIN - 4:.0f}" y="{_MARGIN + 18 + 16 * i:.0f}" '
-            f'text-anchor="end" font-size="12" font-family="sans-serif" '
-            f'fill="{color}">{label}</text>'
-        )
+    _curves(body, curves, xlim, ylim)
     atomic_write_text(path, _svg_frame("eigenfunction gallery", "x", "u(x)", body))
 
 
-def bifurcation_diagram_svg(path: str, branches: list[tuple[str, list[float], list[float]]],
-                            gate: float | None = None) -> None:
-    """Branches (label, lambdas, amplitudes) in the (lambda, |u|_0) plane."""
+def bifurcation_diagram_svg(path: str, branches: list[tuple[str, list[float], list[float]]]) -> None:
+    """Branches (label, lambdas, amplitudes) in the (lambda, |u|_0) plane,
+    with a dashed gate line at lambda = 1 when it is in range."""
     all_l = [l for _, ls, _ in branches for l in ls] or [0.0, 1.0]
     all_a = [a for _, _, as_ in branches for a in as_] or [0.0, 1.0]
     xlim = (min(all_l) - 0.05 * (max(all_l) - min(all_l) + 1e-9) - 1e-9,
             max(all_l) + 0.05 * (max(all_l) - min(all_l) + 1e-9) + 1e-9)
     ylim = (0.0, 1.05 * max(all_a) + 1e-9)
     body = []
-    if gate is not None and xlim[0] < gate < xlim[1]:
-        pts = _map_points([gate, gate], [ylim[0], ylim[1]], xlim, ylim)
+    if xlim[0] < 1.0 < xlim[1]:
+        pts = _map_points([1.0, 1.0], [ylim[0], ylim[1]], xlim, ylim)
         body.append(f'<polyline points="{pts}" fill="none" stroke="#999" stroke-dasharray="4 3"/>')
-    for i, (label, ls, as_) in enumerate(branches):
-        color = _PALETTE[i % len(_PALETTE)]
-        pts = _map_points(ls, as_, xlim, ylim)
-        body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>')
-        body.append(
-            f'<text x="{SVG_W - _MARGIN - 4:.0f}" y="{_MARGIN + 18 + 16 * i:.0f}" '
-            f'text-anchor="end" font-size="12" font-family="sans-serif" '
-            f'fill="{color}">{label}</text>'
-        )
+    _curves(body, branches, xlim, ylim)
     atomic_write_text(path, _svg_frame("bifurcation diagram", "lambda", "|u|_0", body))

@@ -16,7 +16,7 @@ Acceptance scale per side: 1 + |alpha0|*|u|_0 + |beta0|*|u'|_0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,15 +105,14 @@ class SampledSolution:
     energy_dev: float | None = None  # only defined for the h == 0 form
     collocation_residual: float = math.nan
     scales: tuple[float, float] = (1.0, 1.0)
-    meta: dict = field(default_factory=dict)
 
     @property
     def amplitude(self) -> float:
         return self.trace.sup_u()
 
-    def accepted(self, tol: float = RESIDUAL_TOL) -> bool:
+    def accepted(self) -> bool:
         r = self.shooting.residuals
-        return abs(r[0]) <= tol * self.scales[0] and abs(r[1]) <= tol * self.scales[1]
+        return abs(r[0]) <= RESIDUAL_TOL * self.scales[0] and abs(r[1]) <= RESIDUAL_TOL * self.scales[1]
 
 
 def _rhs(nl: NonlinearitySpec | None, h: ForcingTerm | None, lam: float):
@@ -200,17 +199,20 @@ def bc_residual_on_trace(side: BoundarySide, trace) -> float:
 
 
 def bvp_residual(spec: ProblemSpec, nl: NonlinearitySpec | None, h: ForcingTerm | None, z):
-    """(F, err, payload) of -u'' = lam*f(u) + h at z = (lam, a, b), the form
+    """(F, err, solution) of -u'' = lam*f(u) + h at z = (lam, a, b), the form
     ``damped_newton`` takes: F = (r-, r+) on the IVP trace from (u, u')(-1)
     = (a, b), err = max(|r-|/s-, |r+|/s+) with the acceptance scales
-    ``BoundarySide.scale``, and payload = (r-, r+, trace, s-, s+)."""
-    trace = integrate_ivp(nl, h, *z)
+    ``BoundarySide.scale``, and the ``SampledSolution`` holding the trace,
+    ``ShootingState(a, b, lam, (r-, r+))`` and (s-, s+)."""
+    lam, a, b = z
+    trace = integrate_ivp(nl, h, lam, a, b)
     rm = spec.minus.residual(trace.eval)
     rp = spec.plus.residual(trace.eval)
     sup_u, sup_up = trace.sup_u(), trace.sup_uprime()
     sm = spec.minus.scale(sup_u, sup_up)
     sp = spec.plus.scale(sup_u, sup_up)
-    return np.array([rm, rp]), max(abs(rm) / sm, abs(rp) / sp), (rm, rp, trace, sm, sp)
+    sol = SampledSolution(trace, ShootingState(a, b, lam, (rm, rp)), scales=(sm, sp))
+    return np.array([rm, rp]), max(abs(rm) / sm, abs(rp) / sp), sol
 
 
 def collocation_residual(
@@ -319,7 +321,7 @@ def solve_bvp(
     nl: NonlinearitySpec | None,
     h: ForcingTerm | None,
     lam: float,
-    initial_guess: ShootingState | tuple[float, float],
+    initial_guess: tuple[float, float],
 ) -> SampledSolution:
     """Damped Newton on ``bvp_residual`` in (a, b) at fixed lam.
 
@@ -332,28 +334,18 @@ def solve_bvp(
     can be driven down by inflating the iterate along the kernel, which is
     not a solution.
     """
-    if isinstance(initial_guess, ShootingState):
-        initial_guess = (initial_guess.a, initial_guess.b)
-
     def residual(z):
-        F, err, payload = bvp_residual(spec, nl, h, z)
-        if payload[2].sup_u() > AMPLITUDE_RUNAWAY:
+        F, err, sol = bvp_residual(spec, nl, h, z)
+        if sol.amplitude > AMPLITUDE_RUNAWAY:
             raise NoConvergence(math.inf, "amplitude runaway (possible resonance)")
-        return F, err, payload
+        return F, err, sol
 
-    z, payload = damped_newton(residual, (lam, *initial_guess), (1, 2), 0.5 * RESIDUAL_TOL,
-                               NEWTON_MAX_ITER, NEWTON_MAX_HALVINGS, cond_limit=JACOBIAN_COND_LIMIT)
-    rm, rp, trace, sm, sp = payload
-    energy = None
-    if h is None and nl is not None and trace.sup_u() > 0.0 and lam > 0.0:
-        energy = nonlinear_energy_deviation(trace, nl, lam)
-    return SampledSolution(
-        trace=trace,
-        shooting=ShootingState(a=z[1], b=z[2], lam=lam, residuals=(rm, rp)),
-        energy_dev=energy,
-        collocation_residual=collocation_residual(trace, nl, h, lam),
-        scales=(sm, sp),
-    )
+    _, sol = damped_newton(residual, (lam, *initial_guess), (1, 2), 0.5 * RESIDUAL_TOL,
+                           NEWTON_MAX_ITER, NEWTON_MAX_HALVINGS, cond_limit=JACOBIAN_COND_LIMIT)
+    if h is None and nl is not None and sol.amplitude > 0.0 and lam > 0.0:
+        sol.energy_dev = nonlinear_energy_deviation(sol.trace, nl, lam)
+    sol.collocation_residual = collocation_residual(sol.trace, nl, h, lam)
+    return sol
 
 
 def default_guesses(spec: ProblemSpec) -> list[tuple[float, float]]:

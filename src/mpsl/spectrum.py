@@ -27,6 +27,9 @@ from .trig import TrigSolution, _fundamental, bc_functional, normalized
 
 SCAN_STEP_OMEGA = min(0.25, (math.pi / 2.0) / 8.0)
 SCAN_MAX_POINTS = 10_000  # positive scan grid ceiling: lambda_max <= ~3.9e6
+# Largest index continuation takes: sqrt(lam_k) >= k*pi/2, so past it lam_k
+# lies beyond the scan ceiling (1250 with the constants above).
+CONTINUATION_K_MAX = round(SCAN_MAX_POINTS * SCAN_STEP_OMEGA / (math.pi / 2.0))
 LAMBDA_MIN_GUARD = 25.0
 SIMPLE_DET_TOL = 1e-8  # |dGamma/dlam| below this * scale flags "possibly non-simple"
 ROOT_SEPARATION = 1e-8
@@ -150,12 +153,8 @@ def robin_anchor(spec: ProblemSpec, k: int) -> float:
 ANCHOR_ERRORS = (ProblemDataError, ArithmeticError)
 
 
-def eigen_scan(
-    spec: ProblemSpec,
-    lambda_max: float,
-    lambda_min_guard: float = LAMBDA_MIN_GUARD,
-) -> SpectrumWindow:
-    """All roots of Gamma in (-lambda_min_guard, lambda_max] by sign-change scan.
+def eigen_scan(spec: ProblemSpec, lambda_max: float) -> SpectrumWindow:
+    """All roots of Gamma in (-LAMBDA_MIN_GUARD, lambda_max] by sign-change scan.
 
     The grid is uniform in sqrt(|lam|) so the (asymptotically pi/2-spaced)
     roots are sampled several times per gap; each bracket is refined by
@@ -174,7 +173,7 @@ def eigen_scan(
             f"(largest allowed {(SCAN_MAX_POINTS * SCAN_STEP_OMEGA) ** 2:.6g})"
         )
     grid = []
-    mu = math.sqrt(max(lambda_min_guard, 0.0))
+    mu = math.sqrt(LAMBDA_MIN_GUARD)
     while mu > 0.0:
         grid.append(-mu * mu)
         mu -= SCAN_STEP_OMEGA
@@ -261,9 +260,13 @@ def continuation_spectrum(spec: ProblemSpec, k_max: int, k_lo: int = 0) -> list[
 
     The t step starts at DT_INIT, halves on a corrector failure or when two
     paths come closer than NEIGHBOR_MARGIN, and breaks down below DT_MIN.
+    A k_max past CONTINUATION_K_MAX raises ProblemDataError.
     """
     if k_max < k_lo or k_lo < 0:
         raise ValueError("bad index range")
+    if k_max > CONTINUATION_K_MAX:
+        raise ProblemDataError(f"k = {k_max} is past the largest index continuation takes, "
+                               f"{CONTINUATION_K_MAX} (the scan ceiling)")
     if not level_at_least(spec.hypothesis_level, LEVEL_QUADRATIC):
         raise HypothesisError(
             "eigenvalue continuation requires the squared-fraction hypothesis level"

@@ -3,16 +3,19 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mpsl
 from mpsl import nodal
 from mpsl.cli import SELFTEST_PROBLEM, _parse_k_range, main
 from mpsl.conditions import _SEARCH_CAP
-from mpsl.spectrum import SCAN_MAX_POINTS, SCAN_STEP_OMEGA
+from mpsl.spectrum import CONTINUATION_K_MAX, SCAN_MAX_POINTS, SCAN_STEP_OMEGA
 
 HALF_U0 = {
     "minus": {"alpha0": 1.0, "beta0": 0.0, "alpha": [], "beta": [], "eta": []},
@@ -454,3 +457,112 @@ def test_solve_prints_no_runtime_warning_when_f_is_not_finite(f, code, tmp_path)
     assert proc.returncode == code
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr.count("\n") == (0 if code == 0 else 1)
+
+
+def _flags(classification: dict) -> list:
+    pairs = classification["zeros_u"] + classification["zeros_uprime"]
+    return [s for _, s in pairs] + [classification["satisfies_minus_bc"], classification["satisfies_plus_bc"]]
+
+
+def test_json_flags_are_booleans(tmp_path):
+    # Sampled traces yield numpy bools; each flag must still load as a JSON boolean.
+    prob = {**HALF_U0, "nonlinearity": NONLINEAR, "forcing": {"h": "x"}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(prob))
+    xs = np.linspace(-1.0, 1.0, 2001)
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("x,u,uprime\n" + "".join(
+        f"{x!r},{math.cos(math.pi * (x + 1) / 2)!r},{-math.pi / 2 * math.sin(math.pi * (x + 1) / 2)!r}\n"
+        for x in xs.tolist()))
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == 0
+    solved = _flags(json.loads((tmp_path / "solution.json").read_text())["classification"])
+    assert main(["classify", "--trace", str(trace_path), str(path), "--out", str(tmp_path)]) == 0
+    traced = _flags(json.loads((tmp_path / "classify.json").read_text())["classification"])
+    assert solved[:-2] and all(type(s) is bool for s in solved[:-2]) and solved[-2:] == [None, None]
+    assert len(traced) > 2 and all(type(s) is bool for s in traced)
+
+
+# alpha0/beta0 = 1e285 on the plus side: its square overflows a float.
+EXTREME = {"minus": {"alpha0": 1.0, "beta0": 0.0}, "plus": {"alpha0": 1e300, "beta0": 1e15}}
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["validate"], 0, ""),
+    (["predict", "--k", "0..3"], 0, ""),
+    (["spectrum"], 0, ""),
+    (["classify", "--k", "0"], 3, "numeric failure: separated eigenvalue bracket [0, 2.4674] lost its sign change\n"),
+], ids=["validate", "predict", "spectrum", "classify"])
+def test_extreme_coefficients_exit_with_a_documented_code(argv, code, err, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(EXTREME))
+    assert main([argv[0], str(path), *argv[1:], "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_predict_saturates_an_overflowing_crossover(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(EXTREME))
+    assert main(["predict", str(path), "--k", "0", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "predict.json").read_text())["predictions"]["0"]["theorem"] == "T-all"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--k", "100000"],
+    ["branch", "--k", "100000", "--sign", "+"],
+    ["nodal-solve", "--k", "100000"],
+], ids=["classify", "branch", "nodal-solve"])
+def test_k_past_the_continuation_ceiling_exits_2_at_once(argv, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(SELFTEST_PROBLEM))
+    src = os.path.dirname(os.path.dirname(mpsl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mpsl", argv[0], str(path), *argv[1:], "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: k = 100000 is past the largest index continuation takes, "
+                           f"{CONTINUATION_K_MAX} (the scan ceiling)\n")
+
+
+# Exit-code fuzz over problem dicts: each drawn case must end in a documented
+# exit code, with no exception out of main, under 1 s.  Non-numbers come up
+# about one draw in thirty, and half the endpoint pairs get the side's sign
+# convention, so that many problems get past validation.
+NUMBERS = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 1e-300, 1e300, -1e300, 1e15]
+COEFFICIENTS = st.sampled_from(NUMBERS * 8 + ["a", None, [1.0]])
+ETAS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])  # the endpoints and interior points
+
+
+@st.composite
+def fuzz_side(draw, sign):
+    alpha0, beta0 = draw(COEFFICIENTS), draw(COEFFICIENTS)
+    if draw(st.booleans()) and all(isinstance(v, float) for v in (alpha0, beta0)):
+        alpha0, beta0 = abs(alpha0), sign * abs(beta0)
+    m = draw(st.integers(0, 2))
+    return {"alpha0": alpha0, "beta0": beta0,
+            "alpha": draw(st.lists(COEFFICIENTS, min_size=m, max_size=m)),
+            "beta": draw(st.lists(COEFFICIENTS, min_size=m, max_size=m)),
+            "eta": draw(st.lists(ETAS, min_size=m, max_size=m))}
+
+
+FUZZ_ARGV = st.sampled_from([
+    ["validate"],
+    ["spectrum", "--lambda-max", "40"],
+    ["spectrum", "--lambda-max", "400"],
+    ["predict", "--k", "0..10"],
+    ["predict", "--k", "250"],
+    ["classify", "--k", "0..3"],
+])
+
+
+@settings(derandomize=True, max_examples=300, deadline=1000)
+@given(problem=st.fixed_dictionaries({"minus": fuzz_side(-1.0), "plus": fuzz_side(1.0)}), argv=FUZZ_ARGV)
+@example(problem=EXTREME, argv=["validate"])
+@example(problem=EXTREME, argv=["spectrum", "--lambda-max", "40"])
+@example(problem=EXTREME, argv=["predict", "--k", "0..10"])
+@example(problem=EXTREME, argv=["classify", "--k", "0..3"])
+def test_fuzzed_problems_exit_with_a_documented_code(problem, argv):
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "p.json")
+        with open(path, "w") as fh:
+            json.dump(problem, fh)
+        assert main([argv[0], path, *argv[1:], "--out", out]) in (0, 2, 3, 4)

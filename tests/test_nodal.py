@@ -146,11 +146,6 @@ def test_classify_R_nonstandard_minus_one():
     assert m is not None and m.k == -1 and m.note == "nonstandard"
 
 
-def test_classify_family_hint():
-    result = classify(closed(math.pi**2 / 4, 1.0, 0.0), family_hint="S")
-    assert set(result.status) == {"S"}
-
-
 def test_T_interleaving_condition():
     # sin over two full periods: u' zeros interleaved by u zeros.
     result = classify(closed((2 * math.pi) ** 2, 0.0, 1.0))

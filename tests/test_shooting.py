@@ -11,6 +11,7 @@ from mpsl.shooting import (
     IVP_ATOL,
     IVP_RTOL,
     IntegratedTrace,
+    SampledSolution,
     bvp_residual,
     collocation_residual,
     damped_newton,
@@ -112,6 +113,16 @@ def test_solve_bvp_forced_resonance_fails(half_u0_spec):
     h = ForcingTerm.from_text("1")
     with pytest.raises((SingularSystem, NoConvergence)):
         solve_bvp(half_u0_spec, LIN, h, ep.lam, (0.3, 0.4))
+
+
+def test_bvp_residual_returns_the_solution_record(half_u0_spec):
+    F, err, sol = bvp_residual(half_u0_spec, LIN, None, np.array([2.0, 0.3, 0.4]))
+    assert isinstance(sol, SampledSolution)
+    assert (sol.shooting.lam, sol.shooting.a, sol.shooting.b) == (2.0, 0.3, 0.4)
+    assert sol.shooting.residuals == tuple(F)
+    assert err == max(abs(r) / s for r, s in zip(F, sol.scales))
+    assert sol.scales == tuple(side.scale(sol.trace.sup_u(), sol.trace.sup_uprime())
+                               for side in half_u0_spec.sides)
 
 
 def test_shooting_jacobian_conditioning_near_spectrum(half_u0_spec):

@@ -232,9 +232,8 @@ def test_scan_guard_window_includes_negatives():
         minus=BoundarySide(1.0, 1.0, side="minus"),  # sign violated
         plus=BoundarySide(1.0, 0.0, side="plus"),
     )
-    # with a tiny guard the negative root (~ -0.9166) is outside the window
-    assert all(ep.lam > 0 for ep in eigen_scan(spec, 10.0, lambda_min_guard=0.5).eigenpairs)
-    assert any(ep.negative for ep in eigen_scan(spec, 10.0, lambda_min_guard=25.0).eigenpairs)
+    # the negative root (~ -0.9166) lies inside the (-LAMBDA_MIN_GUARD, 0) window
+    assert any(ep.negative for ep in eigen_scan(spec, 10.0).eigenpairs)
 
 
 def test_eigen_scan_rejects_lambda_max_above_grid_ceiling(half_u0_spec):
