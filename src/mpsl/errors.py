@@ -82,11 +82,6 @@ class NoCrossing(NumericError):
         super().__init__("branch terminated without crossing" + (f": {detail}" if detail else ""))
 
 
-class BracketLost(NumericError, ArithmeticError):
-    """A root bracket of a reference eigenvalue has no sign change at the
-    float precision of its coefficients."""
-
-
 class UnresolvableZeros(NumericError):
     """Zero cluster too tight to resolve (signals a tangency)."""
 

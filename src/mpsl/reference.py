@@ -10,6 +10,11 @@ comparison brackets used by the nodal theorems:
     Robin kinds    transcendental roots, one per window
                    [(k*pi/2)^2, ((k+1)*pi/2)^2]
 
+A Robin eigenvalue is the root in w = sqrt(lam) of its Prüfer phase
+equation, 2w + theta_minus(w) + theta_plus(w) = (k+1)*pi with
+theta_pm(w) = atan2(w*|beta0|, alpha0): the left side increases strictly
+in w, so the root is never lost, however far the ratio alpha0/beta0 goes.
+
 Sentinel extensions (definitions, not eigenvalues): index -1 for the
 Robin-Dirichlet and mixed families and indices -2, -1 for the Dirichlet
 family all map to 0.
@@ -21,9 +26,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BracketLost, ProblemDataError
+from .errors import ProblemDataError
 from .problem import BoundarySide
-from .trig import TrigSolution, _fundamental, normalized
+from .trig import TrigSolution, normalized
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -81,11 +86,14 @@ class ReferenceKind:
 def _normalize_pair(pair: tuple[float, float], side: str) -> tuple[float, float]:
     """Scale a separated condition so alpha0 >= 0 and beta0 has the side's sign.
 
-    The condition is defined up to a nonzero factor; after normalisation we
-    require the Robin parameter -nu*alpha0/beta0 ... equivalently alpha0 >= 0
-    with beta0 <= 0 on the minus side and beta0 >= 0 on the plus side.
+    The condition is defined only up to a nonzero factor.  It is flipped so
+    that alpha0 >= 0, and it must then have beta0 <= 0 on the minus side and
+    beta0 >= 0 on the plus side (the endpoint sign convention).  A
+    non-finite coefficient or alpha0 = beta0 = 0 raises ProblemDataError.
     """
     a0, b0 = float(pair[0]), float(pair[1])
+    if not (math.isfinite(a0) and math.isfinite(b0)):
+        raise ProblemDataError(f"separated condition ({a0!r}, {b0!r}) is not finite")
     if a0 == 0.0 and b0 == 0.0:
         raise ProblemDataError("separated condition cannot have alpha0 = beta0 = 0")
     if a0 < 0.0 or (a0 == 0.0 and (b0 > 0.0) == (side == "minus")):
@@ -95,20 +103,9 @@ def _normalize_pair(pair: tuple[float, float], side: str) -> tuple[float, float]
         raise ProblemDataError(
             f"{side} separated condition violates the endpoint sign convention"
         )
-    return a0, b0
-
-
-def _sep_det(bc_minus, bc_plus, lam: float) -> float:
-    """Boundary determinant of the separated problem at lam: the plus-side
-    residual of the solution from x=-1 with (A, B) = (-beta0-, alpha0-), which
-    meets the minus condition identically (``BoundarySide.residual``, inlined
-    because it costs ~3x as much per call)."""
-    a0m, b0m = bc_minus
-    a0p, b0p = bc_plus
-    c, cp, s, sp = _fundamental(lam, 2.0)
-    u1 = -b0m * c + a0m * s
-    up1 = -b0m * cp + a0m * sp
-    return a0p * u1 + b0p * up1
+    # A -0.0 becomes 0.0: atan2(0.0, -0.0) is pi, not 0, and -0.0 and 0.0
+    # are one key to the eigenvalue cache.
+    return a0 or 0.0, b0 or 0.0
 
 
 def _bracketed_root(g, lo: float, hi: float, g_lo: float) -> float:
@@ -162,24 +159,27 @@ def _separated_eigenvalue_cached(bc_minus, bc_plus, k: int) -> float:
     if (d_minus and n_plus) or (n_minus and d_plus):
         return ((2 * k + 1) * math.pi / 4.0) ** 2
 
-    # Genuinely Robin on at least one side: the k-th eigenvalue lies strictly
-    # inside the Neumann-Dirichlet window and is the only root of the
-    # boundary determinant there.
-    lo = (k * math.pi / 2.0) ** 2
-    hi = ((k + 1) * math.pi / 2.0) ** 2
-    pad = 1e-13 * (hi - lo)
-    a, b = lo + pad, hi - pad
-    fa = _sep_det(bc_minus, bc_plus, a)
-    fb = _sep_det(bc_minus, bc_plus, b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise BracketLost(
-            f"separated eigenvalue bracket [{lo:.6g}, {hi:.6g}] lost its sign change"
-        )
-    return _bracketed_root(lambda lam: _sep_det(bc_minus, bc_plus, lam), a, b, fa)
+    # Genuinely Robin on at least one side.  With the Prüfer angle
+    # theta = atan2(w*u, u'), the solution that meets the minus condition has
+    # theta(x) = theta_minus(w) + w*(x + 1), and the k-th eigenfunction meets
+    # the plus condition at theta(1) = (k + 1)*pi - theta_plus(w), both
+    # theta_pm in [0, pi/2].  So g strictly increases in w and has its one
+    # root in the Neumann-Dirichlet window [k*pi/2, (k + 1)*pi/2].  Its
+    # bracketed term comes first, so that g is exact at the window ends; a
+    # root that rounds onto an end is that end.
+    abs_bm, abs_bp = abs(b0m), abs(b0p)
+    phase_k = (k + 1) * math.pi
+
+    def g(w: float) -> float:
+        return (2.0 * w - phase_k) + math.atan2(w * abs_bm, a0m) + math.atan2(w * abs_bp, a0p)
+
+    lo, hi = k * math.pi / 2.0, phase_k / 2.0
+    g_lo = g(lo)
+    if g_lo >= 0.0:
+        return lo ** 2
+    if g(hi) <= 0.0:
+        return hi ** 2
+    return _bracketed_root(g, lo, hi, g_lo) ** 2
 
 
 def separated_eigenvalue(bc_minus: tuple[float, float], bc_plus: tuple[float, float], k: int) -> float:

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, NoConvergence, SingularSystem
+from .errors import DivergenceError, NoConvergence, ProblemDataError, SingularSystem
 from .expressions import ForcingTerm, NonlinearitySpec
 from .nodal import SampledTrace
 from .problem import BoundarySide, ProblemSpec
-from .spectrum import ANCHOR_ERRORS, eigen_scan, robin_anchor
+from .spectrum import eigen_scan, robin_anchor
 from .trig import TrigSolution, normalized
 
 IVP_RTOL = 1e-11
@@ -358,7 +358,7 @@ def default_guesses(spec: ProblemSpec) -> list[tuple[float, float]]:
             psi = normalized(TrigSolution(lam, -spec.minus.beta0, spec.minus.alpha0))
             for amp in (1e-2, 1e-1, 1.0, 1e1, 1e2):
                 guesses.append((amp * psi.A, amp * psi.B))
-    except ANCHOR_ERRORS:
+    except ProblemDataError:
         # Robin anchors need the sign convention; fall back to axis seeds.
         pass
     return guesses

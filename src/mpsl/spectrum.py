@@ -148,11 +148,6 @@ def robin_anchor(spec: ProblemSpec, k: int) -> float:
     )
 
 
-# What robin_anchor raises on purpose: a side breaks the endpoint sign
-# convention (ProblemDataError) or a Robin bracket lost its sign change.
-ANCHOR_ERRORS = (ProblemDataError, ArithmeticError)
-
-
 def eigen_scan(spec: ProblemSpec, lambda_max: float) -> SpectrumWindow:
     """All roots of Gamma in (-LAMBDA_MIN_GUARD, lambda_max] by sign-change scan.
 
@@ -216,7 +211,7 @@ def eigen_scan(spec: ProblemSpec, lambda_max: float) -> SpectrumWindow:
         robin_count = 0
         while robin_anchor(spec, robin_count) <= lambda_max:
             robin_count += 1
-    except ANCHOR_ERRORS:
+    except ProblemDataError:
         robin_count = None
     return SpectrumWindow(lambda_max=lambda_max, eigenpairs=pairs, robin_count=robin_count)
 

@@ -482,21 +482,42 @@ def test_json_flags_are_booleans(tmp_path):
     assert len(traced) > 2 and all(type(s) is bool for s in traced)
 
 
-# alpha0/beta0 = 1e285 on the plus side: its square overflows a float.
+# alpha0/beta0 = 1e285 on the plus side: its square overflows a float, and
+# its Robin eigenvalues are the Dirichlet ones to float precision.
 EXTREME = {"minus": {"alpha0": 1.0, "beta0": 0.0}, "plus": {"alpha0": 1e300, "beta0": 1e15}}
+# alpha0/beta0 = 1e-300 on the plus side: Neumann to float precision.
+NEAR_NEUMANN = {"minus": {"alpha0": 0.0, "beta0": -1.0}, "plus": {"alpha0": 1e-300, "beta0": 1.0}}
+# alpha0/beta0 = -1e290 on the minus side, facing a multi-point plus side.
+NEAR_DIRICHLET = {"minus": {"alpha0": 1.0, "beta0": -1e-290},
+                  "plus": {"alpha0": 1.0, "beta0": 1.0, "alpha": [0.3], "beta": [0.1], "eta": [0.0]}}
 
 
-@pytest.mark.parametrize("argv, code, err", [
-    (["validate"], 0, ""),
-    (["predict", "--k", "0..3"], 0, ""),
-    (["spectrum"], 0, ""),
-    (["classify", "--k", "0"], 3, "numeric failure: separated eigenvalue bracket [0, 2.4674] lost its sign change\n"),
-], ids=["validate", "predict", "spectrum", "classify"])
-def test_extreme_coefficients_exit_with_a_documented_code(argv, code, err, tmp_path, capsys):
+# Each problem has a Robin side at the very end of its Neumann-Dirichlet
+# window, where the Robin eigenvalues are the window's ends to float precision.
+@pytest.mark.parametrize("problem, argv, line", [
+    (EXTREME, ["validate"], "level: linear (robin)"),
+    (EXTREME, ["predict", "--k", "0..3"], "k=0: T(1) [T-all]"),
+    (EXTREME, ["spectrum"], "3 eigenvalues <= 30"),
+    (EXTREME, ["classify", "--k", "0"], "k=0: T_1^+"),
+    (NEAR_NEUMANN, ["classify", "--k", "0..2"], "k=2: S_2^+"),
+    (NEAR_DIRICHLET, ["predict", "--k", "0..5"], "k=5: S(5) [S-above-crossover]"),
+], ids=["validate", "predict", "spectrum", "classify", "near-neumann-classify", "near-dirichlet-predict"])
+def test_extreme_coefficients_exit_with_a_documented_code(problem, argv, line, tmp_path, capsys):
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(EXTREME))
-    assert main([argv[0], str(path), *argv[1:], "--out", str(tmp_path)]) == code
-    assert capsys.readouterr().err == err
+    path.write_text(json.dumps(problem))
+    assert main([argv[0], str(path), *argv[1:], "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("problem, count", [(EXTREME, 3), (NEAR_NEUMANN, 4)],
+                         ids=["near-dirichlet", "near-neumann"])
+def test_spectrum_counts_the_robin_anchors_of_an_extreme_side(problem, count, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    assert main(["spectrum", str(path), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "spectrum.json").read_text())["robin_count"] == count
 
 
 def test_predict_saturates_an_overflowing_crossover(tmp_path):

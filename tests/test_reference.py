@@ -1,19 +1,21 @@
 import math
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mpsl.errors import ProblemDataError
 from mpsl.nodal import ClosedTrace, classify
-from mpsl.problem import BoundarySide
 from mpsl.reference import (
     ReferenceKind,
     _bracketed_root,
-    _sep_det,
     reference_bc_residuals,
     reference_eigenfunction,
     reference_eigenvalue,
     separated_eigenvalue,
 )
-from mpsl.trig import TrigSolution, eval_solution, sup_norms
+from mpsl.trig import eval_solution, sup_norms
 
 ROBIN_MINUS = (1.0, -1.0)
 ROBIN_PLUS = (1.0, 1.0)
@@ -216,13 +218,67 @@ def test_bracketed_root_falls_back_when_the_polish_leaves_the_bracket():
     assert abs(_bracketed_root(g, r - 0.5, r + 0.5, g(r - 0.5)) - r) <= 1e-12
 
 
-# _sep_det keeps its own copy of the plus-side functional for speed (the
-# Robin root search calls it dozens of times per eigenvalue); it must equal
-# BoundarySide.residual on the solution that meets the minus condition.
-@pytest.mark.parametrize("bc_minus", [(1.0, 0.0), (0.0, -1.0), (0.7, -1.3)])
-@pytest.mark.parametrize("bc_plus", [(1.0, 0.0), (0.0, 1.0), (2.0, 0.4)])
-def test_sep_det_equals_the_boundary_functional(bc_minus, bc_plus):
-    plus = BoundarySide(*bc_plus, side="plus")
-    for lam in (-2.0, 0.0, 0.3, 2.4674, 17.0, 900.5):
-        sol = TrigSolution(lam, -bc_minus[1], bc_minus[0])
-        assert _sep_det(bc_minus, bc_plus, lam) == plus.residual(sol)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_robin_pairs_are_rejected(bad):
+    for pairs in ({"robin_minus": (bad, -1.0), "robin_plus": ROBIN_PLUS},
+                  {"robin_minus": (1.0, bad), "robin_plus": ROBIN_PLUS},
+                  {"robin_minus": ROBIN_MINUS, "robin_plus": (bad, 1.0)},
+                  {"robin_minus": ROBIN_MINUS, "robin_plus": (1.0, bad)}):
+        with pytest.raises(ProblemDataError, match="not finite"):
+            reference_eigenvalue("robin-robin", 0, **pairs)
+
+
+def test_a_near_dirichlet_side_gives_the_dirichlet_value():
+    # alpha0/beta0 = 1e285 on the plus side: the root is the Dirichlet value
+    # to float precision, at the very end of its window.
+    lam = separated_eigenvalue((1.0, 0.0), (1e300, 1e15), 0)
+    assert lam == pytest.approx(math.pi ** 2 / 4, rel=1e-12)
+
+
+def test_a_negative_zero_alpha0_is_a_neumann_side():
+    assert separated_eigenvalue((0.5, -0.5), (-0.0, 0.5), 0) == separated_eigenvalue(
+        (0.5, -0.5), (0.0, 0.5), 0) > 0.0
+
+
+def _oracle_separated_eigenvalue(bc_minus, bc_plus, k, digits):
+    """k-th root of the separated determinant alpha0+*u(1) + beta0+*u'(1),
+    u = -beta0-*c + alpha0-*s meeting the minus condition, by bisection in
+    w = sqrt(lam) at the given working precision (no Prüfer phase involved)."""
+    with mp.workdps(digits):
+        (a0m, b0m), (a0p, b0p) = ((mp.mpf(a), mp.mpf(b)) for a, b in (bc_minus, bc_plus))
+
+        def det(w):
+            cos2w, sin2w = mp.cos_sin(2 * w)
+            u1 = -b0m * cos2w + a0m * (sin2w / w if w else 2)
+            up1 = b0m * w * sin2w + a0m * cos2w
+            return a0p * u1 + b0p * up1
+
+        lo, hi = k * mp.pi / 2, (k + 1) * mp.pi / 2
+        f_lo = det(lo)
+        assert f_lo * det(hi) < 0
+        while hi - lo > mp.mpf(1e-15) * max(1, hi):
+            mid = (lo + hi) / 2
+            f_mid = det(mid)
+            if (f_mid < 0) == (f_lo < 0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        return float(((lo + hi) / 2) ** 2)
+
+
+@st.composite
+def robin_pair(draw, sign):
+    """(alpha0, beta0) with the side's sign and log10(alpha0/|beta0|) in [-300, 300]."""
+    log_ratio = draw(st.floats(-300.0, 300.0))
+    log_scale = draw(st.floats(-3.0, 3.0))
+    return (10.0 ** (log_scale + log_ratio / 2), sign * 10.0 ** (log_scale - log_ratio / 2))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(bc_minus=robin_pair(-1.0), bc_plus=robin_pair(1.0), k=st.integers(0, 50))
+def test_robin_eigenvalue_matches_a_high_precision_determinant_root(bc_minus, bc_plus, k):
+    lam = separated_eigenvalue(bc_minus, bc_plus, k)
+    # Enough digits that alpha0*u(1) cannot swamp beta0*u'(1) by rounding.
+    log_ratio = max(abs(math.log10(abs(a0 / b0))) for a0, b0 in (bc_minus, bc_plus))
+    expected = _oracle_separated_eigenvalue(bc_minus, bc_plus, k, 50 + 2 * math.ceil(log_ratio))
+    assert abs(lam - expected) <= 1e-12 * max(1.0, expected)

@@ -245,9 +245,8 @@ def test_eigen_scan_rejects_lambda_max_above_grid_ceiling(half_u0_spec):
 
 @pytest.mark.parametrize("exc, caught", [
     (ProblemDataError("sign convention"), True),
-    (ArithmeticError("bracket lost its sign change"), True),
     (TypeError("programming error"), False),
-], ids=["sign-convention", "lost-bracket", "programming-error"])
+], ids=["sign-convention", "programming-error"])
 def test_robin_anchor_errors(exc, caught, half_u0_spec, monkeypatch):
     def anchor(spec, k):
         raise exc
