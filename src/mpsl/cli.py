@@ -9,6 +9,7 @@ written atomically and are byte-identical for identical configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -115,7 +116,10 @@ def _nonlinearity(extras: dict, command: str) -> NonlinearitySpec:
         f0, finf = (None if section.get(key) is None else float(section[key]) for key in ("f0", "finf"))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemDataError(f"nonlinearity: f0 and finf must be numbers ({exc})") from None
-    return NonlinearitySpec.from_text(section["f"], f0=f0, finf=finf)
+    nl = NonlinearitySpec.from_text(section["f"], f0=f0, finf=finf)
+    for text in nl.warnings:
+        print(f"warning: {text}", file=sys.stderr)
+    return nl
 
 
 def _forcing(extras: dict) -> ForcingTerm | None:
@@ -130,17 +134,7 @@ def _forcing(extras: dict) -> ForcingTerm | None:
 def cmd_validate(args) -> int:
     spec, _ = _load(args.problem)
     report = validate_problem(spec)
-    payload = {
-        "ok": report.ok,
-        "level": report.level,
-        "messages": [list(m) for m in report.messages],
-        "strict_alpha_positive": report.strict_alpha_positive,
-        "quadratic_ok": report.quadratic_ok,
-        "linear_ok": report.linear_ok,
-        "side_types": report.side_types,
-        "problem_type": report.problem_type,
-    }
-    reporting.write_json(os.path.join(args.out, "validate.json"), payload)
+    reporting.write_json(os.path.join(args.out, "validate.json"), dataclasses.asdict(report))
     for sev, text in report.messages:
         print(f"{sev}: {text}", file=sys.stderr)
     print(f"level: {report.level} ({report.problem_type})")
@@ -352,16 +346,7 @@ def cmd_solve(args) -> int:
     h = _forcing(extras)
     verdict = nonresonance_check(spec, nl)
     sol = solve_bvp_multistart(spec, nl, h, args.lam)
-    _solution_files(args, sol, "solution", {
-        "nonresonance": {
-            "ok": verdict.ok,
-            "reason": verdict.reason,
-            "finf": verdict.finf,
-            "nearest_eigenvalue": verdict.nearest_eigenvalue,
-            "distance": verdict.distance,
-            "out_of_scope": verdict.out_of_scope,
-        },
-    })
+    _solution_files(args, sol, "solution", {"nonresonance": dataclasses.asdict(verdict)})
     print(f"solution found: residuals {sol.shooting.residuals[0]:.3e}, {sol.shooting.residuals[1]:.3e}")
     return EXIT_OK
 

@@ -445,8 +445,6 @@ class NonlinearitySpec:
     expr: Expr
     f0: float
     finf: float
-    f0_declared: bool
-    finf_declared: bool
     warnings: list[str] = field(default_factory=list)
 
     @classmethod
@@ -456,8 +454,6 @@ class NonlinearitySpec:
         if not free <= {"xi"}:
             raise ParseError(f"nonlinearity may only use 'xi', found {sorted(free)}", 0)
         f = compile_callable(expr, "xi")
-        f0_declared = f0 is not None
-        finf_declared = finf is not None
         warnings: list[str] = []
         if f0 is None:
             f0 = cls._estimate_f0(f)
@@ -465,7 +461,7 @@ class NonlinearitySpec:
         if finf is None:
             finf = cls._estimate_finf(f)
             warnings.append("finf estimated from samples (declare it for exactness)")
-        return cls(expr, float(f0), float(finf), f0_declared, finf_declared, warnings)
+        return cls(expr, float(f0), float(finf), warnings)
 
     @staticmethod
     def _estimate_f0(f: Callable[[float], float]) -> float:

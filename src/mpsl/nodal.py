@@ -34,20 +34,7 @@ MAX_SAMPLE_STEP = 1e-3 * (1.0 + 1e-9)
 ENDPOINT_GUARD = 1e-12
 
 
-class FunctionTrace:
-    """Common view of a solution: evaluate (u, u') and take sup-norms."""
-
-    def eval(self, x: float) -> tuple[float, float]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def sup_u(self) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def sup_uprime(self) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class ClosedTrace(FunctionTrace):
+class ClosedTrace:
     """Closed-form solution of -u'' = lam*u."""
 
     def __init__(self, sol: TrigSolution):
@@ -66,7 +53,7 @@ class ClosedTrace(FunctionTrace):
         return np.linspace(-1.0, 1.0, 2001)
 
 
-class SampledTrace(FunctionTrace):
+class SampledTrace:
     """Dense (x, u, u') samples with cubic Hermite interpolation between nodes."""
 
     def __init__(self, x, u, uprime):
@@ -133,7 +120,7 @@ class SampledTrace(FunctionTrace):
         return self.x
 
 
-def reflected_trace(trace: FunctionTrace) -> FunctionTrace:
+def reflected_trace(trace: ClosedTrace | SampledTrace) -> ClosedTrace | SampledTrace:
     """The trace of v(x) = u(-x)."""
     if isinstance(trace, ClosedTrace):
         return ClosedTrace(_trig_reflected(trace.sol))
@@ -282,7 +269,9 @@ def _sampled_zeros(trace: SampledTrace, which: str, slope_bound: float) -> list[
     return [z for z in merged if -1.0 + ENDPOINT_GUARD < z < 1.0 - ENDPOINT_GUARD]
 
 
-def zeros_of(trace: FunctionTrace, which: str = "u", tol: float = DEFAULT_TOL) -> list[tuple[float, bool]]:
+def zeros_of(
+    trace: ClosedTrace | SampledTrace, which: str = "u", tol: float = DEFAULT_TOL
+) -> list[tuple[float, bool]]:
     """Interior zeros of u or u' with a simplicity flag.
 
     A zero x0 of u is simple iff |u'(x0)| > tol * |u'|_0 (analogously with
@@ -356,7 +345,7 @@ def interleaves(stations: list[float], zeros: list[float]) -> bool:
     return True
 
 
-def classify(trace: FunctionTrace, tol: float = DEFAULT_TOL, spec=None) -> ClassificationResult:
+def classify(trace: ClosedTrace | SampledTrace, tol: float = DEFAULT_TOL, spec=None) -> ClassificationResult:
     """All S/T/R memberships of a trace (they are not mutually exclusive).
 
     Boundary data within tol (relative) of a family's degeneracy makes that
@@ -446,7 +435,7 @@ def classify(trace: FunctionTrace, tol: float = DEFAULT_TOL, spec=None) -> Class
     return result
 
 
-def energy_deviation(lam: float, trace: FunctionTrace) -> float:
+def energy_deviation(lam: float, trace: ClosedTrace | SampledTrace) -> float:
     """Relative non-constancy of lam*u^2 + u'^2 on the trace's grid (2001
     points for a closed form, the nodes of a sampled trace).
 

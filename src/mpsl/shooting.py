@@ -146,52 +146,33 @@ def integrate_ivp(
 ) -> IntegratedTrace:
     """Integrate -u'' = lam*f(u) + h from (u, u')(-1) = (a, b) over [-1, 1].
 
-    Adaptive high-order explicit integration with dense output.  Blow-up
-    beyond |u| = 1e12 and a state that is not finite are divergence and
-    raise DivergenceError with the location.  The integrator never accepts
-    a non-finite step: a right-hand side that is not finite (f overflows,
-    or is NaN) makes it shrink the step, and when the step size collapses
-    that is divergence at the last accepted x.  So is a dense-output sample
-    that is not finite.  So is a run that cannot end: one that needs more
-    than IVP_MAX_RHS_CALLS right-hand-side evaluations, or one whose step
-    size is NaN (it starts so when the right-hand side at (a, b) is not
-    finite); either stops at the last x where the right-hand side was
-    evaluated.
+    DOP853 steps with dense output.  These are divergence, checked in this
+    order, and raise DivergenceError at the x named:
+
+    - (a, b) or the right-hand side there is not finite: x = -1.0.  DOP853's
+      first step size would be NaN, and it would reject that step forever.
+    - A step fails: the last accepted x.  DOP853 never accepts a step that
+      is not finite; a right-hand side that is not finite (f overflows, or
+      is NaN) makes it shrink the step until the step size collapses.
+    - |u| > BLOWUP_LIMIT at the end of a step: that step's end.
+    - More than IVP_MAX_RHS_CALLS right-hand-side calls, a run that cannot
+      end: the end of the step that passed the budget.
+    - A dense-output sample that is not finite: that sample's x.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import DOP853, OdeSolution
 
     rhs = _rhs(nl, h, lam)
-    calls = 0
-    x_last = -1.0
-
-    def counted_rhs(x, y):
-        nonlocal calls, x_last
-        calls += 1
-        if calls > IVP_MAX_RHS_CALLS or x != x:  # x is NaN once the step size is
-            raise DivergenceError(float(x_last))
-        x_last = x
-        return rhs(x, y)
-
-    def blowup(x, y):
-        return abs(y[0]) - BLOWUP_LIMIT
-
-    blowup.terminal = True
-
-    sol = solve_ivp(
-        counted_rhs,
-        (-1.0, 1.0),
-        (a, b),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=blowup,
-    )
-    if sol.status == 1:
-        raise DivergenceError(float(sol.t_events[0][0]))
-    if not sol.success:  # the step size collapsed
-        raise DivergenceError(float(sol.t[-1]))
-    return IntegratedTrace(sol.sol)
+    y0 = np.array([a, b], dtype=float)
+    if not np.isfinite(np.append(y0, rhs(-1.0, y0))).all():
+        raise DivergenceError(-1.0)
+    solver = DOP853(rhs, -1.0, y0, 1.0, rtol=rtol, atol=atol)
+    ts, pieces = [-1.0], []
+    while solver.status == "running":
+        if solver.step() is not None or abs(solver.y[0]) > BLOWUP_LIMIT or solver.nfev > IVP_MAX_RHS_CALLS:
+            raise DivergenceError(float(solver.t))
+        ts.append(solver.t)
+        pieces.append(solver.dense_output())
+    return IntegratedTrace(OdeSolution(ts, pieces))
 
 
 def bc_residual_on_trace(side: BoundarySide, trace) -> float:

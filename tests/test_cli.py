@@ -159,6 +159,17 @@ def test_solve_writes_solution(tmp_path):
     assert len(rows) == 2001
 
 
+@pytest.mark.parametrize("limits, estimated", [({"f0": 1.0, "finf": 0.0}, []), ({"finf": 0.0}, ["f0"])],
+                         ids=["declared", "f0-omitted"])
+def test_solve_warns_of_estimated_limits(limits, estimated, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, "nonlinearity": {"f": "xi/(1+abs(xi))", **limits},
+                                "forcing": {"h": "x"}}))
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == 0
+    warned = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert warned == [f"warning: {name} estimated from samples (declare it for exactness)" for name in estimated]
+
+
 def test_branch_files(tmp_path):
     prob = dict(HALF_U0)
     prob["nonlinearity"] = {"f": "xi*(1+3/(1+xi^2))", "f0": 4.0, "finf": 1.0}

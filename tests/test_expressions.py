@@ -131,7 +131,8 @@ def test_forcing_requires_x_only():
 
 def test_estimated_limits_match_declared():
     nl_est = NonlinearitySpec.from_text("xi*(1+3/(1+xi^2))")
-    assert not nl_est.f0_declared and nl_est.warnings
+    assert nl_est.warnings == ["f0 estimated from samples (declare it for exactness)",
+                               "finf estimated from samples (declare it for exactness)"]
     assert nl_est.f0 == pytest.approx(4.0, rel=1e-4)
     assert nl_est.finf == pytest.approx(1.0, rel=1e-4)
 

@@ -72,6 +72,20 @@ def test_blowup_detection():
     with pytest.raises(DivergenceError) as exc:
         integrate_ivp(nl, None, 3600.0, 1.0, 60.0)
     assert -1.0 <= exc.value.x <= 1.0
+    # The reported x is the end of the first step with |u| > 1e12, so at or
+    # after the root of |u| = 1e12 that a terminal event would locate.
+    from scipy.integrate import solve_ivp
+
+    def blowup(x, y):
+        return abs(y[0]) - shooting.BLOWUP_LIMIT
+
+    blowup.terminal = True
+    sol = solve_ivp(lambda x, y: (y[1], -3600.0 * nl.f(y[0])), (-1.0, 1.0), (1.0, 60.0),
+                    method="DOP853", rtol=IVP_RTOL, atol=IVP_ATOL, events=blowup)
+    root = sol.t_events[0][0]
+    step_ends = _scipy_solution("-xi", 3600.0, 1.0, 60.0).ts
+    assert exc.value.x == step_ends[np.searchsorted(step_ends, root)]
+    assert root <= exc.value.x
 
 
 def test_solve_bvp_criterion_six_config(half_u0_spec):
@@ -264,12 +278,15 @@ def _scipy_solution(text, lam, a, b):
     return sol.sol
 
 
-@pytest.mark.parametrize("text, lam, a, b, few", [
+DOP853_CASES = pytest.mark.parametrize("text, lam, a, b, few", [
     ("xi", 1.0, 0.0, 1.0, True),
     ("xi*(1+3/(1+xi^2))", 0.5, 0.0, 0.1, True),
     ("xi", 9000.0, 0.3, 5.0, False),
     ("xi+xi^3", 400.0, 1.0, 0.0, False),
 ], ids=["linear-slow", "crossing", "linear-fast", "cubic-fast"])
+
+
+@DOP853_CASES
 def test_dense_kernel_is_scipys_interpolant_bit_for_bit(text, lam, a, b, few):
     sol = _scipy_solution(text, lam, a, b)
     n = len(sol.interpolants)
@@ -287,6 +304,16 @@ def test_dense_kernel_is_scipys_interpolant_bit_for_bit(text, lam, a, b, few):
         assert np.array_equal(np.array(trace.eval(t)), sol(t))
 
 
+@DOP853_CASES
+def test_integrate_ivp_is_solve_ivp_bit_for_bit(text, lam, a, b, few):
+    # integrate_ivp's step loop takes exactly the steps of scipy's solve_ivp driver.
+    nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
+    ref = IntegratedTrace(_scipy_solution(text, lam, a, b))
+    trace = integrate_ivp(nl, None, lam, a, b)
+    for name in ("x", "u", "up"):
+        assert np.array_equal(getattr(trace, name), getattr(ref, name))
+
+
 def test_rhs_budget_bounds_one_ivp(monkeypatch):
     monkeypatch.setattr(shooting, "IVP_MAX_RHS_CALLS", 50)
     with pytest.raises(DivergenceError) as exc:
@@ -300,4 +327,9 @@ def test_nan_step_size_is_divergence_at_once():
     nl = NonlinearitySpec.from_text("xi^0.5", f0=1.0, finf=1.0)
     with pytest.raises(DivergenceError) as exc:
         integrate_ivp(nl, None, 1.0, -0.5, 1.0)
+    assert exc.value.x == -1.0
+    # So is a start state that is not finite, for which DOP853 itself raises
+    # ValueError, also where f does not enter the right-hand side.
+    with pytest.raises(DivergenceError) as exc:
+        integrate_ivp(None, ForcingTerm.from_text("x"), 1.0, math.nan, 1.0)
     assert exc.value.x == -1.0
