@@ -3,8 +3,10 @@
 Branches of nontrivial solutions bifurcate from the trivial line at
 (lam_k/f0, 0) and from infinity at (lam_k/finf, infty).  Both are traced in
 shooting coordinates z = (lam, a, b) by pseudo-arclength continuation: a
-secant predictor followed by ``shooting.damped_newton`` on
-``shooting.bvp_residual`` plus the arclength constraint.  Folds in lam are
+secant predictor followed by one corrector, ``shooting.damped_newton`` on
+``shooting.bvp_residual`` plus the arclength constraint.  The seeds are
+corrector points too, predicted along the eigenfunction: a short step from
+(lam_k/f0, 0), or a large multiple of it at lam_k/finf.  Folds in lam are
 expected and handled; every accepted point carries a BVP-residual
 certificate, a nodal audit and the nonlinear energy deviation.
 
@@ -52,8 +54,7 @@ DS_MIN = 1e-5
 DS_MAX = 0.2
 UNIQUENESS_MARGIN = 2.0  # nodal uniqueness window reaches this past the larger slope
 CORRECTOR_MAX_ITER = 8  # arclength corrector iterations per predicted point
-SEED_MAX_ITER = 20  # pinned from-infinity seed corrections
-MAX_HALVINGS = 12  # Newton step halvings per iteration, in both
+MAX_HALVINGS = 12  # Newton step halvings per corrector iteration
 SEED_AMPLITUDE = 1e2  # first from-infinity seed amplitude, then 10x and 100x
 
 FROM_ZERO = "from_zero"
@@ -135,6 +136,17 @@ def _corrector(spec, nl, z_pred, tau, weights):
         return np.append(F, float(np.dot(weights * (z - z_pred), wtau))), err, sol
 
     return damped_newton(residual, z_pred, (0, 1, 2), RESIDUAL_TOL, CORRECTOR_MAX_ITER, MAX_HALVINGS)
+
+
+def _seed(spec, nl, z_from, z_pred):
+    """``_corrector`` at z_pred with tangent z_pred - z_from, weighted at
+    z_from as in ``_continue_branch``; any failure is a SeedFailure."""
+    weights = 1.0 / np.maximum(1.0, np.abs(z_from))
+    tau = (z_pred - z_from) * weights
+    try:
+        return _corrector(spec, nl, z_pred, tau / np.linalg.norm(tau), weights)
+    except (NoConvergence, SingularSystem, DivergenceError) as exc:
+        raise SeedFailure(f"seed at (lam, a, b) = {z_pred.tolist()}: {exc}") from None
 
 
 def _continue_branch(
@@ -253,14 +265,17 @@ def branch_from_zero(
 ) -> Branch:
     """Trace the continuum bifurcating from the trivial line at lam_k/f0.
 
-    The first recorded point is the bifurcation point itself; the second is
-    the eps-scaled eigenfunction seed corrected at fixed lam (the analytic
-    seed already meets the residual tolerance when eps is small enough;
-    collapse onto the trivial solution triggers eps escalation).
+    The first recorded point is the bifurcation point itself.  The second
+    is the arclength corrector's point at the step of length eps_seed along
+    the signed eigenfunction, (lam_k/f0, eps*s*psi(-1), eps*s*psi'(-1)),
+    with that step as tangent; SeedFailure if the corrector fails there.
+    eps_seed must be positive and finite (ValueError).
     """
     _require_f0(nl)
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
+    if not (math.isfinite(eps_seed) and eps_seed > 0.0):
+        raise ValueError(f"eps_seed must be positive and finite, got {eps_seed!r}")
     ep = eigenpair if eigenpair is not None else eigen_continuation(spec, k)
     lam_star = ep.lam / nl.f0
     branch = Branch(k=k, sign=sign, origin=FROM_ZERO, origin_lambda=lam_star)
@@ -276,39 +291,12 @@ def branch_from_zero(
     )
 
     s = 1.0 if sign == "+" else -1.0
-    psi_m, psi_pm = ep.psi.A, ep.psi.B  # (psi(-1), psi'(-1)), |psi|_0 = 1
-    seed_sol: SampledSolution | None = None
-    for eps in (eps_seed, eps_seed / 10.0, eps_seed / 100.0):
-        guess = (eps * s * psi_m, eps * s * psi_pm)
-        try:
-            cand = solve_bvp(spec, nl, None, lam_star, guess)
-        except (NoConvergence, SingularSystem, DivergenceError):
-            continue
-        if cand.amplitude > 0.25 * eps:  # did not collapse onto u = 0
-            seed_sol = cand
-            break
-    if seed_sol is None:
-        raise SeedFailure(
-            f"seeding failed at eps = {eps_seed:g}, {eps_seed / 10:g}, {eps_seed / 100:g}"
-        )
-
-    st = seed_sol.shooting
     z0 = np.array([lam_star, 0.0, 0.0])
-    z1 = np.array([lam_star, st.a, st.b])
-    branch.points.append(_make_point(nl, seed_sol, arclength=float(np.linalg.norm(z1 - z0))))
+    # Componentwise, so a zero component keeps the sign of s.
+    z1, seed = _seed(spec, nl, z0, np.array([lam_star, eps_seed * s * ep.psi.A, eps_seed * s * ep.psi.B]))
+    branch.points.append(_make_point(nl, seed, arclength=float(np.linalg.norm(z1 - z0))))
     _continue_branch(spec, nl, branch, ep, z0, z1, stop_at_lambda, amplitude_cap, point_budget)
     return branch
-
-
-def _pinned_correct(spec, nl, lam0: float, a: float, b: float, pin: int):
-    """Newton on (lam, free shooting coordinate) with coordinate ``pin`` of
-    z = (lam, a, b) fixed.
-
-    Used to land on the branch near infinity, where fixing lam would be
-    ill-posed (the branch is one-sided in lam near its asymptote).
-    """
-    return damped_newton(lambda z: bvp_residual(spec, nl, None, z), (lam0, a, b),
-                         (0, 2 if pin == 1 else 1), RESIDUAL_TOL, SEED_MAX_ITER, MAX_HALVINGS)
 
 
 def branch_from_infinity(
@@ -322,11 +310,12 @@ def branch_from_infinity(
 ) -> Branch:
     """Trace the continuum bifurcating from infinity at lam_k/finf.
 
-    Seeds at large amplitude A (escalating from SEED_AMPLITUDE) with the
-    eigenfunction direction, corrected with the dominant shooting coordinate
-    pinned, then continues toward decreasing amplitude.  finf must be a
-    positive finite limit; the superlinear case is handled by the from-zero
-    tracer instead.
+    The big seed is the arclength corrector's point at (lam_k/finf,
+    A*s*psi(-1), A*s*psi'(-1)) with tangent (0, psi(-1), psi'(-1)); the
+    shrunk seed is its point at the big seed with (a, b) divided by 1.05.
+    A is SEED_AMPLITUDE, then 10x and 100x; SeedFailure if all three fail.
+    The branch continues toward decreasing amplitude.  finf must be a
+    positive finite limit; the superlinear case is the from-zero tracer's.
     """
     if not (math.isfinite(nl.finf) and nl.finf > 0.0):
         raise HypothesisReport("finf in (0, inf)", f"finf={nl.finf}")
@@ -337,14 +326,13 @@ def branch_from_infinity(
     branch = Branch(k=k, sign=sign, origin=FROM_INFINITY, origin_lambda=lam_star)
 
     s = 1.0 if sign == "+" else -1.0
-    pin = 1 if abs(ep.psi.A) >= abs(ep.psi.B) else 2
+    z0 = np.array([lam_star, 0.0, 0.0])
     for A in (SEED_AMPLITUDE, 10.0 * SEED_AMPLITUDE, 100.0 * SEED_AMPLITUDE):
-        a, b = A * s * ep.psi.A, A * s * ep.psi.B
         try:
-            zb, big = _pinned_correct(spec, nl, lam_star, a, b, pin)
-            zs, shrunk = _pinned_correct(spec, nl, lam_star, a / 1.05, b / 1.05, pin)
+            zb, big = _seed(spec, nl, z0, np.array([lam_star, A * s * ep.psi.A, A * s * ep.psi.B]))
+            zs, shrunk = _seed(spec, nl, zb, np.array([zb[0], zb[1] / 1.05, zb[2] / 1.05]))
             break
-        except (NoConvergence, SingularSystem, DivergenceError):
+        except SeedFailure:
             continue
     else:
         raise SeedFailure(f"from-infinity seeding failed starting at A={SEED_AMPLITUDE:g}")

@@ -488,19 +488,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="0")
     p.add_argument("--sign", choices=["+", "-"], default=None)
     p.add_argument("--from-infinity", dest="from_infinity", action="store_true")
-    p.add_argument("--eps-seed", dest="eps_seed", type=_finite_float, default=1e-3)
+    p.add_argument("--eps-seed", dest="eps_seed", type=_positive_float, default=1e-3)
     p.set_defaults(fn=cmd_branch)
 
     p = sub.add_parser("nodal-solve", help="nodal solutions at lambda = 1")
     common(p)
     p.add_argument("--k", default="0")
-    p.add_argument("--eps-seed", dest="eps_seed", type=_finite_float, default=1e-3)
+    p.add_argument("--eps-seed", dest="eps_seed", type=_positive_float, default=1e-3)
     p.set_defaults(fn=cmd_nodal_solve)
 
     p = sub.add_parser("selftest", help="deterministic end-to-end smoke run")
     common(p, problem=False)
     p.add_argument("--seed", type=int, default=0, help="accepted and ignored: the run is deterministic")
-    p.add_argument("--eps-seed", dest="eps_seed", type=_finite_float, default=1e-3)
+    p.add_argument("--eps-seed", dest="eps_seed", type=_positive_float, default=1e-3)
     p.set_defaults(fn=cmd_selftest)
     return ap
 

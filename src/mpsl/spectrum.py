@@ -112,9 +112,10 @@ def _eigenpair(spec: ProblemSpec, k: int, lam: float,
     first nonvanishing of (u(-1), u'(-1)) is positive.  A flip mirrors the
     memberships (X_k^- := -X_k^+), so psi is classified once.
     """
-    # Take the null vector of the larger row for stability.
+    # The null vector of the larger row, for stability; n1*n2 is char_det_scale.
     (m11, m12), (m21, m22) = _bc_rows(spec, lam)
-    if math.hypot(m11, m12) >= math.hypot(m21, m22):
+    n1, n2 = math.hypot(m11, m12), math.hypot(m21, m22)
+    if n1 >= n2:
         A, B = -m12, m11
     else:
         A, B = -m22, m21
@@ -136,7 +137,7 @@ def _eigenpair(spec: ProblemSpec, k: int, lam: float,
         memberships = tuple(replace(m, sign="-" if m.sign == "+" else "+") for m in memberships)
     slope = det_slope(spec, lam)
     return Eigenpair(k=k, lam=lam, psi=psi, nodal=memberships, t_path=t_path,
-                     simple=abs(slope) >= SIMPLE_DET_TOL * char_det_scale(spec, lam),
+                     simple=abs(slope) >= SIMPLE_DET_TOL * (n1 * n2 + 1e-300),
                      det_slope=slope,
                      bc_residuals=(bc_functional(spec.minus, psi), bc_functional(spec.plus, psi)))
 

@@ -93,6 +93,10 @@ def test_sign_symmetry_for_odd_f(spec):
         assert pm.lam == pytest.approx(pp.lam, abs=1e-8)
 
 
+def _on_branch(p) -> bool:
+    return all(abs(r) <= 1e-8 * sc for r, sc in zip(p.shooting.residuals, p.scales))
+
+
 def test_from_infinity_linear_eigenline(spec, lam0):
     br = branch_from_infinity(spec, LIN, 0, "+", point_budget=40)
     for p in br.points:
@@ -100,6 +104,26 @@ def test_from_infinity_linear_eigenline(spec, lam0):
     amps = br.amplitudes()
     assert amps[0] == pytest.approx(100.0, rel=0.05)
     assert amps[-1] < amps[0]
+    # Both seeds are corrector points: on the branch, the shrunk one lower.
+    assert _on_branch(br.points[0]) and _on_branch(br.points[1])
+    assert amps[1] < amps[0]
+
+
+def test_seed_lies_on_the_branch_at_the_requested_amplitude(spec, lam0):
+    # f0 = 1 and a strong cubic: the branch bends to smaller lam at once,
+    # so a point at (lam0/f0, eps*psi) is not a solution at eps = 1e-2.
+    nl = NonlinearitySpec.from_text("xi+100*xi^3", f0=1.0, finf=math.inf)
+    br = branch_from_zero(spec, nl, 0, "+", eps_seed=1e-2, amplitude_cap=0.1)
+    seed = br.points[1]
+    assert seed.amplitude == pytest.approx(1e-2, rel=0.1)
+    assert seed.lam < lam0 * (1.0 - 1e-3)
+    assert _on_branch(seed)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+def test_eps_seed_must_be_positive_and_finite(spec, eps):
+    with pytest.raises(ValueError, match="eps_seed"):
+        branch_from_zero(spec, CROSSING, 0, "+", eps_seed=eps)
 
 
 def test_from_infinity_crossing(spec, lam0):

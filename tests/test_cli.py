@@ -253,6 +253,18 @@ def test_bad_flag_values_exit_2(argv, problem_file, tmp_path, capsys):
     assert "Traceback" not in err and "error" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1e-3", "nan", "inf"])
+@pytest.mark.parametrize("command", ["branch", "nodal-solve", "selftest"])
+def test_eps_seed_must_be_positive(command, value, problem_file, tmp_path, capsys):
+    problem = [] if command == "selftest" else [problem_file]
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the value
+        main([command, *problem, f"--eps-seed={value}", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "argument --eps-seed" in err
+    assert not (tmp_path / "out").exists()
+
+
 # Runs the CLI in a fresh interpreter, then prints which scipy and
 # numpy.polynomial modules it loaded: both are import costs that only
 # subcommands which integrate may pay.
