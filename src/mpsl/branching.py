@@ -4,7 +4,10 @@ Branches of nontrivial solutions bifurcate from the trivial line at
 (lam_k/f0, 0) and from infinity at (lam_k/finf, infty).  Both are traced in
 shooting coordinates z = (lam, a, b) by pseudo-arclength continuation: a
 secant predictor followed by one corrector, ``shooting.damped_newton`` on
-``shooting.bvp_residual`` plus the arclength constraint.  The seeds are
+``shooting.bvp_residual`` plus the arclength constraint, whose Jacobian is
+``shooting.bvp_jacobian`` in all of z with the constraint's constant row
+under it.  A predicted point that already meets the tolerance costs one
+IVP solve and no Jacobian.  The seeds are
 corrector points too, predicted along the eigenfunction: a short step from
 (lam_k/f0, 0), or a large multiple of it at lam_k/finf.  Folds in lam are
 expected and handled; every accepted point carries a BVP-residual
@@ -39,6 +42,7 @@ from .shooting import (
     RESIDUAL_TOL,
     SampledSolution,
     ShootingState,
+    bvp_jacobian,
     bvp_residual,
     damped_newton,
     nonlinear_energy_deviation,
@@ -135,7 +139,10 @@ def _corrector(spec, nl, z_pred, tau, weights):
         F, err, sol = bvp_residual(spec, nl, None, z)
         return np.append(F, float(np.dot(weights * (z - z_pred), wtau))), err, sol
 
-    return damped_newton(residual, z_pred, (0, 1, 2), RESIDUAL_TOL, CORRECTOR_MAX_ITER, MAX_HALVINGS)
+    def jacobian(z):
+        return np.vstack([bvp_jacobian(spec, nl, None, z, (0, 1, 2)), weights * wtau])
+
+    return damped_newton(residual, jacobian, z_pred, (0, 1, 2), RESIDUAL_TOL, CORRECTOR_MAX_ITER, MAX_HALVINGS)
 
 
 def _seed(spec, nl, z_from, z_pred):

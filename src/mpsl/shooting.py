@@ -4,11 +4,15 @@ The BVP is reduced to two residuals r-, r+ of z = (lam, a, b):
 ``bvp_residual`` integrates the IVP from x = -1 with (u, u')(-1) = (a, b)
 and evaluates both boundary functionals on the resulting trace (interior
 eta values come from the integrator's dense output, never from
-re-gridding).  ``damped_newton``, a Newton iteration with a
-forward-difference Jacobian and step-halving damping, drives both residuals
+re-gridding).  ``bvp_jacobian`` gives their forward-difference Jacobian
+from one DOP853 solve that carries the base trajectory and every probe
+side by side.  ``damped_newton``, a Newton iteration with step-halving
+damping that takes its Jacobian from a callback, drives both residuals
 below tolerance.  It is the one Newton loop in the package: forced solves
-here, the pseudo-arclength corrector and the from-infinity seeding in
-``branching`` all run it on ``bvp_residual``, each in its own coordinates.
+here and the pseudo-arclength corrector in ``branching`` both run it on
+``bvp_residual`` and ``bvp_jacobian``, each in its own coordinates.
+``integrate_ivp`` and ``bvp_jacobian`` step DOP853 through ``_march``,
+which holds every divergence rule.
 
 Acceptance scale per side: 1 + |alpha0|*|u|_0 + |beta0|*|u'|_0.
 """
@@ -133,6 +137,41 @@ def _rhs(nl: NonlinearitySpec | None, h: ForcingTerm | None, lam: float):
     return rhs
 
 
+def _march(rhs, y0: np.ndarray, rtol: float, atol: float):
+    """DOP853 on y' = rhs(x, y) from y(-1) = y0 to x = 1, yielding the
+    solver after each accepted step.  The even columns of y are values of u.
+
+    These are divergence, checked in this order, and raise DivergenceError
+    at the x named:
+
+    - y0 or the right-hand side there is not finite: x = -1.0.  DOP853's
+      first step size would be NaN, and it would reject that step forever.
+    - The right-hand side raises ValueError or ArithmeticError (f or h
+      outside its domain, as log(0)): -1.0 before the first accepted step,
+      otherwise the last accepted x.
+    - A step fails: the last accepted x.  DOP853 never accepts a step that
+      is not finite; a right-hand side that is not finite (f overflows, or
+      is NaN) makes it shrink the step until the step size collapses.
+    - Some |u| > BLOWUP_LIMIT at the end of a step: that step's end.
+    - More than IVP_MAX_RHS_CALLS right-hand-side calls, a run that cannot
+      end: the end of the step that passed the budget.
+    """
+    from scipy.integrate import DOP853
+
+    solver = None
+    try:
+        if not np.isfinite(np.append(y0, rhs(-1.0, y0))).all():
+            raise DivergenceError(-1.0)
+        solver = DOP853(rhs, -1.0, y0, 1.0, rtol=rtol, atol=atol)
+        while solver.status == "running":
+            if solver.step() is not None or np.abs(solver.y[::2]).max() > BLOWUP_LIMIT \
+                    or solver.nfev > IVP_MAX_RHS_CALLS:
+                raise DivergenceError(float(solver.t))
+            yield solver
+    except (ValueError, ArithmeticError):
+        raise DivergenceError(-1.0 if solver is None else float(solver.t)) from None
+
+
 # A value of f that is not finite ends as a rejected step or divergence; numpy need not warn.
 @np.errstate(all="ignore")
 def integrate_ivp(
@@ -146,30 +185,13 @@ def integrate_ivp(
 ) -> IntegratedTrace:
     """Integrate -u'' = lam*f(u) + h from (u, u')(-1) = (a, b) over [-1, 1].
 
-    DOP853 steps with dense output.  These are divergence, checked in this
-    order, and raise DivergenceError at the x named:
-
-    - (a, b) or the right-hand side there is not finite: x = -1.0.  DOP853's
-      first step size would be NaN, and it would reject that step forever.
-    - A step fails: the last accepted x.  DOP853 never accepts a step that
-      is not finite; a right-hand side that is not finite (f overflows, or
-      is NaN) makes it shrink the step until the step size collapses.
-    - |u| > BLOWUP_LIMIT at the end of a step: that step's end.
-    - More than IVP_MAX_RHS_CALLS right-hand-side calls, a run that cannot
-      end: the end of the step that passed the budget.
-    - A dense-output sample that is not finite: that sample's x.
+    DOP853 steps with dense output.  Divergence is ``_march``'s, and a
+    dense-output sample that is not finite is divergence at that sample's x.
     """
-    from scipy.integrate import DOP853, OdeSolution
+    from scipy.integrate import OdeSolution
 
-    rhs = _rhs(nl, h, lam)
-    y0 = np.array([a, b], dtype=float)
-    if not np.isfinite(np.append(y0, rhs(-1.0, y0))).all():
-        raise DivergenceError(-1.0)
-    solver = DOP853(rhs, -1.0, y0, 1.0, rtol=rtol, atol=atol)
     ts, pieces = [-1.0], []
-    while solver.status == "running":
-        if solver.step() is not None or abs(solver.y[0]) > BLOWUP_LIMIT or solver.nfev > IVP_MAX_RHS_CALLS:
-            raise DivergenceError(float(solver.t))
+    for solver in _march(_rhs(nl, h, lam), np.array([a, b], dtype=float), rtol, atol):
         ts.append(solver.t)
         pieces.append(solver.dense_output())
     return IntegratedTrace(OdeSolution(ts, pieces))
@@ -194,6 +216,58 @@ def bvp_residual(spec: ProblemSpec, nl: NonlinearitySpec | None, h: ForcingTerm 
     sp = spec.plus.scale(sup_u, sup_up)
     sol = SampledSolution(trace, ShootingState(a, b, lam, (rm, rp)), scales=(sm, sp))
     return np.array([rm, rp]), max(abs(rm) / sm, abs(rp) / sp), sol
+
+
+def _zero(_x):
+    return 0.0
+
+
+def _batched_rhs(nl: NonlinearitySpec | None, h: ForcingTerm | None, lams):
+    """Right-hand side of one -u'' = lam_i*f(u) + h per lam_i, the state
+    (u_0, u_0', u_1, u_1', ...) interleaved as ``_march`` reads it."""
+    f = nl.f if nl is not None else _zero
+    hf = h.h if h is not None else _zero
+    columns = [(2 * i, 2 * i + 1, lam) for i, lam in enumerate(lams)]
+
+    def rhs(x, y):
+        hx = hf(x)
+        out = []
+        for iu, iup, lam in columns:
+            out += (y[iup], -(lam * f(y[iu]) + hx))
+        return out
+    return rhs
+
+
+@np.errstate(all="ignore")
+def bvp_jacobian(spec: ProblemSpec, nl: NonlinearitySpec | None, h: ForcingTerm | None, z, free):
+    """Forward-difference Jacobian of ``bvp_residual``'s F in z[free], columns
+    in the order of ``free``, from one DOP853 solve.
+
+    The base z = (lam, a, b) and each probe z + dz_j*e_j, dz_j = 1e-6*(1 +
+    |z_j|), are integrated side by side with one step sequence (Bock's
+    internal numerical differentiation), so the difference quotients carry
+    no noise from two different step sequences.  Dense output is taken only
+    on the steps that hold an eta point; both boundary functionals are
+    ``BoundarySide.residual`` as in ``bvp_residual``.  Raises DivergenceError
+    as ``_march`` does.
+    """
+    z = np.asarray(z, dtype=float)
+    dz = np.array([1e-6 * (1.0 + abs(z[j])) for j in free])
+    starts = np.tile(z, (len(free) + 1, 1))
+    starts[1 + np.arange(len(free)), list(free)] += dz
+    y = starts[:, 1:].ravel()
+    etas = sorted({e for side in spec.sides for e in side.eta})
+    at = {-1.0: y}
+    for solver in _march(_batched_rhs(nl, h, starts[:, 0].tolist()), y, IVP_RTOL, IVP_ATOL):
+        if etas and etas[0] <= solver.t:
+            interpolant = solver.dense_output()
+            while etas and etas[0] <= solver.t:
+                at[etas[0]] = interpolant(etas[0])
+                etas.pop(0)
+    at[1.0] = solver.y
+    r = np.array([[side.residual(lambda x: at[x][2 * i:2 * i + 2]) for side in spec.sides]
+                  for i in range(len(starts))])
+    return ((r[1:] - r[0]) / dz[:, None]).T
 
 
 def collocation_residual(
@@ -235,6 +309,7 @@ def nonlinear_energy_deviation(trace: SampledTrace, nl: NonlinearitySpec, lam: f
 
 def damped_newton(
     residual,
+    jacobian,
     z,
     free,
     tol: float = RESIDUAL_TOL,
@@ -244,14 +319,17 @@ def damped_newton(
 ):
     """Newton on residual(z) = (F, err, payload), moving only z[free].
 
-    The Jacobian of F in the free coordinates is a forward difference with
-    step 1e-6*(1 + |z_j|).  Each step is halved until err decreases or
-    reaches tol; a candidate whose integration blows up counts as not
-    improving.  Returns (z, payload) at the first iterate with err <= tol.
+    jacobian(z) returns the Jacobian of F in the free coordinates; it is
+    asked for only at an iterate with err > tol.  Each row of the Newton
+    system is divided by its largest |entry|, so a row that holds exactly
+    (F_i = 0) gives a step free of the other rows' rounding.  Each step is
+    halved until err decreases or reaches tol; a candidate whose
+    integration blows up counts as not improving.  Returns (z, payload) at
+    the first iterate with err <= tol.
 
-    Raises NoConvergence when a Jacobian probe diverges, the halvings run
-    out or the iterations do, and SingularSystem when the Jacobian cannot
-    be solved or its condition number exceeds ``cond_limit``.
+    Raises NoConvergence when the Jacobian's solve diverges, the halvings
+    run out or the iterations do, and SingularSystem when the Jacobian
+    cannot be solved or its condition number exceeds ``cond_limit``.
     """
     z = np.array(z, dtype=float)
     free = list(free)
@@ -259,22 +337,18 @@ def damped_newton(
     for _ in range(max_iter):
         if err <= tol:
             return z, payload
-        J = np.empty((len(F), len(free)))
-        for j, col in enumerate(free):
-            dz = 1e-6 * (1.0 + abs(z[col]))
-            zp = z.copy()
-            zp[col] += dz
-            try:
-                Fp = residual(zp)[0]
-            except DivergenceError:
-                raise NoConvergence(err, "Jacobian probe diverged")
-            J[:, j] = (Fp - F) / dz
+        try:
+            J = jacobian(z)
+        except DivergenceError:
+            raise NoConvergence(err, "Jacobian probe diverged")
         if cond_limit is not None:
             cond = np.linalg.cond(J)
             if not math.isfinite(cond) or cond > cond_limit:
                 raise SingularSystem(float(cond))
+        row = np.max(np.abs(J), axis=1)
+        row[row == 0.0] = 1.0
         try:
-            step = np.linalg.solve(J, -F)
+            step = np.linalg.solve(J / row[:, None], -F / row)
         except np.linalg.LinAlgError:
             raise SingularSystem(math.inf)
         damp = 1.0
@@ -308,9 +382,10 @@ def solve_bvp(
 
     Newton runs to 0.5*RESIDUAL_TOL, so the returned solution keeps a
     margin for the integration error and still meets RESIDUAL_TOL when it
-    is re-integrated more accurately.  Raises NoConvergence with the best residual on
-    stagnation and SingularSystem when the forward-difference Jacobian has
-    condition number beyond 1e12 (the resonant signature).  Amplitudes
+    is re-integrated more accurately.  The Jacobian is ``bvp_jacobian`` in
+    (a, b).  Raises NoConvergence with the best residual on stagnation and
+    SingularSystem when that Jacobian has condition number beyond 1e12 (the
+    resonant signature).  Amplitudes
     beyond the runaway cap also abort: at resonance the relative residual
     can be driven down by inflating the iterate along the kernel, which is
     not a solution.
@@ -321,7 +396,10 @@ def solve_bvp(
             raise NoConvergence(math.inf, "amplitude runaway (possible resonance)")
         return F, err, sol
 
-    _, sol = damped_newton(residual, (lam, *initial_guess), (1, 2), 0.5 * RESIDUAL_TOL,
+    def jacobian(z):
+        return bvp_jacobian(spec, nl, h, z, (1, 2))
+
+    _, sol = damped_newton(residual, jacobian, (lam, *initial_guess), (1, 2), 0.5 * RESIDUAL_TOL,
                            NEWTON_MAX_ITER, NEWTON_MAX_HALVINGS, cond_limit=JACOBIAN_COND_LIMIT)
     if h is None and nl is not None and sol.amplitude > 0.0 and lam > 0.0:
         sol.energy_dev = nonlinear_energy_deviation(sol.trace, nl, lam)

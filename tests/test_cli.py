@@ -434,6 +434,19 @@ def test_solve_ends_when_f_is_not_finite(f, code, tmp_path):
         assert not (tmp_path / "solution.json").exists()
 
 
+# log(xi) raises a math domain error at u = 0, which is u(-1) here: an error
+# of f is divergence, so every start fails and `solve` exits 3.  sqrt(xi)
+# raises the same error in a step that strays below u = 0, but its solution
+# stays in u >= 0.
+@pytest.mark.parametrize("f, code", [("log(xi)", 3), ("sqrt(xi)", 0)], ids=["log", "sqrt"])
+def test_solve_domain_error_of_f_is_divergence(f, code, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, "nonlinearity": {"f": f, "f0": 1.0, "finf": 0.0},
+                                "forcing": {"h": "x"}}))
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # Nested about 200 levels deep, each of these used to end in a traceback:
 # RecursionError in the parser, and SyntaxError or MemoryError from Python's
 # compiler on the fully parenthesised source of f.

@@ -12,6 +12,7 @@ from mpsl.shooting import (
     IVP_RTOL,
     IntegratedTrace,
     SampledSolution,
+    bvp_jacobian,
     bvp_residual,
     collocation_residual,
     damped_newton,
@@ -157,6 +158,42 @@ def test_shooting_jacobian_conditioning_near_spectrum(half_u0_spec):
     assert jac_cond(lam0 + 1e-7) > 1e3 * jac_cond(mid)
 
 
+@pytest.mark.parametrize("z", [(0.5, 0.0, 1.5), (0.3, 0.0, 4.0), (0.25, 0.0, 10.0)])
+def test_bvp_jacobian_is_the_forward_difference_of_bvp_residual(half_u0_spec, z):
+    nl = NonlinearitySpec.from_text("xi*(1+3.7/(1+xi^2))", f0=4.7, finf=1.0)
+    z = np.array(z)
+    J = bvp_jacobian(half_u0_spec, nl, None, z, (0, 1, 2))
+    F = bvp_residual(half_u0_spec, nl, None, z)[0]
+
+    def tight(z):
+        trace = integrate_ivp(nl, None, *z, rtol=1e-13, atol=1e-15)
+        return np.array([side.residual(trace.eval) for side in half_u0_spec.sides])
+
+    sequential, central = np.empty((2, 3)), np.empty((2, 3))
+    for j in range(3):
+        e = np.eye(3)[j] * (1.0 + abs(z[j]))
+        sequential[:, j] = (bvp_residual(half_u0_spec, nl, None, z + 1e-6 * e)[0] - F) / (1e-6 * e[j])
+        central[:, j] = (tight(z + 1e-4 * e) - tight(z - 1e-4 * e)) / (2e-4 * e[j])
+    assert np.max(np.abs(J - sequential)) <= 1e-8 * np.max(np.abs(sequential))
+    assert np.max(np.abs(J - central)) <= 1e-5 * np.max(np.abs(central))
+    # Columns follow the order of free; another batch takes other steps.
+    J21 = bvp_jacobian(half_u0_spec, nl, None, z, (2, 1))
+    assert np.max(np.abs(J21 - J[:, [2, 1]])) <= 1e-8 * np.max(np.abs(J))
+
+
+def test_corrector_asks_for_no_jacobian_at_an_accepted_prediction(half_u0_spec, monkeypatch):
+    # For f = xi every predicted point of the branch lies on the eigenline,
+    # so the corrector accepts it with no Newton iteration.
+    from mpsl import branching
+
+    def no_jacobian(*args):
+        raise AssertionError("Jacobian computed at an accepted point")
+
+    monkeypatch.setattr(branching, "bvp_jacobian", no_jacobian)
+    br = branching.branch_from_zero(half_u0_spec, LIN, 0, "+", amplitude_cap=1e2)
+    assert br.termination == branching.TERM_AMPLITUDE
+
+
 def _toy(fun):
     """A damped_newton residual from F(z): err is max |F_i|, payload is F."""
     def residual(z):
@@ -169,7 +206,8 @@ def test_damped_newton_converges_on_free_coordinates():
     # Circle x^2 + y^2 = 4 meets the diagonal at (sqrt 2, sqrt 2); the middle
     # coordinate is a passenger the kernel must leave alone.
     res = _toy(lambda z: [z[0] ** 2 + z[2] ** 2 - 4.0, z[0] - z[2]])
-    z, F = damped_newton(res, (1.0, 7.0, 0.5), (0, 2), tol=1e-12, max_iter=20)
+    jac = lambda z: np.array([[2.0 * z[0], 2.0 * z[2]], [1.0, -1.0]])
+    z, F = damped_newton(res, jac, (1.0, 7.0, 0.5), (0, 2), tol=1e-12, max_iter=20)
     assert z[0] == pytest.approx(math.sqrt(2.0), abs=1e-10)
     assert z[2] == pytest.approx(math.sqrt(2.0), abs=1e-10)
     assert z[1] == 7.0
@@ -180,29 +218,29 @@ def test_damped_newton_accepts_tolerance_on_last_iteration():
     # A linear residual is solved by one Newton step, so a budget of one
     # iteration suffices: the result must be returned, not raised.
     res = _toy(lambda z: [z[0] - 0.25])
-    z, _ = damped_newton(res, (3.0,), (0,), tol=1e-8, max_iter=1)
+    z, _ = damped_newton(res, lambda z: np.array([[1.0]]), (3.0,), (0,), tol=1e-8, max_iter=1)
     assert z[0] == pytest.approx(0.25, abs=1e-8)
     with pytest.raises(NoConvergence, match="budget"):
-        damped_newton(_toy(lambda z: [z[0] ** 3 - 8.0]), (5.0,), (0,), tol=1e-8, max_iter=1)
+        damped_newton(_toy(lambda z: [z[0] ** 3 - 8.0]), lambda z: np.array([[3.0 * z[0] ** 2]]),
+                      (5.0,), (0,), tol=1e-8, max_iter=1)
 
 
 def test_damped_newton_cond_limit():
     # Scales 1 and 1e-14: solvable, but beyond a 1e12 condition limit.
     res = _toy(lambda z: [z[0] - 1.0, 1e-14 * z[1]])
-    z, _ = damped_newton(res, (0.0, 1.0), (0, 1), tol=1e-10, max_iter=5)
+    jac = lambda z: np.diag([1.0, 1e-14])
+    z, _ = damped_newton(res, jac, (0.0, 1.0), (0, 1), tol=1e-10, max_iter=5)
     assert z[0] == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(SingularSystem):
-        damped_newton(res, (0.0, 1.0), (0, 1), tol=1e-10, max_iter=5, cond_limit=1e12)
+        damped_newton(res, jac, (0.0, 1.0), (0, 1), tol=1e-10, max_iter=5, cond_limit=1e12)
 
 
 def test_damped_newton_probe_divergence_is_no_convergence():
-    def res(z):
-        if z[0] != 1.0:
-            raise DivergenceError(0.5)
-        return np.array([1.0]), 1.0, None
+    def jac(z):
+        raise DivergenceError(0.5)
 
     with pytest.raises(NoConvergence, match="probe"):
-        damped_newton(res, (1.0,), (0,), tol=1e-8, max_iter=5)
+        damped_newton(_toy(lambda z: [1.0]), jac, (1.0,), (0,), tol=1e-8, max_iter=5)
 
 
 def test_multistart_deterministic(half_u0_spec):
