@@ -35,7 +35,7 @@ from .errors import (
     SeedFailure,
     SingularSystem,
 )
-from .expressions import F_BIG, F_SMALL, NonlinearitySpec, certify_hypotheses
+from .expressions import F_BIG, F_SMALL, Certificate, NonlinearitySpec, certify_hypotheses
 from .nodal import NodalClass, classify
 from .problem import ProblemSpec
 from .shooting import (
@@ -453,12 +453,23 @@ def nodal_solutions_at_one(
         try:
             return _run_route(spec, nl, k, ep, family, orientation, eps_seed)
         except HypothesisReport as exc:
-            route_errors.append(f"{family}-route: {exc.failed}")
+            route_errors.append(f"{family}-route: {exc.failed}" + (f" ({exc.detail})" if exc.detail else ""))
     raise HypothesisReport("; ".join(route_errors))
 
 
 def _in_family(nodal: tuple[NodalClass, ...], family: str, index: int) -> bool:
     return any(m.family == family and m.k == index for m in nodal)
+
+
+def _certify(nl: NonlinearitySpec, gamma: float, direction: str, failed: str) -> Certificate:
+    """The envelope certificate, or HypothesisReport(failed) when it or f on its grid fails."""
+    try:
+        cert = certify_hypotheses(nl, gamma, direction)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise HypothesisReport(failed, str(exc)) from None
+    if not cert.passed:
+        raise HypothesisReport(failed, cert.reason)
+    return cert
 
 
 def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutionsResult:
@@ -469,9 +480,7 @@ def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutions
         gamma = f0 if orientation == "slopes-fall" else finf
         if not math.isfinite(gamma):
             raise HypothesisReport("finite envelope constant", "finf = inf")
-        cert = certify_hypotheses(nl, gamma, F_SMALL)
-        if not cert.passed:
-            raise HypothesisReport("F-envelope (upper)", cert.reason)
+        cert = _certify(nl, gamma, F_SMALL, "F-envelope (upper)")
         # The endpoint inequalities at lambda = 1 are tested at lam*gamma = gamma.
         if not all(side_thresholds(side).holds_ud(gamma) for side in spec.sides):
             raise HypothesisReport("endpoint derivative-pinning inequality at lambda=1")
@@ -483,9 +492,7 @@ def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutions
         gamma = finf if orientation == "slopes-fall" else f0
         if not (math.isfinite(gamma) and gamma > 0.0):
             raise HypothesisReport("positive finite envelope constant", f"gamma={gamma}")
-        cert = certify_hypotheses(nl, gamma, F_BIG)
-        if not cert.passed:
-            raise HypothesisReport("F-envelope (lower)", cert.reason)
+        cert = _certify(nl, gamma, F_BIG, "F-envelope (lower)")
         if not all(side_thresholds(side).holds_u(gamma) for side in spec.sides):
             raise HypothesisReport("endpoint value-pinning inequality at lambda=1")
         route = FROM_ZERO if orientation == "slopes-rise" else FROM_INFINITY

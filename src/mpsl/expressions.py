@@ -394,35 +394,17 @@ GAUSS_RTOL = 1e-12  # they must agree to this fraction of int |f| over the gap
 GAUSS_BLOCK = 256  # gaps per numpy evaluation of f: keeps each temporary near 60 kB
 
 
-def _legendre(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(t) and P_n'(t) by the three-term recurrence."""
-    p_prev, p = np.ones_like(t), t
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * t * p - (j - 1) * p_prev) / j
-    return p, n * (t * p - p_prev) / (t * t - 1.0)
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positive nodes and their weights of the n-point Gauss-Legendre rule on
-    [-1, 1], n even, by Newton's method on P_n; the other half of the rule
-    is their mirror image."""
-    t = np.cos(np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
-    for _ in range(100):
-        p, dp = _legendre(n, t)
-        step = p / dp
-        t = t - step
-        if np.max(np.abs(step)) <= 1e-15:
-            break
-    return t, 2.0 / ((1.0 - t * t) * _legendre(n, t)[1] ** 2)
-
-
 @functools.cache
 def _gauss_rules() -> tuple[np.ndarray, np.ndarray, int]:
     """The GAUSS_ORDERS rules side by side: (t, w, n) with the positive nodes
     t and weights w of the low rule in [:n] and of the high rule in [n:].
-    Computed on first use, so importing mpsl computes nothing."""
-    (t_low, w_low), (t_high, w_high) = (_gauss_legendre(n) for n in GAUSS_ORDERS)
-    return np.concatenate([t_low, t_high]), np.concatenate([w_low, w_high]), len(t_low)
+    Computed on first use, so importing mpsl computes nothing.  leggauss's
+    nodes ascend and are exactly symmetric: [n:] is the positive half."""
+    from numpy.polynomial.legendre import leggauss
+
+    (t_low, w_low), (t_high, w_high) = map(leggauss, GAUSS_ORDERS)
+    n, m = len(t_low) // 2, len(t_high) // 2
+    return np.concatenate([t_low[n:], t_high[m:]]), np.concatenate([w_low[n:], w_high[m:]]), n
 
 
 def _richardson_limit(g: Callable[[float], float], scales: list[float]) -> float:
@@ -602,7 +584,8 @@ def certify_hypotheses(
     evaluation and F from one ``NonlinearitySpec.F_many`` call.  Also applies
     the sufficient sign test on g(xi) = f(xi)/xi - f0 (g <= 0 certifies the
     small envelope with gamma = f0; g >= 0 the big one).  This is a desk-
-    scale certificate: the envelopes are only verified on the grid.
+    scale certificate: the envelopes are only verified on the grid.  An f
+    that is not a finite real at a grid point raises, naming that xi.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -619,9 +602,16 @@ def certify_hypotheses(
     with np.errstate(all="ignore"):
         fx = np.array(np.broadcast_to(nl._f_array(grid), grid.shape), dtype=float)
         # numpy turns the errors of the scalar f (a math domain error, an
-        # overflow, a complex power) into inf or nan: raise them as f does.
+        # overflow, a complex power) into inf or nan: raise them as f does,
+        # naming the grid point; a value that stays non-finite is a ValueError.
         for i in np.flatnonzero(~np.isfinite(fx)):
-            fx[i] = nl.f(float(grid[i]))
+            xi = float(grid[i])
+            try:
+                fx[i] = nl.f(xi)  # a complex value raises TypeError here
+            except (ArithmeticError, ValueError, TypeError) as exc:
+                raise type(exc)(f"f is not a finite real at xi={xi:.6g}") from exc
+            if not math.isfinite(fx[i]):
+                raise ValueError(f"f is not a finite real at xi={xi:.6g}")
         sign_ok = not np.any(grid * fx <= 0.0)
         g = fx / grid - nl.f0
     sufficient = None

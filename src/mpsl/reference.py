@@ -37,8 +37,6 @@ ROBIN_DIRICHLET = "robin-dirichlet"
 ROBIN_NEUMANN = "robin-neumann"
 ROBIN_ROBIN = "robin-robin"
 
-_REL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ReferenceKind:
@@ -111,37 +109,23 @@ def _normalize_pair(pair: tuple[float, float], side: str) -> tuple[float, float]
 def _bracketed_root(g, lo: float, hi: float, g_lo: float) -> float:
     """Root of g in [lo, hi], where g changes sign and g(lo) = g_lo.
 
-    Bisection to _REL_TOL relative, then at most 3 centred-difference Newton
-    steps; a polish that leaves [lo - w, hi + w], w = hi - lo, falls back to
-    the midpoint of the last bracket.  Shared by the separated reference
-    spectra and the Gamma scan in ``spectrum``.
+    Bisection until no float lies strictly between the bracket ends; returns
+    their midpoint as rounded, or an exact zero of g met on the way.  Each
+    step halves a finite bracket, so it always ends.  Shared by the separated
+    reference spectra and the Gamma scan in ``spectrum``.
     """
-    a, b, fa = lo, hi, g_lo
-    for _ in range(200):
+    a, b, neg_a = lo, hi, g_lo < 0.0
+    while True:
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return mid
         fm = g(mid)
         if fm == 0.0:
             return mid
-        if fa * fm < 0.0:
-            b = mid
+        if (fm < 0.0) == neg_a:
+            a = mid
         else:
-            a, fa = mid, fm
-        if b - a <= _REL_TOL * max(1.0, abs(mid)):
-            break
-    lam = 0.5 * (a + b)
-    width = hi - lo
-    for _ in range(3):
-        h = 1e-7 * max(1.0, abs(lam))
-        slope = (g(lam + h) - g(lam - h)) / (2 * h)
-        if slope == 0.0:
-            break
-        step = g(lam) / slope
-        if not math.isfinite(step) or abs(step) > width:
-            break
-        lam -= step
-    if not lo - width <= lam <= hi + width:
-        lam = 0.5 * (a + b)
-    return lam
+            b = mid
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ characteristic determinant
                      [ bc+(c)  bc+(s) ]
 
 which is real-analytic in lam and vanishes exactly at the eigenvalues.
+Its exact slope dGamma/dlam comes from the same rows on (dc/dlam, ds/dlam).
 Two locators are provided: a brute-force sign-change scan (the oracle) and
 a homotopy continuation that scales the interior coefficients by t in
 [0, 1], tracking each root from its single-point Robin anchor at t = 0.
@@ -23,7 +24,7 @@ from .errors import ContinuationBreakdown, HypothesisError, NumericError, Proble
 from .nodal import ClosedTrace, NodalClass, classify
 from .problem import LEVEL_QUADRATIC, ProblemSpec, level_at_least, scale_coefficients
 from .reference import _bracketed_root, separated_eigenvalue
-from .trig import TrigSolution, _fundamental, bc_functional, normalized
+from .trig import TrigSolution, _fundamental, _fundamental_dlam, bc_functional, normalized
 
 SCAN_STEP_OMEGA = min(0.25, (math.pi / 2.0) / 8.0)
 SCAN_MAX_POINTS = 10_000  # positive scan grid ceiling: lambda_max <= ~3.9e6
@@ -71,36 +72,40 @@ class SpectrumWindow:
 
 
 def _bc_rows(spec: ProblemSpec, lam: float):
-    """``BoundarySide.residual`` on (c, s) for both sides, one pair evaluation per point."""
+    """``BoundarySide.residual`` on c, s and their lam-derivatives for both sides,
+    one pair evaluation per point: a row (r_c, r_s, dr_c, dr_s) per side."""
     rows = []
     for side in spec.sides:
-        c, cp, s, sp = _fundamental(lam, side.endpoint + 1.0)
-        rc = side.alpha0 * c + side.beta0 * cp
-        rs = side.alpha0 * s + side.beta0 * sp
-        for ai, bi, ei in zip(side.alpha, side.beta, side.eta):
-            ce, cpe, se, spe = _fundamental(lam, ei + 1.0)
-            rc -= ai * ce + bi * cpe
-            rs -= ai * se + bi * spe
-        rows.append((rc, rs))
+        rc = rs = drc = drs = 0.0
+        # The endpoint term is the first, with the sign opposite to the others.
+        for ai, bi, ei in zip((-side.alpha0, *side.alpha), (-side.beta0, *side.beta),
+                              (side.endpoint, *side.eta)):
+            y = ei + 1.0
+            c, cp, s, sp = _fundamental(lam, y)
+            dc, dcp, ds, dsp = _fundamental_dlam(lam, y, c, s)
+            rc -= ai * c + bi * cp
+            rs -= ai * s + bi * sp
+            drc -= ai * dc + bi * dcp
+            drs -= ai * ds + bi * dsp
+        rows.append((rc, rs, drc, drs))
     return rows
+
+
+def _det(rows) -> tuple[float, float, float]:
+    """(Gamma, dGamma/dlam, scale) from ``_bc_rows``; scale: product of the value rows' norms."""
+    (m11, m12, d11, d12), (m21, m22, d21, d22) = rows
+    return (m11 * m22 - m12 * m21, d11 * m22 + m11 * d22 - d12 * m21 - m12 * d21,
+            math.hypot(m11, m12) * math.hypot(m21, m22) + 1e-300)
+
+
+def _gamma(spec: ProblemSpec, lam: float) -> tuple[float, float, float]:
+    """(Gamma, dGamma/dlam, scale) at lam from one row pass."""
+    return _det(_bc_rows(spec, lam))
 
 
 def char_det(spec: ProblemSpec, lam: float) -> float:
     """The characteristic determinant Gamma(lam)."""
-    (m11, m12), (m21, m22) = _bc_rows(spec, lam)
-    return m11 * m22 - m12 * m21
-
-
-def char_det_scale(spec: ProblemSpec, lam: float) -> float:
-    """Natural magnitude of Gamma near lam (product of row norms)."""
-    (m11, m12), (m21, m22) = _bc_rows(spec, lam)
-    return math.hypot(m11, m12) * math.hypot(m21, m22) + 1e-300
-
-
-def det_slope(spec: ProblemSpec, lam: float) -> float:
-    """Centered-difference dGamma/dlam."""
-    h = 1e-6 * max(1.0, abs(lam))
-    return (char_det(spec, lam + h) - char_det(spec, lam - h)) / (2.0 * h)
+    return _gamma(spec, lam)[0]
 
 
 def _eigenpair(spec: ProblemSpec, k: int, lam: float,
@@ -112,10 +117,11 @@ def _eigenpair(spec: ProblemSpec, k: int, lam: float,
     first nonvanishing of (u(-1), u'(-1)) is positive.  A flip mirrors the
     memberships (X_k^- := -X_k^+), so psi is classified once.
     """
-    # The null vector of the larger row, for stability; n1*n2 is char_det_scale.
-    (m11, m12), (m21, m22) = _bc_rows(spec, lam)
-    n1, n2 = math.hypot(m11, m12), math.hypot(m21, m22)
-    if n1 >= n2:
+    # The null vector of the larger row, for stability.
+    rows = _bc_rows(spec, lam)
+    _, slope, scale = _det(rows)
+    (m11, m12, _, _), (m21, m22, _, _) = rows
+    if math.hypot(m11, m12) >= math.hypot(m21, m22):
         A, B = -m12, m11
     else:
         A, B = -m22, m21
@@ -135,9 +141,8 @@ def _eigenpair(spec: ProblemSpec, k: int, lam: float,
     if signs == {"-"} or (signs != {"+"} and lead < 0.0):
         psi = TrigSolution(lam, -psi.A, -psi.B)
         memberships = tuple(replace(m, sign="-" if m.sign == "+" else "+") for m in memberships)
-    slope = det_slope(spec, lam)
     return Eigenpair(k=k, lam=lam, psi=psi, nodal=memberships, t_path=t_path,
-                     simple=abs(slope) >= SIMPLE_DET_TOL * (n1 * n2 + 1e-300),
+                     simple=abs(slope) >= SIMPLE_DET_TOL * scale,
                      det_slope=slope,
                      bc_residuals=(bc_functional(spec.minus, psi), bc_functional(spec.plus, psi)))
 
@@ -153,9 +158,9 @@ def eigen_scan(spec: ProblemSpec, lambda_max: float) -> SpectrumWindow:
     """All roots of Gamma in (-LAMBDA_MIN_GUARD, lambda_max] by sign-change scan.
 
     The grid is uniform in sqrt(|lam|) so the (asymptotically pi/2-spaced)
-    roots are sampled several times per gap; each bracket is refined by
-    bisection and polished by Newton.  Roots where |dGamma/dlam| is tiny are
-    flagged non-simple (a hypothesis-violation signal).  A touching root
+    roots are sampled several times per gap; each bracket is bisected until
+    its ends are adjacent floats.  Roots where the exact |dGamma/dlam| is
+    tiny are flagged non-simple (a hypothesis-violation signal).  A touching root
     without a sign change cannot be seen by this scan.  The positive grid
     has sqrt(lambda_max)/SCAN_STEP_OMEGA points; a lambda_max that needs
     more than SCAN_MAX_POINTS raises ProblemDataError, as does a
@@ -218,12 +223,11 @@ def eigen_scan(spec: ProblemSpec, lambda_max: float) -> SpectrumWindow:
 
 
 def _newton_root(spec_t: ProblemSpec, lam0: float) -> float:
-    """Newton iteration on Gamma(., spec_t) from lam0; raises on failure."""
+    """Newton iteration on Gamma(., spec_t) from lam0 with its exact slope; raises on failure."""
     lam = lam0
     last_step = math.inf
     for _ in range(15):
-        g = char_det(spec_t, lam)
-        gp = det_slope(spec_t, lam)
+        g, gp, scale = _gamma(spec_t, lam)
         if gp == 0.0 or not math.isfinite(gp):
             raise NumericError("flat determinant in corrector")
         step = g / gp
@@ -233,7 +237,7 @@ def _newton_root(spec_t: ProblemSpec, lam0: float) -> float:
         if abs(step) > 10.0 * max(1.0, abs(lam0)) and abs(step) > last_step * 4.0:
             raise NumericError("corrector diverging")
         last_step = abs(step)
-    if abs(char_det(spec_t, lam)) <= 1e-9 * char_det_scale(spec_t, lam):
+    if abs(g) <= 1e-9 * scale:  # Gamma at the last iterate
         return lam
     raise NumericError("corrector did not converge")
 

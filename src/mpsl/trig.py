@@ -9,8 +9,9 @@ For lam > 0 (w = sqrt(lam)):   c = cos(w(x+1)),  s = sin(w(x+1))/w
 For lam = 0:                   c = 1,            s = x + 1
 For lam < 0 (w = sqrt(-lam)):  c = cosh(w(x+1)), s = sinh(w(x+1))/w
 
-so (A, B) = (u(-1), u'(-1)).  Sup-norms are computed analytically from
-the phase-amplitude form, which keeps the energy identity
+so (A, B) = (u(-1), u'(-1)); ``_fundamental_dlam`` gives their exact
+lam-derivatives.  Sup-norms are computed analytically from the
+phase-amplitude form, which keeps the energy identity
 lam*u^2 + u'^2 = const exact to rounding.
 """
 
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 
 # Below this |lam| the lam=0 formulas are used (removable singularity in s).
 ZERO_LAMBDA_CUTOFF = 1e-10
+# Below this |lam*y^2| ds/dlam comes from its series (both ~5e-13 relative here).
+DS_SERIES_CUTOFF = 1e-3
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,16 @@ def _fundamental(lam: float, y: float) -> tuple[float, float, float, float]:
     ch = math.cosh(w * y)
     sh = math.sinh(w * y)
     return ch, w * sh, sh / w, ch
+
+
+def _fundamental_dlam(lam: float, y: float, c: float, s: float) -> tuple[float, float, float, float]:
+    """d/dlam of (c, c', s, s') at y = x + 1, from c and s there.  ds = (y*c - s)/(2*lam)
+    cancels as t = lam*y^2 -> 0, so there it is the series -y^3/6*(1 - t/10 + t^2/280)."""
+    t = lam * y * y
+    small = abs(t) < DS_SERIES_CUTOFF
+    ds = -y ** 3 / 6.0 * (1.0 - t / 10.0 + t * t / 280.0) if small else (y * c - s) / (2.0 * lam)
+    dc = -0.5 * y * s
+    return dc, -0.5 * (s + y * c), ds, dc
 
 
 def eval_solution(sol: TrigSolution, x: float) -> tuple[float, float]:

@@ -204,6 +204,21 @@ def test_nodal_solve_hypothesis_failure_exit_4(tmp_path):
     assert main(["nodal-solve", str(path), "--k", "0", "--out", str(tmp_path)]) == 4
 
 
+# f raises on the certificate grid (an overflow, a math domain error, a
+# complex power): the envelope hypothesis fails at that xi, so both routes
+# fail and nodal-solve exits 4 without a traceback.
+@pytest.mark.parametrize("f", ["xi*exp(xi^2)", "log(xi)+xi", "xi^0.5+xi"])
+def test_nodal_solve_f_failing_on_the_certificate_grid_exits_4(f, tmp_path, capsys):
+    prob = dict(HALF_U0)
+    prob["nonlinearity"] = {"f": f, "f0": 1.0, "finf": 2.0}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(prob))
+    assert main(["nodal-solve", str(path), "--k", "0", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "f is not a finite real at xi=" in err
+
+
 def test_unknown_problem_keys_exit_2(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({**HALF_U0, "extra": {}}))

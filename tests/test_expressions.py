@@ -273,19 +273,6 @@ def test_F_errors_match_the_scalar_quadrature(text, xi, error):
         nl.F_many([0.5 * xi, xi])
 
 
-def test_gauss_legendre_rules_match_numpy():
-    from numpy.polynomial.legendre import leggauss
-
-    from mpsl.expressions import GAUSS_ORDERS, _gauss_legendre
-
-    for n in GAUSS_ORDERS:
-        t, w = _gauss_legendre(n)
-        ref_t, ref_w = leggauss(n)
-        order = np.argsort(np.concatenate([-t, t]))
-        assert np.allclose(np.concatenate([-t, t])[order], ref_t, rtol=0, atol=1e-15)
-        assert np.allclose(np.concatenate([w, w])[order], ref_w, rtol=1e-13, atol=0)
-
-
 # (passed, sign_ok, sufficient_sign, worst_xi) from the per-segment quadrature
 # scan that F_many replaced.
 CERT_BEFORE = [

@@ -203,11 +203,10 @@ def test_bracketed_root_returns_an_exact_zero_at_once():
 
 
 def test_bracketed_root_falls_back_when_the_polish_leaves_the_bracket():
-    # A sign change by a jump at r.  The spike next to r sends the first
-    # Newton step 0.4 across it, and the exponential tails carry the next
-    # two steps 0.6 further out each: every step fits the bracket width, but
-    # the sum ends past [lo - w, hi + w], so the midpoint is returned.
-    r, h = 0.3, 1e-7  # h: the polish's difference step at |lam| <= 1
+    # A sign change by a jump at r, with a spike next to it and exponential
+    # tails: a Newton step from near r would leave the bracket.  Bisection
+    # reads only the sign of g, so it closes in on the jump all the same.
+    r, h = 0.3, 1e-7  # h: sets the spike's height
 
     def g(x):
         d = x - r
@@ -216,6 +215,14 @@ def test_bracketed_root_falls_back_when_the_polish_leaves_the_bracket():
         return math.copysign(math.exp(-abs(d) / 0.6), d)
 
     assert abs(_bracketed_root(g, r - 0.5, r + 0.5, g(r - 0.5)) - r) <= 1e-12
+
+
+def test_bracketed_root_bisects_to_adjacent_floats():
+    def g(x):
+        return x - 0.3
+
+    r = _bracketed_root(g, 0.0, 1.0, -0.3)
+    assert g(math.nextafter(r, -math.inf)) * g(math.nextafter(r, math.inf)) <= 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,15 +12,15 @@ from mpsl.spectrum import (
     SCAN_MAX_POINTS,
     SCAN_STEP_OMEGA,
     _bc_rows,
+    _gamma,
     char_det,
-    char_det_scale,
     continuation_spectrum,
     eigen_continuation,
     eigen_scan,
     robin_anchor,
 )
 from mpsl.shooting import default_guesses
-from mpsl.trig import TrigSolution
+from mpsl.trig import TrigSolution, _fundamental, _fundamental_dlam
 
 
 def bisect_half_u0_ground() -> float:
@@ -55,14 +56,12 @@ def test_char_det_dirichlet_dirichlet():
     # Gamma proportional to s(1) = sin(2w)/w: zeros at ((k+1)pi/2)^2.
     for k in range(4):
         lam = ((k + 1) * math.pi / 2) ** 2
-        assert abs(char_det(spec, lam)) <= 1e-12 * char_det_scale(spec, lam)
+        assert abs(char_det(spec, lam)) <= 1e-12 * _gamma(spec, lam)[2]
     assert abs(char_det(spec, 1.0)) > 1e-3
 
 
 def test_char_det_half_u0(half_u0_spec):
-    assert abs(char_det(half_u0_spec, math.pi**2)) <= 1e-12 * char_det_scale(
-        half_u0_spec, math.pi**2
-    )
+    assert abs(char_det(half_u0_spec, math.pi**2)) <= 1e-12 * _gamma(half_u0_spec, math.pi**2)[2]
     lam0 = bisect_half_u0_ground()
     assert lam0 == pytest.approx(1.737, abs=5e-4)
     assert abs(char_det(half_u0_spec, lam0)) <= 1e-9
@@ -129,9 +128,7 @@ def test_gamma_vanishes_along_scaled_path(half_u0_spec):
     # Gamma(pi^2; t-scaled spec) = 0 for every t: sin(2w) - t/2 sin(w) at w=pi.
     for t in (0.0, 0.5, 1.0):
         spec_t = scale_coefficients(half_u0_spec, t)
-        assert abs(char_det(spec_t, math.pi**2)) <= 1e-12 * char_det_scale(
-            spec_t, math.pi**2
-        )
+        assert abs(char_det(spec_t, math.pi**2)) <= 1e-12 * _gamma(spec_t, math.pi**2)[2]
 
 
 def test_scan_and_continuation_agree_on_random_specs():
@@ -154,9 +151,7 @@ def test_eigenpair_invariants(half_u0_spec):
         assert su == pytest.approx(1.0, abs=1e-10)
         assert abs(ep.bc_residuals[0]) <= 1e-9
         assert abs(ep.bc_residuals[1]) <= 1e-9
-        assert abs(char_det(half_u0_spec, ep.lam)) <= 1e-10 * char_det_scale(
-            half_u0_spec, ep.lam
-        )
+        assert abs(char_det(half_u0_spec, ep.lam)) <= 1e-10 * _gamma(half_u0_spec, ep.lam)[2]
         assert ep.simple
 
 
@@ -265,13 +260,66 @@ def test_robin_anchor_errors(exc, caught, half_u0_spec, monkeypatch):
 
 # _bc_rows is Gamma's hot path and keeps its own copy of the boundary
 # functional, sharing each fundamental-pair evaluation between the c and s
-# columns; it must equal BoundarySide.residual on c and on s.
+# columns and their lam-derivatives; it must equal BoundarySide.residual on
+# c and on s, and on the derivative pair from trig._fundamental_dlam.
 def test_bc_rows_equal_the_boundary_functional_on_c_and_s():
     rng = np.random.default_rng(7)
     for _ in range(30):
         spec = random_spec(rng)
         for lam in (-3.7, 0.0, 1e-12, 2.5, 81.0, 1234.5):
             rows = _bc_rows(spec, lam)
-            for side, (rc, rs) in zip(spec.sides, rows):
+
+            def dpair(x, col):
+                y = x + 1.0
+                c, _, s, _ = _fundamental(lam, y)
+                d = _fundamental_dlam(lam, y, c, s)
+                return d[2 * col], d[2 * col + 1]
+
+            for side, (rc, rs, drc, drs) in zip(spec.sides, rows):
                 assert rc == side.residual(TrigSolution(lam, 1.0, 0.0))
                 assert rs == side.residual(TrigSolution(lam, 0.0, 1.0))
+                assert drc == side.residual(lambda x: dpair(x, 0))
+                assert drs == side.residual(lambda x: dpair(x, 1))
+
+
+def _mp_gamma_slope(spec, lam):
+    """dGamma/dlam at 50 digits: mpmath's derivative of Gamma written in
+    the even entire functions cos(w*y) and sin(w*y)/w of w = sqrt(lam)."""
+    def pair(L, y):
+        # sqrt(L) is imaginary for L < 0 and the forms stay real; at L = 0
+        # the series of sin(w*y)/w and of w*sin(w*y) start at y and 0.
+        if L == 0:
+            return mp.mpf(1), mp.mpf(0), y, mp.mpf(1)
+        w = mp.sqrt(L)
+        return (mp.re(mp.cos(w * y)), mp.re(-w * mp.sin(w * y)),
+                mp.re(mp.sin(w * y) / w), mp.re(mp.cos(w * y)))
+
+    def rows(L):
+        out = []
+        for side in spec.sides:
+            at = [(1, side.endpoint, side.alpha0, side.beta0)]
+            at += [(-1, e, a, b) for a, b, e in zip(side.alpha, side.beta, side.eta)]
+            rc = rs = mp.mpf(0)
+            for sign, x, a, b in at:
+                c, cp, s, sp = pair(L, mp.mpf(x) + 1)
+                rc += sign * (mp.mpf(a) * c + mp.mpf(b) * cp)
+                rs += sign * (mp.mpf(a) * s + mp.mpf(b) * sp)
+            out.append((rc, rs))
+        return out
+
+    def gamma(L):
+        (m11, m12), (m21, m22) = rows(L)
+        return m11 * m22 - m12 * m21
+
+    with mp.workdps(50):
+        return mp.diff(gamma, mp.mpf(lam))
+
+
+@pytest.mark.parametrize("lam", [-24.0, -1.0, -1e-6, -1e-11, 0.0, 1e-12, 1e-7, 1e-4,
+                                 0.3, 2.5, 81.0, 1e4])
+def test_gamma_slope_matches_a_high_precision_derivative(lam):
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        spec = random_spec(rng)
+        exact = float(_mp_gamma_slope(spec, lam))
+        assert abs(_gamma(spec, lam)[1] - exact) <= 1e-10 * abs(exact)
