@@ -12,7 +12,9 @@ below tolerance.  It is the one Newton loop in the package: forced solves
 here and the pseudo-arclength corrector in ``branching`` both run it on
 ``bvp_residual`` and ``bvp_jacobian``, each in its own coordinates.
 ``integrate_ivp`` and ``bvp_jacobian`` step DOP853 through ``_march``,
-which holds every divergence rule.
+one loop on Python floats for any number of (u, u') pairs, which holds
+every divergence rule and imports nothing of scipy: its tableau is the
+copy in ``dop853``.
 
 Acceptance scale per side: 1 + |alpha0|*|u|_0 + |beta0|*|u'|_0.
 """
@@ -20,6 +22,7 @@ Acceptance scale per side: 1 + |alpha0|*|u|_0 + |beta0|*|u'|_0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,22 +51,23 @@ NONRESONANCE_MARGIN = 10.0
 class IntegratedTrace(SampledTrace):
     """Sampled trace backed by the integrator's dense output.
 
-    The DOP853 interpolants of ``sol`` (an ascending ``OdeSolution``) are
-    stacked once, and ``_dense`` evaluates them at many points in one pass:
-    the segment choice of ``OdeSolution.__call__`` and the Horner loop of
-    ``Dop853DenseOutput._call_impl`` in the same operation order, so every
-    value equals scipy's bit for bit.  The sample nodes and ``eval`` both go
-    through it.
+    Built from the accepted steps as ``_march`` yields them: each step's
+    start t_old, size h, interpolant rows F (highest power first) and start
+    state y_old.  ``_dense`` evaluates the interpolants at many points in one
+    numpy pass and ``_interpolate`` at one point on Python floats.  Both pick
+    the segment as scipy's ``OdeSolution`` does, where a step end belongs to
+    the lower step, and run the Horner loop of scipy's ``Dop853DenseOutput``
+    in its operation order, so they agree bit for bit with each other and
+    with scipy's interpolant on the same steps.  The sample nodes go through
+    ``_dense`` and ``eval`` through ``_interpolate``.
     """
 
-    def __init__(self, sol):
-        pieces = sol.interpolants
-        self._ts, self._side = sol.ts_sorted, sol.side
-        self._t_old = np.array([p.t_old for p in pieces])
-        self._h = np.array([p.h for p in pieces])
-        # (power, segment, state), highest power first as the Horner loop reads it
-        self._F = np.stack([p.F[::-1] for p in pieces], axis=1)
-        self._y_old = np.stack([p.y_old for p in pieces])
+    def __init__(self, t_old, h, F, y_old):
+        self._t_old, self._h = np.array(t_old, dtype=float), np.array(h, dtype=float)
+        F, self._y_old = np.array(F, dtype=float), np.array(y_old, dtype=float)
+        self._F = F.transpose(1, 0, 2)  # (power, segment, state)
+        self._starts = self._t_old.tolist()
+        self._steps = list(zip(self._starts, self._h.tolist(), F.tolist(), self._y_old.tolist()))
         x = np.linspace(-1.0, 1.0, int(round(2.0 / DENSE_STEP)) + 1)
         u, uprime = self._dense(x)
         finite = np.isfinite(u) & np.isfinite(uprime)
@@ -72,7 +76,7 @@ class IntegratedTrace(SampledTrace):
         super().__init__(x, u, uprime)
 
     def _dense(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        seg = np.searchsorted(self._ts, t, side=self._side) - 1
+        seg = np.searchsorted(self._t_old, t, side="left") - 1
         np.clip(seg, 0, len(self._h) - 1, out=seg)
         s = ((t - self._t_old.take(seg)) / self._h.take(seg))[:, None]
         r = 1 - s
@@ -90,8 +94,23 @@ class IntegratedTrace(SampledTrace):
         if abs(x) == 1.0:  # an end node, already sampled by the same kernel
             i = 0 if x < 0.0 else -1
             return float(self.u[i]), float(self.up[i])
-        u, up = self._dense(np.array([x]))
-        return float(u[0]), float(up[0])
+        seg = min(max(bisect_left(self._starts, x) - 1, 0), len(self._steps) - 1)
+        u, up = _interpolate(x, *self._steps[seg])
+        return u, up
+
+
+def _interpolate(x: float, t_old: float, h: float, F, y_old) -> list[float]:
+    """One step's DOP853 interpolant at x on Python floats, every state
+    component, in the operation order of ``IntegratedTrace._dense``: float64
+    arithmetic rounds alike in numpy and Python, so the values agree bit for
+    bit."""
+    s = (x - t_old) / h
+    r = 1.0 - s
+    y = [0.0] * len(y_old)
+    for i, row in enumerate(F):
+        w = r if i % 2 else s
+        y = [(v + c) * w for v, c in zip(y, row)]
+    return [v + c for v, c in zip(y, y_old)]
 
 
 @dataclass(frozen=True)
@@ -119,57 +138,135 @@ class SampledSolution:
         return abs(r[0]) <= RESIDUAL_TOL * self.scales[0] and abs(r[1]) <= RESIDUAL_TOL * self.scales[1]
 
 
-def _rhs(nl: NonlinearitySpec | None, h: ForcingTerm | None, lam: float):
-    f = nl.f if nl is not None else None
-    hf = h.h if h is not None else None
-    if f is not None and hf is not None:
-        def rhs(x, y):
-            return (y[1], -(lam * f(y[0]) + hf(x)))
-    elif f is not None:
-        def rhs(x, y):
-            return (y[1], -lam * f(y[0]))
-    elif hf is not None:
-        def rhs(x, y):
-            return (y[1], -hf(x))
-    else:
-        def rhs(x, y):
-            return (y[1], 0.0)
+def _on_floats(fn):
+    """fn of a Python float as a float.  Where Python raises and numpy's
+    scalars give inf or NaN (``**`` overflows, a negative base's fractional
+    power is complex, x/0), fn is evaluated again on np.float64, so such a
+    value is a rejected step rather than divergence."""
+    def value(v):
+        try:
+            return float(fn(v))
+        except (ArithmeticError, ValueError, TypeError):
+            return float(fn(np.float64(v)))
+    return value
+
+
+def _zero(_x):
+    return 0.0
+
+
+def _rhs(nl: NonlinearitySpec | None, h: ForcingTerm | None, lams):
+    """Right-hand side of one -u'' = lam_i*f(u) + h per lam_i, the state
+    (u_0, u_0', u_1, u_1', ...) a list of floats as ``_march`` steps it."""
+    f = _on_floats(nl.f) if nl is not None else _zero
+    hf = _on_floats(h.h) if h is not None else _zero
+    columns = [(2 * i, 2 * i + 1, lam) for i, lam in enumerate(lams)]
+
+    def rhs(x, y):
+        hx = hf(x)
+        out = []
+        for iu, iup, lam in columns:
+            out += (y[iup], -(lam * f(y[iu]) + hx))
+        return out
     return rhs
 
 
-def _march(rhs, y0: np.ndarray, rtol: float, atol: float):
-    """DOP853 on y' = rhs(x, y) from y(-1) = y0 to x = 1, yielding the
-    solver after each accepted step.  The even columns of y are values of u.
+def _rms(v, scale) -> float:
+    return math.sqrt(math.fsum([(a / b) * (a / b) for a, b in zip(v, scale)]) / len(v))
+
+
+def _march(rhs, y0: list[float], rtol: float, atol: float, dense):
+    """DOP853 on y' = rhs(x, y) from y(-1) = y0 to x = 1, on Python floats,
+    yielding (t, y, piece) after each accepted step.  The even entries of y
+    are values of u.  piece is the step's interpolant (t_old, h, F, y_old),
+    F's rows highest power first, if dense(t) holds, and None otherwise.
+
+    This is scipy's DOP853 (Hairer, Norsett & Wanner, Sec. II.10) on the
+    tableau of ``dop853``: its initial step, its step control (safety 0.9,
+    factors 0.2 to 10, exponent -1/8, failure below 10 float spacings of t)
+    and its RMS error norm over all components, so trajectories integrated
+    side by side share one step sequence.  Each stage sum is one of
+    ``dop853``'s row expressions, added left to right in every Python
+    version.  Right-hand-side calls count as scipy's nfev, the three
+    dense-output stages of a step included.
 
     These are divergence, checked in this order, and raise DivergenceError
     at the x named:
 
-    - y0 or the right-hand side there is not finite: x = -1.0.  DOP853's
-      first step size would be NaN, and it would reject that step forever.
+    - y0 or the right-hand side there is not finite: x = -1.0.  The first
+      step size would be NaN, and that step would be rejected forever.
     - The right-hand side raises ValueError or ArithmeticError (f or h
-      outside its domain, as log(0)): -1.0 before the first accepted step,
-      otherwise the last accepted x.
-    - A step fails: the last accepted x.  DOP853 never accepts a step that
-      is not finite; a right-hand side that is not finite (f overflows, or
-      is NaN) makes it shrink the step until the step size collapses.
+      outside its domain, as log(0), or math.exp overflows): -1.0 before the
+      first accepted step, otherwise the last accepted x.
+    - A step fails: the last accepted x.  A right-hand side that is not
+      finite (f overflows, or is NaN) gives a step error that is not below
+      1, so the step shrinks until it fails.
     - Some |u| > BLOWUP_LIMIT at the end of a step: that step's end.
     - More than IVP_MAX_RHS_CALLS right-hand-side calls, a run that cannot
       end: the end of the step that passed the budget.
     """
-    from scipy.integrate import DOP853
+    from .dop853 import A_SUM, B_SUM, C, D_SUM, E3_SUM, E5_SUM
 
-    solver = None
+    t, y, n = -1.0, y0, len(y0)
     try:
-        if not np.isfinite(np.append(y0, rhs(-1.0, y0))).all():
+        f = rhs(t, y)
+        if not all(map(math.isfinite, y + f)):
             raise DivergenceError(-1.0)
-        solver = DOP853(rhs, -1.0, y0, 1.0, rtol=rtol, atol=atol)
-        while solver.status == "running":
-            if solver.step() is not None or np.abs(solver.y[::2]).max() > BLOWUP_LIMIT \
-                    or solver.nfev > IVP_MAX_RHS_CALLS:
-                raise DivergenceError(float(solver.t))
-            yield solver
+        scale = [atol + abs(v) * rtol for v in y]
+        d0, d1 = _rms(y, scale), _rms(f, scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 2.0)
+        d2 = _rms([a - b for a, b in zip(rhs(t + h0, [v + h0 * g for v, g in zip(y, f)]), f)], scale) / h0
+        h_abs = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+        h_abs, nfev = min(100.0 * h0, h_abs, 2.0), 2
+        while t < 1.0:
+            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+            h_abs, rejected = max(h_abs, min_step), False
+            while True:
+                if h_abs < min_step:
+                    raise DivergenceError(t)
+                t_new = min(t + h_abs, 1.0)
+                h = t_new - t
+                K = [[v] for v in f]  # K[i][s]: stage s of component i
+                for s in range(1, 12):
+                    row = A_SUM[s]
+                    for Ki, v in zip(K, rhs(t + C[s] * h, [v + row(Ki) * h for v, Ki in zip(y, K)])):
+                        Ki.append(v)
+                y_new = [v + h * B_SUM(Ki) for v, Ki in zip(y, K)]
+                f_new = rhs(t + h, y_new)
+                nfev += 12
+                err5 = err3 = 0.0
+                for v, w, Ki, g in zip(y, y_new, K, f_new):
+                    Ki.append(g)
+                    sc = atol + max(abs(w), abs(v)) * rtol
+                    e5, e3 = E5_SUM(Ki) / sc, E3_SUM(Ki) / sc
+                    err5 += e5 * e5
+                    err3 += e3 * e3
+                err = h * err5 / math.sqrt((err5 + 0.01 * err3) * n) if err5 else 0.0
+                if err < 1.0:
+                    factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
+                    h_abs = h * (min(1.0, factor) if rejected else factor)
+                    break
+                h_abs, rejected = h * max(0.2, 0.9 * err ** -0.125), True
+            t_old, y_old, f_old = t, y, f
+            t, y, f = t_new, y_new, f_new
+            if any(abs(u) > BLOWUP_LIMIT for u in y[::2]) or nfev > IVP_MAX_RHS_CALLS:
+                raise DivergenceError(t)
+            piece = None
+            if dense(t):
+                for s in (13, 14, 15):
+                    row = A_SUM[s]
+                    for Ki, v in zip(K, rhs(t_old + C[s] * h, [v + row(Ki) * h for v, Ki in zip(y_old, K)])):
+                        Ki.append(v)
+                nfev += 3
+                dy = [w - v for v, w in zip(y_old, y)]
+                F = [[h * row(Ki) for Ki in K] for row in reversed(D_SUM)]
+                F.append([2.0 * d - h * (g + g0) for d, g, g0 in zip(dy, f, f_old)])
+                F.append([h * g0 - d for d, g0 in zip(dy, f_old)])
+                F.append(dy)
+                piece = (t_old, h, F, y_old)
+            yield t, y, piece
     except (ValueError, ArithmeticError):
-        raise DivergenceError(-1.0 if solver is None else float(solver.t)) from None
+        raise DivergenceError(t) from None
 
 
 # A value of f that is not finite ends as a rejected step or divergence; numpy need not warn.
@@ -185,16 +282,12 @@ def integrate_ivp(
 ) -> IntegratedTrace:
     """Integrate -u'' = lam*f(u) + h from (u, u')(-1) = (a, b) over [-1, 1].
 
-    DOP853 steps with dense output.  Divergence is ``_march``'s, and a
-    dense-output sample that is not finite is divergence at that sample's x.
+    DOP853 steps with dense output on every step.  Divergence is
+    ``_march``'s, and a dense-output sample that is not finite is divergence
+    at that sample's x.
     """
-    from scipy.integrate import OdeSolution
-
-    ts, pieces = [-1.0], []
-    for solver in _march(_rhs(nl, h, lam), np.array([a, b], dtype=float), rtol, atol):
-        ts.append(solver.t)
-        pieces.append(solver.dense_output())
-    return IntegratedTrace(OdeSolution(ts, pieces))
+    march = _march(_rhs(nl, h, (float(lam),)), [float(a), float(b)], rtol, atol, lambda t: True)
+    return IntegratedTrace(*zip(*(piece for _, _, piece in march)))
 
 
 def bc_residual_on_trace(side: BoundarySide, trace) -> float:
@@ -218,56 +311,37 @@ def bvp_residual(spec: ProblemSpec, nl: NonlinearitySpec | None, h: ForcingTerm 
     return np.array([rm, rp]), max(abs(rm) / sm, abs(rp) / sp), sol
 
 
-def _zero(_x):
-    return 0.0
-
-
-def _batched_rhs(nl: NonlinearitySpec | None, h: ForcingTerm | None, lams):
-    """Right-hand side of one -u'' = lam_i*f(u) + h per lam_i, the state
-    (u_0, u_0', u_1, u_1', ...) interleaved as ``_march`` reads it."""
-    f = nl.f if nl is not None else _zero
-    hf = h.h if h is not None else _zero
-    columns = [(2 * i, 2 * i + 1, lam) for i, lam in enumerate(lams)]
-
-    def rhs(x, y):
-        hx = hf(x)
-        out = []
-        for iu, iup, lam in columns:
-            out += (y[iup], -(lam * f(y[iu]) + hx))
-        return out
-    return rhs
-
-
 @np.errstate(all="ignore")
 def bvp_jacobian(spec: ProblemSpec, nl: NonlinearitySpec | None, h: ForcingTerm | None, z, free):
     """Forward-difference Jacobian of ``bvp_residual``'s F in z[free], columns
     in the order of ``free``, from one DOP853 solve.
 
-    The base z = (lam, a, b) and each probe z + dz_j*e_j, dz_j = 1e-6*(1 +
-    |z_j|), are integrated side by side with one step sequence (Bock's
-    internal numerical differentiation), so the difference quotients carry
-    no noise from two different step sequences.  Dense output is taken only
-    on the steps that hold an eta point; both boundary functionals are
-    ``BoundarySide.residual`` as in ``bvp_residual``.  Raises DivergenceError
-    as ``_march`` does.
+    The base z = (lam, a, b) and each probe z + dz_j*e_j, dz_j = 1e-6*|z_j|
+    (1e-6 where z_j = 0), are integrated side by side with one step
+    sequence (Bock's internal numerical differentiation), so the difference
+    quotients carry no noise from two different step sequences.  Dense
+    output is taken only on the steps that hold an eta point, by
+    ``_interpolate``; both boundary functionals are ``BoundarySide.residual``
+    as in ``bvp_residual``.  Raises DivergenceError as ``_march`` does.
     """
-    z = np.asarray(z, dtype=float)
-    dz = np.array([1e-6 * (1.0 + abs(z[j])) for j in free])
-    starts = np.tile(z, (len(free) + 1, 1))
-    starts[1 + np.arange(len(free)), list(free)] += dz
-    y = starts[:, 1:].ravel()
+    z = [float(v) for v in z]
+    dz = [1e-6 * abs(z[j]) or 1e-6 for j in free]
+    starts = [z]
+    for j, d in zip(free, dz):
+        starts.append(z.copy())
+        starts[-1][j] += d
     etas = sorted({e for side in spec.sides for e in side.eta})
+    y = [v for start in starts for v in start[1:]]
     at = {-1.0: y}
-    for solver in _march(_batched_rhs(nl, h, starts[:, 0].tolist()), y, IVP_RTOL, IVP_ATOL):
-        if etas and etas[0] <= solver.t:
-            interpolant = solver.dense_output()
-            while etas and etas[0] <= solver.t:
-                at[etas[0]] = interpolant(etas[0])
-                etas.pop(0)
-    at[1.0] = solver.y
+    for t, y, piece in _march(_rhs(nl, h, [start[0] for start in starts]), y, IVP_RTOL, IVP_ATOL,
+                              lambda t: bool(etas) and etas[0] <= t):
+        while etas and etas[0] <= t:
+            eta = etas.pop(0)
+            at[eta] = _interpolate(eta, *piece)
+    at[1.0] = y
     r = np.array([[side.residual(lambda x: at[x][2 * i:2 * i + 2]) for side in spec.sides]
                   for i in range(len(starts))])
-    return ((r[1:] - r[0]) / dz[:, None]).T
+    return ((r[1:] - r[0]) / np.array(dz)[:, None]).T
 
 
 def collocation_residual(

@@ -312,11 +312,37 @@ def test_linear_subcommands_never_import_scipy(argv, problem_file, tmp_path):
     assert run_probe([argv[0], problem_file, *argv[1:], "--out", str(tmp_path)]) == []
 
 
-def test_solve_imports_scipy_when_it_integrates(tmp_path):
+# Integrates the worked example in a fresh interpreter, with integrate_ivp,
+# bvp_jacobian and `python -m mpsl solve`, then prints the scipy modules it
+# loaded: the DOP853 stepper needs none of them.
+NO_SCIPY_PROBE = (
+    "import json, runpy, sys\n"
+    "from mpsl.cli import SELFTEST_PROBLEM\n"
+    "from mpsl.expressions import ForcingTerm, NonlinearitySpec\n"
+    "from mpsl.problem import problem_from_dict\n"
+    "from mpsl.shooting import bvp_jacobian, integrate_ivp\n"
+    "spec, extras = problem_from_dict(SELFTEST_PROBLEM)\n"
+    "nl = NonlinearitySpec.from_text(extras['nonlinearity']['f'], f0=4.0, finf=1.0)\n"
+    "h = ForcingTerm.from_text(extras['forcing']['h'])\n"
+    "integrate_ivp(nl, h, 1.0, 0.0, 1.0)\n"
+    "bvp_jacobian(spec, nl, h, (1.0, 0.0, 1.0), (1, 2))\n"
+    "sys.argv = ['mpsl', 'solve', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('mpsl', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+)
+
+
+def test_integration_never_imports_scipy(tmp_path):
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({**HALF_U0, "nonlinearity": {"f": "xi/(1+abs(xi))", "f0": 1.0, "finf": 0.0},
-                                "forcing": {"h": "x"}}))
-    assert "scipy.integrate" in run_probe(["solve", str(path), "--out", str(tmp_path)])
+    path.write_text(json.dumps(SELFTEST_PROBLEM))
+    src = os.path.dirname(os.path.dirname(mpsl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, str(path), "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
     assert (tmp_path / "solution.json").exists()
 
 
@@ -422,6 +448,23 @@ def test_solve_with_overflowing_f(h, code, c, tmp_path, capsys):
     x, u = np.array([[float(r[0]), float(r[1])] for r in rows]).T
     assert np.all(np.isfinite(u))
     assert np.max(np.abs(u - c * (x - x**3))) <= 1e-8
+
+
+# The from-zero branch of a superlinear f heads to lam -> 0 as its amplitude
+# grows.  With Jacobian probes of 1e-6*(1 + |z_j|), 40-67 % of lam there, the
+# corrector failed ever more often and the run did not end within 300 s; a
+# probe of 1e-6*|z_j| lets it reach the lambda cap in a few seconds.
+def test_superlinear_branch_ends_at_the_lambda_cap(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, "nonlinearity": {"f": "xi*(1+xi^2)", "f0": 1.0}}))
+    src = os.path.dirname(os.path.dirname(mpsl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mpsl", "branch", str(path), "--k", "0", "--sign", "+",
+                           "--out", str(tmp_path)], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "branch_k0_plus: 81 points, termination lambda_cap" in proc.stdout
+    _, rows = read_csv(tmp_path / "branch_k0_plus.csv")
+    assert len(rows) == 81 and float(rows[-1][1]) < 1e-9
 
 
 # Each of these f's makes the integrator's step size NaN when it starts
