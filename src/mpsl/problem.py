@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import ProblemDataError
 
@@ -73,13 +74,32 @@ class BoundarySide:
     def endpoint(self) -> float:
         return 1.0 if self.side == "plus" else -1.0
 
+    # Correctly rounded sums, so a verdict near a hypothesis-level boundary
+    # does not depend on the Python version (built-in sum is compensated
+    # from 3.12 on).
     @property
     def sum_alpha(self) -> float:
-        return sum(abs(a) for a in self.alpha)
+        return math.fsum(abs(a) for a in self.alpha)
 
     @property
     def sum_beta(self) -> float:
-        return sum(abs(b) for b in self.beta)
+        return math.fsum(abs(b) for b in self.beta)
+
+    @cached_property
+    def row_terms(self) -> tuple[tuple[float, float, float], ...]:
+        """The condition as terms (a, b, x) with residual = -sum(a*u(x) + b*u'(x)):
+        the endpoint's first, its sign flipped, then the interior ones.
+
+        Gamma's rows (``spectrum._bc_rows``) read them.  Every a and b is
+        multiplied by one power of two, which brings the largest |coefficient|
+        into [0.5, 1) when it lies outside [2^-100, 2^100] and is exactly 1
+        inside.  A positive factor does not change the condition, so Gamma
+        neither underflows nor overflows, whatever the data's scale.
+        """
+        _, e = math.frexp(max(abs(v) for v in (self.alpha0, self.beta0, *self.alpha, *self.beta)))
+        p = 1.0 if abs(e) <= 100 else math.ldexp(1.0, -e)
+        return tuple((a * p, b * p, x) for a, b, x in zip(
+            (-self.alpha0, *self.alpha), (-self.beta0, *self.beta), (self.endpoint, *self.eta)))
 
     @property
     def is_dirichlet_type(self) -> bool:

@@ -14,6 +14,8 @@ A Robin eigenvalue is the root in w = sqrt(lam) of its Prüfer phase
 equation, 2w + theta_minus(w) + theta_plus(w) = (k+1)*pi with
 theta_pm(w) = atan2(w*|beta0|, alpha0): the left side increases strictly
 in w, so the root is never lost, however far the ratio alpha0/beta0 goes.
+It is solved in the complementary angles atan2(alpha0, w*|beta0|), with
+their exact slope.
 
 Sentinel extensions (definitions, not eigenvalues): index -1 for the
 Robin-Dirichlet and mixed families and indices -2, -1 for the Dirichlet
@@ -36,6 +38,8 @@ MIXED = "mixed"
 ROBIN_DIRICHLET = "robin-dirichlet"
 ROBIN_NEUMANN = "robin-neumann"
 ROBIN_ROBIN = "robin-robin"
+
+NUDGE_ULPS = 4  # _bracketed_root: how far past a converged Newton iterate to step
 
 
 @dataclass(frozen=True)
@@ -109,23 +113,43 @@ def _normalize_pair(pair: tuple[float, float], side: str) -> tuple[float, float]
 def _bracketed_root(g, lo: float, hi: float, g_lo: float) -> float:
     """Root of g in [lo, hi], where g changes sign and g(lo) = g_lo.
 
-    Bisection until no float lies strictly between the bracket ends; returns
-    their midpoint as rounded, or an exact zero of g met on the way.  Each
-    step halves a finite bracket, so it always ends.  Shared by the separated
-    reference spectra and the Gamma scan in ``spectrum``.
+    ``g(x)`` returns (value, slope).  Safeguarded Newton (Allgower & Georg,
+    *Numerical Continuation Methods*, 1990, ch. 2): the first point is the
+    midpoint, and each value moves the bracket end on its side.  A Newton
+    iterate that leaves the bracket, or moves more than half as far as the
+    previous step did, is replaced by the midpoint.  Newton closes in from
+    one side, so a Newton step of at most ``nudge`` ulps (NUDGE_ULPS at
+    first, doubled at each use) means the root is near: the next point lies
+    that many ulps past the iterate toward the far end, and the far end comes
+    in too.  It ends when no float lies strictly between the bracket ends and
+    returns their midpoint as rounded, or an exact zero of g met on the way.
+    Every point lies strictly inside the bracket and becomes one of its ends,
+    so it always ends.  Shared by the separated reference spectra and the
+    Gamma scan in ``spectrum``.
     """
     a, b, neg_a = lo, hi, g_lo < 0.0
-    while True:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            return mid
-        fm = g(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == neg_a:
-            a = mid
+    x = 0.5 * (a + b)
+    last, nudge = b - a, NUDGE_ULPS
+    while a < x < b:
+        fx, dfx = g(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == neg_a:
+            a, far = x, b
         else:
-            b = mid
+            b, far = x, a
+        step = fx / dfx if dfx != 0.0 else math.inf
+        near = nudge * math.ulp(x)
+        if abs(step) <= near:  # converged from one side: step past the root
+            new = x + math.copysign(abs(step) + near, far - x)
+            nudge *= 2
+        else:
+            new = x - step
+        if not a < new < b or abs(step) > max(near, 0.5 * last):
+            new = 0.5 * (a + b)
+        last = abs(new - x)
+        x = new
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -147,21 +171,32 @@ def _separated_eigenvalue_cached(bc_minus, bc_plus, k: int) -> float:
     # theta = atan2(w*u, u'), the solution that meets the minus condition has
     # theta(x) = theta_minus(w) + w*(x + 1), and the k-th eigenfunction meets
     # the plus condition at theta(1) = (k + 1)*pi - theta_plus(w), both
-    # theta_pm in [0, pi/2].  So g strictly increases in w and has its one
-    # root in the Neumann-Dirichlet window [k*pi/2, (k + 1)*pi/2].  Its
-    # bracketed term comes first, so that g is exact at the window ends; a
-    # root that rounds onto an end is that end.
+    # theta_pm in [0, pi/2].  g is that equation in the complementary angles
+    # pi/2 - theta_pm = atan2(alpha0, w*|beta0|), which keeps a tiny angle
+    # tiny instead of subtracting it from pi/2.  g strictly increases in w,
+    # with slope 2 + sum alpha0*|beta0|/(alpha0^2 + w^2*beta0^2), and has its
+    # one root in the Neumann-Dirichlet window [k*pi/2, (k + 1)*pi/2].  Its
+    # bracketed term is exactly 0 at lo, since 2*lo = k*pi as rounded, so
+    # g(lo) <= 0 holds exactly; at hi it is (k + 1)*pi - k*pi as rounded,
+    # within an ulp of (k + 1)*pi of pi, so g(hi) >= 0 holds up to that.
+    # A root that rounds onto an end is that end.
     abs_bm, abs_bp = abs(b0m), abs(b0p)
-    phase_k = (k + 1) * math.pi
+    phase_k = k * math.pi
 
-    def g(w: float) -> float:
-        return (2.0 * w - phase_k) + math.atan2(w * abs_bm, a0m) + math.atan2(w * abs_bp, a0p)
+    def g(w: float) -> tuple[float, float]:
+        hm, hp = math.hypot(a0m, w * abs_bm), math.hypot(a0p, w * abs_bp)
+        slope = 2.0
+        if a0m:
+            slope += (a0m / hm) * (abs_bm / hm)
+        if a0p:
+            slope += (a0p / hp) * (abs_bp / hp)
+        return (2.0 * w - phase_k) - math.atan2(a0m, w * abs_bm) - math.atan2(a0p, w * abs_bp), slope
 
-    lo, hi = k * math.pi / 2.0, phase_k / 2.0
-    g_lo = g(lo)
+    lo, hi = phase_k / 2.0, (k + 1) * math.pi / 2.0
+    g_lo = g(lo)[0]
     if g_lo >= 0.0:
         return lo ** 2
-    if g(hi) <= 0.0:
+    if g(hi)[0] <= 0.0:
         return hi ** 2
     return _bracketed_root(g, lo, hi, g_lo) ** 2
 

@@ -73,14 +73,14 @@ class SpectrumWindow:
 
 def _bc_rows(spec: ProblemSpec, lam: float):
     """``BoundarySide.residual`` on c, s and their lam-derivatives for both sides,
-    one pair evaluation per point: a row (r_c, r_s, dr_c, dr_s) per side."""
+    one pair evaluation per point: a row (r_c, r_s, dr_c, dr_s) per side, from
+    the side's ``row_terms`` (its coefficients times a power of two that is
+    exactly 1 at ordinary magnitudes)."""
     rows = []
     for side in spec.sides:
         rc = rs = drc = drs = 0.0
-        # The endpoint term is the first, with the sign opposite to the others.
-        for ai, bi, ei in zip((-side.alpha0, *side.alpha), (-side.beta0, *side.beta),
-                              (side.endpoint, *side.eta)):
-            y = ei + 1.0
+        for ai, bi, xi in side.row_terms:
+            y = xi + 1.0
             c, cp, s, sp = _fundamental(lam, y)
             dc, dcp, ds, dsp = _fundamental_dlam(lam, y, c, s)
             rc -= ai * c + bi * cp
@@ -158,10 +158,13 @@ def eigen_scan(spec: ProblemSpec, lambda_max: float) -> SpectrumWindow:
     """All roots of Gamma in (-LAMBDA_MIN_GUARD, lambda_max] by sign-change scan.
 
     The grid is uniform in sqrt(|lam|) so the (asymptotically pi/2-spaced)
-    roots are sampled several times per gap; each bracket is bisected until
-    its ends are adjacent floats.  Roots where the exact |dGamma/dlam| is
-    tiny are flagged non-simple (a hypothesis-violation signal).  A touching root
-    without a sign change cannot be seen by this scan.  The positive grid
+    roots are sampled several times per gap.  A bracket is a sign change
+    between neighbours (signs are compared, not multiplied, so no product
+    underflows); ``_bracketed_root`` closes it to adjacent floats by
+    safeguarded Newton on Gamma and its exact slope from one row pass.
+    Roots where the exact |dGamma/dlam| is tiny are flagged non-simple (a
+    hypothesis-violation signal).  A touching root without a sign change
+    cannot be seen by this scan.  The positive grid
     has sqrt(lambda_max)/SCAN_STEP_OMEGA points; a lambda_max that needs
     more than SCAN_MAX_POINTS raises ProblemDataError, as does a
     non-positive or non-finite one.
@@ -196,8 +199,8 @@ def eigen_scan(spec: ProblemSpec, lambda_max: float) -> SpectrumWindow:
             continue
         if fj == 0.0:
             continue  # captured as the left endpoint of the next cell
-        if fi * fj < 0.0:
-            roots.append(_bracketed_root(lambda lam: char_det(spec, lam), lam_i, lam_j, fi))
+        if fi < 0.0 < fj or fj < 0.0 < fi:
+            roots.append(_bracketed_root(lambda lam: _gamma(spec, lam)[:2], lam_i, lam_j, fi))
     if vals[-1] == 0.0:
         roots.append(grid[-1])
 
@@ -245,7 +248,8 @@ def _newton_root(spec_t: ProblemSpec, lam0: float) -> float:
 def eigen_continuation(spec: ProblemSpec, k: int) -> Eigenpair:
     """Track lam_k from its Robin anchor at t=0 to the full problem at t=1.
 
-    Secant predictor in t, Newton corrector in lam.  The neighbours k-1 and
+    Polynomial predictor in t, Newton corrector in lam (see
+    ``continuation_spectrum``).  The neighbours k-1 and
     k+1 are tracked alongside to watch for path collisions, which abort with
     a diagnostic rather than re-indexing.
     """
@@ -255,12 +259,31 @@ def eigen_continuation(spec: ProblemSpec, k: int) -> Eigenpair:
     raise NumericError(f"continuation lost index k={k}")  # pragma: no cover
 
 
+def _predict(states, t: float) -> list[float]:
+    """Each path's lam at t, extrapolated from the accepted (t, lams) states:
+    constant from one, the secant through two, the quadratic through three
+    (Newton's divided differences)."""
+    t2, l2 = states[-1]
+    if len(states) == 1:
+        return list(l2)
+    t1, l1 = states[-2]
+    d12 = [(b - a) / (t2 - t1) for a, b in zip(l1, l2)]
+    if len(states) == 2:
+        return [lam + d * (t - t2) for lam, d in zip(l2, d12)]
+    t0, l0 = states[-3]
+    return [lam + (t - t2) * (d + (t - t1) * (d - (a - z) / (t1 - t0)) / (t2 - t0))
+            for z, a, lam, d in zip(l0, l1, l2, d12)]
+
+
 def continuation_spectrum(spec: ProblemSpec, k_max: int, k_lo: int = 0) -> list[Eigenpair]:
     """Continue all indices k_lo..k_max together (plus one guard path above).
 
-    The t step starts at DT_INIT, halves on a corrector failure or when two
-    paths come closer than NEIGHBOR_MARGIN, and breaks down below DT_MIN.
-    A k_max past CONTINUATION_K_MAX raises ProblemDataError.
+    Each step predicts every path's lam at the next t from the quadratic
+    through the last three accepted states (the secant on the second step),
+    then corrects it by Newton on Gamma's exact slope.  The t step starts at
+    DT_INIT, halves on a corrector failure or when two paths come closer than
+    NEIGHBOR_MARGIN, and breaks down below DT_MIN.  A k_max past
+    CONTINUATION_K_MAX raises ProblemDataError.
     """
     if k_max < k_lo or k_lo < 0:
         raise ValueError("bad index range")
@@ -276,17 +299,10 @@ def continuation_spectrum(spec: ProblemSpec, k_max: int, k_lo: int = 0) -> list[
     paths: dict[int, list[tuple[float, float]]] = {j: [(0.0, lam)] for j, lam in zip(indices, lams)}
 
     t, dt = 0.0, DT_INIT
-    prev_t, prev_lams = 0.0, list(lams)
+    states = [(t, lams)]  # the last three accepted (t, lams), newest last
     while t < 1.0:
         t_next = min(1.0, t + dt)
-        # Secant prediction through the last two accepted states.
-        if t > prev_t:
-            preds = [
-                lam + (lam - plam) * (t_next - t) / (t - prev_t)
-                for lam, plam in zip(lams, prev_lams)
-            ]
-        else:
-            preds = list(lams)
+        preds = _predict(states, t_next)
         try:
             spec_t = scale_coefficients(spec, t_next)
             news = [_newton_root(spec_t, p) for p in preds]
@@ -310,8 +326,8 @@ def continuation_spectrum(spec: ProblemSpec, k_max: int, k_lo: int = 0) -> list[
                 raise ContinuationBreakdown(t_next, "corrector failed at minimal step")
             dt = max(DT_MIN, 0.5 * dt)
             continue
-        prev_t, prev_lams = t, list(lams)
         t, lams = t_next, news
+        states = [*states[-2:], (t, lams)]
         for j, lam in zip(indices, lams):
             paths[j].append((t, lam))
         if dt < DT_INIT:

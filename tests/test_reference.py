@@ -186,9 +186,10 @@ def test_separated_eigenvalue_memoized():
 
 
 def test_bracketed_root_bisects_to_relative_tolerance():
-    # A triple root: the Newton polish barely moves, so the bisection alone
-    # has to reach 1e-12.
-    assert abs(_bracketed_root(lambda x: (x - 0.3) ** 3, 0.0, 1.0, -0.027) - 0.3) <= 1e-12
+    # A triple root: Newton converges only linearly there, so the safeguard's
+    # bisections have to help it reach 1e-12.
+    assert abs(_bracketed_root(lambda x: ((x - 0.3) ** 3, 3.0 * (x - 0.3) ** 2), 0.0, 1.0, -0.027)
+               - 0.3) <= 1e-12
 
 
 def test_bracketed_root_returns_an_exact_zero_at_once():
@@ -196,7 +197,7 @@ def test_bracketed_root_returns_an_exact_zero_at_once():
 
     def g(x):
         calls.append(x)
-        return x - 0.5
+        return x - 0.5, 1.0
 
     assert _bracketed_root(g, 0.0, 1.0, -0.5) == 0.5
     assert calls == [0.5]
@@ -204,25 +205,27 @@ def test_bracketed_root_returns_an_exact_zero_at_once():
 
 def test_bracketed_root_falls_back_when_the_polish_leaves_the_bracket():
     # A sign change by a jump at r, with a spike next to it and exponential
-    # tails: a Newton step from near r would leave the bracket.  Bisection
-    # reads only the sign of g, so it closes in on the jump all the same.
+    # tails whose slope has the opposite sign: a Newton step from near r
+    # would leave the bracket.  Bisection reads only the sign of g, so the
+    # safeguard closes in on the jump all the same.
     r, h = 0.3, 1e-7  # h: sets the spike's height
 
     def g(x):
         d = x - r
         if abs(d) < 1e-9:
-            return math.copysign(0.4 / h, d)
-        return math.copysign(math.exp(-abs(d) / 0.6), d)
+            return math.copysign(0.4 / h, d), 0.0
+        e = math.exp(-abs(d) / 0.6)
+        return math.copysign(e, d), -e / 0.6
 
-    assert abs(_bracketed_root(g, r - 0.5, r + 0.5, g(r - 0.5)) - r) <= 1e-12
+    assert abs(_bracketed_root(g, r - 0.5, r + 0.5, g(r - 0.5)[0]) - r) <= 1e-12
 
 
 def test_bracketed_root_bisects_to_adjacent_floats():
     def g(x):
-        return x - 0.3
+        return x - 0.3, 1.0
 
     r = _bracketed_root(g, 0.0, 1.0, -0.3)
-    assert g(math.nextafter(r, -math.inf)) * g(math.nextafter(r, math.inf)) <= 0.0
+    assert g(math.nextafter(r, -math.inf))[0] * g(math.nextafter(r, math.inf))[0] <= 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -240,6 +243,19 @@ def test_a_near_dirichlet_side_gives_the_dirichlet_value():
     # to float precision, at the very end of its window.
     lam = separated_eigenvalue((1.0, 0.0), (1e300, 1e15), 0)
     assert lam == pytest.approx(math.pi ** 2 / 4, rel=1e-12)
+
+
+def test_a_tiny_robin_coefficient_keeps_its_tiny_root():
+    # Neumann at -1 and u(1)*1e-300 + u'(1) = 0: u = cos(w*(x + 1)) and the
+    # root solves 1e-300*cos(2w) = w*sin(2w), so lam is about 5e-301.  In
+    # the angles theta_pm themselves the phase rounded to 0 over a wide range
+    # of w, and the root came out as 7.6e-33.
+    lam = separated_eigenvalue((0.0, -1.0), (1e-300, 1.0), 0)
+    with mp.workdps(50):
+        r = mp.sqrt(mp.mpf(1e-300))  # w = v*r, so the equation is O(1) in v
+        v = mp.findroot(lambda v: mp.cos(2 * v * r) - v * mp.sin(2 * v * r) / r, 0.7)
+        expected = float((v * r) ** 2)
+    assert abs(lam - expected) <= 1e-12 * expected
 
 
 def test_a_negative_zero_alpha0_is_a_neumann_side():

@@ -1,16 +1,30 @@
+import json
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spec
+from mpsl import spectrum
+from mpsl.cli import main
 from mpsl.errors import HypothesisError, ProblemDataError
 from mpsl.nodal import ClosedTrace, classify
-from mpsl.problem import LEVEL_QUADRATIC, BoundarySide, ProblemSpec, level_at_least, scale_coefficients
+from mpsl.problem import (
+    LEVEL_QUADRATIC,
+    BoundarySide,
+    ProblemSpec,
+    level_at_least,
+    problem_from_dict,
+    scale_coefficients,
+)
 from mpsl.spectrum import (
+    ROOT_SEPARATION,
     SCAN_MAX_POINTS,
     SCAN_STEP_OMEGA,
+    SIMPLE_DET_TOL,
     _bc_rows,
     _gamma,
     char_det,
@@ -261,7 +275,8 @@ def test_robin_anchor_errors(exc, caught, half_u0_spec, monkeypatch):
 # _bc_rows is Gamma's hot path and keeps its own copy of the boundary
 # functional, sharing each fundamental-pair evaluation between the c and s
 # columns and their lam-derivatives; it must equal BoundarySide.residual on
-# c and on s, and on the derivative pair from trig._fundamental_dlam.
+# c and on s, and on the derivative pair from trig._fundamental_dlam (at
+# these ordinary magnitudes the power of two in row_terms is exactly 1).
 def test_bc_rows_equal_the_boundary_functional_on_c_and_s():
     rng = np.random.default_rng(7)
     for _ in range(30):
@@ -323,3 +338,115 @@ def test_gamma_slope_matches_a_high_precision_derivative(lam):
         spec = random_spec(rng)
         exact = float(_mp_gamma_slope(spec, lam))
         assert abs(_gamma(spec, lam)[1] - exact) <= 1e-10 * abs(exact)
+
+
+# A positive factor on a side's coefficients gives the same problem.  Gamma
+# is a product of the two sides' rows; without the rows' power-of-two scale
+# the scan found no eigenvalue below 100 at 1e-150 (the product of two grid
+# values underflowed), 3 non-simple ones at 1e-160 and 78 at 1e-170 (Gamma
+# underflowed to 0 at every grid point).
+@pytest.mark.parametrize("c", [1e150, 1e-150, 1e-160, 1e-170, 1e300, 1e-300])
+def test_the_spectrum_does_not_depend_on_the_coefficient_scale(c, half_u0_spec, tmp_path):
+    expected = eigen_scan(half_u0_spec, 100.0).lambdas()
+    assert len(expected) == 6
+    data = {"minus": {"alpha0": c, "beta0": 0.0, "alpha": [], "beta": [], "eta": []},
+            "plus": {"alpha0": c, "beta0": 0.0, "alpha": [0.5 * c], "beta": [0.0], "eta": [0.0]}}
+    spec, _ = problem_from_dict(data)
+    window = eigen_scan(spec, 100.0)
+    assert all(ep.simple for ep in window.eigenpairs)
+    assert window.lambdas() == pytest.approx(expected, rel=1e-14)
+    assert [ep.lam for ep in continuation_spectrum(spec, 5)] == pytest.approx(expected, rel=1e-14)
+
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    assert main(["spectrum", str(path), "--lambda-max", "100", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert payload["count"] == 6 and all(payload["simple"])
+    assert payload["eigenvalues"] == pytest.approx(expected, rel=1e-14)
+
+
+# Work counts that do not depend on the hardware: row passes of _bc_rows.
+# A scanned root costs the passes of its bracket's safeguarded Newton
+# (bisection to adjacent floats took about 46); a continuation root step
+# costs its Newton iterations (about 2.85 with the secant predictor).
+def test_row_passes_per_root(monkeypatch):
+    counts = {"rows": 0, "bracket": 0, "newton": 0}
+    bc_rows, bracketed_root, newton_root = spectrum._bc_rows, spectrum._bracketed_root, spectrum._newton_root
+
+    def rows(*args):
+        counts["rows"] += 1
+        return bc_rows(*args)
+
+    def bracketed(*args):
+        before = counts["rows"]
+        root = bracketed_root(*args)
+        counts["bracket"] += counts["rows"] - before
+        return root
+
+    def newton(*args):
+        counts["newton"] += 1
+        return newton_root(*args)
+
+    monkeypatch.setattr(spectrum, "_bc_rows", rows)
+    monkeypatch.setattr(spectrum, "_bracketed_root", bracketed)
+    monkeypatch.setattr(spectrum, "_newton_root", newton)
+    rng = np.random.default_rng(17)
+    scan_roots = cont_passes = 0
+    for _ in range(12):
+        spec = random_spec(rng)
+        scan_roots += len(eigen_scan(spec, 2000.0).eigenpairs)
+        before = counts["rows"]
+        pairs = continuation_spectrum(spec, 12)
+        cont_passes += counts["rows"] - before - len(pairs)  # less each eigenpair's own pass
+    assert scan_roots > 300
+    assert counts["bracket"] / scan_roots <= 12.0
+    assert cont_passes / counts["newton"] <= 2.6
+
+
+def _bisected_roots(spec: ProblemSpec, grid: list[float]) -> list[float]:
+    """Reference for the scan's refiner: every sign change of Gamma on the
+    grid, bisected on Gamma's sign alone until the ends are adjacent floats."""
+    roots = []
+    vals = [char_det(spec, lam) for lam in grid]
+    for lo, hi, f_lo, f_hi in zip(grid, grid[1:], vals, vals[1:]):
+        if f_lo == 0.0:
+            roots.append(lo)
+        elif f_lo * f_hi < 0.0:
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                f_mid = char_det(spec, mid)
+                if f_mid == 0.0:
+                    lo = hi = mid
+                elif (f_mid < 0.0) == (f_lo < 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+    if vals[-1] == 0.0:
+        roots.append(grid[-1])
+    merged = []
+    for r in sorted(roots):
+        if not merged or abs(r - merged[-1]) >= ROOT_SEPARATION * max(1.0, abs(r)):
+            merged.append(r)
+    return merged
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lambda_max=st.floats(10.0, 5000.0))
+def test_scan_roots_are_the_bisection_roots(seed, lambda_max):
+    spec = random_spec(np.random.default_rng(seed))
+    grid = []
+
+    def recording(spec_, lam):
+        grid.append(lam)
+        return char_det(spec_, lam)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "char_det", recording)
+        window = eigen_scan(spec, lambda_max)
+    reference = _bisected_roots(spec, sorted(set(grid)))
+    assert len(window.eigenpairs) == len(reference)
+    for ep, lam in zip(window.eigenpairs, reference):
+        assert abs(ep.lam - lam) <= 1e-14 * max(1.0, abs(lam))
+        _, slope, scale = _gamma(spec, lam)
+        assert ep.simple == (abs(slope) >= SIMPLE_DET_TOL * scale)
