@@ -4,6 +4,9 @@ Subcommands: validate, spectrum, classify, predict, solve, branch,
 nodal-solve, selftest.  Exit codes: 0 success, 2 problem-data/validation
 failure, 3 numeric failure, 4 theorem-hypothesis failure.  All outputs are
 written atomically and are byte-identical for identical configuration.
+The nonlinear layer (``shooting``, ``branching``, ``expressions``) and numpy
+are imported inside the subcommands that use them, so that ``validate``,
+``spectrum``, ``predict`` and ``classify`` start without loading them.
 """
 
 from __future__ import annotations
@@ -16,10 +19,7 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from . import reporting
-from .branching import branch_from_infinity, branch_from_zero, nodal_solutions_at_one
 from .conditions import _SEARCH_CAP, predict_nodal_class
 from .errors import (
     HypothesisError,
@@ -28,10 +28,8 @@ from .errors import (
     ParseError,
     ProblemDataError,
 )
-from .expressions import ForcingTerm, NonlinearitySpec
 from .nodal import ClosedTrace, SampledTrace, classify
 from .problem import ProblemSpec, load_problem, validate_problem
-from .shooting import nonresonance_check, solve_bvp_multistart
 from .spectrum import continuation_spectrum, eigen_scan
 
 EXIT_OK = 0
@@ -40,6 +38,10 @@ EXIT_NUMERIC = 3
 EXIT_HYPOTHESIS = 4
 
 TOL_RANGE = (1e-14, 1e-2)
+
+# The gallery abscissae: np.linspace(-1, 1, 401) bit for bit, which also
+# forms i*step + start and sets the last point to stop.
+GALLERY_X = [-1.0 + i * 0.005 for i in range(400)] + [1.0]
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -109,6 +111,8 @@ def _section(extras: dict, name: str, expr_key: str, keys: set) -> dict | None:
 
 
 def _nonlinearity(extras: dict, command: str) -> NonlinearitySpec:
+    from .expressions import NonlinearitySpec
+
     section = _section(extras, "nonlinearity", "f", {"f", "f0", "finf"})
     if section is None:
         raise ProblemDataError(f"{command} needs a 'nonlinearity' section in the problem file")
@@ -123,6 +127,8 @@ def _nonlinearity(extras: dict, command: str) -> NonlinearitySpec:
 
 
 def _forcing(extras: dict) -> ForcingTerm | None:
+    from .expressions import ForcingTerm
+
     section = _section(extras, "forcing", "h", {"h"})
     return None if section is None else ForcingTerm.from_text(section["h"])
 
@@ -201,6 +207,8 @@ def _classification_payload(result) -> dict:
 def cmd_classify(args) -> int:
     tol = _check_tol(args.tol)
     if args.trace:
+        import numpy as np
+
         try:
             with warnings.catch_warnings():  # an empty file is reported below
                 warnings.simplefilter("ignore", UserWarning)
@@ -239,8 +247,7 @@ def cmd_classify(args) -> int:
             "lambda": ep.lam,
             "classification": _classification_payload(result),
         }
-        xs = np.linspace(-1.0, 1.0, 401)
-        curves.append((f"psi_{k}", list(xs), [ep.psi(float(x))[0] for x in xs]))
+        curves.append((f"psi_{k}", GALLERY_X, [ep.psi(x)[0] for x in GALLERY_X]))
     reporting.write_json(os.path.join(args.out, "classify.json"), {"eigenpairs": out})
     if args.format == "svg":
         reporting.eigenfunction_gallery_svg(os.path.join(args.out, "gallery.svg"), curves)
@@ -341,6 +348,8 @@ def _solution_files(args, sol, tag: str, extra: dict) -> None:
 
 
 def cmd_solve(args) -> int:
+    from .shooting import nonresonance_check, solve_bvp_multistart
+
     spec, extras = _load(args.problem)
     nl = _nonlinearity(extras, "solve")
     h = _forcing(extras)
@@ -368,6 +377,8 @@ def _branch_files(args, branch, tag: str) -> None:
 
 
 def cmd_branch(args) -> int:
+    from .branching import branch_from_infinity, branch_from_zero
+
     spec, extras = _load(args.problem)
     nl = _nonlinearity(extras, "branch")
     signs = [args.sign] if args.sign else ["+", "-"]
@@ -384,6 +395,8 @@ def cmd_branch(args) -> int:
 
 
 def cmd_nodal_solve(args) -> int:
+    from .branching import nodal_solutions_at_one
+
     spec, extras = _load(args.problem)
     nl = _nonlinearity(extras, "nodal-solve")
     for k in _parse_k_range(args.k):

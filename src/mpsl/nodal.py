@@ -12,6 +12,10 @@ with X_k^- := -X_k^+.  Membership is decided from exact phase arithmetic
 for closed-form solutions and from per-cell cubic Hermite interpolation for
 sampled traces.  Boundary data within tolerance of a degeneracy yields an
 "unclassified" verdict for that family, never a false negative.
+
+The closed-form half is plain Python; numpy is imported where the sampled
+routines start (``SampledTrace``, ``_sampled_zeros``), so linear callers
+never load it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import UnresolvableZeros
 from .trig import TrigSolution, eval_solution, sup_norms
@@ -49,14 +51,17 @@ class ClosedTrace:
     def sup_uprime(self) -> float:
         return sup_norms(self.sol)[1]
 
-    def grid(self) -> np.ndarray:
-        return np.linspace(-1.0, 1.0, 2001)
+    def grid(self) -> list[float]:
+        # np.linspace(-1, 1, 2001) bit for bit: i*step + start, last point = stop.
+        return [-1.0 + i * 0.001 for i in range(2000)] + [1.0]
 
 
 class SampledTrace:
     """Dense (x, u, u') samples with cubic Hermite interpolation between nodes."""
 
     def __init__(self, x, u, uprime):
+        import numpy as np
+
         self.x = np.asarray(x, dtype=float)
         self.u = np.asarray(u, dtype=float)
         self.up = np.asarray(uprime, dtype=float)
@@ -80,7 +85,7 @@ class SampledTrace:
             )
 
     def _locate(self, x: float) -> int:
-        i = int(np.searchsorted(self.x, x, side="right")) - 1
+        i = int(self.x.searchsorted(x, side="right")) - 1
         return min(max(i, 0), len(self.x) - 2)
 
     def _cell_coeffs(self, i):
@@ -104,19 +109,21 @@ class SampledTrace:
         return u, up
 
     def sup_u(self) -> float:
-        return float(np.max(np.abs(self.u)))
+        return float(abs(self.u).max())
 
     def sup_uprime(self) -> float:
-        return float(np.max(np.abs(self.up)))
+        return float(abs(self.up).max())
 
     def sup_usecond(self) -> float:
         """Estimated |u''|_0 from the interpolant (used for zero simplicity):
         the largest of H''(0)/h^2 and H''(1)/h^2 over the cells."""
+        import numpy as np
+
         a, b, _, _, h = self._cell_coeffs(np.arange(len(self.x) - 1))
         vals = np.maximum(np.abs(2.0 * b), np.abs(6.0 * a + 2.0 * b)) / (h * h)
         return float(np.max(vals))
 
-    def grid(self) -> np.ndarray:
+    def grid(self):
         return self.x
 
 
@@ -222,6 +229,8 @@ def _sampled_zeros(trace: SampledTrace, which: str, slope_bound: float) -> list[
     ``np.linalg.eigvals`` call.  That is what ``np.roots`` does cell by
     cell, so the roots are the same to the bit.
     """
+    import numpy as np
+
     x = trace.x
     vals = trace.u if which == "u" else trace.up
     dx = np.diff(x)
@@ -444,12 +453,13 @@ def energy_deviation(lam: float, trace: ClosedTrace | SampledTrace) -> float:
     """
     if lam <= 0.0:
         raise ValueError("energy deviation requires lam > 0")
-    xs = trace.grid()
-    profile = np.empty(len(xs))
-    for i, xv in enumerate(xs):
+    profile = []
+    for xv in trace.grid():
         u, upv = trace.eval(float(xv))
-        profile[i] = lam * u * u + upv * upv
-    med = float(np.median(profile))
+        profile.append(lam * u * u + upv * upv)
+    # np.median's value, exactly: the middle element, or the mean of the two.
+    ordered, n = sorted(profile), len(profile)
+    med = ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
     if med == 0.0:
         raise ValueError("degenerate energy profile")
-    return float(np.max(np.abs(profile - med)) / med)
+    return float(max(abs(p - med) for p in profile) / med)

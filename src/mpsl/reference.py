@@ -117,19 +117,23 @@ def _bracketed_root(g, lo: float, hi: float, g_lo: float) -> float:
     *Numerical Continuation Methods*, 1990, ch. 2): the first point is the
     midpoint, and each value moves the bracket end on its side.  A Newton
     iterate that leaves the bracket, or moves more than half as far as the
-    previous step did, is replaced by the midpoint.  Newton closes in from
-    one side, so a Newton step of at most ``nudge`` ulps (NUDGE_ULPS at
-    first, doubled at each use) means the root is near: the next point lies
-    that many ulps past the iterate toward the far end, and the far end comes
-    in too.  It ends when no float lies strictly between the bracket ends and
-    returns their midpoint as rounded, or an exact zero of g met on the way.
-    Every point lies strictly inside the bracket and becomes one of its ends,
-    so it always ends.  Shared by the separated reference spectra and the
-    Gamma scan in ``spectrum``.
+    step before the previous one did (``dxold`` of Numerical Recipes'
+    ``rtsafe``), is replaced by the midpoint.  Near one end of the bracket a
+    Newton step is about as long as the bisection just taken, which is why
+    the test looks one step further back.  Newton closes in from one side,
+    so a Newton step of at most ``nudge`` ulps (NUDGE_ULPS at first, doubled
+    at each use) means the root is near: the next point lies that many ulps
+    past the iterate toward the far end, and the far end comes in too.  It
+    ends when no float lies strictly between the bracket ends and returns
+    their midpoint as rounded, or an exact zero of g met on the way.  Every
+    point lies strictly inside the bracket and becomes one of its ends, so it
+    always ends.  Shared by the separated reference spectra and the Gamma
+    scan in ``spectrum``.
     """
     a, b, neg_a = lo, hi, g_lo < 0.0
     x = 0.5 * (a + b)
-    last, nudge = b - a, NUDGE_ULPS
+    last = older = b - a
+    nudge = NUDGE_ULPS
     while a < x < b:
         fx, dfx = g(x)
         if fx == 0.0:
@@ -145,9 +149,9 @@ def _bracketed_root(g, lo: float, hi: float, g_lo: float) -> float:
             nudge *= 2
         else:
             new = x - step
-        if not a < new < b or abs(step) > max(near, 0.5 * last):
+        if not a < new < b or abs(step) > max(near, 0.5 * older):
             new = 0.5 * (a + b)
-        last = abs(new - x)
+        older, last = last, abs(new - x)
         x = new
     return x
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import mpsl
 from mpsl import nodal
-from mpsl.cli import SELFTEST_PROBLEM, _parse_k_range, main
+from mpsl.cli import GALLERY_X, SELFTEST_PROBLEM, _parse_k_range, main
 from mpsl.conditions import _SEARCH_CAP
 from mpsl.spectrum import CONTINUATION_K_MAX, SCAN_MAX_POINTS, SCAN_STEP_OMEGA
 
@@ -334,16 +334,57 @@ NO_SCIPY_PROBE = (
 )
 
 
+def _run_fresh(probe: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a probe script in a fresh interpreter that imports this mpsl."""
+    src = os.path.dirname(os.path.dirname(mpsl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True, env=env)
+
+
 def test_integration_never_imports_scipy(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(SELFTEST_PROBLEM))
-    src = os.path.dirname(os.path.dirname(mpsl.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, str(path), "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env)
+    proc = _run_fresh(NO_SCIPY_PROBE, str(path), "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
     assert (tmp_path / "solution.json").exists()
+
+
+# Runs one subcommand in a fresh interpreter through mpsl.cli.main, then
+# prints its exit code and the numpy and nonlinear mpsl modules it loaded.
+# A fresh process also meets any import-order fault that the test process,
+# with its modules already loaded, would hide.
+LINEAR_PROBE = (
+    "import json, sys\n"
+    "from mpsl.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "heavy = {'mpsl.shooting', 'mpsl.branching', 'mpsl.expressions', 'mpsl.dop853'}\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m in heavy)]))\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["spectrum"],
+    ["predict", "--k", "0..10"],
+    ["classify", "--k", "0..3", "--format", "svg"],
+    ["solve"],
+], ids=lambda argv: argv[0])
+def test_linear_subcommands_load_no_numpy_and_no_nonlinear_module(argv, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(SELFTEST_PROBLEM))
+    proc = _run_fresh(LINEAR_PROBE, argv[0], str(path), *argv[1:], "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    if argv[0] == "solve":  # the nonlinear layer is imported where it is used
+        assert {"numpy", "mpsl.shooting", "mpsl.expressions", "mpsl.dop853"} <= set(loaded)
+    else:
+        assert loaded == []
+
+
+def test_gallery_abscissae_are_numpy_linspace_bit_for_bit():
+    assert [x.hex() for x in GALLERY_X] == [float(x).hex() for x in np.linspace(-1.0, 1.0, 401)]
 
 
 @pytest.mark.parametrize("body", [

@@ -256,6 +256,35 @@ def test_energy_deviation_requires_positive_lambda():
         energy_deviation(0.0, closed(1.0, 1.0, 0.0))
 
 
+def test_closed_grid_is_numpy_linspace_bit_for_bit():
+    grid = closed(1.0, 1.0, 0.0).grid()
+    assert [x.hex() for x in grid] == [float(x).hex() for x in np.linspace(-1.0, 1.0, 2001)]
+
+
+def _numpy_energy_deviation(lam, trace) -> float:
+    """The energy deviation written with numpy's median and max."""
+    xs = trace.grid()
+    profile = np.empty(len(xs))
+    for i, xv in enumerate(xs):
+        u, upv = trace.eval(float(xv))
+        profile[i] = lam * u * u + upv * upv
+    med = float(np.median(profile))
+    return float(np.max(np.abs(profile - med)) / med)
+
+
+@pytest.mark.parametrize("lam, trace", [
+    (math.pi**2 / 4, closed(math.pi**2 / 4, 1.0, 0.0)),
+    (1.0, closed(1.0, 0.3, -2.0)),
+    (1.0, SampledTrace(np.linspace(-1.0, 1.0, 2001), np.linspace(-1.0, 1.0, 2001) ** 2,
+                       2 * np.linspace(-1.0, 1.0, 2001))),
+    (math.pi**2, sampled_from_solution(TrigSolution(math.pi**2, 0.0, 1.0), n=2002)),  # even length
+], ids=["cosine", "closed-nonsolution", "sampled-nonsolution", "sampled-even"])
+def test_energy_deviation_equals_the_numpy_formula(lam, trace):
+    value = energy_deviation(lam, trace)
+    assert type(value) is float
+    assert value == _numpy_energy_deviation(lam, trace)
+
+
 def test_bc_satisfaction_flags(half_u0_spec):
     psi = TrigSolution(math.pi**2, 0.0, 1.0)
     result = classify(ClosedTrace(psi), spec=half_u0_spec)

@@ -228,6 +228,23 @@ def test_bracketed_root_bisects_to_adjacent_floats():
     assert g(math.nextafter(r, -math.inf))[0] * g(math.nextafter(r, math.inf))[0] <= 0.0
 
 
+@pytest.mark.parametrize("r", [0.003, 0.001, 0.999])
+def test_bracketed_root_near_an_end_takes_newton_steps(r):
+    # A root near one end of [0, 1]: each Newton step is about as long as the
+    # bisection before it.  Judged against that step alone it was rejected
+    # again and again, for 10-11 calls of g; judged against the step before
+    # it, Newton takes over after a few bisections.
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return math.sin(x - r), math.cos(x - r)
+
+    root = _bracketed_root(g, 0.0, 1.0, g(0.0)[0])
+    assert len(calls) - 1 <= 7
+    assert g(math.nextafter(root, -math.inf))[0] * g(math.nextafter(root, math.inf))[0] <= 0.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_robin_pairs_are_rejected(bad):
     for pairs in ({"robin_minus": (bad, -1.0), "robin_plus": ROBIN_PLUS},
