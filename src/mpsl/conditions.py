@@ -45,18 +45,12 @@ _SEARCH_CAP = 100000  # largest index an index search can return
 
 @dataclass(frozen=True)
 class SideThresholds:
-    """Solved lam-ranges of the two pointwise conditions for one side.
+    """The two pointwise conditions of one side, tested exactly at each lam.
 
-    ``lambda_ud_max``: the condition alpha0 > S_a + sqrt(lam)*S_b holds for
-    lam below this value (math.inf when it holds for every lam, None when it
-    never holds).  ``lambda_u_min`` likewise bounds the value-pinning range
-    from below (None when empty).  ``J = (alpha0/beta0)^2`` with J = inf for
-    a Dirichlet-type side.
+    ``J = (alpha0/beta0)^2`` with J = inf for a Dirichlet-type side.
     """
 
     side: str
-    lambda_ud_max: float | None
-    lambda_u_min: float | None
     J: float
     sum_alpha: float
     sum_beta: float
@@ -87,25 +81,13 @@ def _square(v: float) -> float:
 
 
 def side_thresholds(side: BoundarySide) -> SideThresholds:
-    a0 = side.alpha0
-    b0 = abs(side.beta0)
-    sa = side.sum_alpha
-    sb = side.sum_beta
-    if a0 > sa:
-        ud_max = math.inf if sb == 0.0 else _square((a0 - sa) / sb)
-    else:
-        ud_max = None
-    u_min = _square(sa / (b0 - sb)) if b0 > sb else None
-    J = math.inf if side.beta0 == 0.0 else _square(a0 / side.beta0)
     return SideThresholds(
         side=side.side,
-        lambda_ud_max=ud_max,
-        lambda_u_min=u_min,
-        J=J,
-        sum_alpha=sa,
-        sum_beta=sb,
-        alpha0=a0,
-        beta0_abs=b0,
+        J=math.inf if side.beta0 == 0.0 else _square(side.alpha0 / side.beta0),
+        sum_alpha=side.sum_alpha,
+        sum_beta=side.sum_beta,
+        alpha0=side.alpha0,
+        beta0_abs=abs(side.beta0),
     )
 
 

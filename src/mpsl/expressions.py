@@ -17,13 +17,15 @@ Beyond parsing, this module certifies the structural hypotheses placed on a
 nonlinearity: the sign condition xi*f(xi) > 0 off 0, the limits
 f0 = lim_{xi->0} f(xi)/xi and finf = lim_{|xi|->inf} f(xi)/xi, and the
 quadratic envelopes F(xi) <= gamma*xi^2 / >= gamma*xi^2 for the
-antiderivative F(xi) = 2*int_0^xi f.
+antiderivative F(xi) = 2*int_0^xi f, which one numpy kernel integrates
+(``NonlinearitySpec.F_many``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,6 +87,8 @@ _TOK_LPAREN = "("
 _TOK_RPAREN = ")"
 _TOK_COMMA = ","
 _TOK_EOF = "eof"
+# ASCII digits only: str.isdigit also takes '²' and '٣', which float() rejects
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def _tokenize(text: str):
@@ -108,23 +112,10 @@ def _tokenize(text: str):
                 tokens.append((_TOK_OP, "*", i))
                 i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            tokens.append((_TOK_NUM, text[i:j], i))
-            i = j
+        number = _NUMBER.match(text, i)
+        if number:
+            tokens.append((_TOK_NUM, number.group(), i))
+            i = number.end()
             continue
         if ch.isalpha() or ch == "_":
             j = i
@@ -204,6 +195,8 @@ class _Parser:
     def primary(self) -> Expr:
         kind, val, at = self.advance()
         if kind == _TOK_NUM:
+            if not math.isfinite(float(val)):  # its repr, inf, would not parse back
+                raise ParseError("number too large for a float", at)
             return Num(float(val))
         if kind == _TOK_IDENT:
             if val in FUNCTIONS:
@@ -381,17 +374,11 @@ def free_variables(node: Expr) -> set[str]:
 # nonlinearity / forcing wrappers
 
 
-def _quad(*args, **kwargs):
-    # scipy.integrate would be most of mpsl's import time: import it on the first
-    # call, which rebinds _quad to scipy's quad, so the hot F pays nothing.
-    global _quad
-    from scipy.integrate import quad as _quad
-    return _quad(*args, **kwargs)
-
-
-GAUSS_ORDERS = (10, 20)  # the two Gauss-Legendre rules compared on every gap
-GAUSS_RTOL = 1e-12  # they must agree to this fraction of int |f| over the gap
-GAUSS_BLOCK = 256  # gaps per numpy evaluation of f: keeps each temporary near 60 kB
+GAUSS_ORDERS = (10, 20)  # the two Gauss-Legendre rules compared on every gap and piece
+GAUSS_RTOL = 1e-12  # they must agree to this fraction of int |f| over the piece
+GAUSS_BLOCK = 256  # pieces per numpy evaluation of f: keeps each temporary near 60 kB
+HALVING_PASSES = 60  # a gap is halved at most this often before QuadratureError
+HALVING_PIECES = 2048  # at most this many pieces may disagree in one pass
 
 
 @functools.cache
@@ -480,21 +467,18 @@ class NonlinearitySpec:
         The values are sorted together with 0.  Each gap between neighbours
         is integrated with the 10- and 20-node Gauss-Legendre rules, with one
         numpy evaluation of f per GAUSS_BLOCK gaps, and F is the cumulative
-        sum outward from 0.
-        Where the two rules differ, on int f or on int |f|, by more than
-        GAUSS_RTOL of int |f| over the gap, or a value of f is not finite,
-        the gap is integrated again by adaptive quadrature on the scalar f:
-        that raises QuadratureError when it fails, and an error of the
-        scalar f itself (a math domain error, a complex power) propagates.
+        sum outward from 0.  Where the two rules differ, on int f or on
+        int |f|, by more than GAUSS_RTOL of int |f|, the gap is halved, pass
+        after pass, until every piece agrees.  QuadratureError ends a run of
+        more than HALVING_PASSES passes, a pass with more than HALVING_PIECES
+        disagreeing pieces, and an f that is not finite, unless the scalar f
+        raises its own error there (a math domain error, a complex power).
         """
         xs = np.asarray(xs, dtype=float)
         values = np.append(xs, 0.0)
         order = np.argsort(values, kind="stable")
         nodes = values[order]  # a repeated value leaves a gap of width 0
-        lo, hi = nodes[:-1], nodes[1:]
-        gaps = np.zeros(len(lo))
-        for i in range(0, len(lo), GAUSS_BLOCK):
-            gaps[i:i + GAUSS_BLOCK] = self._gap_integrals(lo[i:i + GAUSS_BLOCK], hi[i:i + GAUSS_BLOCK])
+        gaps = self._gap_integrals(nodes[:-1], nodes[1:])
         zero = int(np.searchsorted(nodes, 0.0))
         integral = np.zeros(len(nodes))
         integral[zero + 1:] = np.cumsum(gaps[zero:])
@@ -503,28 +487,65 @@ class NonlinearitySpec:
         return 2.0 * values[:-1].reshape(xs.shape)
 
     def _gap_integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """int_lo^hi f on each gap; f is summed in mirrored node pairs, so an
-        odd f gives exactly opposite integrals on mirrored gaps."""
+        """int_lo^hi f on each gap.  A halved gap's integral is the math.fsum
+        of its agreeing pieces, which does not depend on their order: an odd
+        f still gives exactly opposite integrals on mirrored gaps."""
+        total, agree = self._gauss_pair(lo, hi)
+        owner, owners, parts, passes = np.arange(len(lo)), [], [], 0
+        while not agree.all():
+            lo, hi, owner = lo[~agree], hi[~agree], owner[~agree]
+            if passes == HALVING_PASSES or len(owner) > HALVING_PIECES:
+                raise QuadratureError(f"antiderivative quadrature failed on [{lo[0]:.6g}, {hi[0]:.6g}] "
+                                      f"after {passes} halvings (disagreeing pieces: {len(owner)})")
+            passes += 1
+            mid = 0.5 * (lo + hi)
+            lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([owner, owner])
+            value, agree = self._gauss_pair(lo, hi)
+            owners.append(owner[agree])
+            parts.append(value[agree])
+        if passes:
+            owners, parts = np.concatenate(owners), np.concatenate(parts)
+            order = np.argsort(owners)
+            gaps, starts = np.unique(owners[order], return_index=True)
+            for gap, pieces in zip(gaps, np.split(parts[order], starts[1:])):
+                total[gap] = math.fsum(pieces)
+        return total
+
+    def _gauss_pair(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The 20-node integral of f on each piece [lo, hi], and whether the
+        10-node rule agrees with it.  f is summed in mirrored node pairs, so
+        an odd f gives exactly opposite integrals on mirrored pieces."""
         t, w, n = _gauss_rules()
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        with np.errstate(all="ignore"):
-            pts = mid[:, None] + half[:, None] * np.concatenate([t, -t])
-            fx = self._f_array(pts)
-            if np.shape(fx) != pts.shape:  # f does not depend on xi
-                fx = np.broadcast_to(fx, pts.shape)
-            plus, minus = fx[:, :len(t)], fx[:, len(t):]
-            signed = (plus + minus) * w
-            absolute = (np.abs(plus) + np.abs(minus)) * w
-            low, high = half * signed[:, :n].sum(axis=1), half * signed[:, n:].sum(axis=1)
-            size_low, size = half * absolute[:, :n].sum(axis=1), half * absolute[:, n:].sum(axis=1)
-            agree = (np.abs(high - low) <= GAUSS_RTOL * size) & (np.abs(size - size_low) <= GAUSS_RTOL * size)
-        for i in np.flatnonzero(~agree):
-            a, b = float(lo[i]), float(hi[i])
-            val, err = _quad(self._f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)[:2]
-            if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-                raise QuadratureError(f"antiderivative quadrature failed on [{a:.6g}, {b:.6g}]")
-            high[i] = val
-        return high
+        value, agree = np.empty(len(lo)), np.empty(len(lo), bool)
+        for i in range(0, len(lo), GAUSS_BLOCK):
+            a, b = lo[i:i + GAUSS_BLOCK], hi[i:i + GAUSS_BLOCK]
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            with np.errstate(all="ignore"):
+                pts = mid[:, None] + half[:, None] * np.concatenate([t, -t])
+                fx = np.broadcast_to(self._f_array(pts), pts.shape)  # f may not depend on xi
+                plus, minus = fx[:, :len(t)], fx[:, len(t):]
+                signed = (plus + minus) * w
+                absolute = (np.abs(plus) + np.abs(minus)) * w
+                low, high = half * signed[:, :n].sum(axis=1), half * signed[:, n:].sum(axis=1)
+                size_low, size = half * absolute[:, :n].sum(axis=1), half * absolute[:, n:].sum(axis=1)
+                finite = np.isfinite(size_low + size)
+            if not finite.all():  # raise the scalar f's own error where it has one
+                for xi in pts[~finite][~np.isfinite(fx[~finite])][:1]:
+                    self._scalar_f(float(xi))
+                raise QuadratureError(f"f is not integrable on [{a[~finite][0]:.6g}, {b[~finite][0]:.6g}]: "
+                                      "not finite, or its integral overflows")
+            value[i:i + GAUSS_BLOCK] = high
+            agree[i:i + GAUSS_BLOCK] = ((np.abs(high - low) <= GAUSS_RTOL * size)
+                                        & (np.abs(size - size_low) <= GAUSS_RTOL * size))
+        return value, agree
+
+    def _scalar_f(self, xi: float) -> float:
+        """f(xi) from the scalar f, whose errors (a math domain error, an overflow,
+        a complex power) numpy's f turns into inf or nan; raised naming xi."""
+        try:
+            return float(self._f(xi))  # a complex value raises TypeError here
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise type(exc)(f"f is not a finite real at xi={xi:.6g}") from exc
 
 
 @dataclass
@@ -606,10 +627,7 @@ def certify_hypotheses(
         # naming the grid point; a value that stays non-finite is a ValueError.
         for i in np.flatnonzero(~np.isfinite(fx)):
             xi = float(grid[i])
-            try:
-                fx[i] = nl.f(xi)  # a complex value raises TypeError here
-            except (ArithmeticError, ValueError, TypeError) as exc:
-                raise type(exc)(f"f is not a finite real at xi={xi:.6g}") from exc
+            fx[i] = nl._scalar_f(xi)
             if not math.isfinite(fx[i]):
                 raise ValueError(f"f is not a finite real at xi={xi:.6g}")
         sign_ok = not np.any(grid * fx <= 0.0)

@@ -351,6 +351,32 @@ def test_integration_never_imports_scipy(tmp_path):
 
 
 # Runs one subcommand in a fresh interpreter through mpsl.cli.main, then
+# prints its exit code and the scipy modules it loaded.
+SCIPY_MODULES_PROBE = (
+    "import json, sys\n"
+    "from mpsl.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["branch", "--k", "0", "--sign", "+"],
+    ["selftest", "--seed", "11"],
+], ids=lambda argv: argv[0])
+def test_energy_and_envelope_certificates_never_import_scipy(argv, tmp_path):
+    # The worked example's energy certificate halves the gap [0, 1.388].
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(SELFTEST_PROBLEM))
+    problem = [] if argv[0] == "selftest" else [str(path)]
+    out = tmp_path / "out"
+    proc = _run_fresh(SCIPY_MODULES_PROBE, argv[0], *problem, *argv[1:], "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, []]
+    assert (out / "branch_k0_plus.csv").exists()
+
+
+# Runs one subcommand in a fresh interpreter through mpsl.cli.main, then
 # prints its exit code and the numpy and nonlinear mpsl modules it loaded.
 # A fresh process also meets any import-order fault that the test process,
 # with its modules already loaded, would hide.
@@ -409,7 +435,9 @@ NONLINEAR = {"f": "xi/(1+abs(xi))", "f0": 1.0, "finf": 0.0}
     ({"nonlinearity": NONLINEAR, "forcing": {"h": 3}}, "'h' must be an expression string"),
     ({"nonlinearity": {**NONLINEAR, "f0": "a"}}, "f0 and finf must be numbers"),
     ({"nonlinearity": "xi"}, "nonlinearity must be a JSON object"),
-], ids=["f-number", "h-number", "f0-string", "section-string"])
+    ({"nonlinearity": {**NONLINEAR, "f": "xi*2\u00b2"}}, "unexpected character '\u00b2' at position 4"),
+    ({"nonlinearity": {**NONLINEAR, "f": "xi*1e400"}}, "number too large for a float at position 3"),
+], ids=["f-number", "h-number", "f0-string", "section-string", "f-superscript-digit", "f-overflowing-literal"])
 def test_nonlinear_section_errors_exit_2(sections, message, tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({**HALF_U0, **sections}))

@@ -24,18 +24,22 @@ from mpsl.reference import _separated_eigenvalue_cached
 def test_thresholds_worked_example():
     side = BoundarySide(math.sqrt(2.0), 0.1 * math.sqrt(2.1), (1.0,), (0.1,), (0.0,), "plus")
     th = side_thresholds(side)
-    assert th.lambda_ud_max == pytest.approx(((math.sqrt(2.0) - 1.0) / 0.1) ** 2, rel=1e-12)
-    assert th.lambda_ud_max == pytest.approx(17.157, abs=5e-4)
+    # derivative-pinning holds below ((alpha0 - sum_alpha)/sum_beta)^2 = 17.157
+    ud_max = ((math.sqrt(2.0) - 1.0) / 0.1) ** 2
+    assert th.holds_ud(ud_max * (1.0 - 1e-12)) and not th.holds_ud(ud_max * (1.0 + 1e-12))
+    assert th.holds_ud(17.1565) and not th.holds_ud(17.1575)
     # value-pinning kicks in above (sum_alpha/(|beta0| - sum_beta))^2
-    assert th.lambda_u_min == pytest.approx((1.0 / (0.1 * math.sqrt(2.1) - 0.1)) ** 2, rel=1e-12)
+    u_min = (1.0 / (0.1 * math.sqrt(2.1) - 0.1)) ** 2
+    assert not th.holds_u(u_min * (1.0 - 1e-12)) and th.holds_u(u_min * (1.0 + 1e-12))
 
 
 def test_thresholds_dirichlet_type_side():
     th = side_thresholds(BoundarySide(1.0, 0.0, (0.3,), (0.0,), (0.2,), "plus"))
-    assert th.lambda_ud_max == math.inf
     assert th.J == math.inf
-    assert th.lambda_u_min is None
-    assert th.holds_ud(1e6) and not th.holds_u(1e6)
+    # derivative-pinning holds at every lam, value-pinning at none
+    lams = [0.0, 1e-300, 1.0, 1e6, 1e300]
+    assert all(th.holds_ud(lam) for lam in lams)
+    assert not any(th.holds_u(lam) for lam in lams)
 
 
 def test_thresholds_no_gap_at_linear_level():
@@ -49,8 +53,7 @@ def test_thresholds_no_gap_at_linear_level():
 
 def test_empty_ud_range():
     th = side_thresholds(BoundarySide(0.5, 1.0, (0.6,), (0.1,), (0.0,), "plus"))
-    assert th.lambda_ud_max is None
-    assert not th.holds_ud(0.0)
+    assert not any(th.holds_ud(lam) for lam in [0.0, 1e-300, 1.0, 1e6, 1e300])
 
 
 def test_crossover_two_mp_example(two_mp_spec):

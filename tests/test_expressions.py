@@ -1,12 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpsl.errors import ParseError, QuadratureError
 from mpsl.expressions import (
     F_BIG,
     F_SMALL,
+    FUNCTIONS,
     MAX_DEPTH,
     BinOp,
     Call,
@@ -108,6 +112,46 @@ def test_round_trip_random_trees():
         assert to_source(reparsed) == text
 
 
+@pytest.mark.parametrize("text, position", [
+    ("xi*2\u00b2", 4),       # superscript two: str.isdigit, but not a float digit
+    ("\u0663", 0),           # Arabic-Indic three
+    ("xi+\uff11", 3),        # fullwidth one
+    ("1.5\u00b2", 3),
+])
+def test_lexer_reads_ascii_digits_only(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_expr(text)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text, position", [
+    ("1e400", 0),
+    ("xi*11e400", 3),
+    pytest.param("2+" + "1" * 400, 2, id="400-digit-integer"),
+])
+def test_literal_that_overflows_is_a_parse_error(text, position):
+    with pytest.raises(ParseError, match="too large") as exc:
+        parse_expr(text)
+    assert exc.value.position == position
+
+
+EXPRESSION_ALPHABET = [
+    "xi", "x", "pi", "y", *FUNCTIONS, "(", ")", ",", "+", "-", "*", "/", "^", "**", " ",
+    "0", "1", "9", ".", "e", "E", "2.5", ".5", "1e3", "1e-3", "1e308", "1e-400", "1e400",
+    "\u00b2", "\u0663", "\uff11",
+]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(EXPRESSION_ALPHABET), max_size=16).map("".join))
+def test_arbitrary_text_parses_or_raises_parse_error(text):
+    try:
+        tree = parse_expr(text)
+    except ParseError:
+        return
+    assert parse_expr(to_source(tree)) == tree
+
+
 def test_compile_matches_evaluate():
     rng = np.random.default_rng(77)
     tree = parse_expr("xi*(1 + 3/(1+xi^2)) - sin(xi)/2")
@@ -204,20 +248,22 @@ def _sympy_F(text):
 
 
 @pytest.fixture()
-def quad_calls(monkeypatch):
-    """Count the adaptive-quadrature fallbacks of the antiderivative kernel."""
-    from scipy.integrate import quad
-
+def halvings(monkeypatch):
+    """The halving passes of the antiderivative kernel: each entry lists the
+    (lo, hi) of the pieces that one pass halves, gaps in a call's first."""
     import mpsl.expressions as expressions
 
-    calls = []
+    passes = []
+    gauss_pair = expressions.NonlinearitySpec._gauss_pair
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
+    def recording(self, lo, hi):
+        value, agree = gauss_pair(self, lo, hi)
+        if not agree.all():
+            passes.append(list(zip(lo[~agree].tolist(), hi[~agree].tolist())))
+        return value, agree
 
-    monkeypatch.setattr(expressions, "_quad", counting)
-    return calls
+    monkeypatch.setattr(expressions.NonlinearitySpec, "_gauss_pair", recording)
+    return passes
 
 
 KERNEL_FS = ["xi", "xi*(1+3/(1+xi^2))", "sin(xi)+xi^3", "xi + abs(xi - 1.3)"]
@@ -237,24 +283,26 @@ def test_F_many_matches_exact_antiderivative(text):
     assert nl.F(0.0) == 0.0 and nl.F_many([]).shape == (0,)
 
 
-def test_F_many_falls_back_to_quadrature_across_a_kink(quad_calls):
+def test_F_many_falls_back_to_quadrature_across_a_kink(halvings):
     nl = NonlinearitySpec.from_text("xi + abs(xi - 1.3)", f0=1.0, finf=1.0)
     assert nl.F(10.4) == pytest.approx(10.4**2 + 1.3**2 + 9.1**2, rel=1e-12)
-    assert quad_calls == [(0.0, 10.4)]
-    # a smooth f, and a kink that falls on a sample, need no fallback
-    quad_calls.clear()
+    # the kink gap is the only gap halved, and its pieces stay inside it
+    assert halvings[0] == [(0.0, 10.4)]
+    assert all(0.0 <= a < 1.3 < b <= 10.4 for pieces in halvings for a, b in pieces)
+    # a smooth f, and a kink that falls on a sample, are never halved
+    halvings.clear()
     nl.F_many([-2.0, 1.3, 5.0])
     NonlinearitySpec.from_text("sin(xi)+xi^3").F_many(np.linspace(-20.0, 20.0, 101))
-    assert quad_calls == []
+    assert halvings == []
 
 
-def test_energy_certificate_makes_no_quadrature_call_on_a_smooth_f(quad_calls):
+def test_energy_certificate_makes_no_quadrature_call_on_a_smooth_f(halvings):
     from mpsl.shooting import integrate_ivp, nonlinear_energy_deviation
 
     nl = NonlinearitySpec.from_text("xi*(1+3/(1+xi^2))", f0=4.0, finf=1.0)
     tr = integrate_ivp(nl, None, 0.5, 0.0, 3.0)
     assert nonlinear_energy_deviation(tr, nl, 0.5) <= 1e-8
-    assert quad_calls == []
+    assert halvings == []
 
 
 @pytest.mark.parametrize("text, xi, error", [
@@ -263,14 +311,38 @@ def test_energy_certificate_makes_no_quadrature_call_on_a_smooth_f(quad_calls):
     ("log(xi)", -1.0, ValueError),       # math domain error
     ("sqrt(xi)", -1.0, ValueError),
     ("xi^0.5", -1.0, TypeError),         # Python's complex power
-    ("1/(xi-1)", 2.0, ZeroDivisionError),  # quadrature lands on the pole
+    ("1/(xi-1)", 2.0, QuadratureError),  # poles: no principal value
+    ("1/(xi-0.7)", 2.0, QuadratureError),
 ])
 def test_F_errors_match_the_scalar_quadrature(text, xi, error):
     nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
+    for xs in ([xi], [0.5 * xi, xi]):
+        start = time.perf_counter()
+        with pytest.raises(error):
+            nl.F_many(xs)
+        assert time.perf_counter() - start < 0.05
     with pytest.raises(error):
         nl.F(xi)
-    with pytest.raises(error):
-        nl.F_many([0.5 * xi, xi])
+
+
+def test_F_many_halves_kinks_to_the_exact_antiderivative():
+    # kinks at non-dyadic points of their gaps; f is odd, so F is even
+    nl = NonlinearitySpec.from_text("xi*(1 + abs(abs(xi) - 1.3))", f0=1.0, finf=1.0)
+    xs = np.array([-3.7, -2.0, -1.0, 1.0, 2.0, 3.7])
+    got = nl.F_many(xs)
+    assert np.all(got == got[::-1])
+    exact = 2.0 * np.array([x * x / 2 + (1.3 * x * x / 2 - x**3 / 3 if x <= 1.3
+                                         else 1.3**3 / 3 + x**3 / 3 - 1.3 * x * x / 2)
+                            for x in np.abs(xs)])
+    assert np.all(np.abs(got - exact) <= 1e-14 * exact)
+
+
+def test_F_many_stops_halving_an_oscillation_it_cannot_resolve():
+    nl = NonlinearitySpec.from_text("xi*(2 + sin(1000*xi))", f0=2.0, finf=2.0)
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="disagreeing pieces"):
+        nl.F(1000.0)
+    assert time.perf_counter() - start < 1.0
 
 
 # (passed, sign_ok, sufficient_sign, worst_xi) from the per-segment quadrature
