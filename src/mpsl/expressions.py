@@ -297,27 +297,10 @@ def _to_python(node: Expr) -> str:
     return f"({_to_python(node.left)}{py_op}{_to_python(node.right)})"
 
 
-_EVAL_NS = {
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "_atan": math.atan,
-    "_exp": math.exp,
-    "_log": math.log,
-    "_abs": abs,
-    "_sqrt": math.sqrt,
-}
-
+_EVAL_NS = {f"_{fn}": abs if fn == "abs" else getattr(math, fn) for fn in FUNCTIONS}
 # The same functions as numpy ufuncs: a domain error or overflow gives a
 # non-finite value instead of an exception.
-_ARRAY_NS = {
-    "_sin": np.sin,
-    "_cos": np.cos,
-    "_atan": np.arctan,
-    "_exp": np.exp,
-    "_log": np.log,
-    "_abs": np.abs,
-    "_sqrt": np.sqrt,
-}
+_ARRAY_NS = {f"_{fn}": np.arctan if fn == "atan" else getattr(np, fn) for fn in FUNCTIONS}
 
 
 def compile_callable(node: Expr, varname: str, namespace: dict = _EVAL_NS) -> Callable:
@@ -375,10 +358,11 @@ def free_variables(node: Expr) -> set[str]:
 
 
 GAUSS_ORDERS = (10, 20)  # the two Gauss-Legendre rules compared on every gap and piece
-GAUSS_RTOL = 1e-12  # they must agree to this fraction of int |f| over the piece
+GAUSS_RTOL = 1e-12  # they must agree to this fraction of int |f| (see _gap_integrals)
 GAUSS_BLOCK = 256  # pieces per numpy evaluation of f: keeps each temporary near 60 kB
 HALVING_PASSES = 60  # a gap is halved at most this often before QuadratureError
-HALVING_PIECES = 2048  # at most this many pieces may disagree in one pass
+HALVING_PIECES = 1 << 15  # at most this many halved pieces may disagree in one pass
+HALVING_WIDTH = 1e-10  # relative to |xi|: a disagreeing piece this narrow holds a singularity
 
 
 @functools.cache
@@ -395,11 +379,10 @@ def _gauss_rules() -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _richardson_limit(g: Callable[[float], float], scales: list[float]) -> float:
-    """Richardson-extrapolated limit of g along a geometric sequence."""
+    """Richardson-extrapolated limit of g along a geometric sequence: one
+    level with ratio 10 on the last two values, g(s) ~ L + c*s."""
     vals = [g(s) for s in scales]
-    # one extrapolation level with ratio 10: g(s) ~ L + c*s
-    extr = [(10.0 * vals[i + 1] - vals[i]) / 9.0 for i in range(len(vals) - 1)]
-    return extr[-1]
+    return (10.0 * vals[-1] - vals[-2]) / 9.0
 
 
 @dataclass
@@ -467,58 +450,69 @@ class NonlinearitySpec:
         The values are sorted together with 0.  Each gap between neighbours
         is integrated with the 10- and 20-node Gauss-Legendre rules, with one
         numpy evaluation of f per GAUSS_BLOCK gaps, and F is the cumulative
-        sum outward from 0.  Where the two rules differ, on int f or on
-        int |f|, by more than GAUSS_RTOL of int |f|, the gap is halved, pass
-        after pass, until every piece agrees.  QuadratureError ends a run of
-        more than HALVING_PASSES passes, a pass with more than HALVING_PIECES
-        disagreeing pieces, and an f that is not finite, unless the scalar f
-        raises its own error there (a math domain error, a complex power).
+        sum outward from 0.  A gap where the two rules differ, on int f or
+        on int |f|, by more than GAUSS_RTOL of int |f| over it is halved,
+        pass after pass, until every piece agrees (see ``_gap_integrals``).
+        QuadratureError ends a run of more than HALVING_PASSES passes, a pass
+        with more than HALVING_PIECES disagreeing halved pieces or one
+        narrower than HALVING_WIDTH of its |xi| (a pole), and an f that is
+        not finite, unless the scalar f raises its own error there.
         """
         xs = np.asarray(xs, dtype=float)
         values = np.append(xs, 0.0)
         order = np.argsort(values, kind="stable")
         nodes = values[order]  # a repeated value leaves a gap of width 0
-        gaps = self._gap_integrals(nodes[:-1], nodes[1:])
         zero = int(np.searchsorted(nodes, 0.0))
+        gaps = self._gap_integrals(nodes[:-1], nodes[1:], zero)
         integral = np.zeros(len(nodes))
         integral[zero + 1:] = np.cumsum(gaps[zero:])
         integral[:zero] = -np.cumsum(gaps[:zero][::-1])[::-1]
         values[order] = integral
         return 2.0 * values[:-1].reshape(xs.shape)
 
-    def _gap_integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """int_lo^hi f on each gap.  A halved gap's integral is the math.fsum
-        of its agreeing pieces, which does not depend on their order: an odd
-        f still gives exactly opposite integrals on mirrored gaps."""
-        total, agree = self._gauss_pair(lo, hi)
+    def _gap_integrals(self, lo: np.ndarray, hi: np.ndarray, zero: int) -> np.ndarray:
+        """int_lo^hi f on each gap, the gaps below 0 being [:zero].  A piece
+        of a halved gap agrees to GAUSS_RTOL of int |f| from 0 to the gap's
+        far end, the smallest int |f| of an F that its error reaches, so a
+        piece next to a power law such as abs(xi)^0.1 at 0, or where f's
+        rounding outweighs its Gauss error, stops once its share is
+        negligible.  A halved gap is the math.fsum of its pieces, in any
+        order: an odd f stays odd."""
+        total, size, agree = self._gauss_pair(lo, hi)
+        if agree.all():
+            return total
+        reach = np.concatenate([np.cumsum(size[:zero][::-1])[::-1], np.cumsum(size[zero:])])
         owner, owners, parts, passes = np.arange(len(lo)), [], [], 0
         while not agree.all():
             lo, hi, owner = lo[~agree], hi[~agree], owner[~agree]
-            if passes == HALVING_PASSES or len(owner) > HALVING_PIECES:
-                raise QuadratureError(f"antiderivative quadrature failed on [{lo[0]:.6g}, {hi[0]:.6g}] "
+            narrow = hi - lo < HALVING_WIDTH * np.maximum(np.abs(lo), np.abs(hi))
+            if passes == HALVING_PASSES or narrow.any() or (passes and len(owner) > HALVING_PIECES):
+                i = int(np.argmax(narrow))
+                raise QuadratureError(f"antiderivative quadrature failed on [{lo[i]:.6g}, {hi[i]:.6g}] "
                                       f"after {passes} halvings (disagreeing pieces: {len(owner)})")
             passes += 1
             mid = 0.5 * (lo + hi)
             lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([owner, owner])
-            value, agree = self._gauss_pair(lo, hi)
+            value, _, agree = self._gauss_pair(lo, hi, GAUSS_RTOL * reach[owner])
             owners.append(owner[agree])
             parts.append(value[agree])
-        if passes:
-            owners, parts = np.concatenate(owners), np.concatenate(parts)
-            order = np.argsort(owners)
-            gaps, starts = np.unique(owners[order], return_index=True)
-            for gap, pieces in zip(gaps, np.split(parts[order], starts[1:])):
-                total[gap] = math.fsum(pieces)
+        owners, parts = np.concatenate(owners), np.concatenate(parts)
+        order = np.argsort(owners)
+        gaps, starts = np.unique(owners[order], return_index=True)
+        for gap, pieces in zip(gaps, np.split(parts[order], starts[1:])):
+            total[gap] = math.fsum(pieces)
         return total
 
-    def _gauss_pair(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The 20-node integral of f on each piece [lo, hi], and whether the
-        10-node rule agrees with it.  f is summed in mirrored node pairs, so
-        an odd f gives exactly opposite integrals on mirrored pieces."""
+    def _gauss_pair(self, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray | None = None):
+        """(value, size, agree) on each piece [lo, hi]: the 20-node integrals
+        of f and of |f|, and whether the 10-node rule agrees with both to
+        within tol, by default GAUSS_RTOL of the piece's own size.  f is
+        summed in mirrored node pairs, so an odd f gives exactly opposite
+        integrals on mirrored pieces."""
         t, w, n = _gauss_rules()
-        value, agree = np.empty(len(lo)), np.empty(len(lo), bool)
+        value, size, agree = np.empty(len(lo)), np.empty(len(lo)), np.empty(len(lo), bool)
         for i in range(0, len(lo), GAUSS_BLOCK):
-            a, b = lo[i:i + GAUSS_BLOCK], hi[i:i + GAUSS_BLOCK]
+            a, b, block = lo[i:i + GAUSS_BLOCK], hi[i:i + GAUSS_BLOCK], slice(i, i + GAUSS_BLOCK)
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             with np.errstate(all="ignore"):
                 pts = mid[:, None] + half[:, None] * np.concatenate([t, -t])
@@ -527,17 +521,17 @@ class NonlinearitySpec:
                 signed = (plus + minus) * w
                 absolute = (np.abs(plus) + np.abs(minus)) * w
                 low, high = half * signed[:, :n].sum(axis=1), half * signed[:, n:].sum(axis=1)
-                size_low, size = half * absolute[:, :n].sum(axis=1), half * absolute[:, n:].sum(axis=1)
-                finite = np.isfinite(size_low + size)
+                size_low, size[block] = half * absolute[:, :n].sum(axis=1), half * absolute[:, n:].sum(axis=1)
+                finite = np.isfinite(size_low + size[block])
             if not finite.all():  # raise the scalar f's own error where it has one
                 for xi in pts[~finite][~np.isfinite(fx[~finite])][:1]:
                     self._scalar_f(float(xi))
                 raise QuadratureError(f"f is not integrable on [{a[~finite][0]:.6g}, {b[~finite][0]:.6g}]: "
                                       "not finite, or its integral overflows")
-            value[i:i + GAUSS_BLOCK] = high
-            agree[i:i + GAUSS_BLOCK] = ((np.abs(high - low) <= GAUSS_RTOL * size)
-                                        & (np.abs(size - size_low) <= GAUSS_RTOL * size))
-        return value, agree
+            value[block] = high
+            bound = GAUSS_RTOL * size[block] if tol is None else tol[block]
+            agree[block] = (np.abs(high - low) <= bound) & (np.abs(size[block] - size_low) <= bound)
+        return value, size, agree
 
     def _scalar_f(self, xi: float) -> float:
         """f(xi) from the scalar f, whose errors (a math domain error, an overflow,

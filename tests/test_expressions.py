@@ -1,6 +1,6 @@
 import math
-import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,8 @@ from mpsl.expressions import (
     F_BIG,
     F_SMALL,
     FUNCTIONS,
+    HALVING_PASSES,
+    HALVING_PIECES,
     MAX_DEPTH,
     BinOp,
     Call,
@@ -233,7 +235,6 @@ def test_certificate_sign_failure():
 
 def _sympy_F(text):
     """F(X) = 2*int_0^X f from sympy, evaluated at 30 digits (test oracle)."""
-    import mpmath
     import sympy as sp
 
     s, X = sp.symbols("s X", real=True)
@@ -256,11 +257,11 @@ def halvings(monkeypatch):
     passes = []
     gauss_pair = expressions.NonlinearitySpec._gauss_pair
 
-    def recording(self, lo, hi):
-        value, agree = gauss_pair(self, lo, hi)
+    def recording(self, lo, hi, tol=None):
+        value, size, agree = gauss_pair(self, lo, hi, tol)
         if not agree.all():
             passes.append(list(zip(lo[~agree].tolist(), hi[~agree].tolist())))
-        return value, agree
+        return value, size, agree
 
     monkeypatch.setattr(expressions.NonlinearitySpec, "_gauss_pair", recording)
     return passes
@@ -314,13 +315,15 @@ def test_energy_certificate_makes_no_quadrature_call_on_a_smooth_f(halvings):
     ("1/(xi-1)", 2.0, QuadratureError),  # poles: no principal value
     ("1/(xi-0.7)", 2.0, QuadratureError),
 ])
-def test_F_errors_match_the_scalar_quadrature(text, xi, error):
+def test_F_errors_match_the_scalar_quadrature(text, xi, error, halvings):
     nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
     for xs in ([xi], [0.5 * xi, xi]):
-        start = time.perf_counter()
+        halvings.clear()
         with pytest.raises(error):
             nl.F_many(xs)
-        assert time.perf_counter() - start < 0.05
+        # a singularity ends the run within HALVING_PASSES passes of a few
+        # pieces each, long before the piece cap
+        assert len(halvings) <= HALVING_PASSES + 1 and sum(map(len, halvings)) <= 512
     with pytest.raises(error):
         nl.F(xi)
 
@@ -334,15 +337,36 @@ def test_F_many_halves_kinks_to_the_exact_antiderivative():
     exact = 2.0 * np.array([x * x / 2 + (1.3 * x * x / 2 - x**3 / 3 if x <= 1.3
                                          else 1.3**3 / 3 + x**3 / 3 - 1.3 * x * x / 2)
                             for x in np.abs(xs)])
-    assert np.all(np.abs(got - exact) <= 1e-14 * exact)
+    assert np.all(np.abs(got - exact) <= 1e-12 * exact)
 
 
-def test_F_many_stops_halving_an_oscillation_it_cannot_resolve():
-    nl = NonlinearitySpec.from_text("xi*(2 + sin(1000*xi))", f0=2.0, finf=2.0)
-    start = time.perf_counter()
+POWER_LAWS_AT_ZERO = {  # f, and F(xi) in closed form in u = |xi| (every f is odd)
+    "xi + xi*abs(xi)^0.1": lambda u: u**2 + 2 * u ** mpmath.mpf("2.1") / mpmath.mpf("2.1"),
+    "xi + xi/sqrt(abs(xi))": lambda u: u**2 + 4 * u ** mpmath.mpf("1.5") / 3,
+    "xi*abs(xi)^0.5/(1+abs(xi)^0.5)": lambda u: 4 * (u**2 / 4 - u ** mpmath.mpf("1.5") / 3 + u / 2
+                                                     - mpmath.sqrt(u) + mpmath.log1p(mpmath.sqrt(u))),
+}
+
+
+@pytest.mark.parametrize("text", POWER_LAWS_AT_ZERO)
+def test_F_many_integrates_power_laws_at_zero(text):
+    # no Gauss rule converges fast on a piece [0, h] here; pieces next to 0
+    # stop being halved once their share of int |f| is negligible
+    nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
+    xs = np.array([-1e4, -2.0, -1e-4, 1e-8, 1e-4, 0.3, 2.0, 1e4])
+    got = nl.F_many(xs)
+    with mpmath.workdps(40):
+        exact = np.array([float(POWER_LAWS_AT_ZERO[text](mpmath.mpf(abs(float(x))))) for x in xs])
+    assert np.all(np.abs(got - exact) <= 1e-12 * exact)
+
+
+def test_F_many_stops_halving_an_oscillation_it_cannot_resolve(halvings):
+    nl = NonlinearitySpec.from_text("xi*(2 + sin(1e6*xi))", f0=2.0, finf=2.0)
     with pytest.raises(QuadratureError, match="disagreeing pieces"):
         nl.F(1000.0)
-    assert time.perf_counter() - start < 1.0
+    # the run ends at the first pass where more than HALVING_PIECES halved
+    # pieces disagree; the gaps of the first pass do not count
+    assert len(halvings[-1]) > HALVING_PIECES >= max(map(len, halvings[1:-1]))
 
 
 # (passed, sign_ok, sufficient_sign, worst_xi) from the per-segment quadrature
@@ -356,6 +380,11 @@ CERT_BEFORE = [
     ("xi/(1+abs(xi))", 1.0, 0.0, 1.0, F_BIG, (False, True, "<=0", 1e4)),
     ("xi^3", None, None, 1.0, F_BIG, (False, False, None, math.nan)),
     ("xi - 2", 1.0, 1.0, 1.0, F_SMALL, (False, False, None, math.nan)),
+    # oscillations and kinks inside the wide outer grid gaps: the verdicts
+    # of scipy's quad, which F_many once fell back to on such gaps
+    ("xi*(2+sin(10*xi))", 2.0, 2.0, 2.0, F_SMALL, (False, True, None, 0.20847971888418423)),
+    ("xi*(2+sin(10*xi))", 2.0, 2.0, 2.0, F_BIG, (False, True, None, -0.20847971888418423)),
+    ("xi + abs(sin(xi))", 2.0, 2.0, 2.0, F_SMALL, (True, True, "<=0", 1e-4)),
 ]
 
 
