@@ -13,6 +13,11 @@ for closed-form solutions and from per-cell cubic Hermite interpolation for
 sampled traces.  Boundary data within tolerance of a degeneracy yields an
 "unclassified" verdict for that family, never a false negative.
 
+A zero of u (of u') is simple when |u'| (|u''|) there exceeds tol in (0, 1)
+times its sup-norm.  A closed form with lam >= ZERO_LAMBDA_CUTOFF is
+u = R*cos(w(x+1) - phi): |u'| = R*w at every zero of u and |u''| = lam*R at
+every zero of u', so one comparison flags each zero list, evaluating none.
+
 The closed-form half is plain Python; numpy is imported where the sampled
 routines start (``SampledTrace``, ``_sampled_zeros``), so linear callers
 never load it.
@@ -21,11 +26,11 @@ never load it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import UnresolvableZeros
-from .trig import TrigSolution, eval_solution, sup_norms
+from .trig import ZERO_LAMBDA_CUTOFF, TrigSolution, eval_solution, sup_norms
 from .trig import reflected as _trig_reflected
 
 DEFAULT_TOL = 1e-8
@@ -37,19 +42,20 @@ ENDPOINT_GUARD = 1e-12
 
 
 class ClosedTrace:
-    """Closed-form solution of -u'' = lam*u."""
+    """Closed-form solution of -u'' = lam*u; its sup-norms are computed once."""
 
     def __init__(self, sol: TrigSolution):
         self.sol = sol
+        self._sups = sup_norms(sol)
 
     def eval(self, x: float) -> tuple[float, float]:
         return eval_solution(self.sol, x)
 
     def sup_u(self) -> float:
-        return sup_norms(self.sol)[0]
+        return self._sups[0]
 
     def sup_uprime(self) -> float:
-        return sup_norms(self.sol)[1]
+        return self._sups[1]
 
     def grid(self) -> list[float]:
         # np.linspace(-1, 1, 2001) bit for bit: i*step + start, last point = stop.
@@ -176,8 +182,6 @@ class ClassificationResult:
 
 def _closed_zeros(sol: TrigSolution, which: str) -> list[float]:
     lam, A, B = sol.lam, sol.A, sol.B
-    from .trig import ZERO_LAMBDA_CUTOFF
-
     guard = ENDPOINT_GUARD
     if abs(lam) < ZERO_LAMBDA_CUTOFF:
         if which == "u":
@@ -281,19 +285,27 @@ def _sampled_zeros(trace: SampledTrace, which: str, slope_bound: float) -> list[
 def zeros_of(
     trace: ClosedTrace | SampledTrace, which: str = "u", tol: float = DEFAULT_TOL
 ) -> list[tuple[float, bool]]:
-    """Interior zeros of u or u' with a simplicity flag.
+    """Interior zeros of u or u' with a simplicity flag; 0 < tol < 1.
 
     A zero x0 of u is simple iff |u'(x0)| > tol * |u'|_0 (analogously with
-    u'' for zeros of u').  Zeros closer together than the cluster tolerance
-    raise UnresolvableZeros: the data cannot distinguish a tangency.
+    u'' for zeros of u'); a closed form with lam >= ZERO_LAMBDA_CUTOFF flags
+    its whole list at once by R*w > tol*|u'|_0 (lam*R > tol*lam*|u|_0 for u').
+    Zeros closer together than the cluster tolerance raise
+    UnresolvableZeros: the data cannot distinguish a tangency.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     if which not in ("u", "uprime"):
         raise ValueError("which must be 'u' or 'uprime'")
+    simple = None  # the flag of every zero, where the phase form gives it
     if isinstance(trace, ClosedTrace):
+        lam, A, B = trace.sol.lam, trace.sol.A, trace.sol.B
         xs = _closed_zeros(trace.sol, which)
-        if which == "u":
+        if lam >= ZERO_LAMBDA_CUTOFF:
+            w = math.sqrt(lam)
+            R = math.hypot(A, B / w)
+            simple = R * w > tol * trace.sup_uprime() if which == "u" else lam * R > tol * lam * trace.sup_u()
+        elif which == "u":
             deriv_sup = trace.sup_uprime()
             deriv = lambda x: trace.eval(x)[1]
         else:
@@ -320,6 +332,8 @@ def zeros_of(
             raise UnresolvableZeros(
                 f"zeros of {which} at {za:.12g} and {zb:.12g} are unresolvably close"
             )
+    if simple is not None:
+        return [(z, simple) for z in xs]
     return [(z, bool(abs(deriv(z)) > tol * deriv_sup)) for z in xs]
 
 
@@ -334,14 +348,18 @@ def _sign(v: float) -> str:
 def _t_obstruction(ds: list[float], zs: list[float]) -> str | None:
     """Why sorted u'-zeros ds and u-zeros zs fail the T interleaving, or None.
 
-    Some d within CLUSTER_TOL of a u-zero is a coincidence; only the two
-    neighbours of d's insertion point into zs can be nearest.
+    One merge: with zs[i - 1] < d <= zs[i], those are the u-zeros nearest d
+    (within CLUSTER_TOL is a coincidence, which outranks the rest), and the
+    gap before d holds a u-zero iff zs[i - 1] lies past the previous d.
     """
-    for d in ds:
-        i = bisect_left(zs, d)
-        if any(abs(z - d) <= CLUSTER_TOL for z in zs[max(i - 1, 0):i + 1]):
+    i, n, interleaved = 0, len(zs), True
+    for j, d in enumerate(ds):
+        while i < n and zs[i] < d:
+            i += 1
+        if (i > 0 and d - zs[i - 1] <= CLUSTER_TOL) or (i < n and zs[i] - d <= CLUSTER_TOL):
             return "zero-coincidence"
-    return None if interleaves(ds, zs) else "no-interleaving-zero"
+        interleaved = interleaved and (j == 0 or (i > 0 and zs[i - 1] > ds[j - 1]))
+    return None if interleaved else "no-interleaving-zero"
 
 
 def interleaves(stations: list[float], zeros: list[float]) -> bool:
@@ -361,8 +379,11 @@ def classify(trace: ClosedTrace | SampledTrace, tol: float = DEFAULT_TOL, spec=N
     family 'unclassified' with a reason.  With ``spec`` given, the result
     also reports whether the trace satisfies each multi-point boundary
     condition to tolerance (used when endpoint conditions force u or u' to
-    vanish at an endpoint and the plain families cannot apply).
+    vanish at an endpoint and the plain families cannot apply).  tol lies
+    in (0, 1): as |u(+-1)| <= |u|_0, tol >= 1 makes every boundary degenerate.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     sup_u = trace.sup_u()
     sup_up = trace.sup_uprime()
     if sup_u == 0.0:

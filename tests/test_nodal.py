@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpsl import nodal, trig
 from mpsl.errors import UnresolvableZeros
 from mpsl.nodal import (
     CLUSTER_TOL,
+    DEFAULT_TOL,
     ClosedTrace,
     SampledTrace,
     _sampled_zeros,
@@ -18,7 +20,7 @@ from mpsl.nodal import (
     zeros_of,
 )
 from mpsl.reference import reference_eigenfunction
-from mpsl.trig import TrigSolution, eval_solution
+from mpsl.trig import TrigSolution, eval_solution, sup_norms
 
 
 def closed(lam, A, B) -> ClosedTrace:
@@ -463,3 +465,71 @@ def test_zeros_of_estimates_the_second_derivative_once(monkeypatch):
     monkeypatch.setattr(SampledTrace, "sup_usecond", lambda self: calls.append(1) or real(self))
     zeros_of(trace, "uprime")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, 1.0, -1e-8])
+def test_tol_outside_unit_interval_raises(tol):
+    trace = closed(math.pi**2, 1.0, 0.4)
+    with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+        classify(trace, tol=tol)
+    for which in ("u", "uprime"):
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            zeros_of(trace, which, tol)
+
+
+def test_valid_tol_classifies():
+    result = classify(closed(math.pi**2 / 4, 1.0, 0.0), tol=0.5)
+    assert result.status["S"] == ("member", result.member("S"))
+    assert [simple for _, simple in result.zeros_u] == [True]
+
+
+# Zero simplicity from the phase-amplitude form against the rule it stands
+# for, evaluated at each zero: lam from the zero cutoff to the scan ceiling,
+# including 2w < pi, where |u'|_0 sits at an endpoint.
+@st.composite
+def _closed_solutions(draw):
+    lam = draw(st.one_of(st.just(trig.ZERO_LAMBDA_CUTOFF), st.just(math.pi**2 / 4),
+                         st.floats(-10.0, math.log10(3.9e6)).map(lambda e: 10.0**e)))
+    w = math.sqrt(lam)
+    theta = draw(st.one_of(st.sampled_from((0.0, 0.5 * math.pi, math.pi)), st.floats(-math.pi, math.pi)))
+    amp = draw(st.sampled_from((1e-7, 1.0, 1e4)))
+    return TrigSolution(lam, amp * math.cos(theta), amp * w * math.sin(theta))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_closed_solutions(), st.sampled_from((1e-14, DEFAULT_TOL, 1e-2, 0.5)))
+def test_phase_form_flags_equal_evaluated_flags(sol, tol):
+    trace = ClosedTrace(sol)
+    sup_u, sup_up = sup_norms(sol)
+    for z, simple in zeros_of(trace, "u", tol):
+        assert simple == (abs(eval_solution(sol, z)[1]) > tol * sup_up)
+    for z, simple in zeros_of(trace, "uprime", tol):
+        assert simple == (abs(sol.lam * eval_solution(sol, z)[0]) > tol * abs(sol.lam) * sup_u)
+
+
+# Work counts that do not depend on the hardware: one classify of a closed
+# form costs the same trig evaluations however many zeros it has.
+def test_closed_classify_work_does_not_grow_with_zeros(monkeypatch):
+    counts = {"fundamental": 0, "sup_norms": 0}
+    fundamental, norms = trig._fundamental, trig.sup_norms
+
+    def counting_fundamental(*args):
+        counts["fundamental"] += 1
+        return fundamental(*args)
+
+    def counting_sup_norms(*args):
+        counts["sup_norms"] += 1
+        return norms(*args)
+
+    monkeypatch.setattr(trig, "_fundamental", counting_fundamental)
+    monkeypatch.setattr(trig, "sup_norms", counting_sup_norms)
+    monkeypatch.setattr(nodal, "sup_norms", counting_sup_norms)
+    seen = []
+    for k in (0, 40, 400):
+        w = (k + 0.3) * math.pi / 2.0  # about k zeros of u and of u' on [-1, 1]
+        counts.update(fundamental=0, sup_norms=0)
+        result = classify(ClosedTrace(TrigSolution(w * w, 1.0, 0.5)))
+        assert len(result.zeros_u) == k and len(result.zeros_uprime) in (k, k + 1)
+        assert len(result.memberships) == 3
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] == seen[2] == {"fundamental": 4, "sup_norms": 1}
