@@ -231,7 +231,8 @@ def _sampled_zeros(trace: SampledTrace, which: str, slope_bound: float) -> list[
     of its largest; the cells are grouped by trimmed length and trailing
     zeros, and each group's companion matrices go through one
     ``np.linalg.eigvals`` call.  That is what ``np.roots`` does cell by
-    cell, so the roots are the same to the bit.
+    cell, so the roots are the same to the bit.  A cell with a sign change
+    always yields a root, clamped into the cell.
     """
     import numpy as np
 
@@ -266,6 +267,11 @@ def _sampled_zeros(trace: SampledTrace, which: str, slope_bound: float) -> list[
     s = roots.real
     top = np.where(cells == len(dx) - 1, 1.0 + 1e-12, 1.0)[:, None]
     ok = (np.abs(roots.imag) <= 1e-9) & (s >= -1e-12) & (s < top)
+    # Rounding can put a sign-change cell's root outside it (a zero beside a node,
+    # with a far second root); take the nearest, and the merge drops a twin.
+    lost = np.nonzero(sign_change[cells] & ~ok.any(axis=1))[0]
+    if lost.size:
+        ok[lost, np.nanargmin(np.abs(roots[lost] - 0.5), axis=1)] = True
     j, s = np.nonzero(ok)[0], s[ok]
     s = np.where(0.0 > s, 0.0, s)  # min(max(s, 0.0), 1.0), signed zeros included
     s = np.where(1.0 < s, 1.0, s)

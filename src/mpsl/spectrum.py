@@ -13,6 +13,8 @@ Its exact slope dGamma/dlam comes from the same rows on (dc/dlam, ds/dlam).
 Two locators are provided: a brute-force sign-change scan (the oracle) and
 a homotopy continuation that scales the interior coefficients by t in
 [0, 1], tracking each root from its single-point Robin anchor at t = 0.
+Each row is affine in t, so the same row pass also gives dGamma/dt, and
+with it each root's exact tangent dlam/dt that the continuation steps on.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ContinuationBreakdown, HypothesisError, NumericError, ProblemDataError
 from .nodal import ClosedTrace, NodalClass, classify
-from .problem import LEVEL_QUADRATIC, ProblemSpec, level_at_least, scale_coefficients
+from .problem import LEVEL_QUADRATIC, ProblemSpec, level_at_least
 from .reference import _bracketed_root, separated_eigenvalue
 from .trig import TrigSolution, _fundamental, _fundamental_dlam, bc_functional, normalized
 
@@ -34,8 +36,7 @@ CONTINUATION_K_MAX = round(SCAN_MAX_POINTS * SCAN_STEP_OMEGA / (math.pi / 2.0))
 LAMBDA_MIN_GUARD = 25.0
 SIMPLE_DET_TOL = 1e-8  # |dGamma/dlam| below this * scale flags "possibly non-simple"
 ROOT_SEPARATION = 1e-8
-DT_INIT, DT_MIN = 0.05, 1e-6  # continuation step in t: initial/maximal and floor
-NEIGHBOR_MARGIN = 0.1  # neighbouring paths closer than this halve the t step
+DT_MIN = 1e-6  # floor of the continuation step in t
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,8 @@ class Eigenpair:
     classes (S, T, R order) of that eigenfunction.
 
     ``k`` is the oscillation index: continuation ancestry when ``t_path``
-    is present, position in the scanned window otherwise.
+    is present, position in the scanned window otherwise.  ``t_path`` holds
+    the accepted (t, lam) of continuation, usually only at t = 0 and t = 1.
     """
 
     k: int
@@ -71,36 +73,45 @@ class SpectrumWindow:
         return [ep.lam for ep in self.eigenpairs]
 
 
-def _bc_rows(spec: ProblemSpec, lam: float):
+def _bc_rows(spec: ProblemSpec, lam: float, t: float = 1.0):
     """``BoundarySide.residual`` on c, s and their lam-derivatives for both sides,
-    one pair evaluation per point: a row (r_c, r_s, dr_c, dr_s) per side, from
-    the side's ``row_terms`` (its coefficients times a power of two that is
-    exactly 1 at ordinary magnitudes)."""
+    interior terms scaled by t, one pair evaluation per point: a row (r_c, r_s,
+    dr_c, dr_s, i_c, i_s) per side from its ``row_terms`` (the coefficients
+    times a power of two that is exactly 1 at ordinary magnitudes).  (i_c, i_s),
+    the unscaled interior sum, is d(r_c, r_s)/dt; at t = 1 the rows are bit for
+    bit those of the unscaled sum."""
     rows = []
     for side in spec.sides:
-        rc = rs = drc = drs = 0.0
-        for ai, bi, xi in side.row_terms:
+        rc = rs = drc = drs = ic = is_ = 0.0
+        for n, (ai, bi, xi) in enumerate(side.row_terms):
             y = xi + 1.0
             c, cp, s, sp = _fundamental(lam, y)
             dc, dcp, ds, dsp = _fundamental_dlam(lam, y, c, s)
-            rc -= ai * c + bi * cp
-            rs -= ai * s + bi * sp
-            drc -= ai * dc + bi * dcp
-            drs -= ai * ds + bi * dsp
-        rows.append((rc, rs, drc, drs))
+            vc, vs = ai * c + bi * cp, ai * s + bi * sp
+            w = t if n else 1.0  # term 0 is the endpoint's
+            rc -= w * vc
+            rs -= w * vs
+            drc -= w * (ai * dc + bi * dcp)
+            drs -= w * (ai * ds + bi * dsp)
+            if n:
+                ic -= vc
+                is_ -= vs
+        rows.append((rc, rs, drc, drs, ic, is_))
     return rows
 
 
-def _det(rows) -> tuple[float, float, float]:
-    """(Gamma, dGamma/dlam, scale) from ``_bc_rows``; scale: product of the value rows' norms."""
-    (m11, m12, d11, d12), (m21, m22, d21, d22) = rows
+def _det(rows) -> tuple[float, float, float, float]:
+    """(Gamma, dGamma/dlam, scale, dGamma/dt) from ``_bc_rows``; scale: product
+    of the value rows' norms."""
+    (m11, m12, d11, d12, i11, i12), (m21, m22, d21, d22, i21, i22) = rows
     return (m11 * m22 - m12 * m21, d11 * m22 + m11 * d22 - d12 * m21 - m12 * d21,
-            math.hypot(m11, m12) * math.hypot(m21, m22) + 1e-300)
+            math.hypot(m11, m12) * math.hypot(m21, m22) + 1e-300,
+            i11 * m22 + m11 * i22 - i12 * m21 - m12 * i21)
 
 
-def _gamma(spec: ProblemSpec, lam: float) -> tuple[float, float, float]:
-    """(Gamma, dGamma/dlam, scale) at lam from one row pass."""
-    return _det(_bc_rows(spec, lam))
+def _gamma(spec: ProblemSpec, lam: float, t: float = 1.0) -> tuple[float, float, float]:
+    """(Gamma, dGamma/dlam, scale) at (lam, t) from one row pass."""
+    return _det(_bc_rows(spec, lam, t))[:3]
 
 
 def char_det(spec: ProblemSpec, lam: float) -> float:
@@ -119,8 +130,8 @@ def _eigenpair(spec: ProblemSpec, k: int, lam: float,
     """
     # The null vector of the larger row, for stability.
     rows = _bc_rows(spec, lam)
-    _, slope, scale = _det(rows)
-    (m11, m12, _, _), (m21, m22, _, _) = rows
+    _, slope, scale, _ = _det(rows)
+    (m11, m12, *_), (m21, m22, *_) = rows
     if math.hypot(m11, m12) >= math.hypot(m21, m22):
         A, B = -m12, m11
     else:
@@ -225,30 +236,31 @@ def eigen_scan(spec: ProblemSpec, lambda_max: float) -> SpectrumWindow:
     return SpectrumWindow(lambda_max=lambda_max, eigenpairs=pairs, robin_count=robin_count)
 
 
-def _newton_root(spec_t: ProblemSpec, lam0: float) -> float:
-    """Newton iteration on Gamma(., spec_t) from lam0 with its exact slope; raises on failure."""
+def _newton_root(spec: ProblemSpec, lam0: float, t: float) -> tuple[float, float]:
+    """Newton iteration on Gamma(., t) from lam0 with its exact slope; raises on
+    failure.  Returns the root and dlam/dt = -Gamma_t/Gamma_lam from the last pass."""
     lam = lam0
     last_step = math.inf
     for _ in range(15):
-        g, gp, scale = _gamma(spec_t, lam)
+        g, gp, scale, gt = _det(_bc_rows(spec, lam, t))
         if gp == 0.0 or not math.isfinite(gp):
             raise NumericError("flat determinant in corrector")
         step = g / gp
         lam -= step
         if abs(step) <= 1e-13 * max(1.0, abs(lam)):
-            return lam
+            return lam, -gt / gp
         if abs(step) > 10.0 * max(1.0, abs(lam0)) and abs(step) > last_step * 4.0:
             raise NumericError("corrector diverging")
         last_step = abs(step)
     if abs(g) <= 1e-9 * scale:  # Gamma at the last iterate
-        return lam
+        return lam, -gt / gp
     raise NumericError("corrector did not converge")
 
 
 def eigen_continuation(spec: ProblemSpec, k: int) -> Eigenpair:
     """Track lam_k from its Robin anchor at t=0 to the full problem at t=1.
 
-    Polynomial predictor in t, Newton corrector in lam (see
+    Euler predictor on the exact tangent in t, Newton corrector in lam (see
     ``continuation_spectrum``).  The neighbours k-1 and
     k+1 are tracked alongside to watch for path collisions, which abort with
     a diagnostic rather than re-indexing.
@@ -259,31 +271,18 @@ def eigen_continuation(spec: ProblemSpec, k: int) -> Eigenpair:
     raise NumericError(f"continuation lost index k={k}")  # pragma: no cover
 
 
-def _predict(states, t: float) -> list[float]:
-    """Each path's lam at t, extrapolated from the accepted (t, lams) states:
-    constant from one, the secant through two, the quadratic through three
-    (Newton's divided differences)."""
-    t2, l2 = states[-1]
-    if len(states) == 1:
-        return list(l2)
-    t1, l1 = states[-2]
-    d12 = [(b - a) / (t2 - t1) for a, b in zip(l1, l2)]
-    if len(states) == 2:
-        return [lam + d * (t - t2) for lam, d in zip(l2, d12)]
-    t0, l0 = states[-3]
-    return [lam + (t - t2) * (d + (t - t1) * (d - (a - z) / (t1 - t0)) / (t2 - t0))
-            for z, a, lam, d in zip(l0, l1, l2, d12)]
-
-
 def continuation_spectrum(spec: ProblemSpec, k_max: int, k_lo: int = 0) -> list[Eigenpair]:
     """Continue all indices k_lo..k_max together (plus one guard path above).
 
-    Each step predicts every path's lam at the next t from the quadratic
-    through the last three accepted states (the secant on the second step),
-    then corrects it by Newton on Gamma's exact slope.  The t step starts at
-    DT_INIT, halves on a corrector failure or when two paths come closer than
-    NEIGHBOR_MARGIN, and breaks down below DT_MIN.  A k_max past
-    CONTINUATION_K_MAX raises ProblemDataError.
+    Each path starts at its Robin anchor, polished by Newton at t = 0.  From
+    every accepted t, an Euler step on the exact tangents -Gamma_t/Gamma_lam
+    (Davidenko's method) predicts every path at t = 1, and Newton on
+    Gamma(., t) corrects it.  The step halves when a corrector fails, the
+    paths come out of order, or one moves by over 1/4 of the gap from its
+    prediction to the nearest other (a shift of all paths by one index keeps
+    the order).  A rejection at DT_MIN, or paths within ROOT_SEPARATION,
+    raises ContinuationBreakdown; a k_max past CONTINUATION_K_MAX raises
+    ProblemDataError.
     """
     if k_max < k_lo or k_lo < 0:
         raise ValueError("bad index range")
@@ -295,20 +294,20 @@ def continuation_spectrum(spec: ProblemSpec, k_max: int, k_lo: int = 0) -> list[
             "eigenvalue continuation requires the squared-fraction hypothesis level"
         )
     indices = list(range(k_lo, k_max + 2))
-    lams = [robin_anchor(spec, j) for j in indices]
-    paths: dict[int, list[tuple[float, float]]] = {j: [(0.0, lam)] for j, lam in zip(indices, lams)}
+    lams, tangents = zip(*(_newton_root(spec, robin_anchor(spec, j), 0.0) for j in indices))
+    accepted = [(0.0, lams)]  # (t, lams) of every accepted step
 
-    t, dt = 0.0, DT_INIT
-    states = [(t, lams)]  # the last three accepted (t, lams), newest last
+    t, t_next = 0.0, 1.0
     while t < 1.0:
-        t_next = min(1.0, t + dt)
-        preds = _predict(states, t_next)
+        dt = t_next - t
+        preds = [lam + dt * v for lam, v in zip(lams, tangents)]
         try:
-            spec_t = scale_coefficients(spec, t_next)
-            news = [_newton_root(spec_t, p) for p in preds]
+            news, new_tangents = zip(*(_newton_root(spec, p, t_next) for p in preds))
         except NumericError:
             news = None
-        ok = news is not None
+        ok = news is not None and all(
+            4.0 * abs(new - p) < min(p - lo, hi - p)
+            for lo, p, hi, new in zip((-math.inf, *preds), preds, (*preds[1:], math.inf), news))
         if ok:
             for a, b in zip(news, news[1:]):
                 if not (b > a):
@@ -316,21 +315,13 @@ def continuation_spectrum(spec: ProblemSpec, k_max: int, k_lo: int = 0) -> list[
                     break
                 if b - a < ROOT_SEPARATION * max(1.0, abs(b)):
                     raise ContinuationBreakdown(t_next, f"paths merged near lam={b:.6g}")
-        if ok:
-            tight = any(b - a < NEIGHBOR_MARGIN for a, b in zip(news, news[1:]))
-            if tight and dt > DT_MIN * 2.0:
-                dt = max(DT_MIN, 0.5 * dt)
-                # accept anyway at the reduced future step
         if not ok:
             if dt <= DT_MIN:
                 raise ContinuationBreakdown(t_next, "corrector failed at minimal step")
-            dt = max(DT_MIN, 0.5 * dt)
+            t_next = t + max(DT_MIN, 0.5 * dt)
             continue
-        t, lams = t_next, news
-        states = [*states[-2:], (t, lams)]
-        for j, lam in zip(indices, lams):
-            paths[j].append((t, lam))
-        if dt < DT_INIT:
-            dt = min(DT_INIT, dt * 1.6)
+        t, lams, tangents, t_next = t_next, news, new_tangents, 1.0
+        accepted.append((t, lams))
 
-    return [_eigenpair(spec, j, lam, tuple(paths[j])) for j, lam in zip(indices, lams) if j <= k_max]
+    return [_eigenpair(spec, j, lam, tuple((t, ls[i]) for t, ls in accepted))
+            for i, (j, lam) in enumerate(zip(indices, lams)) if j <= k_max]

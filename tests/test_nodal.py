@@ -386,10 +386,12 @@ def _per_cell_sampled_zeros(trace, which, slope_bound):
         poly = poly[np.nonzero(np.abs(poly) > 1e-14 * lead)[0][0]:]
         if len(poly) < 2:
             continue
-        for r in np.roots(poly):
-            hi = 1.0 + 1e-12 if i == len(dx) - 1 else 1.0
-            if abs(r.imag) <= 1e-9 and -1e-12 <= r.real < hi:
-                zeros.append(float(x[i] + min(max(r.real, 0.0), 1.0) * h))
+        hi = 1.0 + 1e-12 if i == len(dx) - 1 else 1.0
+        roots = [r for r in np.roots(poly) if abs(r.imag) <= 1e-9 and -1e-12 <= r.real < hi]
+        if not roots and v0[i] * v1[i] < 0.0:  # a sign change yields the root nearest its cell
+            roots = [min(np.roots(poly), key=lambda r: abs(r - 0.5))]
+        for r in roots:
+            zeros.append(float(x[i] + min(max(r.real, 0.0), 1.0) * h))
     zeros.sort()
     merged = []
     for z in zeros:
@@ -436,6 +438,24 @@ def _traces(draw):
 @given(_traces())
 def test_batched_cell_roots_equal_per_cell_np_roots(trace):
     _assert_same_zeros(trace)
+
+
+# A zero within 3e-14 of a node.  For u' the left cell's quadratic has the
+# sign change but a far second root, so rounding moves the computed near root
+# past the cell's edge, and the right cell's root lies just below its own edge.
+@pytest.mark.parametrize("which", ["u", "uprime"])
+@pytest.mark.parametrize("w", [2.0, 4.5, 6.0])
+@pytest.mark.parametrize("d", [-3e-14, -9e-15, -3e-15, -1e-15, 1e-15, 3e-15, 9e-15, 3e-14])
+def test_zero_beside_a_node_is_found(which, w, d):
+    x0 = -0.5 + d  # -0.5 is a node of _X
+    phase = w * (_X - x0)
+    if which == "u":
+        trace = SampledTrace(_X, np.sin(phase), w * np.cos(phase))
+    else:
+        trace = SampledTrace(_X, np.cos(phase), -w * np.sin(phase))
+    want = [x0 + n * math.pi / w for n in range(-10, 11) if -1.0 < x0 + n * math.pi / w < 1.0]
+    got = [z for z, _ in zeros_of(trace, which)]
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_batched_cell_roots_on_degenerate_cells():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -140,9 +141,42 @@ def test_continuation_half_u0_matches_scan(half_u0_spec):
 
 def test_gamma_vanishes_along_scaled_path(half_u0_spec):
     # Gamma(pi^2; t-scaled spec) = 0 for every t: sin(2w) - t/2 sin(w) at w=pi.
-    for t in (0.0, 0.5, 1.0):
+    # Gamma at t is Gamma of the spec whose interior coefficients are scaled by t.
+    specs = [half_u0_spec, *(random_spec(np.random.default_rng(seed)) for seed in range(5))]
+    for t in (0.0, 0.3, 0.5, 1.0):
         spec_t = scale_coefficients(half_u0_spec, t)
         assert abs(char_det(spec_t, math.pi**2)) <= 1e-12 * _gamma(spec_t, math.pi**2)[2]
+        for spec in specs:
+            for lam in (-3.7, 0.0, 2.5, math.pi**2, 81.0, 1234.5):
+                g, _, scale = _gamma(spec, lam, t)
+                assert abs(g - _gamma(scale_coefficients(spec, t), lam)[0]) <= 1e-13 * scale
+
+
+# Gamma is quadratic in t, so its central difference is its t-derivative up to rounding.
+def test_gamma_t_derivative_is_the_central_difference(half_u0_spec):
+    h = 0.125
+    for spec in (half_u0_spec, *(random_spec(np.random.default_rng(seed)) for seed in range(5))):
+        for t in (h, 0.5, 1.0 - h):
+            for lam in (-3.7, 0.0, 2.5, 81.0, 1234.5):
+                _, _, scale, g_t = spectrum._det(_bc_rows(spec, lam, t))
+                central = (_gamma(spec, lam, t + h)[0] - _gamma(spec, lam, t - h)[0]) / (2.0 * h)
+                assert abs(g_t - central) <= 1e-13 * scale
+
+
+# Paths 0 and 1 of this spec come within 0.062 of each other, so a step
+# that reached t = 1 at once would carry path 1 onto path 0's root.
+def test_continuation_keeps_the_indices_of_close_paths():
+    spec = ProblemSpec(
+        minus=BoundarySide(0.0, -1.5207841357186678, (0.0,), (-1.5102315221050941,),
+                           (-0.15835921018879584,), "minus"),
+        plus=BoundarySide(0.0, 1.174969315744191, (0.0,), (1.1070409406691926,),
+                          (0.01174659656488164,), "plus"),
+    )
+    pairs = continuation_spectrum(spec, 6)
+    scanned = eigen_scan(spec, pairs[-1].lam + 1.0).lambdas()
+    assert [ep.k for ep in pairs] == list(range(7))
+    for ep in pairs:
+        assert abs(ep.lam - scanned[ep.k]) <= 1e-12 * max(1.0, abs(ep.lam))
 
 
 def test_scan_and_continuation_agree_on_random_specs():
@@ -277,6 +311,7 @@ def test_robin_anchor_errors(exc, caught, half_u0_spec, monkeypatch):
 # columns and their lam-derivatives; it must equal BoundarySide.residual on
 # c and on s, and on the derivative pair from trig._fundamental_dlam (at
 # these ordinary magnitudes the power of two in row_terms is exactly 1).
+# Its t columns, the interior terms alone, are the residual with alpha0 = beta0 = 0.
 def test_bc_rows_equal_the_boundary_functional_on_c_and_s():
     rng = np.random.default_rng(7)
     for _ in range(30):
@@ -290,11 +325,14 @@ def test_bc_rows_equal_the_boundary_functional_on_c_and_s():
                 d = _fundamental_dlam(lam, y, c, s)
                 return d[2 * col], d[2 * col + 1]
 
-            for side, (rc, rs, drc, drs) in zip(spec.sides, rows):
+            for side, (rc, rs, drc, drs, ic, is_) in zip(spec.sides, rows):
+                interior = replace(side, alpha0=0.0, beta0=0.0)
                 assert rc == side.residual(TrigSolution(lam, 1.0, 0.0))
                 assert rs == side.residual(TrigSolution(lam, 0.0, 1.0))
                 assert drc == side.residual(lambda x: dpair(x, 0))
                 assert drs == side.residual(lambda x: dpair(x, 1))
+                assert ic == interior.residual(TrigSolution(lam, 1.0, 0.0))
+                assert is_ == interior.residual(TrigSolution(lam, 0.0, 1.0))
 
 
 def _mp_gamma_slope(spec, lam):
@@ -367,8 +405,9 @@ def test_the_spectrum_does_not_depend_on_the_coefficient_scale(c, half_u0_spec, 
 
 # Work counts that do not depend on the hardware: row passes of _bc_rows.
 # A scanned root costs the passes of its bracket's safeguarded Newton
-# (bisection to adjacent floats took about 46); a continuation root step
-# costs its Newton iterations (about 2.85 with the secant predictor).
+# (bisection to adjacent floats took about 46); a continued root costs the
+# Newton iterations of its anchor at t = 0 and of each t step, about 4.7 in
+# all, since one Euler step on the exact tangent usually reaches t = 1.
 def test_row_passes_per_root(monkeypatch):
     counts = {"rows": 0, "bracket": 0, "newton": 0}
     bc_rows, bracketed_root, newton_root = spectrum._bc_rows, spectrum._bracketed_root, spectrum._newton_root
@@ -391,16 +430,18 @@ def test_row_passes_per_root(monkeypatch):
     monkeypatch.setattr(spectrum, "_bracketed_root", bracketed)
     monkeypatch.setattr(spectrum, "_newton_root", newton)
     rng = np.random.default_rng(17)
-    scan_roots = cont_passes = 0
+    scan_roots = cont_passes = cont_roots = 0
     for _ in range(12):
         spec = random_spec(rng)
         scan_roots += len(eigen_scan(spec, 2000.0).eigenpairs)
         before = counts["rows"]
         pairs = continuation_spectrum(spec, 12)
         cont_passes += counts["rows"] - before - len(pairs)  # less each eigenpair's own pass
+        cont_roots += len(pairs)
     assert scan_roots > 300
     assert counts["bracket"] / scan_roots <= 12.0
     assert cont_passes / counts["newton"] <= 2.6
+    assert cont_passes / cont_roots <= 8.0
 
 
 def _bisected_roots(spec: ProblemSpec, grid: list[float]) -> list[float]:
