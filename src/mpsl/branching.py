@@ -194,7 +194,7 @@ def _continue_branch(
             try:
                 accepted = _corrector(spec, nl, z_pred, tau, weights)
                 break
-            except (NoConvergence, SingularSystem):
+            except (NoConvergence, SingularSystem, DivergenceError):
                 if ds <= DS_MIN:
                     branch.termination = TERM_SECONDARY
                     return

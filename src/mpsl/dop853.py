@@ -9,11 +9,18 @@ and stage 12 is the right-hand side there; ``E3`` and ``E5`` weight stages
 0-12 for the error estimate.  Stages 13-15 are the extra stages of the dense
 output, and ``D`` gives the four highest rows of the interpolant.
 
-The ``*_SUM`` functions are the same rows compiled to expressions over a
-list k of one component's stages: the products with the nonzero
-coefficients, added left to right.  Python adds floats as written, so the
-order, and every stage value, is the same in every Python version.
+``kernels(pairs)`` compiles one DOP853 step for -u_p'' = lam_p*f(u_p) + h(x),
+p < pairs, to straight-line Python on floats, once per process and pair
+count.  The state is (u_0, u_0', u_1, ...), and k = (u', -(lam*f(u) + h)) is
+written once, with h called once per stage.  ``attempt`` runs stages 1-12 and
+returns the end state, stage 12, the two squared error sums and all stages;
+``dense`` adds stages 13-15 and returns the seven interpolant rows, highest
+power first.  Each stage sum adds its products left to right, as Python does
+in every version.  Compiling the kernels for 1, 3 and 4 pairs took 2.3, 5.8
+and 7.4 ms on a quiet 2-vCPU x86 host, up to twice that under load.
 """
+
+import functools
 
 A = (
     (),
@@ -79,11 +86,64 @@ D = (
 )
 
 
-def _row_sum(row):
-    terms = " + ".join(f"{c!r} * k[{j}]" for j, c in enumerate(row) if c)
-    return eval(f"lambda k: {terms}")  # noqa: S307 - built from the constants above
+def _dot(row, i):
+    """row times the stages k<j>_<i> of component i: the products with the
+    nonzero coefficients, added left to right."""
+    return " + ".join(f"{c!r} * k{j}_{i}" for j, c in enumerate(row) if c)
 
 
-A_SUM = (None, *map(_row_sum, A[1:]))
-B_SUM, E3_SUM, E5_SUM = map(_row_sum, (B, E3, E5))
-D_SUM = tuple(map(_row_sum, D))
+@functools.cache
+def kernels(pairs: int):
+    """make(hf, f, lams, atol, rtol) -> (rhs, attempt, dense), the kernels
+    for `pairs` (u, u') pairs with h, f, the lams and the tolerances bound."""
+    comps = range(2 * pairs)
+
+    def names(fmt):
+        return ", ".join(fmt.format(i) for i in comps)
+
+    def rhs(s, x, Y):
+        """Lines setting k<s> = (Y', -(lam*f(Y) + h(x))), one pair at a time."""
+        yield f"hx = hf({x})"
+        for p in range(pairs):
+            yield f"k{s}_{2 * p} = {Y[2 * p + 1]}"
+            yield f"k{s}_{2 * p + 1} = -(lam{p} * f({Y[2 * p]}) + hx)"
+
+    def stages(*ss):
+        return [line for s in ss for line in rhs(
+            s, f"t + {C[s]!r} * h", [f"y{i} + ({_dot(A[s], i)}) * h" for i in comps])]
+
+    def squares(e):
+        return " + ".join(f"{e}{i} * {e}{i}" for i in comps)
+
+    k = ", ".join(names(f"k{s}_{{}}") for s in range(13))
+    attempt = [*stages(*range(1, 12)), *(f"w{i} = y{i} + h * ({_dot(B, i)})" for i in comps),
+               *rhs(12, "t + h", [f"w{i}" for i in comps])]
+    for i in comps:
+        attempt += [f"sc = atol + max(abs(w{i}), abs(y{i})) * rtol",
+                    f"e5_{i} = ({_dot(E5, i)}) / sc", f"e3_{i} = ({_dot(E3, i)}) / sc"]
+    rows = [[f"h * ({_dot(row, i)})" for i in comps] for row in D[::-1]] + [
+        [f"2.0 * d{i} - h * (k12_{i} + k0_{i})" for i in comps], [f"h * k0_{i} - d{i}" for i in comps],
+        [f"d{i}" for i in comps]]
+    dense = [*stages(13, 14, 15), *(f"d{i} = w{i} - y{i}" for i in comps)]
+    body = "\n        ".join
+    src = f"""def make(hf, f, lams, atol, rtol):
+    {", ".join(f"lam{p}" for p in range(pairs))}, = lams
+    def rhs(x, y):
+        {names("y{}")}, = y
+        {body(rhs(0, "x", [f"y{i}" for i in comps]))}
+        return [{names("k0_{}")}]
+    def attempt(t, h, y, k):
+        {names("y{}")}, = y
+        {names("k0_{}")}, = k
+        {body(attempt)}
+        return [{names("w{}")}], [{names("k12_{}")}], {squares("e5_")}, {squares("e3_")}, ({k},)
+    def dense(t, h, y, w, K):
+        {names("y{}")}, = y
+        {names("w{}")}, = w
+        {k}, = K
+        {body(dense)}
+        return [{", ".join(f"[{', '.join(row)}]" for row in rows)}]
+    return rhs, attempt, dense"""
+    namespace = {}
+    exec(compile(src, f"<dop853 kernels, {pairs} pairs>", "exec"), namespace)  # noqa: S102
+    return namespace["make"]

@@ -12,9 +12,11 @@ below tolerance.  It is the one Newton loop in the package: forced solves
 here and the pseudo-arclength corrector in ``branching`` both run it on
 ``bvp_residual`` and ``bvp_jacobian``, each in its own coordinates.
 ``integrate_ivp`` and ``bvp_jacobian`` step DOP853 through ``_march``,
-one loop on Python floats for any number of (u, u') pairs, which holds
-every divergence rule and imports nothing of scipy: its tableau is the
-copy in ``dop853``.
+one loop on Python floats for any number of (u, u') pairs, which holds the
+step-size control and every divergence rule and imports nothing of scipy;
+its stages run in ``dop853``'s step kernels, generated from the tableau and
+compiled once per process and pair count (a forced solve uses 1 and 3
+pairs, the branch corrector 1 and 4).
 
 Acceptance scale per side: 1 + |alpha0|*|u|_0 + |beta0|*|u'|_0.
 """
@@ -155,40 +157,26 @@ def _zero(_x):
     return 0.0
 
 
-def _rhs(nl: NonlinearitySpec | None, h: ForcingTerm | None, lams):
-    """Right-hand side of one -u'' = lam_i*f(u) + h per lam_i, the state
-    (u_0, u_0', u_1, u_1', ...) a list of floats as ``_march`` steps it."""
-    f = _on_floats(nl.f) if nl is not None else _zero
-    hf = _on_floats(h.h) if h is not None else _zero
-    columns = [(2 * i, 2 * i + 1, lam) for i, lam in enumerate(lams)]
-
-    def rhs(x, y):
-        hx = hf(x)
-        out = []
-        for iu, iup, lam in columns:
-            out += (y[iup], -(lam * f(y[iu]) + hx))
-        return out
-    return rhs
-
-
 def _rms(v, scale) -> float:
     return math.sqrt(math.fsum([(a / b) * (a / b) for a, b in zip(v, scale)]) / len(v))
 
 
-def _march(rhs, y0: list[float], rtol: float, atol: float, dense):
-    """DOP853 on y' = rhs(x, y) from y(-1) = y0 to x = 1, on Python floats,
-    yielding (t, y, piece) after each accepted step.  The even entries of y
-    are values of u.  piece is the step's interpolant (t_old, h, F, y_old),
-    F's rows highest power first, if dense(t) holds, and None otherwise.
+def _march(nl: NonlinearitySpec | None, forcing: ForcingTerm | None, lams, y0: list[float],
+           rtol: float, atol: float, dense):
+    """DOP853 on -u_i'' = lams[i]*f(u_i) + h, the state y = (u_0, u_0', u_1,
+    u_1', ...) a list of floats, from y(-1) = y0 to x = 1, yielding (t, y,
+    piece) after each accepted step.  piece is the step's interpolant
+    (t_old, h, F, y_old), F's rows highest power first, if dense(t) holds,
+    and None otherwise.
 
     This is scipy's DOP853 (Hairer, Norsett & Wanner, Sec. II.10) on the
     tableau of ``dop853``: its initial step, its step control (safety 0.9,
     factors 0.2 to 10, exponent -1/8, failure below 10 float spacings of t)
     and its RMS error norm over all components, so trajectories integrated
-    side by side share one step sequence.  Each stage sum is one of
-    ``dop853``'s row expressions, added left to right in every Python
-    version.  Right-hand-side calls count as scipy's nfev, the three
-    dense-output stages of a step included.
+    side by side share one step sequence.  The stages are ``dop853``'s
+    compiled kernels for len(lams) pairs, which add every stage sum left to
+    right in every Python version.  Right-hand-side calls count as scipy's
+    nfev, the three dense-output stages of a step included.
 
     These are divergence, checked in this order, and raise DivergenceError
     at the x named:
@@ -205,8 +193,11 @@ def _march(rhs, y0: list[float], rtol: float, atol: float, dense):
     - More than IVP_MAX_RHS_CALLS right-hand-side calls, a run that cannot
       end: the end of the step that passed the budget.
     """
-    from .dop853 import A_SUM, B_SUM, C, D_SUM, E3_SUM, E5_SUM
+    from .dop853 import kernels
 
+    hf = _on_floats(forcing.h) if forcing is not None else _zero
+    fu = _on_floats(nl.f) if nl is not None else _zero
+    rhs, attempt, interpolant = kernels(len(lams))(hf, fu, lams, atol, rtol)
     t, y, n = -1.0, y0, len(y0)
     try:
         f = rhs(t, y)
@@ -226,44 +217,22 @@ def _march(rhs, y0: list[float], rtol: float, atol: float, dense):
                     raise DivergenceError(t)
                 t_new = min(t + h_abs, 1.0)
                 h = t_new - t
-                K = [[v] for v in f]  # K[i][s]: stage s of component i
-                for s in range(1, 12):
-                    row = A_SUM[s]
-                    for Ki, v in zip(K, rhs(t + C[s] * h, [v + row(Ki) * h for v, Ki in zip(y, K)])):
-                        Ki.append(v)
-                y_new = [v + h * B_SUM(Ki) for v, Ki in zip(y, K)]
-                f_new = rhs(t + h, y_new)
+                y_new, f_new, err5, err3, K = attempt(t, h, y, f)
                 nfev += 12
-                err5 = err3 = 0.0
-                for v, w, Ki, g in zip(y, y_new, K, f_new):
-                    Ki.append(g)
-                    sc = atol + max(abs(w), abs(v)) * rtol
-                    e5, e3 = E5_SUM(Ki) / sc, E3_SUM(Ki) / sc
-                    err5 += e5 * e5
-                    err3 += e3 * e3
                 err = h * err5 / math.sqrt((err5 + 0.01 * err3) * n) if err5 else 0.0
                 if err < 1.0:
                     factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
                     h_abs = h * (min(1.0, factor) if rejected else factor)
                     break
                 h_abs, rejected = h * max(0.2, 0.9 * err ** -0.125), True
-            t_old, y_old, f_old = t, y, f
+            t_old, y_old = t, y
             t, y, f = t_new, y_new, f_new
             if any(abs(u) > BLOWUP_LIMIT for u in y[::2]) or nfev > IVP_MAX_RHS_CALLS:
                 raise DivergenceError(t)
             piece = None
             if dense(t):
-                for s in (13, 14, 15):
-                    row = A_SUM[s]
-                    for Ki, v in zip(K, rhs(t_old + C[s] * h, [v + row(Ki) * h for v, Ki in zip(y_old, K)])):
-                        Ki.append(v)
+                piece = (t_old, h, interpolant(t_old, h, y_old, y, K), y_old)
                 nfev += 3
-                dy = [w - v for v, w in zip(y_old, y)]
-                F = [[h * row(Ki) for Ki in K] for row in reversed(D_SUM)]
-                F.append([2.0 * d - h * (g + g0) for d, g, g0 in zip(dy, f, f_old)])
-                F.append([h * g0 - d for d, g0 in zip(dy, f_old)])
-                F.append(dy)
-                piece = (t_old, h, F, y_old)
             yield t, y, piece
     except (ValueError, ArithmeticError):
         raise DivergenceError(t) from None
@@ -286,7 +255,7 @@ def integrate_ivp(
     ``_march``'s, and a dense-output sample that is not finite is divergence
     at that sample's x.
     """
-    march = _march(_rhs(nl, h, (float(lam),)), [float(a), float(b)], rtol, atol, lambda t: True)
+    march = _march(nl, h, (float(lam),), [float(a), float(b)], rtol, atol, lambda t: True)
     return IntegratedTrace(*zip(*(piece for _, _, piece in march)))
 
 
@@ -333,7 +302,7 @@ def bvp_jacobian(spec: ProblemSpec, nl: NonlinearitySpec | None, h: ForcingTerm 
     etas = sorted({e for side in spec.sides for e in side.eta})
     y = [v for start in starts for v in start[1:]]
     at = {-1.0: y}
-    for t, y, piece in _march(_rhs(nl, h, [start[0] for start in starts]), y, IVP_RTOL, IVP_ATOL,
+    for t, y, piece in _march(nl, h, [start[0] for start in starts], y, IVP_RTOL, IVP_ATOL,
                               lambda t: bool(etas) and etas[0] <= t):
         while etas and etas[0] <= t:
             eta = etas.pop(0)

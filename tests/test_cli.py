@@ -519,21 +519,36 @@ def test_solve_with_overflowing_f(h, code, c, tmp_path, capsys):
     assert np.max(np.abs(u - c * (x - x**3))) <= 1e-8
 
 
-# The from-zero branch of a superlinear f heads to lam -> 0 as its amplitude
-# grows.  With Jacobian probes of 1e-6*(1 + |z_j|), 40-67 % of lam there, the
-# corrector failed ever more often and the run did not end within 300 s; a
-# probe of 1e-6*|z_j| lets it reach the lambda cap in a few seconds.
-def test_superlinear_branch_ends_at_the_lambda_cap(tmp_path):
+def _branch_k0_plus(f: str, tmp_path):
+    """`mpsl branch --k 0 --sign +` in a fresh process on the half-u(0)
+    conditions with f and f0 = 1: (the process, the CSV rows)."""
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({**HALF_U0, "nonlinearity": {"f": "xi*(1+xi^2)", "f0": 1.0}}))
+    path.write_text(json.dumps({**HALF_U0, "nonlinearity": {"f": f, "f0": 1.0}}))
     src = os.path.dirname(os.path.dirname(mpsl.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "mpsl", "branch", str(path), "--k", "0", "--sign", "+",
                            "--out", str(tmp_path)], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc, read_csv(tmp_path / "branch_k0_plus.csv")[1]
+
+
+# The from-zero branch of a superlinear f heads to lam -> 0 as its amplitude
+# grows.  With Jacobian probes of 1e-6*(1 + |z_j|), 40-67 % of lam there, the
+# corrector failed ever more often and the run did not end within 300 s; a
+# probe of 1e-6*|z_j| lets it reach the lambda cap in a few seconds.
+def test_superlinear_branch_ends_at_the_lambda_cap(tmp_path):
+    proc, rows = _branch_k0_plus("xi*(1+xi^2)", tmp_path)
     assert "branch_k0_plus: 81 points, termination lambda_cap" in proc.stdout
-    _, rows = read_csv(tmp_path / "branch_k0_plus.csv")
     assert len(rows) == 81 and float(rows[-1][1]) < 1e-9
+
+
+# Along the branch of xi*exp(xi^2) some predicted points lie where the IVP
+# blows up before x = 1.  The corrector treats that as a failed step and
+# halves ds; the run used to end there with exit 3 and no file.
+def test_blow_up_at_a_predicted_point_cuts_the_step(tmp_path):
+    proc, rows = _branch_k0_plus("xi*exp(xi^2)", tmp_path)
+    assert "branch_k0_plus: 56 points, termination lambda_cap" in proc.stdout
+    assert len(rows) == 56 and float(rows[-1][1]) < 1e-9
 
 
 # Each of these f's makes the integrator's step size NaN when it starts

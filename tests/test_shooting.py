@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -87,8 +89,8 @@ def test_blowup_detection():
     root = sol.t_events[0][0]
     ends = []
     with pytest.raises(DivergenceError):
-        for t, _, _ in shooting._march(shooting._rhs(nl, None, (3600.0,)), [1.0, 60.0],
-                                       IVP_RTOL, IVP_ATOL, lambda t: False):
+        for t, _, _ in shooting._march(nl, None, (3600.0,), [1.0, 60.0], IVP_RTOL, IVP_ATOL,
+                                       lambda t: False):
             ends.append(t)
     assert ends[-1] < root <= exc.value.x
 
@@ -313,11 +315,12 @@ def test_non_finite_state_is_divergence():
         assert -1.0 <= exc.value.x <= 1.0
 
 
-def _scipy_solution(text, lam, a, b):
+def _scipy_solution(text, h, lam, a, b):
     from scipy.integrate import solve_ivp
 
     nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
-    return solve_ivp(lambda x, y: (y[1], -lam * nl.f(y[0])), (-1.0, 1.0), (a, b),
+    hx = ForcingTerm.from_text(h).h if h else lambda x: 0.0
+    return solve_ivp(lambda x, y: (y[1], -(lam * nl.f(y[0]) + hx(x))), (-1.0, 1.0), (a, b),
                      method="DOP853", rtol=IVP_RTOL, atol=IVP_ATOL, dense_output=True)
 
 
@@ -328,12 +331,13 @@ def _trace_of(sol):
                            [p.F[::-1] for p in pieces], [p.y_old for p in pieces])
 
 
-DOP853_CASES = pytest.mark.parametrize("text, lam, a, b, few", [
-    ("xi", 1.0, 0.0, 1.0, True),
-    ("xi*(1+3/(1+xi^2))", 0.5, 0.0, 0.1, True),
-    ("xi", 9000.0, 0.3, 5.0, False),
-    ("xi+xi^3", 400.0, 1.0, 0.0, False),
-], ids=["linear-slow", "crossing", "linear-fast", "cubic-fast"])
+DOP853_CASES = pytest.mark.parametrize("text, h, lam, a, b, few", [
+    ("xi", None, 1.0, 0.0, 1.0, True),
+    ("xi*(1+3/(1+xi^2))", None, 0.5, 0.0, 0.1, True),
+    ("xi", None, 9000.0, 0.3, 5.0, False),
+    ("xi+xi^3", None, 400.0, 1.0, 0.0, False),
+    ("xi", "x", 2.0, 0.0, 0.0, True),
+], ids=["linear-slow", "crossing", "linear-fast", "cubic-fast", "forced"])
 
 
 def test_dop853_tableau_is_scipys():
@@ -349,8 +353,8 @@ def test_dop853_tableau_is_scipys():
 
 
 @DOP853_CASES
-def test_dense_kernel_is_scipys_interpolant_bit_for_bit(text, lam, a, b, few):
-    sol = _scipy_solution(text, lam, a, b).sol
+def test_dense_kernel_is_scipys_interpolant_bit_for_bit(text, h, lam, a, b, few):
+    sol = _scipy_solution(text, h, lam, a, b).sol
     n = len(sol.interpolants)
     assert n < 20 if few else n > 200
     trace = _trace_of(sol)
@@ -367,7 +371,7 @@ def test_dense_kernel_is_scipys_interpolant_bit_for_bit(text, lam, a, b, few):
 
 
 @DOP853_CASES
-def test_integrate_ivp_is_solve_ivp_bit_for_bit(text, lam, a, b, few):
+def test_integrate_ivp_is_solve_ivp_bit_for_bit(text, h, lam, a, b, few):
     # integrate_ivp takes the steps of scipy's solve_ivp driver with the same
     # number of right-hand-side calls.  The stage sums are added in another
     # order than numpy's, and the error estimate loses about 8 digits to
@@ -377,14 +381,111 @@ def test_integrate_ivp_is_solve_ivp_bit_for_bit(text, lam, a, b, few):
     nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
     calls = []
     nl.f = lambda xi, f=nl.f: calls.append(xi) or f(xi)
-    ref = _scipy_solution(text, lam, a, b)
-    trace = integrate_ivp(nl, None, lam, a, b)
+    ref = _scipy_solution(text, h, lam, a, b)
+    trace = integrate_ivp(nl, ForcingTerm.from_text(h) if h else None, lam, a, b)
     assert len(trace._steps) == len(ref.t) - 1
     assert len(calls) == ref.nfev
     expected = _trace_of(ref.sol)
     for name in ("u", "up"):
         got, want = getattr(trace, name), getattr(expected, name)
         assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
+
+
+def _reference_march(nl, forcing, lams, y0, dense):
+    """``_march``'s DOP853 without its divergence rules, in the plain loops the
+    method is written in, straight from ``dop853``'s tableau: each stage sum
+    adds the products with a row's nonzero coefficients left to right.
+    Returns the (t, y, piece) of every accepted step, the rejected steps and
+    the right-hand-side calls."""
+    from mpsl.dop853 import A, B, C, D, E3, E5
+
+    f = shooting._on_floats(nl.f)
+    hf = shooting._on_floats(forcing.h) if forcing is not None else shooting._zero
+    rtol, atol, n, nfev, rejections, steps = shooting.IVP_RTOL, shooting.IVP_ATOL, len(y0), 0, 0, []
+
+    def rhs(x, y):
+        nonlocal nfev
+        nfev += 1
+        hx = hf(x)
+        return [v for i, lam in enumerate(lams) for v in (y[2 * i + 1], -(lam * f(y[2 * i]) + hx))]
+
+    def dot(row, K):
+        return [functools.reduce(operator.add, [c * v for c, v in zip(row, k) if c]) for k in K]
+
+    def rms(v, scale):
+        return math.sqrt(math.fsum([(a / b) * (a / b) for a, b in zip(v, scale)]) / n)
+
+    t, y = -1.0, y0
+    fy = rhs(t, y)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0, d1 = rms(y, scale), rms(fy, scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 2.0)
+    d2 = rms([a - b for a, b in zip(rhs(t + h0, [v + h0 * g for v, g in zip(y, fy)]), fy)], scale) / h0
+    h_abs = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100.0 * h0, h_abs, 2.0)
+    while t < 1.0:
+        h_abs, rejected = max(h_abs, 10.0 * (math.nextafter(t, math.inf) - t)), False
+        while True:
+            t_new = min(t + h_abs, 1.0)
+            h = t_new - t
+            K = [[v] for v in fy]  # K[i][s]: stage s of component i
+            for s in range(1, 12):
+                stage = rhs(t + C[s] * h, [v + a * h for v, a in zip(y, dot(A[s], K))])
+                for k, v in zip(K, stage):
+                    k.append(v)
+            y_new = [v + h * b for v, b in zip(y, dot(B, K))]
+            f_new = rhs(t + h, y_new)
+            for k, v in zip(K, f_new):
+                k.append(v)
+            sc = [atol + max(abs(w), abs(v)) * rtol for v, w in zip(y, y_new)]
+            err5 = err3 = 0.0
+            for e5, e3, s in zip(dot(E5, K), dot(E3, K), sc):
+                err5 += (e5 / s) * (e5 / s)
+                err3 += (e3 / s) * (e3 / s)
+            err = h * err5 / math.sqrt((err5 + 0.01 * err3) * n) if err5 else 0.0
+            if err < 1.0:
+                factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs, rejected, rejections = h * max(0.2, 0.9 * err ** -0.125), True, rejections + 1
+        piece = None
+        if dense(t_new):
+            for s in (13, 14, 15):
+                stage = rhs(t + C[s] * h, [v + a * h for v, a in zip(y, dot(A[s], K))])
+                for k, v in zip(K, stage):
+                    k.append(v)
+            dy = [w - v for v, w in zip(y, y_new)]
+            F = [[h * d for d in dot(row, K)] for row in reversed(D)]
+            F += [[2.0 * d - h * (g + g0) for d, g, g0 in zip(dy, f_new, fy)],
+                  [h * g0 - d for d, g0 in zip(dy, fy)], dy]
+            piece = (t, h, F, y)
+        t, y, fy = t_new, y_new, f_new
+        steps.append((t, y, piece))
+    return steps, rejections, nfev
+
+
+@pytest.mark.parametrize("h", [None, "x"], ids=["unforced", "forced"])
+@pytest.mark.parametrize("lams, y0", [
+    ((2.0,), [0.0, 1.0]),
+    ((2.0, 30.0, 400.0), [0.0, 1.0, 0.1, -1.0, 0.5, 0.0]),
+    ((1.0, 5.0, 50.0, 900.0), [0.0, 1.0, 0.3, 0.0, -0.2, 2.0, 0.0, -3.0]),
+], ids=["1-pair", "3-pairs", "4-pairs"])
+def test_march_is_the_plain_dop853_loop_bit_for_bit(lams, y0, h):
+    # The same steps, rejections, states, interpolants and f calls, argument
+    # for argument, with dense output on the steps that end in [0, 1] only.
+    nl = NonlinearitySpec.from_text("xi+xi^3", f0=1.0, finf=1.0)
+    forcing = ForcingTerm.from_text(h) if h else None
+    calls = []
+    nl.f = lambda xi, f=nl.f: calls.append(xi) or f(xi)
+    ref, rejections, nfev = _reference_march(nl, forcing, lams, y0, lambda t: t >= 0.0)
+    ref_calls, calls[:] = calls[:], []
+    assert rejections > 0 and len(ref_calls) == nfev * len(lams)
+    assert any(p is None for _, _, p in ref) and any(p is not None for _, _, p in ref)
+    got = list(shooting._march(nl, forcing, lams, list(y0), IVP_RTOL, IVP_ATOL, lambda t: t >= 0.0))
+    assert len(got) == len(ref) and len(calls) == len(ref_calls)
+    for step, (a, b) in enumerate(zip(got, ref)):
+        assert repr(a) == repr(b), step  # repr tells -0.0 from 0.0
+    assert next((i for i, (a, b) in enumerate(zip(calls, ref_calls)) if a != b), None) is None
 
 
 def test_rhs_budget_bounds_one_ivp(monkeypatch):
