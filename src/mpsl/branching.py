@@ -60,6 +60,7 @@ UNIQUENESS_MARGIN = 2.0  # nodal uniqueness window reaches this past the larger 
 CORRECTOR_MAX_ITER = 8  # arclength corrector iterations per predicted point
 MAX_HALVINGS = 12  # Newton step halvings per corrector iteration
 SEED_AMPLITUDE = 1e2  # first from-infinity seed amplitude, then 10x and 100x
+LAMBDA_FLOOR = 1e-10  # a branch ends where lam falls to this
 
 FROM_ZERO = "from_zero"
 FROM_INFINITY = "from_infinity"
@@ -67,6 +68,7 @@ FROM_INFINITY = "from_infinity"
 TERM_CROSSED = "crossed_lambda_one"
 TERM_AMPLITUDE = "amplitude_cap"
 TERM_LAMBDA = "lambda_cap"
+TERM_LAMBDA_FLOOR = "lambda_floor"
 TERM_SECONDARY = "secondary_bifurcation_suspected"
 TERM_FOLDS = "fold_count_cap"
 TERM_POINTS = "point_budget"
@@ -167,8 +169,8 @@ def _continue_branch(
     amplitude_cap: float,
     point_budget: int,
 ) -> None:
-    """March the branch from z_curr with initial tangent z_curr - z_prev,
-    up to lam = 10x the largest of f0, a finite finf, lam_k and 1.
+    """March the branch from z_curr with initial tangent z_curr - z_prev, up
+    to lam = 10x max(f0, finite finf, lam_k, 1) or down to LAMBDA_FLOOR.
 
     The returned-to-trivial targets are computed the first time a point
     comes near u = 0; most branches never do."""
@@ -223,8 +225,11 @@ def _continue_branch(
         if point.amplitude >= amplitude_cap:
             branch.termination = TERM_AMPLITUDE
             return
-        if point.lam >= lambda_cap or point.lam <= 1e-10:
+        if point.lam >= lambda_cap:
             branch.termination = TERM_LAMBDA
+            return
+        if point.lam <= LAMBDA_FLOOR:
+            branch.termination = TERM_LAMBDA_FLOOR
             return
         if folds >= FOLD_CAP:
             branch.termination = TERM_FOLDS

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import UnresolvableZeros
 from .trig import ZERO_LAMBDA_CUTOFF, TrigSolution, eval_solution, sup_norms
@@ -63,7 +64,10 @@ class ClosedTrace:
 
 
 class SampledTrace:
-    """Dense (x, u, u') samples with cubic Hermite interpolation between nodes."""
+    """Dense (x, u, u') samples with cubic Hermite interpolation between nodes.
+
+    The sup norms and, on first use, all cells' Hermite coefficients are
+    computed once, so the samples must not change after construction."""
 
     def __init__(self, x, u, uprime):
         import numpy as np
@@ -89,20 +93,27 @@ class SampledTrace:
             raise ValueError(
                 f"sample step {dx.max():.3g} exceeds the allowed {MAX_SAMPLE_STEP:.3g}"
             )
+        self._sups = float(abs(self.u).max()), float(abs(self.up).max())
 
     def _locate(self, x: float) -> int:
         i = int(self.x.searchsorted(x, side="right")) - 1
         return min(max(i, 0), len(self.x) - 2)
 
-    def _cell_coeffs(self, i):
-        """Cubic u = a s^3 + b s^2 + c s + d on cell i, s in [0, 1]; with an
-        index array i, the coefficient arrays of those cells."""
-        h = self.x[i + 1] - self.x[i]
-        u0, u1 = self.u[i], self.u[i + 1]
-        p0, p1 = h * self.up[i], h * self.up[i + 1]
+    @cached_property
+    def _cells(self):
+        """(a, b, c, d, h) of every cell: the cubic u = a s^3 + b s^2 + c s + d
+        on s in [0, 1] and the cell width."""
+        x, u, up = self.x, self.u, self.up
+        h = x[1:] - x[:-1]
+        u0, u1 = u[:-1], u[1:]
+        p0, p1 = h * up[:-1], h * up[1:]
         a = 2.0 * u0 + p0 - 2.0 * u1 + p1
         b = -3.0 * u0 - 2.0 * p0 + 3.0 * u1 - p1
         return a, b, p0, u0, h
+
+    def _cell_coeffs(self, i):
+        """``_cells`` of cell i, or of the cells of an index array i."""
+        return tuple(c[i] for c in self._cells)
 
     def eval(self, x: float) -> tuple[float, float]:
         if not -1.0 - 1e-12 <= x <= 1.0 + 1e-12:
@@ -115,17 +126,17 @@ class SampledTrace:
         return u, up
 
     def sup_u(self) -> float:
-        return float(abs(self.u).max())
+        return self._sups[0]
 
     def sup_uprime(self) -> float:
-        return float(abs(self.up).max())
+        return self._sups[1]
 
     def sup_usecond(self) -> float:
         """Estimated |u''|_0 from the interpolant (used for zero simplicity):
         the largest of H''(0)/h^2 and H''(1)/h^2 over the cells."""
         import numpy as np
 
-        a, b, _, _, h = self._cell_coeffs(np.arange(len(self.x) - 1))
+        a, b, _, _, h = self._cells
         vals = np.maximum(np.abs(2.0 * b), np.abs(6.0 * a + 2.0 * b)) / (h * h)
         return float(np.max(vals))
 
@@ -226,56 +237,51 @@ def _sampled_zeros(trace: SampledTrace, which: str, slope_bound: float) -> list[
     """Real roots of the per-cell interpolant of the requested channel.
 
     Candidate cells are those with a sign change or a value within reach of
-    ``slope_bound`` (a bound on the channel's slope).  Each candidate's
-    cubic (u) or quadratic (u') loses its leading coefficients below 1e-14
-    of its largest; the cells are grouped by trimmed length and trailing
-    zeros, and each group's companion matrices go through one
-    ``np.linalg.eigvals`` call.  That is what ``np.roots`` does cell by
-    cell, so the roots are the same to the bit.  A cell with a sign change
-    always yields a root, clamped into the cell.
+    ``slope_bound`` (a bound on the channel's slope), found in one numpy
+    pass.  Each candidate's cubic (u) or quadratic (u') then loses, on
+    Python floats, its leading coefficients below 1e-14 of its largest and
+    its trailing zeros (one root s = 0 each); the companion matrices are
+    grouped by size, one ``np.linalg.eigvals`` call per size.  That is what
+    ``np.roots`` does cell by cell, so the roots are the same to the bit.  A
+    cell with a sign change always yields a root, clamped into the cell.
     """
     import numpy as np
 
     x = trace.x
+    a, b, c, d, h = trace._cells
     vals = trace.u if which == "u" else trace.up
-    dx = np.diff(x)
     v0, v1 = vals[:-1], vals[1:]
     sign_change = v0 * v1 < 0.0
-    near = np.minimum(np.abs(v0), np.abs(v1)) <= dx * slope_bound * 1.5 + 1e-300
+    near = np.minimum(np.abs(v0), np.abs(v1)) <= h * slope_bound * 1.5 + 1e-300
     cells = np.nonzero(sign_change | near)[0]
-
-    a, b, c, d, h = trace._cell_coeffs(cells)
-    polys = np.stack([a, b, c, d] if which == "u" else [3.0 * a, 2.0 * b, c], axis=1)
-    width = polys.shape[1] - 1  # most roots a cell can have
-    mags = np.abs(polys)
-    lead = mags.max(axis=1, initial=0.0)
-    first = np.argmax(mags > 1e-14 * lead[:, None], axis=1)
-    last = width - np.argmax(polys[:, ::-1] != 0.0, axis=1)
-    live = (lead > 0.0) & (first < width)
-    # Row j holds the roots of cell cells[j] in np.roots order; NaN pads.
-    roots = np.full((len(cells), width), np.nan, dtype=complex)
-    for lo, hi in set(zip(first[live].tolist(), last[live].tolist())):
-        rows = np.nonzero(live & (first == lo) & (last == hi))[0]
-        n = hi - lo  # companion size
-        if n > 0:
-            p = polys[rows, lo:hi + 1]
-            comp = np.zeros((len(rows), n, n))
-            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-            comp[:, 0, :] = -p[:, 1:] / p[:, :1]
-            roots[rows, :n] = np.linalg.eigvals(comp)
-        roots[rows, n:width - lo] = 0.0  # one root s = 0 per trailing zero coefficient
-    s = roots.real
-    top = np.where(cells == len(dx) - 1, 1.0 + 1e-12, 1.0)[:, None]
-    ok = (np.abs(roots.imag) <= 1e-9) & (s >= -1e-12) & (s < top)
-    # Rounding can put a sign-change cell's root outside it (a zero beside a node,
-    # with a far second root); take the nearest, and the merge drops a twin.
-    lost = np.nonzero(sign_change[cells] & ~ok.any(axis=1))[0]
-    if lost.size:
-        ok[lost, np.nanargmin(np.abs(roots[lost] - 0.5), axis=1)] = True
-    j, s = np.nonzero(ok)[0], s[ok]
-    s = np.where(0.0 > s, 0.0, s)  # min(max(s, 0.0), 1.0), signed zeros included
-    s = np.where(1.0 < s, 1.0, s)
-    zeros = (x[cells[j]] + s * h[j]).tolist()
+    rows = list(zip(cells.tolist(), *(v[cells].tolist() for v in (x, h, sign_change, a, b, c, d))))
+    trims, by_size = [], {}  # (companion size, trailing zeros) per cell; size -> polynomials
+    for *_, a0, b0, c0, d0 in rows:
+        p = (a0, b0, c0, d0) if which == "u" else (3.0 * a0, 2.0 * b0, c0)
+        cut, first, last = 1e-14 * max(map(abs, p)), 0, len(p) - 1
+        while first <= last and not abs(p[first]) > cut:
+            first += 1
+        while last > first and p[last] == 0.0:
+            last -= 1
+        trims.append((last - first, len(p) - 1 - last) if first < len(p) - 1 else (0, 0))
+        if first < last:
+            by_size.setdefault(last - first, []).append(p[first:last + 1])
+    for n, ps in by_size.items():
+        p = np.array(ps)
+        comp = np.zeros((len(ps), n, n))
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+        by_size[n] = iter(np.linalg.eigvals(comp).tolist())
+    zeros = []
+    for (i, x0, h0, change, *_), (n, trailing) in zip(rows, trims):
+        roots = (next(by_size[n]) if n else []) + [0.0] * trailing  # in np.roots order
+        top = 1.0 + 1e-12 if i == len(h) - 1 else 1.0
+        ok = [r.real for r in roots if abs(r.imag) <= 1e-9 and r.real >= -1e-12 and r.real < top]
+        # Rounding can put a sign-change cell's root outside it (a zero beside a node,
+        # with a far second root); take the nearest, and the merge drops a twin.
+        if not ok and change:
+            ok = [min(roots, key=lambda r: abs(r - 0.5)).real]
+        zeros += [x0 + min(max(s, 0.0), 1.0) * h0 for s in ok]
     zeros.sort()
     # Roots recovered from both sides of a shared node differ by solver
     # noise (~1e-12); merge well below the cluster threshold so genuine

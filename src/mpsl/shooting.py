@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -50,44 +52,50 @@ ENERGY_STRIDE = 20
 NONRESONANCE_MARGIN = 10.0
 
 
+# The sample nodes of every IntegratedTrace: one array on an immutable buffer,
+# which no trace can write to or make writeable, so none can move another's.
+GRID = np.frombuffer(np.linspace(-1.0, 1.0, int(round(2.0 / DENSE_STEP)) + 1).tobytes())
+
+
 class IntegratedTrace(SampledTrace):
     """Sampled trace backed by the integrator's dense output.
 
     Built from the accepted steps as ``_march`` yields them: each step's
     start t_old, size h, interpolant rows F (highest power first) and start
     state y_old.  ``_dense`` evaluates the interpolants at many points in one
-    numpy pass and ``_interpolate`` at one point on Python floats.  Both pick
-    the segment as scipy's ``OdeSolution`` does, where a step end belongs to
-    the lower step, and run the Horner loop of scipy's ``Dop853DenseOutput``
-    in its operation order, so they agree bit for bit with each other and
-    with scipy's interpolant on the same steps.  The sample nodes go through
-    ``_dense`` and ``eval`` through ``_interpolate``.
+    numpy pass, on (state, point) arrays, and ``_interpolate`` at one point
+    on Python floats.  Both pick the segment as scipy's ``OdeSolution``
+    does, where a step end belongs to the lower step, and run the Horner
+    loop of scipy's ``Dop853DenseOutput`` in its operation order, so they
+    agree bit for bit with each other and with scipy's interpolant on the
+    same steps.  The samples are ``_dense`` at the fixed nodes ``GRID``, so
+    ``SampledTrace``'s checks are skipped, with both sup norms from the same
+    arrays, once; ``eval`` goes through ``_interpolate``.
     """
 
     def __init__(self, t_old, h, F, y_old):
+        self._starts, self._steps = t_old, list(zip(t_old, h, F, y_old))
         self._t_old, self._h = np.array(t_old, dtype=float), np.array(h, dtype=float)
-        F, self._y_old = np.array(F, dtype=float), np.array(y_old, dtype=float)
-        self._F = F.transpose(1, 0, 2)  # (power, segment, state)
-        self._starts = self._t_old.tolist()
-        self._steps = list(zip(self._starts, self._h.tolist(), F.tolist(), self._y_old.tolist()))
-        x = np.linspace(-1.0, 1.0, int(round(2.0 / DENSE_STEP)) + 1)
-        u, uprime = self._dense(x)
-        finite = np.isfinite(u) & np.isfinite(uprime)
-        if not finite.all():
-            raise DivergenceError(float(x[np.argmin(finite)]))
-        super().__init__(x, u, uprime)
+        F = np.fromiter(chain.from_iterable(chain.from_iterable(F)), float).reshape(len(h), len(F[0]), -1)
+        self._F = F.transpose(1, 2, 0)  # (power, state, segment)
+        self._y_old = np.array(y_old, dtype=float).T  # (state, segment)
+        y = self._dense(GRID)
+        sups = np.abs(y).max(axis=1).tolist()
+        if not all(map(math.isfinite, sups)):
+            raise DivergenceError(float(GRID[np.argmin(np.isfinite(y).all(axis=0))]))
+        self.x, (self.u, self.up), self._sups = GRID, y, tuple(sups)
 
-    def _dense(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _dense(self, t: np.ndarray) -> np.ndarray:
         seg = np.searchsorted(self._t_old, t, side="left") - 1
         np.clip(seg, 0, len(self._h) - 1, out=seg)
-        s = ((t - self._t_old.take(seg)) / self._h.take(seg))[:, None]
+        s = (t - self._t_old.take(seg)) / self._h.take(seg)
         r = 1 - s
-        y = np.zeros((len(t), self._y_old.shape[1]))
-        for i, F in enumerate(self._F.take(seg, axis=1)):
+        y = np.zeros((self._y_old.shape[0], len(t)))
+        for i, F in enumerate(self._F.take(seg, axis=2)):
             y += F
             y *= r if i % 2 else s
-        y += self._y_old.take(seg, axis=0)
-        return y[:, 0], y[:, 1]
+        y += self._y_old.take(seg, axis=1)
+        return y
 
     def eval(self, x: float) -> tuple[float, float]:
         if not -1.0 - 1e-12 <= x <= 1.0 + 1e-12:
@@ -335,13 +343,20 @@ def collocation_residual(
     return float(np.max(np.abs(res)))
 
 
+@lru_cache
+def _energy_nodes(n: int) -> np.ndarray:
+    """Every ENERGY_STRIDE-th of n nodes and the last one, built once per n
+    and shared, so read-only."""
+    idx = np.append(np.arange(0, n - 1, ENERGY_STRIDE), n - 1)
+    idx.flags.writeable = False
+    return idx
+
+
 def nonlinear_energy_deviation(trace: SampledTrace, nl: NonlinearitySpec, lam: float) -> float:
     """Relative non-constancy of lam*F(u) + u'^2 along the trace (h == 0 form),
     sampled at every ENERGY_STRIDE-th node and the last one, with F at all
     samples from one ``NonlinearitySpec.F_many`` call."""
-    idx = np.arange(0, len(trace.x), ENERGY_STRIDE)
-    if idx[-1] != len(trace.x) - 1:
-        idx = np.append(idx, len(trace.x) - 1)
+    idx = _energy_nodes(len(trace.x))
     up = trace.up[idx]
     vals = lam * nl.F_many(trace.u[idx]) + up * up
     med = float(np.median(vals))

@@ -535,10 +535,10 @@ def _branch_k0_plus(f: str, tmp_path):
 # The from-zero branch of a superlinear f heads to lam -> 0 as its amplitude
 # grows.  With Jacobian probes of 1e-6*(1 + |z_j|), 40-67 % of lam there, the
 # corrector failed ever more often and the run did not end within 300 s; a
-# probe of 1e-6*|z_j| lets it reach the lambda cap in a few seconds.
-def test_superlinear_branch_ends_at_the_lambda_cap(tmp_path):
+# probe of 1e-6*|z_j| lets it reach the lambda floor in a few seconds.
+def test_superlinear_branch_ends_at_the_lambda_floor(tmp_path):
     proc, rows = _branch_k0_plus("xi*(1+xi^2)", tmp_path)
-    assert "branch_k0_plus: 81 points, termination lambda_cap" in proc.stdout
+    assert "branch_k0_plus: 81 points, termination lambda_floor" in proc.stdout
     assert len(rows) == 81 and float(rows[-1][1]) < 1e-9
 
 
@@ -547,7 +547,7 @@ def test_superlinear_branch_ends_at_the_lambda_cap(tmp_path):
 # halves ds; the run used to end there with exit 3 and no file.
 def test_blow_up_at_a_predicted_point_cuts_the_step(tmp_path):
     proc, rows = _branch_k0_plus("xi*exp(xi^2)", tmp_path)
-    assert "branch_k0_plus: 56 points, termination lambda_cap" in proc.stdout
+    assert "branch_k0_plus: 56 points, termination lambda_floor" in proc.stdout
     assert len(rows) == 56 and float(rows[-1][1]) < 1e-9
 
 

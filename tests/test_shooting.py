@@ -54,6 +54,45 @@ def test_integrate_dense_output_step():
     assert tr.x[0] == -1.0 and tr.x[-1] == 1.0
 
 
+def test_trace_nodes_cannot_be_corrupted():
+    # Every IntegratedTrace samples the one shared node array.
+    first = integrate_ivp(LIN, None, 2.0, 0.3, -0.2)
+    assert not first.x.flags.writeable
+    with pytest.raises(ValueError):
+        first.x[1000] = 0.5
+    with pytest.raises(ValueError):
+        first.x.flags.writeable = True
+    second = integrate_ivp(LIN, None, 2.0, 0.3, -0.2)
+    assert np.array_equal(second.x, np.linspace(-1.0, 1.0, 2001))
+    assert np.array_equal(second.u, first.u) and np.array_equal(second.up, first.up)
+
+
+def test_shared_passes_classify_as_a_plain_sampled_trace(half_u0_spec, monkeypatch):
+    # An IntegratedTrace takes its nodes, sup norms and cell data from passes
+    # shared with its construction; a SampledTrace on copies of its samples
+    # recomputes each.  Both classify every accepted point of the worked
+    # example's branches and nodal pair alike, bit for bit.
+    from mpsl import branching
+    from mpsl.nodal import SampledTrace, classify
+
+    traces = []
+    monkeypatch.setattr(branching, "classify", lambda trace: traces.append(trace) or classify(trace))
+    nl = NonlinearitySpec.from_text("xi*(1+3/(1+xi^2))", f0=4.0, finf=1.0)
+    for sign in "+-":
+        branching.branch_from_zero(half_u0_spec, nl, 0, sign)
+    branching.nodal_solutions_at_one(half_u0_spec, nl, 0)
+    assert len(traces) > 200 and all(type(t) is IntegratedTrace for t in traces)
+    for trace in traces:
+        plain = SampledTrace(trace.x.copy(), trace.u.copy(), trace.up.copy())
+        got, want = classify(trace), classify(plain)
+        assert got.memberships == want.memberships and got.status == want.status
+        for name in ("zeros_u", "zeros_uprime"):
+            assert [(z.hex(), simple) for z, simple in getattr(got, name)] == \
+                [(z.hex(), simple) for z, simple in getattr(want, name)]
+        for sup in ("sup_u", "sup_uprime", "sup_usecond"):
+            assert getattr(trace, sup)().hex() == getattr(plain, sup)().hex()
+
+
 def test_linear_energy_identity_on_integrated_trace():
     from mpsl.nodal import energy_deviation
 
