@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import side_thresholds
 from .errors import (
     DivergenceError,
     HypothesisReport,
@@ -487,7 +486,7 @@ def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutions
             raise HypothesisReport("finite envelope constant", "finf = inf")
         cert = _certify(nl, gamma, F_SMALL, "F-envelope (upper)")
         # The endpoint inequalities at lambda = 1 are tested at lam*gamma = gamma.
-        if not all(side_thresholds(side).holds_ud(gamma) for side in spec.sides):
+        if not all(side.holds_ud(gamma) for side in spec.sides):
             raise HypothesisReport("endpoint derivative-pinning inequality at lambda=1")
         route = FROM_ZERO
         class_index = k + 1
@@ -498,7 +497,7 @@ def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutions
         if not (math.isfinite(gamma) and gamma > 0.0):
             raise HypothesisReport("positive finite envelope constant", f"gamma={gamma}")
         cert = _certify(nl, gamma, F_BIG, "F-envelope (lower)")
-        if not all(side_thresholds(side).holds_u(gamma) for side in spec.sides):
+        if not all(side.holds_u(gamma) for side in spec.sides):
             raise HypothesisReport("endpoint value-pinning inequality at lambda=1")
         route = FROM_ZERO if orientation == "slopes-rise" else FROM_INFINITY
         class_index = k

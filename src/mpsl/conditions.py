@@ -9,13 +9,14 @@ interior sums S_a = sum|alpha_i|, S_b = sum|beta_i| drive everything:
 for any solution (lam, u), lam > 0, satisfying that side's condition.
 (The value-pinning condition is stated with |beta0|: the minus-side sign
 convention makes beta0 <= 0 there, and the underlying estimate only uses
-its magnitude.)
+its magnitude.)  ``BoundarySide.holds_ud`` and ``holds_u`` test them.
 
 At the summed-fraction hypothesis level the two ranges meet at
-J = (alpha0/beta0)^2: lam <= J gives derivative-pinning, lam >= J gives
-value-pinning, so crossover indices against the reference spectra split
-the index axis into a T range, an S range, an intermediate R range, and a
-handful of boundary indices needing strengthened pointwise checks.
+J = (alpha0/beta0)^2 (``BoundarySide.J``): lam <= J gives derivative-
+pinning, lam >= J gives value-pinning, so crossover indices against the
+reference spectra split the index axis into a T range, an S range, an
+intermediate R range, and a handful of boundary indices needing
+strengthened pointwise checks.
 
 The reference sequences strictly increase in k and both conditions are
 monotone in lam, so every crossover or threshold index is the length of
@@ -41,54 +42,6 @@ from .problem import (
 from .reference import ReferenceKind, reference_eigenvalue
 
 _SEARCH_CAP = 100000  # largest index an index search can return
-
-
-@dataclass(frozen=True)
-class SideThresholds:
-    """The two pointwise conditions of one side, tested exactly at each lam.
-
-    ``J = (alpha0/beta0)^2`` with J = inf for a Dirichlet-type side.
-    """
-
-    side: str
-    J: float
-    sum_alpha: float
-    sum_beta: float
-    alpha0: float
-    beta0_abs: float
-
-    def holds_ud(self, lam: float) -> bool:
-        """Exact pointwise derivative-pinning test at lam >= 0."""
-        if lam < 0.0:
-            raise ValueError("conditions are defined for lam >= 0")
-        return self.alpha0 > self.sum_alpha + math.sqrt(lam) * self.sum_beta
-
-    def holds_u(self, lam: float) -> bool:
-        """Exact pointwise value-pinning test at lam >= 0."""
-        if lam < 0.0:
-            raise ValueError("conditions are defined for lam >= 0")
-        if lam == 0.0:
-            return self.sum_alpha == 0.0 and self.beta0_abs > self.sum_beta
-        return self.beta0_abs > self.sum_alpha / math.sqrt(lam) + self.sum_beta
-
-
-def _square(v: float) -> float:
-    """v**2, saturating to inf as an overflowing quotient already does."""
-    try:
-        return v ** 2
-    except OverflowError:
-        return math.inf
-
-
-def side_thresholds(side: BoundarySide) -> SideThresholds:
-    return SideThresholds(
-        side=side.side,
-        J=math.inf if side.beta0 == 0.0 else _square(side.alpha0 / side.beta0),
-        sum_alpha=side.sum_alpha,
-        sum_beta=side.sum_beta,
-        alpha0=side.alpha0,
-        beta0_abs=abs(side.beta0),
-    )
 
 
 @dataclass(frozen=True)
@@ -155,14 +108,6 @@ def _min_index_geq(value_fn, bound: float) -> int | None:
     return _capped_count(lambda k: not value_fn(k) >= bound, "crossover")
 
 
-def _single_point_side(spec: ProblemSpec) -> BoundarySide | None:
-    """The single-point side when exactly one side is multi-point, else None."""
-    mp = spec.multipoint_sides()
-    if len(mp) != 1:
-        return None
-    return spec.plus if mp[0] is spec.minus else spec.minus
-
-
 # k -> lam_k of the Neumann, Dirichlet and mixed reference families.
 _lam_n, _lam_d, _lam_m = (partial(reference_eigenvalue, ReferenceKind(tag))
                           for tag in ("neumann", "dirichlet", "mixed"))
@@ -182,10 +127,8 @@ def crossover_indices(spec: ProblemSpec) -> CrossoverIndices:
             "theorem hypotheses not met: crossover indices need the "
             "summed-fraction condition on both sides"
         )
-    th_m = side_thresholds(spec.minus)
-    th_p = side_thresholds(spec.plus)
-    J_min = min(th_m.J, th_p.J)
-    J_max = max(th_m.J, th_p.J)
+    J_min = min(spec.minus.J, spec.plus.J)
+    J_max = max(spec.minus.J, spec.plus.J)
 
     k_T = _max_index_leq(_lam_n, J_min)
     k_S = _min_index_geq(_lam_d, J_max)
@@ -194,10 +137,9 @@ def crossover_indices(spec: ProblemSpec) -> CrossoverIndices:
     k_SM = _min_index_geq(_lam_m, J_max)
 
     k_c: int | None = None
-    single = _single_point_side(spec)
+    single = spec.single_point_side
     if single is not None:
-        mp_side = spec.minus if single is spec.plus else spec.plus
-        J_mp = side_thresholds(mp_side).J
+        J_mp = (spec.minus if single is spec.plus else spec.plus).J
         if J_mp == 0.0:
             k_c = -1
         elif math.isinf(J_mp):
@@ -208,8 +150,8 @@ def crossover_indices(spec: ProblemSpec) -> CrossoverIndices:
             k_c = _capped_count(lambda j: lam_rd(j) < J_mp, "k_c") - 1
 
     return CrossoverIndices(
-        J_minus=th_m.J,
-        J_plus=th_p.J,
+        J_minus=spec.minus.J,
+        J_plus=spec.plus.J,
         J_min=J_min,
         J_max=J_max,
         k_c=k_c,
@@ -276,12 +218,8 @@ def predict_nodal_class(spec: ProblemSpec, k: int) -> Prediction:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    level = spec.hypothesis_level
-    if not level_at_least(level, LEVEL_QUADRATIC):
+    if not level_at_least(spec.hypothesis_level, LEVEL_QUADRATIC):
         return _indet(k, "hypotheses violated: no nodal theorem applies")
-
-    th_m = side_thresholds(spec.minus)
-    th_p = side_thresholds(spec.plus)
 
     # (i) pure-coefficient corollaries.
     if spec.minus.sum_beta == 0.0 and spec.plus.sum_beta == 0.0 and (
@@ -293,15 +231,14 @@ def predict_nodal_class(spec: ProblemSpec, k: int) -> Prediction:
     ):
         return Prediction(k, "S", k, (_lam_d(k - 2), _lam_d(k)), theorem="S-all")
 
-    single = _single_point_side(spec)
-    if single is not None:
-        return _predict_single_mp(spec, k, single, level)
-    return _predict_two_mp(spec, k, th_m, th_p, level)
+    if spec.single_point_side is not None:
+        return _predict_single_mp(spec, k)
+    return _predict_two_mp(spec, k)
 
 
-def _predict_single_mp(spec: ProblemSpec, k: int, single: BoundarySide, level: str) -> Prediction:
+def _predict_single_mp(spec: ProblemSpec, k: int) -> Prediction:
+    single = spec.single_point_side
     mp_side = spec.minus if single is spec.plus else spec.plus
-    th = side_thresholds(mp_side)
     lam_rn = _ref_with_robin(single, "robin-neumann")
     lam_rd = _ref_with_robin(single, "robin-dirichlet")
     # A degenerate single-point side pins u or u' at its endpoint, so the
@@ -326,14 +263,14 @@ def _predict_single_mp(spec: ProblemSpec, k: int, single: BoundarySide, level: s
     # up-set, over the Robin reference sequences.  n_T - 1 is the last index
     # in the first; n_S the first index in the second, unless it lies past
     # the cap.
-    n_T = _leading_count(lambda j: th.holds_ud(lam_rn(j)))
+    n_T = _leading_count(lambda j: mp_side.holds_ud(lam_rn(j)))
     if k <= n_T - 2:
         return predict_T("T-below-crossover")
-    n_S = _leading_count(lambda j: not th.holds_u(lam_rd(j)))
+    n_S = _leading_count(lambda j: not mp_side.holds_u(lam_rd(j)))
     if n_S <= _SEARCH_CAP and (k >= n_S + 1 or n_S == 0):
         return predict_S("S-above-crossover")
 
-    if not level_at_least(level, LEVEL_LINEAR):
+    if not level_at_least(spec.hypothesis_level, LEVEL_LINEAR):
         return _indet(k, "in the pointwise-threshold gap (squared-fraction level only)")
 
     idx = crossover_indices(spec)
@@ -347,20 +284,16 @@ def _predict_single_mp(spec: ProblemSpec, k: int, single: BoundarySide, level: s
     if k >= k_c + 2:
         return predict_S("S-above-crossover")
 
-    # k is k_c or k_c + 1: the strengthened crossover-pair tests.
-    J = th.J
-    pair_ok = False
-    if lam_rn(k_c + 1) <= J:  # (then J <= lam_rd(k_c+1) holds by definition)
-        pair_ok = True
-    elif th.holds_u(lam_rd(k_c)) or th.holds_ud(lam_rn(k_c + 1)):
-        pair_ok = True
-    if pair_ok:
+    # k is k_c or k_c + 1: the strengthened crossover-pair tests (with
+    # lam_rn(k_c + 1) <= J, J <= lam_rd(k_c + 1) holds by definition).
+    if (lam_rn(k_c + 1) <= mp_side.J or mp_side.holds_u(lam_rd(k_c))
+            or mp_side.holds_ud(lam_rn(k_c + 1))):
         return predict_T("crossover-pair") if k == k_c else predict_S("crossover-pair")
     return _indet(k, "crossover-pair tests failed at the crossover indices")
 
 
-def _predict_two_mp(spec, k, th_m, th_p, level) -> Prediction:
-    if not level_at_least(level, LEVEL_LINEAR):
+def _predict_two_mp(spec: ProblemSpec, k: int) -> Prediction:
+    if not level_at_least(spec.hypothesis_level, LEVEL_LINEAR):
         return _indet(k, "two multi-point sides need the summed-fraction level")
     idx = crossover_indices(spec)
 
@@ -384,11 +317,11 @@ def _predict_two_mp(spec, k, th_m, th_p, level) -> Prediction:
     # Strengthened boundary tests on the remaining indices.
     if idx.k_TM is not None and k <= idx.k_TM:
         lam0 = _lam_n(idx.k_TM + 2)
-        if th_m.holds_ud(lam0) and th_p.holds_ud(lam0):
+        if spec.minus.holds_ud(lam0) and spec.plus.holds_ud(lam0):
             return Prediction(k, "T", k + 1, (_lam_n(k), _lam_n(k + 2)), theorem="T-gap-strengthened")
     if idx.k_SM is not None and k >= idx.k_SM:
         lam0 = _lam_d(idx.k_SM - 2)
-        if th_m.holds_u(lam0) and th_p.holds_u(lam0):
+        if spec.minus.holds_u(lam0) and spec.plus.holds_u(lam0):
             return Prediction(k, "S", k, (_lam_d(k - 2), _lam_d(k)), theorem="S-gap-strengthened")
     return _indet(k, "between the T and S ranges; strengthened tests failed")
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -354,6 +355,62 @@ def free_variables(node: Expr) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
+# finite real values, the only values of f and h that are used
+
+
+def _on_floats(fn):
+    """fn of a Python float as a float, for the integrator.  Where Python
+    raises and numpy's scalars give inf or NaN (``**`` overflows, x/0), fn
+    is evaluated again on np.float64, so such a value is a rejected step
+    rather than divergence.  A complex value is NaN, also where numpy would
+    pass its real part to a math function with a ComplexWarning."""
+    def value(v):
+        try:
+            try:
+                return float(fn(v))
+            except (ArithmeticError, ValueError):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)  # ComplexWarning is one
+                    w = fn(np.float64(v))
+                return float(w) if isinstance(w, float) else math.nan
+        except (TypeError, RuntimeWarning):  # a complex value, or a math function given one
+            return math.nan
+    return value
+
+
+def _on_arrays(fn):
+    """fn of a numpy array, NaN throughout where a part of fn without its
+    variable raises on Python floats (pi^1e300), for the scalar fn to explain."""
+    def values(xs):
+        try:
+            return fn(xs)
+        except (ArithmeticError, ValueError, TypeError):
+            return np.full(np.shape(xs), math.nan)
+    return values
+
+
+def _finite_reals(fn, points, name: str, var: str, values=None) -> np.ndarray:
+    """fn at ``points`` as floats: ``values``, fn's numpy evaluation there,
+    where they are finite reals, and the scalar fn elsewhere (everywhere
+    without ``values``).  The scalar fn raises its own error at the first
+    point where it is not a finite real, a TypeError for a complex value,
+    OverflowError for inf and ValueError for NaN, naming var there."""
+    points = np.asarray(points, dtype=float)
+    values = np.full(points.shape, math.nan) if values is None else np.broadcast_to(values, points.shape)
+    out = values.real.astype(float)
+    for i in np.flatnonzero(~np.isfinite(values) | np.iscomplexobj(values)):
+        at = float(points.flat[i])
+        what = f"{name} is not a finite real at {var}={at:.6g}"
+        try:
+            out.flat[i] = value = float(fn(at))  # a complex value raises TypeError here
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise type(exc)(what) from exc
+        if not math.isfinite(value):
+            raise (OverflowError if math.isinf(value) else ValueError)(what)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # nonlinearity / forcing wrappers
 
 
@@ -378,11 +435,14 @@ def _gauss_rules() -> tuple[np.ndarray, np.ndarray, int]:
     return np.concatenate([t_low[n:], t_high[m:]]), np.concatenate([w_low[n:], w_high[m:]]), n
 
 
-def _richardson_limit(g: Callable[[float], float], scales: list[float]) -> float:
-    """Richardson-extrapolated limit of g along a geometric sequence: one
-    level with ratio 10 on the last two values, g(s) ~ L + c*s."""
-    vals = [g(s) for s in scales]
-    return (10.0 * vals[-1] - vals[-2]) / 9.0
+def _slope_limit(f: Callable[[float], float], scales: list[float]) -> float:
+    """lim f(xi)/xi along xi = +-s, s in ``scales`` (ratio 10): the mean over
+    both signs of Richardson's extrapolation of the last two ratios, one
+    level with f(s)/s ~ L + c*s.  Raises as ``_finite_reals`` does."""
+    xs = [sign * s for sign in (1.0, -1.0) for s in scales]
+    r = [v / x for v, x in zip(_finite_reals(f, xs, "f", "xi").tolist(), xs)]
+    n = len(scales)
+    return 0.5 * ((10.0 * r[n - 1] - r[n - 2]) / 9.0 + (10.0 * r[-1] - r[-2]) / 9.0)
 
 
 @dataclass
@@ -407,35 +467,34 @@ class NonlinearitySpec:
             raise ParseError(f"nonlinearity may only use 'xi', found {sorted(free)}", 0)
         f = compile_callable(expr, "xi")
         warnings: list[str] = []
-        if f0 is None:
-            f0 = cls._estimate_f0(f)
-            warnings.append("f0 estimated from samples (declare it for exactness)")
-        if finf is None:
-            finf = cls._estimate_finf(f)
-            warnings.append("finf estimated from samples (declare it for exactness)")
+        try:
+            if f0 is None:
+                limit = "f0"
+                f0 = cls._estimate_f0(f)
+                warnings.append("f0 estimated from samples (declare it for exactness)")
+            if finf is None:
+                limit = "finf"
+                finf = cls._estimate_finf(f)
+                warnings.append("finf estimated from samples (declare it for exactness)")
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise ParseError(f"cannot estimate {limit} ({exc}): declare {limit}", 0) from None
         return cls(expr, float(f0), float(finf), warnings)
 
     @staticmethod
     def _estimate_f0(f: Callable[[float], float]) -> float:
-        scales = [1e-3, 1e-4, 1e-5, 1e-6]
-        plus = _richardson_limit(lambda s: f(s) / s, scales)
-        minus = _richardson_limit(lambda s: f(-s) / (-s), scales)
-        return 0.5 * (plus + minus)
+        return _slope_limit(f, [1e-3, 1e-4, 1e-5, 1e-6])
 
     @staticmethod
     def _estimate_finf(f: Callable[[float], float]) -> float:
-        scales = [1e4, 1e5, 1e6, 1e7]
         try:
-            plus = _richardson_limit(lambda s: f(s) / s, scales)
-            minus = _richardson_limit(lambda s: f(-s) / (-s), scales)
+            val = _slope_limit(f, [1e4, 1e5, 1e6, 1e7])
         except OverflowError:
             return math.inf
-        val = 0.5 * (plus + minus)
         return val if abs(val) < 1e12 else math.inf
 
     def __post_init__(self):
         self._f = compile_callable(self.expr, "xi")
-        self._f_array = compile_callable(self.expr, "xi", _ARRAY_NS)
+        self._f_array = _on_arrays(compile_callable(self.expr, "xi", _ARRAY_NS))
 
     def f(self, xi: float) -> float:
         return self._f(xi)
@@ -523,23 +582,15 @@ class NonlinearitySpec:
                 low, high = half * signed[:, :n].sum(axis=1), half * signed[:, n:].sum(axis=1)
                 size_low, size[block] = half * absolute[:, :n].sum(axis=1), half * absolute[:, n:].sum(axis=1)
                 finite = np.isfinite(size_low + size[block])
-            if not finite.all():  # raise the scalar f's own error where it has one
-                for xi in pts[~finite][~np.isfinite(fx[~finite])][:1]:
-                    self._scalar_f(float(xi))
-                raise QuadratureError(f"f is not integrable on [{a[~finite][0]:.6g}, {b[~finite][0]:.6g}]: "
+            if np.iscomplexobj(fx) or not finite.all():
+                _finite_reals(self._f, pts, "f", "xi", fx)  # raises the scalar f's own error where it has one
+                i = int(np.argmin(finite))
+                raise QuadratureError(f"f is not integrable on [{a[i]:.6g}, {b[i]:.6g}]: "
                                       "not finite, or its integral overflows")
             value[block] = high
             bound = GAUSS_RTOL * size[block] if tol is None else tol[block]
             agree[block] = (np.abs(high - low) <= bound) & (np.abs(size[block] - size_low) <= bound)
         return value, size, agree
-
-    def _scalar_f(self, xi: float) -> float:
-        """f(xi) from the scalar f, whose errors (a math domain error, an overflow,
-        a complex power) numpy's f turns into inf or nan; raised naming xi."""
-        try:
-            return float(self._f(xi))  # a complex value raises TypeError here
-        except (ArithmeticError, ValueError, TypeError) as exc:
-            raise type(exc)(f"f is not a finite real at xi={xi:.6g}") from exc
 
 
 @dataclass
@@ -555,9 +606,10 @@ class ForcingTerm:
         if not free <= {"x"}:
             raise ParseError(f"forcing term may only use 'x', found {sorted(free)}", 0)
         term = cls(expr)
-        for xv in np.linspace(-1.0, 1.0, 101):
-            if not math.isfinite(term.h(float(xv))):
-                raise ParseError(f"forcing term not finite at x={xv:.3g}", 0)
+        try:
+            _finite_reals(term.h, np.linspace(-1.0, 1.0, 101), "forcing term", "x")
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise ParseError(str(exc), 0) from None
         return term
 
     def __post_init__(self):
@@ -615,15 +667,7 @@ def certify_hypotheses(
 
     g_tol = 1e-12 * max(1.0, abs(nl.f0))
     with np.errstate(all="ignore"):
-        fx = np.array(np.broadcast_to(nl._f_array(grid), grid.shape), dtype=float)
-        # numpy turns the errors of the scalar f (a math domain error, an
-        # overflow, a complex power) into inf or nan: raise them as f does,
-        # naming the grid point; a value that stays non-finite is a ValueError.
-        for i in np.flatnonzero(~np.isfinite(fx)):
-            xi = float(grid[i])
-            fx[i] = nl._scalar_f(xi)
-            if not math.isfinite(fx[i]):
-                raise ValueError(f"f is not a finite real at xi={xi:.6g}")
+        fx = _finite_reals(nl._f, grid, "f", "xi", nl._f_array(grid))
         sign_ok = not np.any(grid * fx <= 0.0)
         g = fx / grid - nl.f0
     sufficient = None

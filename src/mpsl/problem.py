@@ -37,6 +37,16 @@ LEVEL_VIOLATED = "violated"
 _LEVEL_STRENGTH = {LEVEL_VIOLATED: 0, LEVEL_QUADRATIC: 1, LEVEL_LINEAR: 2}
 
 
+def _abs_sum(values) -> float:
+    """sum |v|, correctly rounded, so a verdict near a hypothesis-level
+    boundary does not depend on the Python version (built-in sum is
+    compensated from 3.12 on); inf where the sum leaves the float range."""
+    try:
+        return math.fsum(abs(v) for v in values)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class BoundarySide:
     """Coefficients of one multi-point boundary condition.
@@ -74,16 +84,40 @@ class BoundarySide:
     def endpoint(self) -> float:
         return 1.0 if self.side == "plus" else -1.0
 
-    # Correctly rounded sums, so a verdict near a hypothesis-level boundary
-    # does not depend on the Python version (built-in sum is compensated
-    # from 3.12 on).
-    @property
+    @cached_property
     def sum_alpha(self) -> float:
-        return math.fsum(abs(a) for a in self.alpha)
+        return _abs_sum(self.alpha)
 
-    @property
+    @cached_property
     def sum_beta(self) -> float:
-        return math.fsum(abs(b) for b in self.beta)
+        return _abs_sum(self.beta)
+
+    @cached_property
+    def J(self) -> float:
+        """(alpha0/beta0)^2, where the two pinning ranges meet at the summed
+        level; inf for a Dirichlet-type side and where the square overflows."""
+        if self.beta0 == 0.0:
+            return math.inf
+        try:
+            return (self.alpha0 / self.beta0) ** 2
+        except OverflowError:
+            return math.inf
+
+    def holds_ud(self, lam: float) -> bool:
+        """Derivative pinning at lam >= 0: alpha0 > S_alpha + sqrt(lam)*S_beta,
+        which forces u'(nu) != 0 for a solution of eigenvalue lam."""
+        if lam < 0.0:
+            raise ValueError("conditions are defined for lam >= 0")
+        return self.alpha0 > self.sum_alpha + math.sqrt(lam) * self.sum_beta
+
+    def holds_u(self, lam: float) -> bool:
+        """Value pinning at lam >= 0: |beta0| > S_alpha/sqrt(lam) + S_beta,
+        which forces u(nu) != 0 (at lam = 0: S_alpha = 0 and |beta0| > S_beta)."""
+        if lam < 0.0:
+            raise ValueError("conditions are defined for lam >= 0")
+        if lam == 0.0:
+            return self.sum_alpha == 0.0 and abs(self.beta0) > self.sum_beta
+        return abs(self.beta0) > self.sum_alpha / math.sqrt(lam) + self.sum_beta
 
     @cached_property
     def row_terms(self) -> tuple[tuple[float, float, float], ...]:
@@ -108,9 +142,6 @@ class BoundarySide:
     @property
     def is_neumann_type(self) -> bool:
         return self.alpha0 == 0.0
-
-    def interior_is_zero(self) -> bool:
-        return self.sum_alpha == 0.0 and self.sum_beta == 0.0
 
     def check_structure(self) -> None:
         """Raise ProblemDataError on structurally meaningless data."""
@@ -188,13 +219,18 @@ class ProblemSpec:
     def sides(self) -> tuple[BoundarySide, BoundarySide]:
         return (self.minus, self.plus)
 
-    @property
+    @cached_property
     def hypothesis_level(self) -> str:
         """Computed hypothesis level; never user-asserted."""
         return _hypotheses(self)[0]
 
-    def multipoint_sides(self) -> list[BoundarySide]:
-        return [s for s in self.sides if not s.interior_is_zero()]
+    @cached_property
+    def single_point_side(self) -> BoundarySide | None:
+        """The side without interior terms when the other side has some, else None."""
+        multi = [s for s in self.sides if s.sum_alpha or s.sum_beta]
+        if len(multi) != 1:
+            return None
+        return self.plus if multi[0] is self.minus else self.minus
 
 
 @dataclass

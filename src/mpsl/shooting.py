@@ -32,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DivergenceError, NoConvergence, ProblemDataError, SingularSystem
-from .expressions import ForcingTerm, NonlinearitySpec
+from .expressions import ForcingTerm, NonlinearitySpec, _on_floats
 from .nodal import SampledTrace
 from .problem import BoundarySide, ProblemSpec
 from .spectrum import eigen_scan, robin_anchor
@@ -146,19 +146,6 @@ class SampledSolution:
     def accepted(self) -> bool:
         r = self.shooting.residuals
         return abs(r[0]) <= RESIDUAL_TOL * self.scales[0] and abs(r[1]) <= RESIDUAL_TOL * self.scales[1]
-
-
-def _on_floats(fn):
-    """fn of a Python float as a float.  Where Python raises and numpy's
-    scalars give inf or NaN (``**`` overflows, a negative base's fractional
-    power is complex, x/0), fn is evaluated again on np.float64, so such a
-    value is a rejected step rather than divergence."""
-    def value(v):
-        try:
-            return float(fn(v))
-        except (ArithmeticError, ValueError, TypeError):
-            return float(fn(np.float64(v)))
-    return value
 
 
 def _zero(_x):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -587,6 +588,74 @@ def test_solve_domain_error_of_f_is_divergence(f, code, tmp_path, capsys):
                                 "forcing": {"h": "x"}}))
     assert main(["solve", str(path), "--out", str(tmp_path)]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+# sum |alpha_i| past the float range used to end in math.fsum's OverflowError.
+# It saturates to inf, so the squared-fraction condition fails as it should.
+OVERFLOWING_SUM = {"minus": {"alpha0": 1, "beta0": 0},
+                   "plus": {"alpha0": 1e308, "beta0": 0, "alpha": [1e308, 1e308], "beta": [0, 0], "eta": [0, 0.5]}}
+
+
+@pytest.mark.parametrize("argv, code", [(["validate"], 2), (["spectrum"], 0), (["predict", "--k", "0..2"], 0),
+                                        (["classify", "--k", "0"], 4)], ids=["validate", "spectrum", "predict", "classify"])
+def test_overflowing_coefficient_sum_is_an_answer(argv, code, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(OVERFLOWING_SUM))
+    assert main([argv[0], str(path), *argv[1:], "--out", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if argv[0] == "validate":
+        assert "error: plus side: squared coefficient fractions sum to inf >= 1" in err
+    if argv[0] == "predict":
+        assert out.count("Indeterminate") == 3
+
+
+# A forcing term that raises (x/0, a math domain error, an overflow) or is
+# complex at a probe point is a ParseError that names that x.
+@pytest.mark.parametrize("h, x", [("1/x", "0"), ("log(x)", "-1"), ("exp(1000*x)", "0.72"), ("x + (-1)^0.5", "-1")],
+                         ids=["divide-by-zero", "domain", "overflow", "complex"])
+def test_forcing_term_not_a_finite_real_exits_2(h, x, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**SELFTEST_PROBLEM, "forcing": {"h": h}}))
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: forcing term is not a finite real at x={x} ") and err.count("\n") == 1
+
+
+# An undeclared limit is estimated from f at +-1e-6..1e-3 (f0) or
+# +-1e4..1e7 (finf); where f is not a finite real there, the run asks for
+# that limit to be declared.
+@pytest.mark.parametrize("f, limit", [("sqrt(xi)*xi", "f0"), ("xi*sqrt(1e10 - xi^2)", "finf")])
+def test_limit_that_cannot_be_estimated_exits_2(f, limit, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, "nonlinearity": {"f": f}}))
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot estimate {limit} (f is not a finite real at xi=")
+    assert f"declare {limit}" in err and "Traceback" not in err
+
+
+# A complex constant makes every value of f complex, and a complex value is
+# not a finite real: the march rejects every step, so no solve converges,
+# and the envelope certificate fails at the first grid point.  These used
+# to end in a TypeError, or to solve for the real part of f after numpy's
+# ComplexWarning.
+@pytest.mark.parametrize("f, argv, code", [
+    ("-1^0.5 + xi", ["solve"], 3),
+    ("xi*(1+3/(1+xi^2)) + (-1)^0.5", ["solve"], 3),
+    ("xi*(1+3/(1+xi^2)) + (-1)^0.5", ["branch", "--k", "0", "--sign", "+"], 3),
+    ("xi*(1+3/(1+xi^2)) + (-1)^0.5", ["nodal-solve", "--k", "0"], 4),
+], ids=["constant-first", "solve", "branch", "nodal-solve"])
+def test_complex_f_is_not_a_finite_real(f, argv, code, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**SELFTEST_PROBLEM, "nonlinearity": {"f": f, "f0": 4.0, "finf": 1.0}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], str(path), *argv[1:], "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning:" not in err
+    if argv[0] == "nodal-solve":
+        assert "f is not a finite real at xi=-10000" in err
 
 
 # Nested about 200 levels deep, each of these used to end in a traceback:

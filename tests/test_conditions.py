@@ -14,7 +14,6 @@ from mpsl.conditions import (
     confirm_prediction,
     crossover_indices,
     predict_nodal_class,
-    side_thresholds,
 )
 from mpsl.errors import HypothesisError
 from mpsl.problem import BoundarySide, ProblemSpec
@@ -23,7 +22,7 @@ from mpsl.reference import _separated_eigenvalue_cached
 
 def test_thresholds_worked_example():
     side = BoundarySide(math.sqrt(2.0), 0.1 * math.sqrt(2.1), (1.0,), (0.1,), (0.0,), "plus")
-    th = side_thresholds(side)
+    th = side
     # derivative-pinning holds below ((alpha0 - sum_alpha)/sum_beta)^2 = 17.157
     ud_max = ((math.sqrt(2.0) - 1.0) / 0.1) ** 2
     assert th.holds_ud(ud_max * (1.0 - 1e-12)) and not th.holds_ud(ud_max * (1.0 + 1e-12))
@@ -34,7 +33,7 @@ def test_thresholds_worked_example():
 
 
 def test_thresholds_dirichlet_type_side():
-    th = side_thresholds(BoundarySide(1.0, 0.0, (0.3,), (0.0,), (0.2,), "plus"))
+    th = BoundarySide(1.0, 0.0, (0.3,), (0.0,), (0.2,), "plus")
     assert th.J == math.inf
     # derivative-pinning holds at every lam, value-pinning at none
     lams = [0.0, 1e-300, 1.0, 1e6, 1e300]
@@ -44,7 +43,7 @@ def test_thresholds_dirichlet_type_side():
 
 def test_thresholds_no_gap_at_linear_level():
     # J = 1 with summed fractions < 1: both conditions hold at lam = J.
-    th = side_thresholds(BoundarySide(1.0, 1.0, (0.2,), (0.1,), (0.0,), "plus"))
+    th = BoundarySide(1.0, 1.0, (0.2,), (0.1,), (0.0,), "plus")
     assert th.J == 1.0
     assert th.holds_ud(1.0) and th.holds_u(1.0)
     assert th.holds_ud(0.5) and not th.holds_ud(100.0)
@@ -52,7 +51,7 @@ def test_thresholds_no_gap_at_linear_level():
 
 
 def test_empty_ud_range():
-    th = side_thresholds(BoundarySide(0.5, 1.0, (0.6,), (0.1,), (0.0,), "plus"))
+    th = BoundarySide(0.5, 1.0, (0.6,), (0.1,), (0.0,), "plus")
     assert not any(th.holds_ud(lam) for lam in [0.0, 1e-300, 1.0, 1e6, 1e300])
 
 

@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpsl.errors import ParseError, QuadratureError
+from mpsl.errors import NumericError, ParseError, QuadratureError
 from mpsl.expressions import (
     F_BIG,
     F_SMALL,
@@ -27,6 +28,7 @@ from mpsl.expressions import (
     parse_expr,
     to_source,
 )
+from mpsl.shooting import integrate_ivp
 
 PRECEDENCE_FIXTURES = [
     ("1+2*3", 7.0),
@@ -152,6 +154,62 @@ def test_arbitrary_text_parses_or_raises_parse_error(text):
     except ParseError:
         return
     assert parse_expr(to_source(tree)) == tree
+
+
+FUZZ_LEAVES = ["xi", "x", "0", "-1", "0.5", "pi", "1e300", "1e-300"]
+
+
+def _expression_strings(depth: int):
+    """Expression strings from the grammar, nested up to ``depth`` levels:
+    both variables, a few constants, every function and every operator."""
+    leaf = st.sampled_from(FUZZ_LEAVES)
+    if depth == 1:
+        return leaf
+    sub = _expression_strings(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds("{}({})".format, st.sampled_from(FUNCTIONS), sub),
+        sub.map("-({})".format),
+        st.builds("({1}){0}({2})".format, st.sampled_from("+-*/^"), sub, sub),
+    )
+
+
+def _raised_by_f_or_quadrature(call) -> None:
+    """call() returns, raises QuadratureError, or raises the scalar f's own
+    error naming the xi where f is not a finite real."""
+    try:
+        call()
+    except QuadratureError:
+        pass
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        assert "f is not a finite real at xi=" in str(exc)
+
+
+# Every value of f or h that is not a finite real (a domain error, an
+# overflow, a complex power or constant) ends in a documented error, and
+# numpy warns of none of them.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_expression_strings(4))
+@example("pi^1e300 + xi")  # raises on Python floats, without xi
+@example("xi^-1e300 + sin(xi + (-1)^0.5)")  # numpy's retry of the overflow meets a complex
+def test_expression_layer_raises_only_documented_errors(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for limits in ({"f0": 1.0, "finf": 1.0}, {}):
+            try:
+                nl = NonlinearitySpec.from_text(text, **limits)
+            except ParseError:
+                continue
+            _raised_by_f_or_quadrature(lambda: nl.F_many(np.array([-3.0, -0.5, 0.25, 2.0])))
+            _raised_by_f_or_quadrature(lambda: certify_hypotheses(nl, 1.0, F_SMALL))
+            try:
+                integrate_ivp(nl, None, 1.0, 0.1, 0.5)
+            except NumericError:
+                pass
+        try:
+            ForcingTerm.from_text(text)
+        except ParseError:
+            pass
 
 
 def test_compile_matches_evaluate():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -166,3 +167,47 @@ def test_strict_alpha_positive_flag():
     )
     assert not validate_problem(neumann).strict_alpha_positive
     assert validate_problem(neumann).problem_type == "neumann-type"
+
+
+def test_cached_data_belong_to_their_instance():
+    plus = BoundarySide(1.0, 1.0, (0.6,), (-0.6,), (0.0,), "plus")
+    spec = _spec(BoundarySide(1.0, 0.0, side="minus"), plus)
+    # fractions 0.6 + 0.6: squared 0.72 < 1, summed 1.2 >= 1
+    assert spec.hypothesis_level == "quadratic"
+    assert (plus.sum_alpha, plus.sum_beta, plus.J) == (0.6, 0.6, 1.0)
+    strength = {"violated": 0, "quadratic": 1, "linear": 2}
+    prev = strength[spec.hypothesis_level]
+    for t in (0.8, 0.4, 0.0):
+        scaled = scale_coefficients(spec, t)
+        assert strength[scaled.hypothesis_level] >= prev
+        prev = strength[scaled.hypothesis_level]
+        assert (scaled.plus.sum_alpha, scaled.plus.sum_beta) == (t * 0.6, t * 0.6)
+        assert scaled.plus.J == 1.0
+    assert scale_coefficients(spec, 0.4).hypothesis_level == "linear"
+    # fractions 0.9 + 0.45 squared to 1.0125: violated
+    wider = dataclasses.replace(plus, beta0=2.0, alpha=(0.9,), beta=(0.9,))
+    assert (wider.sum_alpha, wider.sum_beta, wider.J) == (0.9, 0.9, 0.25)
+    assert dataclasses.replace(spec, plus=wider).hypothesis_level == "violated"
+    assert (plus.sum_alpha, plus.sum_beta, plus.J, spec.hypothesis_level) == (0.6, 0.6, 1.0, "quadratic")
+
+
+def test_overflowing_coefficient_sum_saturates():
+    side = BoundarySide(1e308, 0.0, (1e308, 1e308), (0.0, 0.0), (0.0, 0.5), "plus")
+    assert side.sum_alpha == math.inf and side.J == math.inf
+    assert _spec(BoundarySide(1.0, 0.0, side="minus"), side).hypothesis_level == "violated"
+
+
+def test_single_point_side(half_u0_spec, two_mp_spec):
+    dirichlet = _spec(BoundarySide(1.0, 0.0, side="minus"), BoundarySide(1.0, 0.0, (0.0,), (0.0,), (0.0,), "plus"))
+    assert dirichlet.single_point_side is None  # no multi-point side
+    assert half_u0_spec.single_point_side is half_u0_spec.minus
+    mirrored = _spec(BoundarySide(1.0, -1.0, (0.0,), (0.5,), (0.0,), "minus"), BoundarySide(1.0, 1.0, side="plus"))
+    assert mirrored.single_point_side is mirrored.plus
+    assert two_mp_spec.single_point_side is None  # two multi-point sides
+
+
+def test_pinning_conditions_need_a_nonnegative_lambda():
+    side = BoundarySide(1.0, 1.0, (0.2,), (0.1,), (0.0,), "plus")
+    for holds in (side.holds_ud, side.holds_u):
+        with pytest.raises(ValueError):
+            holds(-1e-300)
