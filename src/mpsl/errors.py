@@ -87,11 +87,13 @@ class UnresolvableZeros(NumericError):
 
 
 class ParseError(MpslError):
-    """Expression syntax/identifier error with a 0-based position."""
+    """Expression error; a syntax error carries its 0-based position in the
+    text, an error about the expression as a whole (a variable it may not
+    use, a value or limit it cannot give) carries None."""
 
-    def __init__(self, message: str, position: int):
+    def __init__(self, message: str, position: int | None = None):
         self.position = position
-        super().__init__(f"{message} at position {position}")
+        super().__init__(message if position is None else f"{message} at position {position}")
 
 
 class QuadratureError(NumericError):

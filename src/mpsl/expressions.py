@@ -309,7 +309,7 @@ def compile_callable(node: Expr, varname: str, namespace: dict = _EVAL_NS) -> Ca
     elementwise over numpy arrays with ``namespace=_ARRAY_NS``."""
     free = free_variables(node)
     if not free <= {varname}:
-        raise ParseError(f"expression uses variables {sorted(free - {varname})}", 0)
+        raise ParseError(f"expression uses variables {sorted(free - {varname})}")
     src = f"lambda {varname}: {_to_python(node)}"
     return eval(src, dict(namespace))  # noqa: S307 - our own AST, closed namespace
 
@@ -319,7 +319,7 @@ def evaluate(node: Expr, **values: float) -> float:
         return node.value
     if isinstance(node, Var):
         if node.name not in values:
-            raise ParseError(f"unbound variable {node.name!r}", 0)
+            raise ParseError(f"unbound variable {node.name!r}")
         return values[node.name]
     if isinstance(node, Neg):
         return -evaluate(node.child, **values)
@@ -420,6 +420,9 @@ GAUSS_BLOCK = 256  # pieces per numpy evaluation of f: keeps each temporary near
 HALVING_PASSES = 60  # a gap is halved at most this often before QuadratureError
 HALVING_PIECES = 1 << 15  # at most this many halved pieces may disagree in one pass
 HALVING_WIDTH = 1e-10  # relative to |xi|: a disagreeing piece this narrow holds a singularity
+# An estimated f0 is refused unless its Richardson levels agree to this
+# fraction (absolute where f0 is 0, as for xi^3): xi + 1e300*xi^3 gave -1e289.
+SLOPE_SETTLE_TOL = 1e-6
 
 
 @functools.cache
@@ -435,14 +438,20 @@ def _gauss_rules() -> tuple[np.ndarray, np.ndarray, int]:
     return np.concatenate([t_low[n:], t_high[m:]]), np.concatenate([w_low[n:], w_high[m:]]), n
 
 
-def _slope_limit(f: Callable[[float], float], scales: list[float]) -> float:
+def _slope_limit(f: Callable[[float], float], scales: list[float], settled: bool = False) -> float:
     """lim f(xi)/xi along xi = +-s, s in ``scales`` (ratio 10): the mean over
     both signs of Richardson's extrapolation of the last two ratios, one
-    level with f(s)/s ~ L + c*s.  Raises as ``_finite_reals`` does."""
+    level with f(s)/s ~ L + c*s.  Raises as ``_finite_reals`` does, and with
+    ``settled`` a ValueError unless each sign's last two levels and the two
+    signs' last levels agree to SLOPE_SETTLE_TOL * max(1, |level|)."""
     xs = [sign * s for sign in (1.0, -1.0) for s in scales]
     r = [v / x for v, x in zip(_finite_reals(f, xs, "f", "xi").tolist(), xs)]
     n = len(scales)
-    return 0.5 * ((10.0 * r[n - 1] - r[n - 2]) / 9.0 + (10.0 * r[-1] - r[-2]) / 9.0)
+    (p1, p2), (m1, m2) = [[(10.0 * rs[i] - rs[i - 1]) / 9.0 for i in (n - 2, n - 1)] for rs in (r[:n], r[n:])]
+    spread = max(abs(p2 - p1), abs(m2 - m1), abs(p2 - m2))  # a level past the float range never settles
+    if settled and not spread <= SLOPE_SETTLE_TOL * max(1.0, abs(p1), abs(p2), abs(m1), abs(m2)) < math.inf:
+        raise ValueError(f"f(xi)/xi does not settle: its extrapolations differ by {spread:.3g}")
+    return 0.5 * (p2 + m2)
 
 
 @dataclass
@@ -464,7 +473,7 @@ class NonlinearitySpec:
         expr = parse_expr(text)
         free = free_variables(expr)
         if not free <= {"xi"}:
-            raise ParseError(f"nonlinearity may only use 'xi', found {sorted(free)}", 0)
+            raise ParseError(f"nonlinearity may only use 'xi', found {sorted(free)}")
         f = compile_callable(expr, "xi")
         warnings: list[str] = []
         try:
@@ -477,12 +486,12 @@ class NonlinearitySpec:
                 finf = cls._estimate_finf(f)
                 warnings.append("finf estimated from samples (declare it for exactness)")
         except (ArithmeticError, ValueError, TypeError) as exc:
-            raise ParseError(f"cannot estimate {limit} ({exc}): declare {limit}", 0) from None
+            raise ParseError(f"cannot estimate {limit} ({exc}): declare {limit}") from None
         return cls(expr, float(f0), float(finf), warnings)
 
     @staticmethod
     def _estimate_f0(f: Callable[[float], float]) -> float:
-        return _slope_limit(f, [1e-3, 1e-4, 1e-5, 1e-6])
+        return _slope_limit(f, [1e-3, 1e-4, 1e-5, 1e-6], settled=True)
 
     @staticmethod
     def _estimate_finf(f: Callable[[float], float]) -> float:
@@ -604,12 +613,12 @@ class ForcingTerm:
         expr = parse_expr(text)
         free = free_variables(expr)
         if not free <= {"x"}:
-            raise ParseError(f"forcing term may only use 'x', found {sorted(free)}", 0)
+            raise ParseError(f"forcing term may only use 'x', found {sorted(free)}")
         term = cls(expr)
         try:
             _finite_reals(term.h, np.linspace(-1.0, 1.0, 101), "forcing term", "x")
         except (ArithmeticError, ValueError, TypeError) as exc:
-            raise ParseError(str(exc), 0) from None
+            raise ParseError(str(exc)) from None
         return term
 
     def __post_init__(self):

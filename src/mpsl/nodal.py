@@ -15,8 +15,10 @@ sampled traces.  Boundary data within tolerance of a degeneracy yields an
 
 A zero of u (of u') is simple when |u'| (|u''|) there exceeds tol in (0, 1)
 times its sup-norm.  A closed form with lam >= ZERO_LAMBDA_CUTOFF is
-u = R*cos(w(x+1) - phi): |u'| = R*w at every zero of u and |u''| = lam*R at
-every zero of u', so one comparison flags each zero list, evaluating none.
+u = R*cos(w(x+1) - phi): its zeros are (offset + n*pi)/w - 1 over an n-range
+found in O(1), |u'| = R*w at every zero of u and |u''| = lam*R at every zero
+of u'.  So ``classify`` decides it from two counts and two comparisons, and
+a zero list is built only when it is read.
 
 The closed-form half is plain Python; numpy is imported where the sampled
 routines start (``SampledTrace``, ``_sampled_zeros``), so linear callers
@@ -40,6 +42,10 @@ MAX_SAMPLE_STEP = 1e-3 * (1.0 + 1e-9)
 # Zeros closer to an endpoint than this are endpoint zeros up to rounding
 # (phase arithmetic places an exact boundary zero at distance ~1e-16).
 ENDPOINT_GUARD = 1e-12
+# Zero counts decide a closed form up to this w = sqrt(lam): its zeros of u and
+# u' alternate pi/(2w) >= 1.57e-4 (15700 CLUSTER_TOL) apart, rounding moves one
+# by ~1e-15, so T interleaves by construction.  Scans stay below w = 1975.
+PHASE_COUNT_W_MAX = 1e4
 
 
 class ClosedTrace:
@@ -166,13 +172,26 @@ class NodalClass:
 
 @dataclass
 class ClassificationResult:
+    """S/T/R verdicts of one trace.  ``zeros_u``/``zeros_uprime`` hold (zero,
+    simple) for the channels classification consulted, [] for the others;
+    where counts decided, a list is ``zeros_of(trace, which, tol)`` computed
+    on first read.  == and repr read both, so reading changes neither."""
+
     memberships: list[NodalClass] = field(default_factory=list)
     status: dict = field(default_factory=dict)  # family -> ('member', NodalClass) | ('unclassified', reason)
-    zeros_u: list[tuple[float, bool]] = field(default_factory=list)
-    zeros_uprime: list[tuple[float, bool]] = field(default_factory=list)
+    zeros_u: list[tuple[float, bool]] = field(init=False)
+    zeros_uprime: list[tuple[float, bool]] = field(init=False)
     boundary: dict = field(default_factory=dict)
     satisfies_minus_bc: bool | None = None
     satisfies_plus_bc: bool | None = None
+    _pending: dict = field(default_factory=dict, repr=False, compare=False)  # list name -> zeros_of arguments
+
+    def __getattr__(self, name: str):  # runs only for a zero list not set or read yet
+        if name not in ("zeros_u", "zeros_uprime"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        args = self.__dict__.get("_pending", {}).get(name)
+        zeros = self.__dict__[name] = zeros_of(*args) if args else []
+        return zeros
 
     def member(self, family: str) -> NodalClass | None:
         entry = self.status.get(family)
@@ -191,33 +210,53 @@ class ClassificationResult:
 # zero location
 
 
+def _phase_form(sol: TrigSolution) -> tuple[float, float, float]:
+    """(w, R, phi) with u = R*cos(w(x+1) - phi), for lam > 0."""
+    w = math.sqrt(sol.lam)
+    return w, math.hypot(sol.A, sol.B / w), math.atan2(sol.B / w, sol.A)
+
+
+def _closed_range(w: float, phi: float, which: str) -> tuple[float, int, int]:
+    """(offset, first, end): the interior zeros of u (of u') of R*cos(w(x+1) - phi)
+    are y_n - 1, y_n = (offset + n*pi)/w, for first <= n < end.  Each end steps
+    up, a few times at most, to the first computed y_n passing its predicate
+    (> ENDPOINT_GUARD from n = ceil(-offset/pi), >= 2 - ENDPOINT_GUARD): exact."""
+    offset = phi + (0.5 * math.pi if which == "u" else 0.0)
+    y = lambda n: (offset + n * math.pi) / w
+    first = math.ceil(-offset / math.pi)
+    while not y(first) > ENDPOINT_GUARD:
+        first += 1
+    end = max(first, math.floor(((2.0 - ENDPOINT_GUARD) * w - offset) / math.pi) - 1)
+    while y(end) < 2.0 - ENDPOINT_GUARD:
+        end += 1
+    return offset, first, end
+
+
+def _phase_simple(trace: ClosedTrace, which: str, tol: float) -> bool:
+    """The flag of every zero of u (u'): |u'| = R*w there (|u''| = lam*R)."""
+    lam = trace.sol.lam
+    w, R, _ = _phase_form(trace.sol)
+    return R * w > tol * trace.sup_uprime() if which == "u" else lam * R > tol * lam * trace.sup_u()
+
+
 def _closed_zeros(sol: TrigSolution, which: str) -> list[float]:
+    """Interior zeros of u or u' of a closed form, ascending: for
+    lam >= ZERO_LAMBDA_CUTOFF the phase zeros of ``_closed_range``, below it
+    at most one (u is linear near lam = 0; one atanh root for lam < 0)."""
     lam, A, B = sol.lam, sol.A, sol.B
-    guard = ENDPOINT_GUARD
     if abs(lam) < ZERO_LAMBDA_CUTOFF:
         if which == "u":
             if B == 0.0:
                 return []
             y0 = -A / B
-            return [y0 - 1.0] if guard < y0 < 2.0 - guard else []
+            return [y0 - 1.0] if ENDPOINT_GUARD < y0 < 2.0 - ENDPOINT_GUARD else []
         return []  # u' is the constant B: no interior zeros (or identically 0)
     if lam > 0.0:
-        w = math.sqrt(lam)
-        R = math.hypot(A, B / w)
+        w, R, phi = _phase_form(sol)
         if R == 0.0:
             return []
-        phi = math.atan2(B / w, A)
-        offset = phi + (0.5 * math.pi if which == "u" else 0.0)
-        zeros = []
-        n = math.ceil(-offset / math.pi)
-        while True:
-            y = (offset + n * math.pi) / w
-            if y >= 2.0 - guard:
-                break
-            if y > guard:
-                zeros.append(y - 1.0)
-            n += 1
-        return zeros
+        offset, first, end = _closed_range(w, phi, which)
+        return [(offset + n * math.pi) / w - 1.0 for n in range(first, end)]
     w = math.sqrt(-lam)
     if which == "u":
         if B == 0.0 or A == 0.0:
@@ -311,12 +350,10 @@ def zeros_of(
         raise ValueError("which must be 'u' or 'uprime'")
     simple = None  # the flag of every zero, where the phase form gives it
     if isinstance(trace, ClosedTrace):
-        lam, A, B = trace.sol.lam, trace.sol.A, trace.sol.B
+        lam = trace.sol.lam
         xs = _closed_zeros(trace.sol, which)
         if lam >= ZERO_LAMBDA_CUTOFF:
-            w = math.sqrt(lam)
-            R = math.hypot(A, B / w)
-            simple = R * w > tol * trace.sup_uprime() if which == "u" else lam * R > tol * lam * trace.sup_u()
+            simple = _phase_simple(trace, which, tol)
         elif which == "u":
             deriv_sup = trace.sup_uprime()
             deriv = lambda x: trace.eval(x)[1]
@@ -393,6 +430,8 @@ def classify(trace: ClosedTrace | SampledTrace, tol: float = DEFAULT_TOL, spec=N
     condition to tolerance (used when endpoint conditions force u or u' to
     vanish at an endpoint and the plain families cannot apply).  tol lies
     in (0, 1): as |u(+-1)| <= |u|_0, tol >= 1 makes every boundary degenerate.
+    A closed form with lam >= ZERO_LAMBDA_CUTOFF, w <= PHASE_COUNT_W_MAX is
+    decided from zero counts; other traces from zero lists (T by their merge).
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
@@ -406,29 +445,32 @@ def classify(trace: ClosedTrace | SampledTrace, tol: float = DEFAULT_TOL, spec=N
     result = ClassificationResult()
     result.boundary = {"u(-1)": u_m, "u(1)": u_p, "uprime(-1)": up_m, "uprime(1)": up_p}
 
-    zeros_u: list[tuple[float, bool]] | None = None
-    zeros_up: list[tuple[float, bool]] | None = None
+    by_counts = False
+    if isinstance(trace, ClosedTrace) and trace.sol.lam >= ZERO_LAMBDA_CUTOFF:
+        w, R, phi = _phase_form(trace.sol)
+        by_counts = R > 0.0 and w <= PHASE_COUNT_W_MAX
+    counted: dict[str, tuple[int, bool]] = {}
 
-    def get_zeros_u():
-        nonlocal zeros_u
-        if zeros_u is None:
-            zeros_u = zeros_of(trace, "u", tol)
-            result.zeros_u = zeros_u
-        return zeros_u
-
-    def get_zeros_up():
-        nonlocal zeros_up
-        if zeros_up is None:
-            zeros_up = zeros_of(trace, "uprime", tol)
-            result.zeros_uprime = zeros_up
-        return zeros_up
+    def count(which: str) -> tuple[int, bool]:
+        """The number of interior zeros of u (of u') and whether all are simple."""
+        if which not in counted:
+            name = "zeros_u" if which == "u" else "zeros_uprime"
+            if by_counts:
+                _, first, end = _closed_range(w, phi, which)
+                result._pending[name] = (trace, which, tol)
+                counted[which] = end - first, first == end or _phase_simple(trace, which, tol)
+            else:
+                zeros = zeros_of(trace, which, tol)
+                setattr(result, name, zeros)
+                counted[which] = len(zeros), all(simple for _, simple in zeros)
+        return counted[which]
 
     if min(abs(u_m), abs(u_p)) <= tol * sup_u:
         result.status["S"] = ("unclassified", "boundary-degenerate")
     else:
-        zu = get_zeros_u()
-        if all(simple for _, simple in zu):
-            cls = NodalClass("S", len(zu), _sign(u_m))
+        z, simple = count("u")
+        if simple:
+            cls = NodalClass("S", z, _sign(u_m))
             result.status["S"] = ("member", cls)
             result.memberships.append(cls)
         else:
@@ -437,37 +479,35 @@ def classify(trace: ClosedTrace | SampledTrace, tol: float = DEFAULT_TOL, spec=N
     if sup_up == 0.0 or min(abs(up_m), abs(up_p)) <= tol * sup_up:
         result.status["T"] = ("unclassified", "boundary-degenerate")
     else:
-        zup = get_zeros_up()
-        if not all(simple for _, simple in zup):
+        d, simple = count("uprime")
+        if not simple:
             result.status["T"] = ("unclassified", "nonsimple-zero")
         else:
-            reason = _t_obstruction([d for d, _ in zup], [z for z, _s in get_zeros_u()])
+            count("u")  # T consults both channels; a phase form's alternate pi/(2w) apart
+            reason = None if by_counts else _t_obstruction([x for x, _ in result.zeros_uprime],
+                                                       [x for x, _ in result.zeros_u])
             if reason is not None:
                 result.status["T"] = ("unclassified", reason)
             else:
-                cls = NodalClass("T", len(zup), _sign(up_m))
+                cls = NodalClass("T", d, _sign(up_m))
                 result.status["T"] = ("member", cls)
                 result.memberships.append(cls)
 
     if sup_up == 0.0 or abs(up_m) <= tol * sup_up or abs(u_p) <= tol * sup_u:
         result.status["R"] = ("unclassified", "boundary-degenerate")
     else:
-        zu = get_zeros_u()
-        if not all(simple for _, simple in zu):
+        z, simple = count("u")
+        if not simple:
             result.status["R"] = ("unclassified", "nonsimple-zero")
         else:
             s = _sign(up_m)
             # u(1)*sign > 0 wants k even, < 0 wants k odd; of the two
             # admissible counts {z-1, z} exactly one has the right parity.
             want_even = (u_p > 0.0) == (s == "+")
-            z = len(zu)
-            k = z if (z % 2 == 0) == want_even else z - 1
-            if k >= -1:
-                cls = NodalClass("R", k, s, note="nonstandard" if k == -1 else "")
-                result.status["R"] = ("member", cls)
-                result.memberships.append(cls)
-            else:  # pragma: no cover - unreachable: z >= 0
-                result.status["R"] = ("unclassified", "no-admissible-count")
+            k = z if (z % 2 == 0) == want_even else z - 1  # >= -1, as z >= 0
+            cls = NodalClass("R", k, s, note="nonstandard" if k == -1 else "")
+            result.status["R"] = ("member", cls)
+            result.memberships.append(cls)
 
     if spec is not None:
         result.satisfies_minus_bc, result.satisfies_plus_bc = (

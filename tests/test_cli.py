@@ -619,7 +619,7 @@ def test_forcing_term_not_a_finite_real_exits_2(h, x, tmp_path, capsys):
     path.write_text(json.dumps({**SELFTEST_PROBLEM, "forcing": {"h": h}}))
     assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: forcing term is not a finite real at x={x} ") and err.count("\n") == 1
+    assert err == f"error: forcing term is not a finite real at x={x}\n"
 
 
 # An undeclared limit is estimated from f at +-1e-6..1e-3 (f0) or
@@ -633,6 +633,32 @@ def test_limit_that_cannot_be_estimated_exits_2(f, limit, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot estimate {limit} (f is not a finite real at xi=")
     assert f"declare {limit}" in err and "Traceback" not in err
+
+
+# Errors about an expression as a whole name no position in its text; the
+# parser's own errors keep theirs (test_nonlinear_section_errors_exit_2).
+@pytest.mark.parametrize("sections, line", [
+    ({"nonlinearity": {**NONLINEAR, "f": "x*xi"}}, "nonlinearity may only use 'xi', found ['x', 'xi']"),
+    ({"nonlinearity": NONLINEAR, "forcing": {"h": "xi"}}, "forcing term may only use 'x', found ['xi']"),
+    ({"nonlinearity": NONLINEAR, "forcing": {"h": "1/x"}}, "forcing term is not a finite real at x=0"),
+    ({"nonlinearity": {"f": "sqrt(xi)*xi", "finf": 1.0}},
+     "cannot estimate f0 (f is not a finite real at xi=-0.001): declare f0"),
+], ids=["f-variable", "h-variable", "h-not-finite", "f0-not-finite"])
+def test_whole_expression_errors_name_no_position(sections, line, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, **sections}))
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+# An undeclared f0 whose estimate does not settle asks for f0 (exit 2); this
+# f went on with f0 = -1e289 and failed the f0 positivity hypothesis (exit 4).
+def test_unsettled_f0_exits_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, "nonlinearity": {"f": "xi + 1e300*xi^3", "finf": 1.0}}))
+    assert main(["nodal-solve", str(path), "--k", "0", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot estimate f0 (f(xi)/xi does not settle: ") and err.endswith("): declare f0\n")
 
 
 # A complex constant makes every value of f complex, and a complex value is

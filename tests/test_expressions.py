@@ -241,6 +241,23 @@ def test_estimated_limits_match_declared():
     assert nl_est.finf == pytest.approx(1.0, rel=1e-4)
 
 
+# f0 is estimated only where f(xi)/xi settles near 0: each sign's last two
+# Richardson levels and the two signs must agree.  The cubic term of
+# xi + 1e300*xi^3 dominates at every sample (the estimate was -1e289), and a
+# nonzero f(0) makes the ratios grow like 1/xi (both signs cancelled to 1,
+# or, once a level overflowed, to NaN).
+@pytest.mark.parametrize("f", ["xi + 1e300*xi^3", "1 + xi", "xi + abs(xi)", "1e302 + xi"])
+def test_unsettled_f0_estimate_is_refused(f):
+    with pytest.raises(ParseError, match=r"^cannot estimate f0 \(f\(xi\)/xi does not settle: .*\): declare f0$"):
+        NonlinearitySpec.from_text(f, finf=1.0)
+
+
+@pytest.mark.parametrize("f, f0", [("xi^3", 0.0), ("sin(xi)", 1.0), ("xi*(1+59/(1+xi^2))", 60.0),
+                                   ("xi + 1000*xi^3", 1.0)])
+def test_settled_f0_estimate_is_kept(f, f0):
+    assert NonlinearitySpec.from_text(f, finf=1.0).f0 == pytest.approx(f0, rel=1e-7, abs=1e-8)
+
+
 def test_F_values():
     nl = NonlinearitySpec.from_text("xi*(1+3/(1+xi^2))", f0=4.0, finf=1.0)
     # F(xi) = xi^2 + 3*log(1+xi^2)

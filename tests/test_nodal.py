@@ -553,3 +553,132 @@ def test_closed_classify_work_does_not_grow_with_zeros(monkeypatch):
         assert len(result.memberships) == 3
         seen.append(dict(counts))
     assert seen[0] == seen[1] == seen[2] == {"fundamental": 4, "sup_norms": 1}
+
+
+# The count rule against the list rule it replaces, written out here: zero
+# lists from a phase walk that starts at the first candidate and stops at
+# the right end, S/R from len() and all() over the flags, and T from the
+# merge of both lists (which the count rule never runs).
+def _walked_zeros(sol: TrigSolution, which: str, tol: float) -> list[tuple[float, bool]]:
+    if sol.lam < trig.ZERO_LAMBDA_CUTOFF:
+        return zeros_of(ClosedTrace(sol), which, tol)
+    w = math.sqrt(sol.lam)
+    R = math.hypot(sol.A, sol.B / w)
+    offset = math.atan2(sol.B / w, sol.A) + (0.5 * math.pi if which == "u" else 0.0)
+    sup_u, sup_up = sup_norms(sol)
+    simple = R * w > tol * sup_up if which == "u" else sol.lam * R > tol * sol.lam * sup_u
+    zeros, n = [], math.ceil(-offset / math.pi)
+    while (y := (offset + n * math.pi) / w) < 2.0 - nodal.ENDPOINT_GUARD:
+        if y > nodal.ENDPOINT_GUARD:
+            zeros.append((y - 1.0, simple))
+        n += 1
+    return zeros
+
+
+def _list_rule(sol: TrigSolution, tol: float) -> dict:
+    trace = ClosedTrace(sol)
+    (u_m, up_m), (u_p, up_p) = trace.eval(-1.0), trace.eval(1.0)
+    sup_u, sup_up = trace.sup_u(), trace.sup_uprime()
+    lists = {"zeros_u": [], "zeros_uprime": []}
+
+    def read(name):
+        lists[name] = _walked_zeros(sol, "u" if name == "zeros_u" else "uprime", tol)
+        return lists[name]
+
+    status = {}
+    sign = lambda v: "+" if v > 0.0 else "-"
+    if min(abs(u_m), abs(u_p)) <= tol * sup_u:
+        status["S"] = ("unclassified", "boundary-degenerate")
+    else:
+        zu = read("zeros_u")
+        ok = all(s for _, s in zu)
+        status["S"] = ("member", nodal.NodalClass("S", len(zu), sign(u_m))) if ok else ("unclassified", "nonsimple-zero")
+    if sup_up == 0.0 or min(abs(up_m), abs(up_p)) <= tol * sup_up:
+        status["T"] = ("unclassified", "boundary-degenerate")
+    else:
+        zup = read("zeros_uprime")
+        if not all(s for _, s in zup):
+            status["T"] = ("unclassified", "nonsimple-zero")
+        else:
+            reason = _t_obstruction([d for d, _ in zup], [z for z, _ in read("zeros_u")])
+            status["T"] = ("unclassified", reason) if reason else ("member", nodal.NodalClass("T", len(zup), sign(up_m)))
+    if sup_up == 0.0 or abs(up_m) <= tol * sup_up or abs(u_p) <= tol * sup_u:
+        status["R"] = ("unclassified", "boundary-degenerate")
+    else:
+        zu = read("zeros_u")
+        if not all(s for _, s in zu):
+            status["R"] = ("unclassified", "nonsimple-zero")
+        else:
+            s, z = sign(up_m), len(zu)
+            k = z if (z % 2 == 0) == ((u_p > 0.0) == (s == "+")) else z - 1
+            status["R"] = ("member", nodal.NodalClass("R", k, s, note="nonstandard" if k == -1 else ""))
+    return {"memberships": [e[1] for e in status.values() if e[0] == "member"], "status": status,
+            "boundary": {"u(-1)": u_m, "u(1)": u_p, "uprime(-1)": up_m, "uprime(1)": up_p}, **lists}
+
+
+def _as_dict(result) -> dict:
+    names = ("memberships", "status", "boundary", "zeros_u", "zeros_uprime")
+    return {name: getattr(result, name) for name in names}
+
+
+@st.composite
+def _phase_placed_solutions(draw):
+    """lam of both signs over 1e-10..3.9e6, with phases that put a zero of u
+    or u' on an endpoint or ENDPOINT_GUARD inside it (to rounding, or a few
+    ulps off), or anywhere."""
+    mag = draw(st.one_of(st.just(trig.ZERO_LAMBDA_CUTOFF),
+                         st.floats(-10.0, math.log10(3.9e6)).map(lambda e: 10.0**e)))
+    lam = mag if draw(st.booleans()) else -mag
+    w = math.sqrt(mag)
+    n = draw(st.integers(-2, 2))
+    quarter = draw(st.sampled_from((0.0, 0.5 * math.pi)))  # a zero of u' or of u
+    y = draw(st.sampled_from((0.0, nodal.ENDPOINT_GUARD, 2.0 - nodal.ENDPOINT_GUARD, 2.0)))
+    theta = draw(st.one_of(st.just(w * y - quarter - n * math.pi), st.floats(-math.pi, math.pi)))
+    for _ in range(draw(st.integers(0, 3))):
+        theta = math.nextafter(theta, draw(st.sampled_from((-math.inf, math.inf))))
+    amp = draw(st.sampled_from((1e-7, 1.0, 1e4)))
+    return TrigSolution(lam, amp * math.cos(theta), amp * w * math.sin(theta))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_phase_placed_solutions(), st.sampled_from((1e-14, DEFAULT_TOL, 1e-2, 0.5)))
+def test_count_rule_equals_list_rule(sol, tol):
+    try:
+        want = _list_rule(sol, tol)
+    except OverflowError:  # cosh(2w) past the float range: no trace to classify
+        with pytest.raises(OverflowError):
+            classify(ClosedTrace(sol), tol)
+        return
+    assert _as_dict(classify(ClosedTrace(sol), tol)) == want
+
+
+# Zero counts replace zero lists up to PHASE_COUNT_W_MAX; beyond it the
+# lists decide, and the verdicts are the list rule's.
+@pytest.mark.parametrize("w", [nodal.PHASE_COUNT_W_MAX * (1 + 1e-9), 2e4])
+def test_lists_decide_beyond_the_count_bound(w, monkeypatch):
+    calls = []
+    closed_zeros = nodal._closed_zeros
+    monkeypatch.setattr(nodal, "_closed_zeros", lambda *a: calls.append(a[1]) or closed_zeros(*a))
+    for theta in (0.3, 1.9):
+        sol = TrigSolution(w * w, math.cos(theta), w * math.sin(theta))
+        calls.clear()
+        result = classify(ClosedTrace(sol))
+        assert sorted(calls) == ["u", "uprime"]
+        assert len(result.zeros_u) > 6000 and _as_dict(result) == _list_rule(sol, DEFAULT_TOL)
+
+
+# The work count: classifying a closed form builds no zero list; a list is
+# built when it is read, and == does not depend on whether it has been read.
+@pytest.mark.parametrize("k", [0, 40, 400])
+def test_closed_classify_builds_no_zero_list(k, monkeypatch):
+    calls = []
+    closed_zeros = nodal._closed_zeros
+    monkeypatch.setattr(nodal, "_closed_zeros", lambda *a: calls.append(a[1]) or closed_zeros(*a))
+    w = (k + 0.3) * math.pi / 2.0
+    trace = ClosedTrace(TrigSolution(w * w, 1.0, 0.5))
+    read, unread, fresh, other = (classify(trace) for _ in range(4))
+    assert calls == [] and len(read.memberships) == 3
+    assert read.zeros_u == zeros_of(trace, "u", DEFAULT_TOL) and len(read.zeros_u) == k
+    assert calls == ["u", "u"]
+    assert read == unread and fresh == other and repr(read) == repr(fresh)
+    assert classify(trace, 1e-14) == classify(trace, 1e-14) != classify(trace, 0.5)
