@@ -166,7 +166,6 @@ def _continue_branch(
     z_curr,
     stop_at_lambda: float | None,
     amplitude_cap: float,
-    point_budget: int,
 ) -> None:
     """March the branch from z_curr with initial tangent z_curr - z_prev, up
     to lam = 10x max(f0, finite finf, lam_k, 1) or down to LAMBDA_FLOOR.
@@ -181,7 +180,7 @@ def _continue_branch(
     z = np.asarray(z_curr, dtype=float)
     folds = 0
     last_dlam = 0.0
-    while len(branch.points) < point_budget:
+    while len(branch.points) < POINT_BUDGET:
         weights = 1.0 / np.maximum(1.0, np.abs(z))
         tau = (z - z_prev) * weights
         nrm = float(np.linalg.norm(tau))
@@ -271,7 +270,6 @@ def branch_from_zero(
     eps_seed: float = 1e-3,
     stop_at_lambda: float | None = None,
     amplitude_cap: float = AMPLITUDE_CAP,
-    point_budget: int = POINT_BUDGET,
     eigenpair: Eigenpair | None = None,
 ) -> Branch:
     """Trace the continuum bifurcating from the trivial line at lam_k/f0.
@@ -306,7 +304,7 @@ def branch_from_zero(
     # Componentwise, so a zero component keeps the sign of s.
     z1, seed = _seed(spec, nl, z0, np.array([lam_star, eps_seed * s * ep.psi.A, eps_seed * s * ep.psi.B]))
     branch.points.append(_make_point(nl, seed, arclength=float(np.linalg.norm(z1 - z0))))
-    _continue_branch(spec, nl, branch, ep, z0, z1, stop_at_lambda, amplitude_cap, point_budget)
+    _continue_branch(spec, nl, branch, ep, z0, z1, stop_at_lambda, amplitude_cap)
     return branch
 
 
@@ -316,7 +314,6 @@ def branch_from_infinity(
     k: int,
     sign: str,
     stop_at_lambda: float | None = None,
-    point_budget: int = POINT_BUDGET,
     eigenpair: Eigenpair | None = None,
 ) -> Branch:
     """Trace the continuum bifurcating from infinity at lam_k/finf.
@@ -350,7 +347,7 @@ def branch_from_infinity(
 
     branch.points.append(_make_point(nl, big, 0.0))
     branch.points.append(_make_point(nl, shrunk, float(np.linalg.norm(zs - zb))))
-    _continue_branch(spec, nl, branch, ep, zb, zs, stop_at_lambda, AMPLITUDE_CAP, point_budget)
+    _continue_branch(spec, nl, branch, ep, zb, zs, stop_at_lambda, AMPLITUDE_CAP)
     return branch
 
 

@@ -39,7 +39,8 @@ from .problem import (
     ProblemSpec,
     level_at_least,
 )
-from .reference import ReferenceKind, reference_eigenvalue
+from .nodal import DEFAULT_TOL, _t_obstruction, classify, reflected_trace, zeros_of
+from .reference import reference_eigenvalue
 
 _SEARCH_CAP = 100000  # largest index an index search can return
 
@@ -109,15 +110,15 @@ def _min_index_geq(value_fn, bound: float) -> int | None:
 
 
 # k -> lam_k of the Neumann, Dirichlet and mixed reference families.
-_lam_n, _lam_d, _lam_m = (partial(reference_eigenvalue, ReferenceKind(tag))
-                          for tag in ("neumann", "dirichlet", "mixed"))
+_lam_n, _lam_d, _lam_m = (partial(reference_eigenvalue, kind)
+                          for kind in ("neumann", "dirichlet", "mixed"))
 
 
-def _ref_with_robin(single_side: BoundarySide, tag: str):
-    """k -> lam_k of the reference family ``tag`` ('robin-dirichlet' or
+def _ref_with_robin(single_side: BoundarySide, kind: str):
+    """k -> lam_k of the reference family ``kind`` ('robin-dirichlet' or
     'robin-neumann') with the Robin data of the single-point side."""
     robin = {f"robin_{single_side.side}": (single_side.alpha0, single_side.beta0)}
-    return partial(reference_eigenvalue, ReferenceKind(tag, **robin))
+    return partial(reference_eigenvalue, kind, **robin)
 
 
 def crossover_indices(spec: ProblemSpec) -> CrossoverIndices:
@@ -336,8 +337,6 @@ def confirm_prediction(pred: Prediction, trace) -> bool:
     zero counts, simplicity, interleaving — is checked as usual, with the
     pinned u'-zero of a Neumann end counted toward the T index.
     """
-    from .nodal import DEFAULT_TOL, classify, interleaves, reflected_trace, zeros_of
-
     tol = DEFAULT_TOL
     if not pred.determinate:
         raise ValueError("cannot confirm an indeterminate prediction")
@@ -374,6 +373,6 @@ def confirm_prediction(pred: Prediction, trace) -> bool:
         if len(zeros_up) != pred.class_index - 1:
             return False
         zeros_u = [x for x, _ in zeros_of(trace, "u", tol)]
-        return interleaves(sorted([end] + [x for x, _ in zeros_up]), zeros_u)
+        return _t_obstruction(sorted([end] + [x for x, _ in zeros_up]), zeros_u) is None
     return False
 

@@ -28,12 +28,11 @@ never load it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import UnresolvableZeros
-from .trig import ZERO_LAMBDA_CUTOFF, TrigSolution, eval_solution, sup_norms
+from .trig import ZERO_LAMBDA_CUTOFF, TrigSolution, _phase_form, eval_solution, sup_norms
 from .trig import reflected as _trig_reflected
 
 DEFAULT_TOL = 1e-8
@@ -208,12 +207,6 @@ class ClassificationResult:
 
 # ---------------------------------------------------------------------------
 # zero location
-
-
-def _phase_form(sol: TrigSolution) -> tuple[float, float, float]:
-    """(w, R, phi) with u = R*cos(w(x+1) - phi), for lam > 0."""
-    w = math.sqrt(sol.lam)
-    return w, math.hypot(sol.A, sol.B / w), math.atan2(sol.B / w, sol.A)
 
 
 def _closed_range(w: float, phi: float, which: str) -> tuple[float, int, int]:
@@ -411,16 +404,6 @@ def _t_obstruction(ds: list[float], zs: list[float]) -> str | None:
     return None if interleaved else "no-interleaving-zero"
 
 
-def interleaves(stations: list[float], zeros: list[float]) -> bool:
-    """Does every gap between consecutive stations hold a point of the
-    sorted list zeros strictly inside it?"""
-    for d1, d2 in zip(stations, stations[1:]):
-        i = bisect_right(zeros, d1)
-        if i == len(zeros) or not zeros[i] < d2:
-            return False
-    return True
-
-
 def classify(trace: ClosedTrace | SampledTrace, tol: float = DEFAULT_TOL, spec=None) -> ClassificationResult:
     """All S/T/R memberships of a trace (they are not mutually exclusive).
 
@@ -530,9 +513,20 @@ def energy_deviation(lam: float, trace: ClosedTrace | SampledTrace) -> float:
     for xv in trace.grid():
         u, upv = trace.eval(float(xv))
         profile.append(lam * u * u + upv * upv)
-    # np.median's value, exactly: the middle element, or the mean of the two.
+    med, spread = _median_spread(profile)
+    if med == 0.0:
+        raise ValueError("degenerate energy profile")
+    return float(spread)
+
+
+def _median_spread(profile: list[float]) -> tuple[float, float]:
+    """(m, max |p - m| / m) of an energy profile, m its median as np.median
+    gives it: the middle element, or the mean of the two middle ones.  The
+    spread is NaN when m = 0, and both are NaN when a p is (as in numpy)."""
+    if any(p != p for p in profile):
+        return math.nan, math.nan
     ordered, n = sorted(profile), len(profile)
     med = ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
     if med == 0.0:
-        raise ValueError("degenerate energy profile")
-    return float(max(abs(p - med) for p in profile) / med)
+        return med, math.nan
+    return med, max(abs(p - med) for p in profile) / med

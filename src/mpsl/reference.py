@@ -25,7 +25,6 @@ family all map to 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ProblemDataError
@@ -42,47 +41,34 @@ ROBIN_ROBIN = "robin-robin"
 NUDGE_ULPS = 4  # _bracketed_root: how far past a converged Newton iterate to step
 
 
-@dataclass(frozen=True)
-class ReferenceKind:
-    """A separated reference problem.
+# kind -> ((a0-, b0-), (a0+, b0+)) of the three kinds with no Robin side.
+_KIND_PAIRS = {
+    DIRICHLET: ((1.0, 0.0), (1.0, 0.0)),
+    NEUMANN: ((0.0, -1.0), (0.0, 1.0)),
+    MIXED: ((1.0, 0.0), (0.0, 1.0)),  # D at -1, N at +1: u = sin((2k+1)*pi*(x+1)/4)
+}
+
+
+def _side_pairs(kind: str, robin_minus, robin_plus) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((a0-, b0-), (a0+, b0+)) separated condition pairs of a reference kind.
 
     ``robin_minus``/``robin_plus`` are (alpha0, beta0) pairs for the sides
-    the tag leaves free; the Dirichlet/Neumann sides are implied by the tag.
-    For the Robin-Dirichlet and Robin-Neumann kinds exactly one Robin pair
-    must be given (on the side carrying the Robin condition).
+    the kind leaves free: exactly one for the Robin-Dirichlet and
+    Robin-Neumann kinds, whose other side is that of the Dirichlet (Neumann)
+    kind, and both for Robin-Robin.  The fixed kinds ignore them.
     """
-
-    tag: str
-    robin_minus: tuple[float, float] | None = None
-    robin_plus: tuple[float, float] | None = None
-
-    def side_pairs(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Resolve to ((a0-, b0-), (a0+, b0+)) separated condition pairs."""
-        if self.tag == DIRICHLET:
-            return (1.0, 0.0), (1.0, 0.0)
-        if self.tag == NEUMANN:
-            return (0.0, -1.0), (0.0, 1.0)
-        if self.tag == MIXED:
-            # Dirichlet at -1, Neumann at +1 (matches the eigenfunction
-            # convention u = sin((2k+1)*pi*(x+1)/4)).
-            return (1.0, 0.0), (0.0, 1.0)
-        if self.tag == ROBIN_DIRICHLET:
-            if (self.robin_minus is None) == (self.robin_plus is None):
-                raise ProblemDataError("robin-dirichlet needs exactly one Robin pair")
-            if self.robin_minus is not None:
-                return self.robin_minus, (1.0, 0.0)
-            return (1.0, 0.0), self.robin_plus
-        if self.tag == ROBIN_NEUMANN:
-            if (self.robin_minus is None) == (self.robin_plus is None):
-                raise ProblemDataError("robin-neumann needs exactly one Robin pair")
-            if self.robin_minus is not None:
-                return self.robin_minus, (0.0, 1.0)
-            return (0.0, -1.0), self.robin_plus
-        if self.tag == ROBIN_ROBIN:
-            if self.robin_minus is None or self.robin_plus is None:
-                raise ProblemDataError("robin-robin needs both Robin pairs")
-            return self.robin_minus, self.robin_plus
-        raise ProblemDataError(f"unknown reference kind {self.tag!r}")
+    if kind in _KIND_PAIRS:
+        return _KIND_PAIRS[kind]
+    if kind == ROBIN_ROBIN:
+        if robin_minus is None or robin_plus is None:
+            raise ProblemDataError("robin-robin needs both Robin pairs")
+        return robin_minus, robin_plus
+    if kind not in (ROBIN_DIRICHLET, ROBIN_NEUMANN):
+        raise ProblemDataError(f"unknown reference kind {kind!r}")
+    if (robin_minus is None) == (robin_plus is None):
+        raise ProblemDataError(f"{kind} needs exactly one Robin pair")
+    fixed_minus, fixed_plus = _KIND_PAIRS[kind.removeprefix("robin-")]
+    return (robin_minus, fixed_plus) if robin_minus is not None else (fixed_minus, robin_plus)
 
 
 def _normalize_pair(pair: tuple[float, float], side: str) -> tuple[float, float]:
@@ -156,7 +142,9 @@ def _bracketed_root(g, lo: float, hi: float, g_lo: float) -> float:
     return x
 
 
-@lru_cache(maxsize=None)
+# Bounded: the keys carry each problem's Robin pairs, so a stream of problems
+# would grow it for ever; one prediction or spectrum reads at most ~110 entries.
+@lru_cache(maxsize=1024)
 def _separated_eigenvalue_cached(bc_minus, bc_plus, k: int) -> float:
     a0m, b0m = bc_minus
     a0p, b0p = bc_plus
@@ -221,39 +209,29 @@ _SENTINELS = {
 }
 
 
-def reference_eigenvalue(kind: ReferenceKind | str, k: int, **robin) -> float:
+def reference_eigenvalue(kind: str, k: int, robin_minus=None, robin_plus=None) -> float:
     """Eigenvalue lam_k of a reference problem (with sentinel extensions)."""
-    if isinstance(kind, str):
-        kind = ReferenceKind(kind, **robin)
     if k < 0:
-        if k in _SENTINELS.get(kind.tag, ()):
+        if k in _SENTINELS.get(kind, ()):
             return 0.0
-        raise ValueError(f"index k={k} invalid for reference kind {kind.tag!r}")
-    bm, bp = kind.side_pairs()
-    return separated_eigenvalue(bm, bp, k)
+        raise ValueError(f"index k={k} invalid for reference kind {kind!r}")
+    return separated_eigenvalue(*_side_pairs(kind, robin_minus, robin_plus), k)
 
 
-def reference_eigenfunction(kind: ReferenceKind | str, k: int, **robin) -> TrigSolution:
+def reference_eigenfunction(kind: str, k: int, robin_minus=None, robin_plus=None) -> TrigSolution:
     """Eigenfunction of a reference problem, |u|_0 = 1, first nonvanishing
     of (u(-1), u'(-1)) positive."""
-    if isinstance(kind, str):
-        kind = ReferenceKind(kind, **robin)
     if k < 0:
         raise ValueError("sentinel indices have no eigenfunction")
-    lam = reference_eigenvalue(kind, k)
-    a0m, b0m = _normalize_pair(kind.side_pairs()[0], "minus")
-    # (A, B) = (-beta0-, alpha0-) satisfies the minus condition exactly.
-    sol = normalized(TrigSolution(lam, -b0m, a0m))
-    lead = sol.A if sol.A != 0.0 else sol.B
-    if lead < 0.0:
-        sol = TrigSolution(lam, -sol.A, -sol.B)
-    return sol
+    bm, bp = _side_pairs(kind, robin_minus, robin_plus)
+    a0m, b0m = _normalize_pair(bm, "minus")
+    # (A, B) = (-beta0-, alpha0-) satisfies the minus condition exactly, and
+    # the normalized pair has A >= 0, with B = alpha0- > 0 where A is 0.
+    return normalized(TrigSolution(separated_eigenvalue(bm, bp, k), -b0m, a0m))
 
 
-def reference_bc_residuals(kind: ReferenceKind | str, k: int, **robin) -> tuple[float, float]:
+def reference_bc_residuals(kind: str, k: int, robin_minus=None, robin_plus=None) -> tuple[float, float]:
     """Residuals of both separated conditions on the returned eigenfunction."""
-    if isinstance(kind, str):
-        kind = ReferenceKind(kind, **robin)
-    sol = reference_eigenfunction(kind, k)
+    sol = reference_eigenfunction(kind, k, robin_minus, robin_plus)
     return tuple(BoundarySide(a0, b0, side=side).residual(sol)
-                 for (a0, b0), side in zip(kind.side_pairs(), ("minus", "plus")))
+                 for (a0, b0), side in zip(_side_pairs(kind, robin_minus, robin_plus), ("minus", "plus")))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DivergenceError, NoConvergence, ProblemDataError, SingularSystem
 from .expressions import ForcingTerm, NonlinearitySpec, _on_floats
-from .nodal import SampledTrace
+from .nodal import SampledTrace, _median_spread
 from .problem import BoundarySide, ProblemSpec
 from .spectrum import eigen_scan, robin_anchor
 from .trig import TrigSolution, normalized
@@ -345,11 +345,7 @@ def nonlinear_energy_deviation(trace: SampledTrace, nl: NonlinearitySpec, lam: f
     samples from one ``NonlinearitySpec.F_many`` call."""
     idx = _energy_nodes(len(trace.x))
     up = trace.up[idx]
-    vals = lam * nl.F_many(trace.u[idx]) + up * up
-    med = float(np.median(vals))
-    if med == 0.0:
-        return math.nan
-    return float(np.max(np.abs(vals - med)) / med)
+    return _median_spread((lam * nl.F_many(trace.u[idx]) + up * up).tolist())[1]
 
 
 def damped_newton(

@@ -84,7 +84,7 @@ def sup_norms(sol: TrigSolution) -> tuple[float, float]:
     points of the phase-amplitude form R*cos(w(x+1) - phi); for lam <= 0 the
     maxima sit at the endpoints (|u| has no interior maximum there).
     """
-    lam, A, B = sol.lam, sol.A, sol.B
+    lam = sol.lam
     u_m, up_m = eval_solution(sol, -1.0)
     u_p, up_p = eval_solution(sol, 1.0)
     sup_u = max(abs(u_m), abs(u_p))
@@ -92,11 +92,9 @@ def sup_norms(sol: TrigSolution) -> tuple[float, float]:
     if abs(lam) < ZERO_LAMBDA_CUTOFF or lam < 0.0:
         return sup_u, sup_up
 
-    w = math.sqrt(lam)
-    R = math.hypot(A, B / w)
+    w, R, phi = _phase_form(sol)
     if R == 0.0:
         return 0.0, 0.0
-    phi = math.atan2(B / w, A)
     span = 2.0 * w  # theta = w*(x+1) ranges over [0, span]
 
     # |u| = R at theta = phi + n*pi, |u'| = R*w at theta = phi + pi/2 + n*pi.
@@ -105,6 +103,12 @@ def sup_norms(sol: TrigSolution) -> tuple[float, float]:
     if _multiple_in_range(phi + 0.5 * math.pi, span):
         sup_up = R * w
     return sup_u, sup_up
+
+
+def _phase_form(sol: TrigSolution) -> tuple[float, float, float]:
+    """(w, R, phi) with u = R*cos(w(x+1) - phi), for lam > 0."""
+    w = math.sqrt(sol.lam)
+    return w, math.hypot(sol.A, sol.B / w), math.atan2(sol.B / w, sol.A)
 
 
 def _multiple_in_range(offset: float, span: float) -> bool:

@@ -97,8 +97,9 @@ def _on_branch(p) -> bool:
     return all(abs(r) <= 1e-8 * sc for r, sc in zip(p.shooting.residuals, p.scales))
 
 
-def test_from_infinity_linear_eigenline(spec, lam0):
-    br = branch_from_infinity(spec, LIN, 0, "+", point_budget=40)
+def test_from_infinity_linear_eigenline(spec, lam0, monkeypatch):
+    monkeypatch.setattr(branching, "POINT_BUDGET", 40)
+    br = branch_from_infinity(spec, LIN, 0, "+")
     for p in br.points:
         assert p.lam == pytest.approx(lam0, abs=1e-8)
     amps = br.amplitudes()

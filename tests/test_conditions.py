@@ -6,11 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spec
+from mpsl import conditions
 from mpsl.conditions import (
     _SEARCH_CAP,
     _leading_count,
     _max_index_leq,
     _min_index_geq,
+    Prediction,
     confirm_prediction,
     crossover_indices,
     predict_nodal_class,
@@ -294,9 +296,55 @@ def test_predict_neumann_single_point_side_work():
         minus=BoundarySide(0.0, -1.0, side="minus"),
         plus=BoundarySide(0.6, 0.0, (-0.2, -0.19), (0.0, 0.0), (0.31, -0.69), "plus"),
     )
-    before = _separated_eigenvalue_cached.cache_info().currsize
+    before = _separated_eigenvalue_cached.cache_info().misses
     preds = [predict_nodal_class(spec, k) for k in range(11)]
-    assert _separated_eigenvalue_cached.cache_info().currsize - before <= 200
+    assert _separated_eigenvalue_cached.cache_info().misses - before <= 200
     for k, p in enumerate(preds):
         assert (p.family, p.class_index, p.theorem) == ("T", k + 1, "T-below-crossover")
         assert p.redefined and p.redefined_end == -1.0
+
+
+def test_eigenvalue_cache_stays_bounded_over_a_stream_of_problems():
+    # Each Neumann single-point side below keys ~40 entries of its own.
+    def spec(i: int) -> ProblemSpec:
+        return ProblemSpec(
+            minus=BoundarySide(0.0, -1.0 - i / 64, side="minus"),
+            plus=BoundarySide(0.6, 0.0, (-0.2, -0.19), (0.0, 0.0), (0.31, -0.69), "plus"),
+        )
+
+    cache = _separated_eigenvalue_cached
+    assert cache.cache_info().maxsize == 1024
+    first = [predict_nodal_class(spec(0), k) for k in range(11)]
+    misses = cache.cache_info().misses
+    for i in range(1, 61):
+        for k in range(11):
+            predict_nodal_class(spec(i), k)
+    assert cache.cache_info().misses - misses > 2 * cache.cache_info().maxsize
+    assert [predict_nodal_class(spec(0), k) for k in range(11)] == first
+
+
+def test_confirm_redefined_t_rejects_a_u_zero_on_a_uprime_zero(monkeypatch):
+    # A redefined T_2 verdict pinned at -1: the stations are -1 and the u'-zero
+    # at 0, and the only u-zero past -0.5 lies 5e-10 (< CLUSTER_TOL) from that
+    # u'-zero.  That is a coincidence, as classify rules, not an interleaving.
+    class Trace:
+        def sup_u(self):
+            return 1.0
+
+        def sup_uprime(self):
+            return 1.0
+
+        def eval(self, x):
+            return (1.0, 0.0) if x == -1.0 else (0.3, 0.7)
+
+    class NoMembership:
+        def has(self, family, index):
+            return False
+
+    zeros = {"uprime": [(0.0, True)], "u": [(-0.5, True), (5e-10, True)]}
+    monkeypatch.setattr(conditions, "classify", lambda trace, tol: NoMembership())
+    monkeypatch.setattr(conditions, "zeros_of", lambda trace, which, tol: zeros[which])
+    pred = Prediction(1, "T", 2, (0.0, 1.0), "T-below-crossover", redefined=True, redefined_end=-1.0)
+    assert not confirm_prediction(pred, Trace())
+    zeros["u"] = [(-0.5, True), (0.5, True)]
+    assert confirm_prediction(pred, Trace())

@@ -287,6 +287,16 @@ def test_energy_deviation_equals_the_numpy_formula(lam, trace):
     assert value == _numpy_energy_deviation(lam, trace)
 
 
+def test_median_spread_is_the_numpy_formula():
+    profile = np.random.default_rng(3).uniform(0.5, 2.0, size=100).tolist()  # even length
+    med = float(np.median(profile))
+    spread = float(np.max(np.abs(np.array(profile) - med)) / med)
+    assert [v.hex() for v in nodal._median_spread(profile)] == [med.hex(), spread.hex()]
+    med, spread = nodal._median_spread([0.0, 0.0, 1.0])
+    assert med == 0.0 and math.isnan(spread)
+    assert all(math.isnan(v) for v in nodal._median_spread([1.0, math.nan, 2.0, 3.0]))
+
+
 def test_bc_satisfaction_flags(half_u0_spec):
     psi = TrigSolution(math.pi**2, 0.0, 1.0)
     result = classify(ClosedTrace(psi), spec=half_u0_spec)

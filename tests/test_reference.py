@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from mpsl.errors import ProblemDataError
 from mpsl.nodal import ClosedTrace, classify
 from mpsl.reference import (
-    ReferenceKind,
     _bracketed_root,
+    _side_pairs,
     reference_bc_residuals,
     reference_eigenfunction,
     reference_eigenvalue,
@@ -114,22 +114,70 @@ def test_single_bc_interlacing():
 
 def test_eigenfunctions_normalized_and_satisfy_bcs():
     kinds = [
-        ReferenceKind("dirichlet"),
-        ReferenceKind("neumann"),
-        ReferenceKind("mixed"),
-        ReferenceKind("robin-dirichlet", robin_minus=ROBIN_MINUS),
-        ReferenceKind("robin-neumann", robin_minus=ROBIN_MINUS),
-        ReferenceKind("robin-robin", robin_minus=ROBIN_MINUS, robin_plus=ROBIN_PLUS),
+        ("dirichlet", None, None),
+        ("neumann", None, None),
+        ("mixed", None, None),
+        ("robin-dirichlet", ROBIN_MINUS, None),
+        ("robin-neumann", ROBIN_MINUS, None),
+        ("robin-robin", ROBIN_MINUS, ROBIN_PLUS),
     ]
-    for kind in kinds:
+    for kind, robin_minus, robin_plus in kinds:
         for k in range(6):
-            psi = reference_eigenfunction(kind, k)
+            psi = reference_eigenfunction(kind, k, robin_minus, robin_plus)
             su, _ = sup_norms(psi)
             assert su == pytest.approx(1.0, abs=1e-12)
-            rm, rp = reference_bc_residuals(kind, k)
+            rm, rp = reference_bc_residuals(kind, k, robin_minus, robin_plus)
             assert abs(rm) <= 1e-10 and abs(rp) <= 1e-10
             lead = psi.A if psi.A != 0.0 else psi.B
             assert lead > 0.0
+
+
+DIRICHLET_PAIRS = ((1.0, 0.0), (1.0, 0.0))
+NEUMANN_PAIRS = ((0.0, -1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("kind, robin_minus, robin_plus, pairs, sentinels", [
+    ("dirichlet", None, None, DIRICHLET_PAIRS, (-2, -1)),
+    ("neumann", None, None, NEUMANN_PAIRS, ()),
+    ("mixed", None, None, ((1.0, 0.0), (0.0, 1.0)), (-1,)),
+    ("robin-dirichlet", ROBIN_MINUS, None, (ROBIN_MINUS, DIRICHLET_PAIRS[1]), (-1,)),
+    ("robin-dirichlet", None, ROBIN_PLUS, (DIRICHLET_PAIRS[0], ROBIN_PLUS), (-1,)),
+    ("robin-neumann", ROBIN_MINUS, None, (ROBIN_MINUS, NEUMANN_PAIRS[1]), ()),
+    ("robin-neumann", None, ROBIN_PLUS, (NEUMANN_PAIRS[0], ROBIN_PLUS), ()),
+    ("robin-robin", ROBIN_MINUS, ROBIN_PLUS, (ROBIN_MINUS, ROBIN_PLUS), ()),
+])
+def test_reference_kind_table(kind, robin_minus, robin_plus, pairs, sentinels):
+    assert _side_pairs(kind, robin_minus, robin_plus) == pairs
+    for k in range(8):
+        assert reference_eigenvalue(kind, k, robin_minus, robin_plus) == separated_eigenvalue(*pairs, k)
+    if robin_minus is None and robin_plus is not None:  # ROBIN_PLUS mirrors ROBIN_MINUS
+        for k in range(8):
+            assert reference_eigenvalue(kind, k, robin_plus=ROBIN_PLUS) == pytest.approx(
+                reference_eigenvalue(kind, k, robin_minus=ROBIN_MINUS), rel=1e-14)
+    for k in (-2, -1):
+        if k in sentinels:
+            assert reference_eigenvalue(kind, k, robin_minus, robin_plus) == 0.0
+        else:
+            with pytest.raises(ValueError, match=f"^index k={k} invalid for reference kind '{kind}'$"):
+                reference_eigenvalue(kind, k, robin_minus, robin_plus)
+
+
+@pytest.mark.parametrize("kind, robin_minus, robin_plus, message", [
+    ("robin-dirichlet", None, None, "robin-dirichlet needs exactly one Robin pair"),
+    ("robin-dirichlet", ROBIN_MINUS, ROBIN_PLUS, "robin-dirichlet needs exactly one Robin pair"),
+    ("robin-neumann", None, None, "robin-neumann needs exactly one Robin pair"),
+    ("robin-neumann", ROBIN_MINUS, ROBIN_PLUS, "robin-neumann needs exactly one Robin pair"),
+    ("robin-robin", ROBIN_MINUS, None, "robin-robin needs both Robin pairs"),
+    ("robin-robin", None, ROBIN_PLUS, "robin-robin needs both Robin pairs"),
+    ("bogus", None, None, "unknown reference kind 'bogus'"),
+])
+def test_reference_kind_errors(kind, robin_minus, robin_plus, message):
+    for fn in (reference_eigenvalue, reference_eigenfunction, reference_bc_residuals):
+        with pytest.raises(ProblemDataError) as exc:
+            fn(kind, 0, robin_minus, robin_plus)
+        assert str(exc.value) == message
+    # A sentinel index is answered before the Robin pairs are looked at.
+    assert reference_eigenvalue("robin-dirichlet", -1) == 0.0
 
 
 def test_dirichlet_eigenfunction_shape():

@@ -107,6 +107,20 @@ def test_nonlinear_energy_identity():
     assert nonlinear_energy_deviation(tr, nl, 0.5) <= 1e-8
 
 
+@pytest.mark.parametrize("nl, lam, a, b", [
+    (LIN, 7.3, 0.4, -0.9),
+    (NonlinearitySpec.from_text("xi*(1+3/(1+xi^2))", f0=4.0, finf=1.0), 0.5, 0.0, 3.0),
+], ids=["linear", "worked-example"])
+def test_nonlinear_energy_deviation_equals_the_numpy_formula(nl, lam, a, b):
+    tr = integrate_ivp(nl, None, lam, a, b)
+    idx = shooting._energy_nodes(len(tr.x))
+    up = tr.up[idx]
+    vals = lam * nl.F_many(tr.u[idx]) + up * up
+    med = float(np.median(vals))
+    want = float(np.max(np.abs(vals - med)) / med)
+    assert nonlinear_energy_deviation(tr, nl, lam).hex() == want.hex()
+
+
 def test_blowup_detection():
     # -u'' = lam*(-u) with lam large: pure exponential growth past 1e12
     # well before x = 1.
