@@ -162,7 +162,6 @@ def _spectrum_row(spec: ProblemSpec, ep) -> list:
 
 
 def cmd_spectrum(args) -> int:
-    spec, _ = _load(args.problem)
     if args.reference:
         from .reference import reference_eigenvalue
 
@@ -171,6 +170,9 @@ def cmd_spectrum(args) -> int:
         rows = [[k, reference_eigenvalue(args.reference, k)] for k in range(args.count)]
         reporting.write_csv(os.path.join(args.out, "reference.csv"), ["k", "lambda"], rows)
         return EXIT_OK
+    if args.problem is None:
+        raise ProblemDataError("spectrum needs a problem file unless --reference is given")
+    spec, _ = _load(args.problem)
     window = eigen_scan(spec, args.lambda_max)
     rows = [_spectrum_row(spec, ep) for ep in window.eigenpairs]
     reporting.write_csv(
@@ -469,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("spectrum", help="scan the spectrum")
-    common(p)
+    common(p, problem=False)
+    p.add_argument("problem", nargs="?", default=None, help="problem JSON file (not read with --reference)")
     p.add_argument("--lambda-max", dest="lambda_max", type=_positive_float, default=30.0)
     p.add_argument("--reference", choices=["dirichlet", "neumann", "mixed"], default=None)
     p.add_argument("--count", type=int, default=21, help="indices for --reference")

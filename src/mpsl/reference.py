@@ -96,28 +96,28 @@ def _normalize_pair(pair: tuple[float, float], side: str) -> tuple[float, float]
     return a0 or 0.0, b0 or 0.0
 
 
-def _bracketed_root(g, lo: float, hi: float, g_lo: float) -> float:
-    """Root of g in [lo, hi], where g changes sign and g(lo) = g_lo.
+def _bracketed_root(g, lo: float, hi: float, g_lo: float, x0: float | None = None) -> float:
+    """Root of g in [lo, hi], where g changes sign, with the sign of g_lo just above lo.
 
     ``g(x)`` returns (value, slope).  Safeguarded Newton (Allgower & Georg,
-    *Numerical Continuation Methods*, 1990, ch. 2): the first point is the
-    midpoint, and each value moves the bracket end on its side.  A Newton
-    iterate that leaves the bracket, or moves more than half as far as the
-    step before the previous one did (``dxold`` of Numerical Recipes'
-    ``rtsafe``), is replaced by the midpoint.  Near one end of the bracket a
-    Newton step is about as long as the bisection just taken, which is why
-    the test looks one step further back.  Newton closes in from one side,
-    so a Newton step of at most ``nudge`` ulps (NUDGE_ULPS at first, doubled
-    at each use) means the root is near: the next point lies that many ulps
-    past the iterate toward the far end, and the far end comes in too.  It
-    ends when no float lies strictly between the bracket ends and returns
-    their midpoint as rounded, or an exact zero of g met on the way.  Every
-    point lies strictly inside the bracket and becomes one of its ends, so it
-    always ends.  Shared by the separated reference spectra and the Gamma
-    scan in ``spectrum``.
+    *Numerical Continuation Methods*, 1990, ch. 2): the first point is x0 if
+    it lies strictly inside, else the midpoint, and each value moves the
+    bracket end on its side.  A Newton iterate that leaves the bracket, or
+    moves more than half as far as the step before the previous one did
+    (``dxold`` of Numerical Recipes' ``rtsafe``), is replaced by the midpoint.
+    Near one end of the bracket a Newton step is about as long as the
+    bisection just taken, which is why the test looks one step further back.
+    Newton closes in from one side, so a Newton step of at most ``nudge`` ulps
+    (NUDGE_ULPS at first, doubled at each use) means the root is near: the
+    next point lies that many ulps past the iterate toward the far end, and
+    the far end comes in too.  It ends when no float lies strictly between the
+    bracket ends and returns their midpoint as rounded, or an exact zero of g
+    met on the way.  Every point lies strictly inside the bracket and becomes
+    one of its ends, so it always ends.  Shared by the separated reference
+    spectra and the Gamma scan in ``spectrum``.
     """
     a, b, neg_a = lo, hi, g_lo < 0.0
-    x = 0.5 * (a + b)
+    x = x0 if x0 is not None and a < x0 < b else 0.5 * (a + b)
     last = older = b - a
     nudge = NUDGE_ULPS
     while a < x < b:

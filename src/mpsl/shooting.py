@@ -470,14 +470,18 @@ def solve_bvp_multistart(
     h: ForcingTerm | None,
     lam: float,
 ) -> SampledSolution:
-    """Try ``default_guesses(spec)`` in order; first accepted solution wins."""
+    """Try ``default_guesses(spec)`` in order; first accepted solution wins.
+    If none is, the error carries the smallest residual of any start."""
     guesses = default_guesses(spec)
+    best = math.inf
     for g in guesses:
         try:
             return solve_bvp(spec, nl, h, lam, g)
-        except (NoConvergence, SingularSystem, DivergenceError):
+        except NoConvergence as exc:
+            best = min(best, exc.best_residual)
+        except (SingularSystem, DivergenceError):
             pass
-    raise NoConvergence(math.inf, f"not found from {len(guesses)} starts")
+    raise NoConvergence(best, f"not found from {len(guesses)} starts")
 
 
 @dataclass

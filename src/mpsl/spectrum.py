@@ -10,7 +10,7 @@ characteristic determinant
 
 which is real-analytic in lam and vanishes exactly at the eigenvalues.
 Its exact slope dGamma/dlam comes from the same rows on (dc/dlam, ds/dlam).
-Two locators are provided: a brute-force sign-change scan (the oracle) and
+Two locators are provided: a scan on cubic Hermite cells (the oracle) and
 a homotopy continuation that scales the interior coefficients by t in
 [0, 1], tracking each root from its single-point Robin anchor at t = 0.
 Each row is affine in t, so the same row pass also gives dGamma/dt, and
@@ -26,10 +26,12 @@ from .errors import ContinuationBreakdown, HypothesisError, NumericError, Proble
 from .nodal import ClosedTrace, NodalClass, classify
 from .problem import LEVEL_QUADRATIC, ProblemSpec, level_at_least
 from .reference import _bracketed_root, separated_eigenvalue
-from .trig import TrigSolution, _fundamental, _fundamental_dlam, bc_functional, normalized
+from .trig import TrigSolution, _functional_rows, bc_functional, normalized
 
-SCAN_STEP_OMEGA = min(0.25, (math.pi / 2.0) / 8.0)
-SCAN_MAX_POINTS = 10_000  # positive scan grid ceiling: lambda_max <= ~3.9e6
+SCAN_STEP_OMEGA = math.pi / 8.0
+SCAN_MAX_POINTS = 5_000  # positive scan grid ceiling: lambda_max <= ~3.9e6
+PROBE_DEPTH = 4  # probes of Gamma per cell without a sign change (see eigen_scan)
+PROBE_MARGIN = 0.25  # probe where the cell's cubic comes within this share of its larger end
 # Largest index continuation takes: sqrt(lam_k) >= k*pi/2, so past it lam_k
 # lies beyond the scan ceiling (1250 with the constants above).
 CONTINUATION_K_MAX = round(SCAN_MAX_POINTS * SCAN_STEP_OMEGA / (math.pi / 2.0))
@@ -74,30 +76,10 @@ class SpectrumWindow:
 
 
 def _bc_rows(spec: ProblemSpec, lam: float, t: float = 1.0):
-    """``BoundarySide.residual`` on c, s and their lam-derivatives for both sides,
-    interior terms scaled by t, one pair evaluation per point: a row (r_c, r_s,
-    dr_c, dr_s, i_c, i_s) per side from its ``row_terms`` (the coefficients
-    times a power of two that is exactly 1 at ordinary magnitudes).  (i_c, i_s),
-    the unscaled interior sum, is d(r_c, r_s)/dt; at t = 1 the rows are bit for
-    bit those of the unscaled sum."""
-    rows = []
-    for side in spec.sides:
-        rc = rs = drc = drs = ic = is_ = 0.0
-        for n, (ai, bi, xi) in enumerate(side.row_terms):
-            y = xi + 1.0
-            c, cp, s, sp = _fundamental(lam, y)
-            dc, dcp, ds, dsp = _fundamental_dlam(lam, y, c, s)
-            vc, vs = ai * c + bi * cp, ai * s + bi * sp
-            w = t if n else 1.0  # term 0 is the endpoint's
-            rc -= w * vc
-            rs -= w * vs
-            drc -= w * (ai * dc + bi * dcp)
-            drs -= w * (ai * ds + bi * dsp)
-            if n:
-                ic -= vc
-                is_ -= vs
-        rows.append((rc, rs, drc, drs, ic, is_))
-    return rows
+    """``trig._functional_rows`` on both sides' ``row_terms``: ``BoundarySide.residual``
+    on c, s and their lam-derivatives, interior terms scaled by t (at t = 1 bit for bit
+    the unscaled sum), and (i_c, i_s) = d(r_c, r_s)/dt."""
+    return _functional_rows(lam, (spec.minus.row_terms, spec.plus.row_terms), t)
 
 
 def _det(rows) -> tuple[float, float, float, float]:
@@ -120,7 +102,7 @@ def char_det(spec: ProblemSpec, lam: float) -> float:
 
 
 def _eigenpair(spec: ProblemSpec, k: int, lam: float,
-               t_path: tuple[tuple[float, float], ...] | None = None) -> Eigenpair:
+               t_path: tuple[tuple[float, float], ...] | None = None, simple: bool = True) -> Eigenpair:
     """Eigenpair at the root lam: the null direction of the boundary matrix,
     normalized and signed, with its nodal class, Gamma slope and simple flag.
 
@@ -153,7 +135,7 @@ def _eigenpair(spec: ProblemSpec, k: int, lam: float,
         psi = TrigSolution(lam, -psi.A, -psi.B)
         memberships = tuple(replace(m, sign="-" if m.sign == "+" else "+") for m in memberships)
     return Eigenpair(k=k, lam=lam, psi=psi, nodal=memberships, t_path=t_path,
-                     simple=abs(slope) >= SIMPLE_DET_TOL * scale,
+                     simple=simple and abs(slope) >= SIMPLE_DET_TOL * scale,
                      det_slope=slope,
                      bc_residuals=(bc_functional(spec.minus, psi), bc_functional(spec.plus, psi)))
 
@@ -165,20 +147,60 @@ def robin_anchor(spec: ProblemSpec, k: int) -> float:
     )
 
 
-def eigen_scan(spec: ProblemSpec, lambda_max: float) -> SpectrumWindow:
-    """All roots of Gamma in (-LAMBDA_MIN_GUARD, lambda_max] by sign-change scan.
+def _cell_roots(spec: ProblemSpec, a: float, fa: float, da: float, b: float, fb: float, db: float,
+                probes: int = PROBE_DEPTH) -> list[tuple[float, bool]]:
+    """Roots (lam, simple) of Gamma inside the cell (a, b) from its cubic Hermite
+    p(s), s = (lam - a)/(b - a), as ``eigen_scan`` describes."""
+    h = b - a
+    ma, df = da * h, fb - fa
+    p2, p3 = 3.0 * df - 2.0 * ma - db * h, ma + db * h - 2.0 * df
+    cubic = lambda s: ((p3 * s + p2) * s + ma) * s + fa
+    ga, gb = fa or da, fb or -db  # an exact zero at an end: the sign Gamma leaves it with
+    if ga < 0.0 < gb or gb < 0.0 < ga:
+        s = fa / (fa - fb) if fa and fb else 0.5
+        for _ in range(3):  # Newton on the cubic from the secant root
+            s -= cubic(s) / (((3.0 * p3 * s + 2.0 * p2) * s + ma) or math.inf)
+        return [(_bracketed_root(lambda lam: _gamma(spec, lam)[:2], a, b, ga, a + s * h), True)]
+    disc = p2 * p2 - 3.0 * p3 * ma  # of p'(s) = 3*p3*s^2 + 2*p2*s + ma
+    if not (probes and ga and gb) or (ga * da >= 0.0 and ga * db <= 0.0) or disc < 0.0:
+        return []  # no probe left, the slopes point away from zero, or p is monotone
+    q = -(p2 + math.copysign(math.sqrt(disc), p2))
+    crit = (q / (3.0 * p3) if p3 else -1.0, ma / q if q else -1.0)
+    low, s = min([(math.copysign(1.0, ga) * cubic(s), s) for s in crit if 0.0 < s < 1.0], default=(math.inf, 0.0))
+    if low > PROBE_MARGIN * max(abs(fa), abs(fb)):
+        return []
+    lam = a + s * h
+    f, d, scale = _gamma(spec, lam)
+    if f == 0.0 or (f < 0.0) != (ga < 0.0):  # two roots: split the cell at lam
+        return [(lam, True)] * (f == 0.0) + _cell_roots(spec, a, fa, da, lam, f, d, 0) + \
+            _cell_roots(spec, lam, f, d, b, fb, db, 0)
+    if abs(f) <= SIMPLE_DET_TOL * scale:
+        return [(lam, False)]
+    if (d < 0.0) != (ga < 0.0):  # still heading for zero: the extremum lies to the right
+        return _cell_roots(spec, lam, f, d, b, fb, db, probes - 1)
+    return _cell_roots(spec, a, fa, da, lam, f, d, probes - 1)
 
-    The grid is uniform in sqrt(|lam|) so the (asymptotically pi/2-spaced)
-    roots are sampled several times per gap.  A bracket is a sign change
-    between neighbours (signs are compared, not multiplied, so no product
-    underflows); ``_bracketed_root`` closes it to adjacent floats by
-    safeguarded Newton on Gamma and its exact slope from one row pass.
-    Roots where the exact |dGamma/dlam| is tiny are flagged non-simple (a
-    hypothesis-violation signal).  A touching root without a sign change
-    cannot be seen by this scan.  The positive grid
-    has sqrt(lambda_max)/SCAN_STEP_OMEGA points; a lambda_max that needs
-    more than SCAN_MAX_POINTS raises ProblemDataError, as does a
-    non-positive or non-finite one.
+
+def eigen_scan(spec: ProblemSpec, lambda_max: float) -> SpectrumWindow:
+    """All roots of Gamma in (-LAMBDA_MIN_GUARD, lambda_max], by a scan on cubic Hermite cells.
+
+    The grid is uniform in sqrt(|lam|), four nodes per pi/2 (the roots'
+    asymptotic spacing); one row pass gives Gamma and its exact slope at a
+    node, and each cell is read off the cubic Hermite through them.  A sign
+    change (signs compared, not multiplied, so no product underflows) is a
+    bracket that ``_bracketed_root`` closes to adjacent floats by safeguarded
+    Newton from the cubic's root.  Other cells are dropped if their slopes
+    point away from zero or the cubic stays PROBE_MARGIN of its larger end
+    away from it; else Gamma is probed at the cubic's extremum.  A sign change
+    there splits the cell into two brackets, a |Gamma| within SIMPLE_DET_TOL
+    of its scale is a near-double (touching) root with ``simple`` False, and
+    otherwise the probe moves to the side the slope points to, PROBE_DEPTH
+    times at most.  An exact zero at a node is a root, and its cells are read
+    with the sign Gamma leaves it with.  A root with a tiny exact slope is
+    non-simple too (a hypothesis-violation signal).  The positive grid has
+    sqrt(lambda_max)/SCAN_STEP_OMEGA points; a lambda_max that needs more than
+    SCAN_MAX_POINTS raises ProblemDataError, as does a non-positive or
+    non-finite one.
     """
     if not 0.0 < lambda_max < math.inf:
         raise ProblemDataError(f"lambda_max must be positive and finite, not {lambda_max:g}")
@@ -187,43 +209,20 @@ def eigen_scan(spec: ProblemSpec, lambda_max: float) -> SpectrumWindow:
             f"lambda_max {lambda_max:g} needs more than {SCAN_MAX_POINTS} scan points "
             f"(largest allowed {(SCAN_MAX_POINTS * SCAN_STEP_OMEGA) ** 2:.6g})"
         )
-    grid = []
-    mu = math.sqrt(LAMBDA_MIN_GUARD)
-    while mu > 0.0:
-        grid.append(-mu * mu)
-        mu -= SCAN_STEP_OMEGA
-    grid.append(0.0)
-    w = SCAN_STEP_OMEGA
-    wmax = math.sqrt(lambda_max)
-    while w < wmax:
-        grid.append(w * w)
-        w += SCAN_STEP_OMEGA
-    grid.append(lambda_max)
-
-    vals = [char_det(spec, lam) for lam in grid]
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        lam_i, lam_j = grid[i], grid[i + 1]
-        fi, fj = vals[i], vals[i + 1]
-        if fi == 0.0:
-            roots.append(lam_i)
-            continue
-        if fj == 0.0:
-            continue  # captured as the left endpoint of the next cell
-        if fi < 0.0 < fj or fj < 0.0 < fi:
-            roots.append(_bracketed_root(lambda lam: _gamma(spec, lam)[:2], lam_i, lam_j, fi))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
+    mu, step = math.sqrt(LAMBDA_MIN_GUARD), SCAN_STEP_OMEGA
+    grid = [-(mu - n * step) ** 2 for n in range(math.ceil(mu / step))] + [0.0]
+    grid += [(n * step) ** 2 for n in range(1, math.ceil(math.sqrt(lambda_max) / step))] + [lambda_max]
+    nodes = [(lam, *_gamma(spec, lam)[:2]) for lam in grid]
+    roots = [(lam, True) for lam, f, _ in nodes if f == 0.0]
+    for (a, fa, da), (b, fb, db) in zip(nodes, nodes[1:]):
+        roots += _cell_roots(spec, a, fa, da, b, fb, db)
 
     # Merge anything tighter than the separation tolerance.
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) < ROOT_SEPARATION * max(1.0, abs(r)):
-            continue
-        merged.append(r)
-
-    pairs = [_eigenpair(spec, idx, lam) for idx, lam in enumerate(merged)]
+    merged: list[tuple[float, bool]] = []
+    for r, simple in sorted(roots):
+        if not merged or abs(r - merged[-1][0]) >= ROOT_SEPARATION * max(1.0, abs(r)):
+            merged.append((r, simple))
+    pairs = [_eigenpair(spec, idx, lam, simple=simple) for idx, (lam, simple) in enumerate(merged)]
 
     # Anchors exist only under the endpoint sign convention; specs violating
     # it simply get no Robin count.

@@ -10,9 +10,9 @@ For lam = 0:                   c = 1,            s = x + 1
 For lam < 0 (w = sqrt(-lam)):  c = cosh(w(x+1)), s = sinh(w(x+1))/w
 
 so (A, B) = (u(-1), u'(-1)); ``_fundamental_dlam`` gives their exact
-lam-derivatives.  Sup-norms are computed analytically from the
-phase-amplitude form, which keeps the energy identity
-lam*u^2 + u'^2 = const exact to rounding.
+lam-derivatives, and ``_functional_rows`` both at all terms of multi-point
+functionals at once.  Sup-norms are computed analytically from the phase-amplitude
+form, which keeps the energy identity lam*u^2 + u'^2 = const exact to rounding.
 """
 
 from __future__ import annotations
@@ -61,6 +61,40 @@ def _fundamental_dlam(lam: float, y: float, c: float, s: float) -> tuple[float, 
     ds = -y ** 3 / 6.0 * (1.0 - t / 10.0 + t * t / 280.0) if small else (y * c - s) / (2.0 * lam)
     dc = -0.5 * y * s
     return dc, -0.5 * (s + y * c), ds, dc
+
+
+def _functional_rows(lam: float, term_lists, t: float = 1.0) -> list[tuple[float, ...]]:
+    """Rows (r_c, r_s, dr_c, dr_s, i_c, i_s), one per list of terms (a, b, x): the
+    functional -sum(a*u(x) + b*u'(x)), terms after the first scaled by t, on c, s and
+    their lam-derivatives, and the unscaled sum of the terms after the first on c and s.
+    Each term is ``_fundamental`` and ``_fundamental_dlam`` bit for bit; the branch on
+    lam and sqrt(|lam|) are taken once for all terms."""
+    w = math.sqrt(abs(lam)) if abs(lam) >= ZERO_LAMBDA_CUTOFF else 0.0
+    cos, sin, cp_w = (math.cos, math.sin, -w) if lam > 0.0 else (math.cosh, math.sinh, w)
+    rows = []
+    for terms in term_lists:
+        rc = rs = drc = drs = ic = is_ = 0.0
+        wt, interior = 1.0, False
+        for ai, bi, x in terms:
+            y = x + 1.0
+            if w:
+                c = sp = cos(w * y)
+                sw = sin(w * y)
+                cp, s = cp_w * sw, sw / w
+            else:
+                c, cp, s, sp = 1.0, 0.0, y, 1.0
+            if abs(lam * y * y) < DS_SERIES_CUTOFF:
+                dc, dcp, ds, _ = _fundamental_dlam(lam, y, c, s)
+            else:  # the closed form of _fundamental_dlam
+                dc, dcp, ds = -0.5 * y * s, -0.5 * (s + y * c), (y * c - s) / (2.0 * lam)
+            vc, vs = ai * c + bi * cp, ai * s + bi * sp
+            rc, rs = rc - wt * vc, rs - wt * vs
+            drc, drs = drc - wt * (ai * dc + bi * dcp), drs - wt * (ai * ds + bi * dc)
+            if interior:
+                ic, is_ = ic - vc, is_ - vs
+            wt, interior = t, True
+        rows.append((rc, rs, drc, drs, ic, is_))
+    return rows
 
 
 def eval_solution(sol: TrigSolution, x: float) -> tuple[float, float]:

@@ -82,6 +82,24 @@ def test_spectrum_reference(problem_file, tmp_path):
     assert float(rows[0][1]) == pytest.approx(math.pi**2 / 4, rel=1e-12)
 
 
+# The reference spectra do not depend on the problem: none is read, so a
+# missing or empty file makes no difference.  A scan still needs one.
+def test_spectrum_reference_reads_no_problem(tmp_path, capsys):
+    assert main(["spectrum", "--reference", "mixed", "--count", "3", "--out", str(tmp_path / "a")]) == 0
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    assert main(["spectrum", str(empty), "--reference", "mixed", "--count", "3", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "reference.csv").read_text() == (tmp_path / "b" / "reference.csv").read_text()
+    _, rows = read_csv(tmp_path / "a" / "reference.csv")
+    assert [float(r[1]) for r in rows] == pytest.approx([((2 * k + 1) * math.pi / 4) ** 2 for k in range(3)])
+    capsys.readouterr()
+    assert main(["spectrum", "--out", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err == "error: spectrum needs a problem file unless --reference is given\n"
+    assert main(["spectrum", str(empty), "--out", str(tmp_path / "c")]) == 2
+    assert "missing top-level key 'minus'" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists() or not os.listdir(tmp_path / "c")
+
+
 def test_predict_table(problem_file, tmp_path):
     code = main(["predict", problem_file, "--k", "0..4", "--out", str(tmp_path)])
     assert code == 0

@@ -314,6 +314,34 @@ def test_multistart_deterministic(half_u0_spec):
     assert list(s1.trace.u) == list(s2.trace.u)
 
 
+# A forced sublinear problem on which every start stops at the same scaled
+# residual ("damping exhausted"): the error reports it, not inf.
+def test_multistart_reports_the_smallest_residual_of_its_starts():
+    spec = ProblemSpec(
+        minus=BoundarySide(0.5582991359201157, -1.9854409272852585, side="minus"),
+        plus=BoundarySide(1.6415742184361892, 1.4005627939316034, (0.412003298287241,), (0.0,),
+                          (-0.167247,), "plus"),
+    )
+    nl = NonlinearitySpec.from_text("xi/(1+abs(xi))", f0=1.0, finf=0.0)
+    h = ForcingTerm.from_text("1.5219703048977613*x")
+    with pytest.raises(NoConvergence, match=r"best residual 1\.080e-02\): not found from 19 starts") as info:
+        solve_bvp_multistart(spec, nl, h, 1.0)
+    assert math.isfinite(info.value.best_residual)
+
+
+def test_multistart_takes_the_smallest_residual_and_skips_other_failures(half_u0_spec, monkeypatch):
+    failures = iter([NoConvergence(3e-2), SingularSystem(1e15), NoConvergence(2e-3),
+                     DivergenceError(0.5), NoConvergence(5e-1)])
+
+    def failing(*args):
+        raise next(failures, NoConvergence(1.0))
+
+    monkeypatch.setattr(shooting, "solve_bvp", failing)
+    with pytest.raises(NoConvergence) as info:
+        solve_bvp_multistart(half_u0_spec, LIN, None, 1.0)
+    assert info.value.best_residual == 2e-3
+
+
 def test_nonresonance_pass(half_u0_spec):
     nl = NonlinearitySpec.from_text("xi/(1+abs(xi))", f0=1.0, finf=0.0)
     v = nonresonance_check(half_u0_spec, nl)

@@ -404,8 +404,10 @@ def test_the_spectrum_does_not_depend_on_the_coefficient_scale(c, half_u0_spec, 
 
 
 # Work counts that do not depend on the hardware: row passes of _bc_rows.
-# A scanned root costs the passes of its bracket's safeguarded Newton
-# (bisection to adjacent floats took about 46); a continued root costs the
+# A scanned root costs the passes of its bracket's safeguarded Newton, about
+# 6.1 from the cell cubic's root (7.3 from the midpoint; bisection to adjacent
+# floats took about 46), and about 4.5 grid passes (8.9 on a grid twice as
+# fine in sqrt(lam)); a continued root costs the
 # Newton iterations of its anchor at t = 0 and of each t step, about 4.7 in
 # all, since one Euler step on the exact tangent usually reaches t = 1.
 def test_row_passes_per_root(monkeypatch):
@@ -430,16 +432,21 @@ def test_row_passes_per_root(monkeypatch):
     monkeypatch.setattr(spectrum, "_bracketed_root", bracketed)
     monkeypatch.setattr(spectrum, "_newton_root", newton)
     rng = np.random.default_rng(17)
-    scan_roots = cont_passes = cont_roots = 0
+    scan_roots = grid_passes = cont_passes = cont_roots = 0
     for _ in range(12):
         spec = random_spec(rng)
-        scan_roots += len(eigen_scan(spec, 2000.0).eigenpairs)
+        before, bracket_before = counts["rows"], counts["bracket"]
+        roots = len(eigen_scan(spec, 2000.0).eigenpairs)
+        scan_roots += roots
+        # less the brackets' passes and each eigenpair's own
+        grid_passes += counts["rows"] - before - (counts["bracket"] - bracket_before) - roots
         before = counts["rows"]
         pairs = continuation_spectrum(spec, 12)
         cont_passes += counts["rows"] - before - len(pairs)  # less each eigenpair's own pass
         cont_roots += len(pairs)
     assert scan_roots > 300
-    assert counts["bracket"] / scan_roots <= 12.0
+    assert counts["bracket"] / scan_roots <= 7.0
+    assert grid_passes / scan_roots <= 5.0
     assert cont_passes / counts["newton"] <= 2.6
     assert cont_passes / cont_roots <= 8.0
 
@@ -478,12 +485,12 @@ def test_scan_roots_are_the_bisection_roots(seed, lambda_max):
     spec = random_spec(np.random.default_rng(seed))
     grid = []
 
-    def recording(spec_, lam):
+    def recording(spec_, lam, *args):
         grid.append(lam)
-        return char_det(spec_, lam)
+        return _gamma(spec_, lam, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectrum, "char_det", recording)
+        patch.setattr(spectrum, "_gamma", recording)
         window = eigen_scan(spec, lambda_max)
     reference = _bisected_roots(spec, sorted(set(grid)))
     assert len(window.eigenpairs) == len(reference)
@@ -491,3 +498,73 @@ def test_scan_roots_are_the_bisection_roots(seed, lambda_max):
         assert abs(ep.lam - lam) <= 1e-14 * max(1.0, abs(lam))
         _, slope, scale = _gamma(spec, lam)
         assert ep.simple == (abs(slope) >= SIMPLE_DET_TOL * scale)
+
+
+def _cosine_square_spec(eps: float) -> ProblemSpec:
+    """u(-1) = 0 and u'(1) = 2*u'(0) + (eps - 1.5)*u'(-1), outside the hypotheses:
+    Gamma(lam) = 2*(cos(w) - 1/2)^2 - eps with w = sqrt(lam).  Each zero of
+    cos(w) - 1/2 is a double root at eps = 0 and a pair of close roots at
+    eps > 0 (cos(w) = 1/2 -+ sqrt(eps/2))."""
+    return ProblemSpec(minus=BoundarySide(1.0, 0.0, side="minus"),
+                       plus=BoundarySide(0.0, 1.0, (0.0, 0.0), (2.0, eps - 1.5), (0.0, -1.0), "plus"))
+
+
+def _fine_grid(lambda_max: float, refine: int) -> list[float]:
+    """The scan's grid refine times finer in sqrt(lam), positive side only."""
+    step = SCAN_STEP_OMEGA / refine
+    return [0.0] + [(n * step) ** 2 for n in range(1, int(math.sqrt(lambda_max) / step) + 1)] + [lambda_max]
+
+
+def test_scan_finds_two_roots_in_one_cell():
+    spec = _cosine_square_spec(0.02)
+    window = eigen_scan(spec, 60.0)
+    lams = window.lambdas()
+    exact = sorted((w0 + 2.0 * math.pi * n) ** 2 for n in range(2)
+                   for c in (0.4, 0.6) for w0 in (math.acos(c), 2.0 * math.pi - math.acos(c)))
+    exact = [lam for lam in exact if lam <= 60.0]
+    assert len(lams) == len(exact) == 6
+    # Each pair shares one cell of the scan's grid, with Gamma > 0 at both ends.
+    cells = [int(math.sqrt(lam) / SCAN_STEP_OMEGA) for lam in lams]
+    assert cells[0::2] == cells[1::2]
+    for n in cells[0::2]:
+        assert all(_gamma(spec, (m * SCAN_STEP_OMEGA) ** 2)[0] > 0.0 for m in (n, n + 1))
+    reference = _bisected_roots(spec, _fine_grid(60.0, 16))
+    assert len(reference) == 6
+    for lam, ref, ex in zip(lams, reference, exact):
+        assert abs(lam - ref) <= 1e-14 * max(1.0, abs(ref))
+        assert abs(lam - ex) <= 1e-12 * ex
+    assert all(ep.simple for ep in window.eigenpairs)
+
+
+# Both sides of Neumann type: constants solve the problem, and Gamma(0) is 0.0
+# exactly at a grid node.  The next root, 0.0618, lies in the same cell.
+def test_scan_examines_the_cell_after_an_exact_zero():
+    spec = ProblemSpec(
+        minus=BoundarySide(0.0, -1.5207841357186678, (0.0,), (-1.5102315221050941,),
+                           (-0.15835921018879584,), "minus"),
+        plus=BoundarySide(0.0, 1.174969315744191, (0.0,), (1.1070409406691926,),
+                          (0.01174659656488164,), "plus"),
+    )
+    assert _gamma(spec, 0.0)[0] == 0.0
+    lams = eigen_scan(spec, 5.0).lambdas()
+    assert lams[0] == 0.0 and 0.0 < lams[1] < SCAN_STEP_OMEGA ** 2
+    reference = _bisected_roots(spec, _fine_grid(5.0, 16))
+    assert len(lams) == len(reference)
+    for lam, ref in zip(lams, reference):
+        assert abs(lam - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+# A root where Gamma touches zero without a sign change: the cell's cubic
+# points at it, and it is reported as non-simple at the extremum of Gamma,
+# not dropped.
+def test_scan_reports_a_touching_root_as_not_simple():
+    spec = _cosine_square_spec(0.0)
+    window = eigen_scan(spec, 2000.0)
+    exact = sorted(w * w for n in range(8) for w in (math.pi / 3.0 + 2.0 * math.pi * n,
+                                                     5.0 * math.pi / 3.0 + 2.0 * math.pi * n)
+                   if w * w <= 2000.0)
+    assert len(window.eigenpairs) == len(exact) == 14
+    for ep, lam in zip(window.eigenpairs, exact):
+        assert not ep.simple
+        assert abs(ep.lam - lam) <= 1e-3 * lam
+        assert abs(_gamma(spec, ep.lam)[0]) <= SIMPLE_DET_TOL * _gamma(spec, ep.lam)[2]

@@ -2,9 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpsl.problem import BoundarySide
-from mpsl.trig import TrigSolution, bc_functional, eval_solution, normalized, sup_norms
+from mpsl.trig import (
+    DS_SERIES_CUTOFF,
+    ZERO_LAMBDA_CUTOFF,
+    TrigSolution,
+    _functional_rows,
+    _fundamental,
+    _fundamental_dlam,
+    bc_functional,
+    eval_solution,
+    normalized,
+    sup_norms,
+)
 
 
 def test_eval_cosine_half_period():
@@ -141,3 +154,47 @@ def test_normalized():
     sol = normalized(TrigSolution(3.7, 0.4, -2.2))
     su, _ = sup_norms(sol)
     assert su == pytest.approx(1.0, rel=1e-15)
+
+
+def _per_term_rows(lam, term_lists, t):
+    """The rows of ``_functional_rows`` from one ``_fundamental`` and one
+    ``_fundamental_dlam`` call per term, summed in the same order."""
+    rows = []
+    for terms in term_lists:
+        rc = rs = drc = drs = ic = is_ = 0.0
+        for n, (a, b, x) in enumerate(terms):
+            y = x + 1.0
+            c, cp, s, sp = _fundamental(lam, y)
+            dc, dcp, ds, dsp = _fundamental_dlam(lam, y, c, s)
+            vc, vs = a * c + b * cp, a * s + b * sp
+            w = t if n else 1.0
+            rc -= w * vc
+            rs -= w * vs
+            drc -= w * (a * dc + b * dcp)
+            drs -= w * (a * ds + b * dsp)
+            if n:
+                ic -= vc
+                is_ -= vs
+        rows.append((rc, rs, drc, drs, ic, is_))
+    return rows
+
+
+# lam on both sides of ZERO_LAMBDA_CUTOFF, and lam*y^2 on both sides of
+# DS_SERIES_CUTOFF (y = x + 1 runs over [0, 2]), with whole scan magnitudes.
+_LAMBDAS = st.one_of(
+    st.floats(-3.0 * ZERO_LAMBDA_CUTOFF, 3.0 * ZERO_LAMBDA_CUTOFF),
+    st.floats(-2.0 * DS_SERIES_CUTOFF, 2.0 * DS_SERIES_CUTOFF),
+    st.floats(-25.0, 25.0),
+    st.floats(0.0, 4e6),
+    st.sampled_from([0.0, -0.0, ZERO_LAMBDA_CUTOFF, -ZERO_LAMBDA_CUTOFF, DS_SERIES_CUTOFF / 4.0]),
+)
+_TERM = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(lam=_LAMBDAS, t=st.floats(0.0, 1.0),
+       term_lists=st.lists(st.lists(_TERM, min_size=1, max_size=4), min_size=1, max_size=2))
+def test_functional_rows_are_the_per_term_rows_bit_for_bit(lam, t, term_lists):
+    fused = _functional_rows(lam, term_lists, t)
+    per_term = _per_term_rows(lam, term_lists, t)
+    assert [[v.hex() for v in row] for row in fused] == [[v.hex() for v in row] for row in per_term]
