@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import UnresolvableZeros
+from .reference import _bracketed_root
 from .trig import ZERO_LAMBDA_CUTOFF, TrigSolution, _phase_form, eval_solution, sup_norms
 from .trig import reflected as _trig_reflected
 
@@ -268,14 +269,18 @@ def _closed_zeros(sol: TrigSolution, which: str) -> list[float]:
 def _sampled_zeros(trace: SampledTrace, which: str, slope_bound: float) -> list[float]:
     """Real roots of the per-cell interpolant of the requested channel.
 
+    A node whose sample is exactly 0 is a root, unless the channel's
+    polynomial vanishes identically on both its cells (inside a flat run).
     Candidate cells are those with a sign change or a value within reach of
     ``slope_bound`` (a bound on the channel's slope), found in one numpy
-    pass.  Each candidate's cubic (u) or quadratic (u') then loses, on
-    Python floats, its leading coefficients below 1e-14 of its largest and
-    its trailing zeros (one root s = 0 each); the companion matrices are
-    grouped by size, one ``np.linalg.eigvals`` call per size.  That is what
-    ``np.roots`` does cell by cell, so the roots are the same to the bit.  A
-    cell with a sign change always yields a root, clamped into the cell.
+    pass.  Each candidate's polynomial p on s in [0, 1], the cubic (u) or
+    its derivative quadratic (u'), is split at its critical points in
+    (0, 1).  A piece whose end values are nonzero and of opposite sign holds
+    one root, which ``_bracketed_root`` closes; the values at s = 0 and 1
+    are the node samples, not p rounded there, so a sign change between two
+    samples always yields one root in their cell.  A critical point c where
+    p touches zero, 0 <= 2 p(c)/p''(c) <= 1e-18 (np.roots' |imag| <= 1e-9
+    on the local quadratic), is a root.
     """
     import numpy as np
 
@@ -283,41 +288,28 @@ def _sampled_zeros(trace: SampledTrace, which: str, slope_bound: float) -> list[
     a, b, c, d, h = trace._cells
     vals = trace.u if which == "u" else trace.up
     v0, v1 = vals[:-1], vals[1:]
-    sign_change = v0 * v1 < 0.0
     near = np.minimum(np.abs(v0), np.abs(v1)) <= h * slope_bound * 1.5 + 1e-300
-    cells = np.nonzero(sign_change | near)[0]
-    rows = list(zip(cells.tolist(), *(v[cells].tolist() for v in (x, h, sign_change, a, b, c, d))))
-    trims, by_size = [], {}  # (companion size, trailing zeros) per cell; size -> polynomials
-    for *_, a0, b0, c0, d0 in rows:
-        p = (a0, b0, c0, d0) if which == "u" else (3.0 * a0, 2.0 * b0, c0)
-        cut, first, last = 1e-14 * max(map(abs, p)), 0, len(p) - 1
-        while first <= last and not abs(p[first]) > cut:
-            first += 1
-        while last > first and p[last] == 0.0:
-            last -= 1
-        trims.append((last - first, len(p) - 1 - last) if first < len(p) - 1 else (0, 0))
-        if first < last:
-            by_size.setdefault(last - first, []).append(p[first:last + 1])
-    for n, ps in by_size.items():
-        p = np.array(ps)
-        comp = np.zeros((len(ps), n, n))
-        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
-        by_size[n] = iter(np.linalg.eigvals(comp).tolist())
-    zeros = []
-    for (i, x0, h0, change, *_), (n, trailing) in zip(rows, trims):
-        roots = (next(by_size[n]) if n else []) + [0.0] * trailing  # in np.roots order
-        top = 1.0 + 1e-12 if i == len(h) - 1 else 1.0
-        ok = [r.real for r in roots if abs(r.imag) <= 1e-9 and r.real >= -1e-12 and r.real < top]
-        # Rounding can put a sign-change cell's root outside it (a zero beside a node,
-        # with a far second root); take the nearest, and the merge drops a twin.
-        if not ok and change:
-            ok = [min(roots, key=lambda r: abs(r - 0.5)).real]
-        zeros += [x0 + min(max(s, 0.0), 1.0) * h0 for s in ok]
+    cells = np.nonzero((v0 * v1 < 0.0) | near)[0]
+
+    def flat(i):  # p is identically 0 on cell i, or there is no cell i
+        return not 0 <= i < len(h) or not (a[i] or b[i] or c[i] or (which == "u" and d[i]))
+
+    zeros = [float(x[j]) for j in np.flatnonzero(vals == 0.0).tolist() if not (flat(j - 1) and flat(j))]
+    for x0, h0, f0, f1, a0, b0, c0, d0 in zip(*(v[cells].tolist() for v in (x, h, v0, v1, a, b, c, d))):
+        p3, p2, p1, p0 = (a0, b0, c0, d0) if which == "u" else (0.0, 3.0 * a0, 2.0 * b0, c0)
+        p = lambda s: (((p3 * s + p2) * s + p1) * s + p0, (3.0 * p3 * s + 2.0 * p2) * s + p1)
+        disc = p2 * p2 - 3.0 * p3 * p1  # of p'(s) = 3*p3*s^2 + 2*p2*s + p1; no real root: q = nan
+        q = -(p2 + math.copysign(math.sqrt(disc), p2)) if disc >= 0.0 else math.nan
+        crit = sorted(s for s in (q / (3.0 * p3) if p3 else -1.0, p1 / q if q else -1.0) if 0.0 < s < 1.0)
+        ends = [(0.0, f0)] + [(s, p(s)[0]) for s in crit] + [(1.0, f1)]
+        zeros += [x0 + _bracketed_root(p, lo, hi, g_lo) * h0
+                  for (lo, g_lo), (hi, g_hi) in zip(ends, ends[1:]) if g_lo < 0.0 < g_hi or g_hi < 0.0 < g_lo]
+        zeros += [x0 + s * h0 for s, g in ends[1:-1]  # p touches zero at s (p''(s) = 0: only if p(s) is)
+                  if g == 0.0 or 0.0 <= 2.0 * g / (6.0 * p3 * s + 2.0 * p2 or math.nan) <= 1e-18]
     zeros.sort()
-    # Roots recovered from both sides of a shared node differ by solver
-    # noise (~1e-12); merge well below the cluster threshold so genuine
-    # near-tangencies still raise.
+    # A root can come twice, from the two cells beside a node or from a
+    # double critical point; merge well below the cluster threshold so
+    # genuine near-tangencies still raise.
     merged: list[float] = []
     for z in zeros:
         if merged and z - merged[-1] < 1e-10:

@@ -114,7 +114,8 @@ def _bracketed_root(g, lo: float, hi: float, g_lo: float, x0: float | None = Non
     bracket ends and returns their midpoint as rounded, or an exact zero of g
     met on the way.  Every point lies strictly inside the bracket and becomes
     one of its ends, so it always ends.  Shared by the separated reference
-    spectra and the Gamma scan in ``spectrum``.
+    spectra, the Gamma scan in ``spectrum`` and the sampled zero search in
+    ``nodal``.
     """
     a, b, neg_a = lo, hi, g_lo < 0.0
     x = x0 if x0 is not None and a < x0 < b else 0.5 * (a + b)

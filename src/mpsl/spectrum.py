@@ -171,6 +171,8 @@ def _cell_roots(spec: ProblemSpec, a: float, fa: float, da: float, b: float, fb:
         return []
     lam = a + s * h
     f, d, scale = _gamma(spec, lam)
+    if f == 0.0 and abs(d) <= SIMPLE_DET_TOL * scale:  # met a touching root exactly: no split
+        return [(lam, False)]
     if f == 0.0 or (f < 0.0) != (ga < 0.0):  # two roots: split the cell at lam
         return [(lam, True)] * (f == 0.0) + _cell_roots(spec, a, fa, da, lam, f, d, 0) + \
             _cell_roots(spec, lam, f, d, b, fb, db, 0)

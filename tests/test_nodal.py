@@ -19,7 +19,9 @@ from mpsl.nodal import (
     reflected_trace,
     zeros_of,
 )
+from mpsl.expressions import NonlinearitySpec
 from mpsl.reference import reference_eigenfunction
+from mpsl.shooting import integrate_ivp
 from mpsl.trig import TrigSolution, eval_solution, sup_norms
 
 
@@ -410,11 +412,16 @@ def _per_cell_sampled_zeros(trace, which, slope_bound):
     return [z for z in merged if -1.0 + 1e-12 < z < 1.0 - 1e-12]
 
 
-def _assert_same_zeros(trace):
-    for which, bound in (("u", trace.sup_uprime()), ("uprime", trace.sup_usecond())):
+def _channels(trace):
+    return ("u", trace.sup_uprime()), ("uprime", trace.sup_usecond())
+
+
+def _assert_zeros_near_np_roots(trace):
+    for which, bound in _channels(trace):
         got = _sampled_zeros(trace, which, bound)
         want = _per_cell_sampled_zeros(trace, which, bound)
-        assert [z.hex() for z in got] == [z.hex() for z in want]
+        assert len(got) == len(want)
+        assert all(abs(g - w) <= 1e-15 for g, w in zip(got, want))
 
 
 _X = np.linspace(-1.0, 1.0, 2001)
@@ -444,10 +451,66 @@ def _traces(draw):
     return SampledTrace(_X, u, up)
 
 
+_NL = NonlinearitySpec.from_text("xi*(1+3/(1+xi^2))", f0=4.0, finf=1.0)
+
+
+@st.composite
+def _smooth_traces(draw):
+    """Sampled oscillations as in ``_traces``, without exact zeros or flat
+    windows, or an IntegratedTrace of the worked example's nonlinearity."""
+    if draw(st.booleans()):
+        return integrate_ivp(_NL, None, draw(st.floats(0.5, 60.0)), draw(st.floats(-1.0, 1.0)),
+                             draw(st.floats(0.5, 5.0)))
+    k = draw(st.floats(0.5, 60.0))
+    phase = draw(st.floats(-math.pi, math.pi))
+    amp = draw(st.sampled_from((1e-7, 1e-2, 1.0, 1e4)))
+    return SampledTrace(_X, amp * np.sin(k * _X + phase), amp * k * np.cos(k * _X + phase))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_smooth_traces())
+def test_batched_cell_roots_equal_per_cell_np_roots(trace):
+    """On smooth traces np.roots per candidate cell (the oracle) and the
+    bracketed Newton find as many zeros, each within 1e-15."""
+    _assert_zeros_near_np_roots(trace)
+
+
+def _cell_poly(trace, which, i):
+    a, b, c, d, _ = (float(v) for v in trace._cell_coeffs(i))
+    return (a, b, c, d) if which == "u" else (0.0, 3.0 * a, 2.0 * b, c)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(_traces())
-def test_batched_cell_roots_equal_per_cell_np_roots(trace):
-    _assert_same_zeros(trace)
+def test_sampled_zeros_are_node_zeros_or_cell_roots(trace):
+    """Every cell whose node values change sign holds a reported zero (but the
+    end cells, whose zero may lie within ENDPOINT_GUARD of +-1), and every
+    reported zero is a node zero or a point of a candidate cell where that
+    cell's polynomial is 0 up to rounding."""
+    x = trace.x.tolist()
+    for which, bound in _channels(trace):
+        zeros = _sampled_zeros(trace, which, bound)
+        vals = (trace.u if which == "u" else trace.up).tolist()
+        for i in range(1, len(x) - 2):
+            if vals[i] < 0.0 < vals[i + 1] or vals[i + 1] < 0.0 < vals[i]:
+                assert any(x[i] - 1e-10 <= z <= x[i + 1] + 1e-10 for z in zeros)
+        for z in zeros:
+            k = trace._locate(z)
+            assert any(_cell_holds(trace, which, bound, i, z) for i in (k - 1, k) if x[i] <= z <= x[i + 1])
+
+
+def _cell_holds(trace, which, bound, i, z):
+    """z is a zero node of cell i, or a point of candidate cell i where the
+    cell's polynomial is 0 up to rounding (of z as well)."""
+    x0, x1 = trace.x[i:i + 2].tolist()
+    v0, v1 = (trace.u if which == "u" else trace.up)[i:i + 2].tolist()
+    if (z == x0 and v0 == 0.0) or (z == x1 and v1 == 0.0):
+        return True
+    if not (v0 * v1 < 0.0 or min(abs(v0), abs(v1)) <= (x1 - x0) * bound * 1.5):
+        return False
+    p3, p2, p1, p0 = _cell_poly(trace, which, i)
+    s = (z - x0) / (x1 - x0)
+    return abs(((p3 * s + p2) * s + p1) * s + p0) <= 1e-11 * (abs(p3) + abs(p2) + abs(p1) + abs(p0))
 
 
 # A zero within 3e-14 of a node.  For u' the left cell's quadratic has the
@@ -469,23 +532,42 @@ def test_zero_beside_a_node_is_found(which, w, d):
 
 
 def test_batched_cell_roots_on_degenerate_cells():
-    """Cells with d == 0, with the leading coefficient trimmed away and with
-    2-coefficient polynomials, in both channels, match np.roots cell by cell."""
+    """The zero search's rules on degenerate cells, channel by channel: a node
+    zero is reported at its node, once; a flat zero run gives its edge nodes
+    only; a node sign change gives one zero in its cell even where the
+    cubic's value at s = 1 rounds to the other sign; a touching critical
+    point is one zero."""
     u = np.sin(3.0 * _X)
     up = 3.0 * np.cos(3.0 * _X)
     u[100:140] = 0.5 * (_X[100:140] - _X[100])  # linear: a, b ~ 0, d == 0 at node 100
     up[100:140] = 0.5
-    u[600:620] = 0.0  # flat at zero: the all-zero polynomial is skipped
+    u[600:620] = 0.0  # flat at zero in both channels
     up[600:620] = 0.0
     u[900:960] = 0.0
     up[900:960] = np.linspace(-1e-3, 1e-3, 60)
+    u[1000], up[1000] = 1e-30, 0.074  # sign change at node 1000, and p(1) of cell 999 rounds below 0
+    h = _X[1501] - _X[1500]  # u = 4 (s - 1/2)^2 on cell 1500: p0 = -4, p1 = 4 exactly
+    u[1500:1502], up[1500], up[1501] = 1.0, -4.0 / h, 4.0 / h
     trace = SampledTrace(_X, u, up)
     cells = np.arange(2000)
     a, b, c, d, _ = trace._cell_coeffs(cells)
     assert np.any(d == 0.0) and np.any((a == 0.0) & (b != 0.0))
     assert np.any((a == 0.0) & (b == 0.0) & (c != 0.0))  # u: 2 coefficients
     assert np.any((a == 0.0) & (b != 0.0) & (c != 0.0))  # u': 2 coefficients
-    _assert_same_zeros(trace)
+    a, b, c, d = _cell_poly(trace, "u", 999)
+    assert ((a + b) + c) + d < 0.0 < u[1000]
+    assert _cell_poly(trace, "u", 1500) == (0.0, 4.0, -4.0, 1.0)
+    zeros = {which: _sampled_zeros(trace, which, bound) for which, bound in _channels(trace)}
+
+    def between(which, lo, hi):
+        return [z for z in zeros[which] if _X[lo] <= z <= _X[hi]]
+
+    assert between("u", 99, 101) == [_X[100]]
+    for which in ("u", "uprime"):
+        assert between(which, 599, 619) == [_X[600], _X[619]]
+    beside = between("u", 998, 1001)
+    assert len(beside) == 1 and _X[999] <= beside[0] <= _X[1000]
+    assert between("u", 1499, 1502) == [_X[1500] + 0.5 * h]
 
 
 def test_zeros_of_estimates_the_second_derivative_once(monkeypatch):

@@ -568,3 +568,16 @@ def test_scan_reports_a_touching_root_as_not_simple():
         assert not ep.simple
         assert abs(ep.lam - lam) <= 1e-3 * lam
         assert abs(_gamma(spec, ep.lam)[0]) <= SIMPLE_DET_TOL * _gamma(spec, ep.lam)[2]
+
+
+# Gamma = 2*(cos(w) - 0.9)^2 (u(-1) = 0, u'(1) = 3.6*u'(0) - 2.62*u'(-1)) is
+# 0.0 in floats over a plateau ~1e-8 wide around its first touching root.  A
+# probe that lands on it reports one non-simple root and does not split the
+# cell on the rounding-level slope there.
+def test_scan_reports_a_touching_root_met_exactly_once():
+    spec = ProblemSpec(minus=BoundarySide(1.0, 0.0, side="minus"),
+                       plus=BoundarySide(0.0, 1.0, (0.0, 0.0), (3.6, -2.62), (0.0, -1.0), "plus"))
+    touching = [ep for ep in eigen_scan(spec, 50.0).eigenpairs if 0.2 < ep.lam < 0.21]
+    assert len(touching) == 1 and not touching[0].simple
+    assert _gamma(spec, touching[0].lam)[0] == 0.0
+    assert abs(touching[0].lam - math.acos(0.9) ** 2) <= 1e-7 * math.acos(0.9) ** 2
