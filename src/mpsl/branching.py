@@ -16,12 +16,20 @@ certificate, a nodal audit and the nonlinear energy deviation.
 The nodal-solution pipeline runs the appropriate tracer when the slopes
 f0, finf straddle lam_k, refines the crossing of lam = 1 and returns the
 pair of sign-symmetric solutions with their nodal verdicts.
+
+Where both signs are asked for (``nodal_solutions_at_one`` and a branch
+command without a sign), ``both_signs`` computes the '+' result first.  For
+an odd f (``NonlinearitySpec.odd``) the problem is invariant under
+u -> -u, so the '-' continuum is the '+' one mirrored (Rabinowitz 1971):
+``mirrored_branch`` negates a, b and the residuals and flips the signs of
+the nodal labels, and the '-' solution at lam = 1 is the '+' one negated
+(``SampledSolution.negated``), classified afresh on its trace.  Any other f traces and corrects both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -351,6 +359,24 @@ def branch_from_infinity(
     return branch
 
 
+def mirrored_branch(branch: Branch) -> Branch:
+    """The continuum of -u for an odd f: a, b and the residuals negated,
+    every nodal label's sign flipped; lam, amplitude, arclength, scales and
+    energy deviation kept."""
+    points = [replace(p, shooting=p.shooting.negated(), nodal=tuple(m.negated() for m in p.nodal))
+              for p in branch.points]
+    return replace(branch, sign="-" if branch.sign == "+" else "+", points=points)
+
+
+def both_signs(nl: NonlinearitySpec, compute, mirror):
+    """('+', compute('+')) and then ('-', result): mirror(the '+' result)
+    for an odd f, compute('-') otherwise.  A generator, so the '+' result
+    is used before the '-' one is computed, as in a loop over the signs."""
+    plus = compute("+")
+    yield "+", plus
+    yield "-", mirror(plus) if nl.odd else compute("-")
+
+
 # ---------------------------------------------------------------------------
 # nodal audit
 
@@ -505,11 +531,7 @@ def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutions
     window = max(f0, finf) if math.isfinite(finf) else f0
     _check_uniqueness(spec, k, family, class_index, window + UNIQUENESS_MARGIN)
 
-    certs = {"envelope": cert}
-    branches: dict[str, Branch] = {}
-    solutions: dict[str, SampledSolution] = {}
-    verdicts: dict[str, tuple] = {}
-    for sign in ("+", "-"):
+    def crossing(sign: str) -> tuple[Branch, SampledSolution]:
         if route == FROM_ZERO:
             br = branch_from_zero(spec, nl, k, sign, eps_seed=eps_seed,
                                   stop_at_lambda=1.0, eigenpair=ep)
@@ -518,7 +540,16 @@ def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutions
                                       eigenpair=ep)
         if br.termination != TERM_CROSSED:
             raise NoCrossing(br, f"termination={br.termination}")
-        sol = _polish_crossing(spec, nl, br)
+        return br, _polish_crossing(spec, nl, br)
+
+    def mirrored(pair: tuple[Branch, SampledSolution]) -> tuple[Branch, SampledSolution]:
+        return mirrored_branch(pair[0]), pair[1].negated()
+
+    certs = {"envelope": cert}
+    branches: dict[str, Branch] = {}
+    solutions: dict[str, SampledSolution] = {}
+    verdicts: dict[str, tuple] = {}
+    for sign, (br, sol) in both_signs(nl, crossing, mirrored):
         branches[sign] = br
         solutions[sign] = sol
         verdicts[sign] = tuple(classify(sol.trace).memberships)

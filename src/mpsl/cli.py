@@ -379,17 +379,22 @@ def _branch_files(args, branch, tag: str) -> None:
 
 
 def cmd_branch(args) -> int:
-    from .branching import branch_from_infinity, branch_from_zero
+    from .branching import both_signs, branch_from_infinity, branch_from_zero, mirrored_branch
 
     spec, extras = _load(args.problem)
     nl = _nonlinearity(extras, "branch")
-    signs = [args.sign] if args.sign else ["+", "-"]
+
+    def trace(k: int, sign: str):
+        if args.from_infinity:
+            return branch_from_infinity(spec, nl, k, sign)
+        return branch_from_zero(spec, nl, k, sign, eps_seed=args.eps_seed)
+
     for k in _parse_k_range(args.k):
-        for sign in signs:
-            if args.from_infinity:
-                br = branch_from_infinity(spec, nl, k, sign)
-            else:
-                br = branch_from_zero(spec, nl, k, sign, eps_seed=args.eps_seed)
+        if args.sign:
+            signed = [(args.sign, trace(k, args.sign))]
+        else:  # the '-' branch is the '+' one mirrored for an odd f
+            signed = both_signs(nl, lambda sign: trace(k, sign), mirrored_branch)
+        for sign, br in signed:
             tag = f"branch_k{k}_{'plus' if sign == '+' else 'minus'}"
             _branch_files(args, br, tag)
             print(f"{tag}: {len(br.points)} points, termination {br.termination}")

@@ -315,6 +315,10 @@ def compile_callable(node: Expr, varname: str, namespace: dict = _EVAL_NS) -> Ca
 
 
 def evaluate(node: Expr, **values: float) -> float:
+    """The tree's value, walked node by node in Python arithmetic.  It
+    shares no code with ``compile_callable``'s generated source, so the
+    tests use it as the oracle that the compiled callable is checked
+    against."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -352,6 +356,43 @@ def _walk(node: Expr):
 
 def free_variables(node: Expr) -> set[str]:
     return {n.name for n, _ in _walk(node) if isinstance(n, Var)}
+
+
+_EVEN, _ODD, _NONE = 1, -1, 0  # parities multiply as these signs do
+_EVEN_FUNCTIONS = ("abs", "cos")  # even of any argument with a parity
+_ODD_FUNCTIONS = ("sin", "atan")  # odd of an odd argument
+
+
+def _parity(node: Expr) -> int:
+    """_EVEN, _ODD or _NONE: a parity in the variable that the tree has by
+    construction, decided conservatively.  The variable is odd, numbers are
+    even; + and - keep a parity both sides share, * and / multiply
+    parities; an odd base to an integer literal power has that integer's
+    parity, and an even base to an even power is even; abs and cos of any
+    argument with a parity are even, sin and atan of an odd one odd, and
+    every function of an even argument is even.  Each rule holds in float
+    arithmetic too: negation is exact, rounding is symmetric, Python's **
+    negates an odd integer power of a negative base, and libm's sin, cos
+    and atan are symmetric."""
+    if isinstance(node, Num):
+        return _EVEN
+    if isinstance(node, Var):
+        return _ODD
+    if isinstance(node, Neg):
+        return _parity(node.child)
+    if isinstance(node, Call):
+        arg = _parity(node.arg)
+        if arg == _EVEN or (arg == _ODD and node.fn in _EVEN_FUNCTIONS):
+            return _EVEN
+        return _ODD if arg == _ODD and node.fn in _ODD_FUNCTIONS else _NONE
+    left, right = _parity(node.left), _parity(node.right)
+    if node.op in "+-":
+        return left if left == right else _NONE
+    if node.op in "*/":
+        return left * right
+    if left == _ODD and isinstance(node.right, Num) and node.right.value.is_integer():
+        return _EVEN if node.right.value % 2.0 == 0.0 else _ODD
+    return _EVEN if left == right == _EVEN else _NONE
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +479,20 @@ def _gauss_rules() -> tuple[np.ndarray, np.ndarray, int]:
     return np.concatenate([t_low[n:], t_high[m:]]), np.concatenate([w_low[n:], w_high[m:]]), n
 
 
-def _slope_limit(f: Callable[[float], float], scales: list[float], settled: bool = False) -> float:
-    """lim f(xi)/xi along xi = +-s, s in ``scales`` (ratio 10): the mean over
-    both signs of Richardson's extrapolation of the last two ratios, one
-    level with f(s)/s ~ L + c*s.  Raises as ``_finite_reals`` does, and with
-    ``settled`` a ValueError unless each sign's last two levels and the two
-    signs' last levels agree to SLOPE_SETTLE_TOL * max(1, |level|)."""
+def _slope_levels(f: Callable[[float], float], scales: list[float]) -> tuple[list[float], list[float]]:
+    """f(xi)/xi along xi = +s and along xi = -s, s in ``scales`` (ratio 10):
+    Richardson's extrapolation of each sign's last three ratios, one level
+    with f(s)/s ~ L + c*s, as ([p1, p2], [m1, m2]).  Raises as
+    ``_finite_reals`` does."""
     xs = [sign * s for sign in (1.0, -1.0) for s in scales]
     r = [v / x for v, x in zip(_finite_reals(f, xs, "f", "xi").tolist(), xs)]
     n = len(scales)
-    (p1, p2), (m1, m2) = [[(10.0 * rs[i] - rs[i - 1]) / 9.0 for i in (n - 2, n - 1)] for rs in (r[:n], r[n:])]
-    spread = max(abs(p2 - p1), abs(m2 - m1), abs(p2 - m2))  # a level past the float range never settles
-    if settled and not spread <= SLOPE_SETTLE_TOL * max(1.0, abs(p1), abs(p2), abs(m1), abs(m2)) < math.inf:
-        raise ValueError(f"f(xi)/xi does not settle: its extrapolations differ by {spread:.3g}")
-    return 0.5 * (p2 + m2)
+    return [[(10.0 * rs[i] - rs[i - 1]) / 9.0 for i in (n - 2, n - 1)] for rs in (r[:n], r[n:])]
+
+
+def _settled(spread: float, *levels: float) -> bool:
+    """spread <= SLOPE_SETTLE_TOL * max(1, |level|); a level past the float range never settles."""
+    return spread <= SLOPE_SETTLE_TOL * max(1.0, *map(abs, levels)) < math.inf
 
 
 @dataclass
@@ -491,19 +532,44 @@ class NonlinearitySpec:
 
     @staticmethod
     def _estimate_f0(f: Callable[[float], float]) -> float:
-        return _slope_limit(f, [1e-3, 1e-4, 1e-5, 1e-6], settled=True)
+        """The mean of both signs' last levels, refused (ValueError) unless
+        each sign's last two levels and the two signs' agree."""
+        (p1, p2), (m1, m2) = _slope_levels(f, [1e-3, 1e-4, 1e-5, 1e-6])
+        spread = max(abs(p2 - p1), abs(m2 - m1), abs(p2 - m2))
+        if not _settled(spread, p1, p2, m1, m2):
+            raise ValueError(f"f(xi)/xi does not settle: its extrapolations differ by {spread:.3g}")
+        return 0.5 * (p2 + m2)
 
     @staticmethod
     def _estimate_finf(f: Callable[[float], float]) -> float:
+        """inf where f overflows or both signs' last levels are beyond 1e12
+        in the same direction, else the mean of those levels, refused
+        (ValueError) unless they agree: xi^2 would give 0.0, the mean of
+        two opposite levels.  Whether each sign's levels settle is not
+        checked: xi*abs(xi)^0.5, whose limit is inf, gives 3402.5."""
         try:
-            val = _slope_limit(f, [1e4, 1e5, 1e6, 1e7])
+            (_, plus), (_, minus) = _slope_levels(f, [1e4, 1e5, 1e6, 1e7])
         except OverflowError:
             return math.inf
+        if abs(plus) >= 1e12 and abs(minus) >= 1e12 and (plus > 0.0) == (minus > 0.0):
+            return math.inf
+        if not _settled(abs(plus - minus), plus, minus):
+            raise ValueError(f"f(xi)/xi has the levels {plus:.6g} as xi -> +inf and {minus:.6g} as xi -> -inf")
+        val = 0.5 * (plus + minus)
         return val if abs(val) < 1e12 else math.inf
 
     def __post_init__(self):
         self._f = compile_callable(self.expr, "xi")
         self._f_array = _on_arrays(compile_callable(self.expr, "xi", _ARRAY_NS))
+
+    @functools.cached_property
+    def odd(self) -> bool:
+        """Whether f(-xi) = -f(xi) holds by construction of the expression,
+        as ``_parity`` decides it from the tree: exactly, in floats too.
+        Then -u'' = lam*f(u) is invariant under u -> -u, so ``branching``
+        derives each '-' continuum and solution from the '+' one.  False
+        when the walk proves no parity, even for an f that is odd in fact."""
+        return _parity(self.expr) == _ODD
 
     def f(self, xi: float) -> float:
         return self._f(xi)

@@ -28,7 +28,7 @@ never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import UnresolvableZeros
@@ -168,6 +168,10 @@ class NodalClass:
 
     def label(self) -> str:
         return f"{self.family}_{self.k}^{self.sign}"
+
+    def negated(self) -> "NodalClass":
+        """The class of -u, the same family and index with the other sign."""
+        return replace(self, sign="-" if self.sign == "+" else "+")
 
 
 @dataclass

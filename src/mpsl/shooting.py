@@ -97,6 +97,19 @@ class IntegratedTrace(SampledTrace):
         y += self._y_old.take(seg, axis=1)
         return y
 
+    def negated(self) -> "IntegratedTrace":
+        """The trace of -u on the same steps: every sample, interpolant row
+        and start state is 0.0 - v.  Negation rounds symmetrically, so each
+        value the new trace gives is exactly this trace's negated, and no
+        sample is -0.0."""
+        neg = object.__new__(IntegratedTrace)
+        neg._starts, neg._t_old, neg._h = self._starts, self._t_old, self._h
+        neg._steps = [(t, h, [[0.0 - c for c in row] for row in F], [0.0 - v for v in y])
+                      for t, h, F, y in self._steps]
+        neg._F, neg._y_old = 0.0 - self._F, 0.0 - self._y_old
+        neg.x, neg.u, neg.up, neg._sups = self.x, 0.0 - self.u, 0.0 - self.up, self._sups
+        return neg
+
     def eval(self, x: float) -> tuple[float, float]:
         if not -1.0 - 1e-12 <= x <= 1.0 + 1e-12:
             raise ValueError(f"x={x} outside [-1, 1]")
@@ -130,6 +143,10 @@ class ShootingState:
     lam: float
     residuals: tuple[float, float] = (math.nan, math.nan)
 
+    def negated(self) -> "ShootingState":
+        """The state of -u: a, b and the residuals as 0.0 - v, so no -0.0 appears."""
+        return ShootingState(0.0 - self.a, 0.0 - self.b, self.lam, tuple(0.0 - r for r in self.residuals))
+
 
 @dataclass
 class SampledSolution:
@@ -142,6 +159,12 @@ class SampledSolution:
     @property
     def amplitude(self) -> float:
         return self.trace.sup_u()
+
+    def negated(self) -> "SampledSolution":
+        """-u, a solution wherever u is one and f is odd: the trace and the
+        state negated, the certificates and scales kept."""
+        return SampledSolution(self.trace.negated(), self.shooting.negated(), self.energy_dev,
+                               self.collocation_residual, self.scales)
 
     def accepted(self) -> bool:
         r = self.shooting.residuals
@@ -255,6 +278,8 @@ def integrate_ivp(
 
 
 def bc_residual_on_trace(side: BoundarySide, trace) -> float:
+    """``side.residual`` on a trace's values.  The benchmark's in-process
+    checks call it by this name, on a re-integrated trace."""
     return side.residual(trace.eval)
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from mpsl import branching
@@ -157,6 +159,81 @@ def test_nodal_solutions_pipeline(spec):
     sp, sm = res.solutions["+"], res.solutions["-"]
     assert sm.shooting.a == pytest.approx(-sp.shooting.a, abs=1e-7)
     assert sm.shooting.b == pytest.approx(-sp.shooting.b, abs=1e-7)
+
+
+def _half_digest(res, sign) -> str:
+    """SHA-256 of one sign's branch points and solution at lam = 1: every
+    number as float.hex, every nodal label and the trace samples' bytes."""
+    def hx(v):
+        return "None" if v is None else float(v).hex()
+
+    parts = []
+    for p in res.branches[sign].points:
+        parts += [hx(v) for v in (p.lam, p.shooting.a, p.shooting.b, *p.shooting.residuals, p.amplitude,
+                                  p.arclength, p.energy_dev, *p.scales)]
+        parts += [m.label() for m in p.nodal]
+    sol = res.solutions[sign]
+    parts += [hx(v) for v in (sol.shooting.a, sol.shooting.b, *sol.shooting.residuals, sol.energy_dev,
+                              sol.collocation_residual, *sol.scales)]
+    parts += [m.label() for m in res.verdicts[sign]]
+    parts += [sol.trace.u.tobytes().hex(), sol.trace.up.tobytes().hex()]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def _traced_signs(monkeypatch) -> list[str]:
+    """The sign of every branch_from_zero call that nodal_solutions_at_one makes."""
+    signs, real = [], branching.branch_from_zero
+
+    def traced(spec, nl, k, sign, **kwargs):
+        signs.append(sign)
+        return real(spec, nl, k, sign, **kwargs)
+
+    monkeypatch.setattr(branching, "branch_from_zero", traced)
+    return signs
+
+
+def _negated(v: float) -> float:
+    return 0.0 - v
+
+
+# An odd f traces the '+' half only; it is bit for bit what it was when both
+# halves were traced and corrected.  The '-' half is its exact mirror, and
+# the '-' solution is classified on its own trace.
+def test_odd_f_mirrors_the_minus_half(spec, monkeypatch):
+    traced = _traced_signs(monkeypatch)
+    res = nodal_solutions_at_one(spec, CROSSING, 0)
+    assert traced == ["+"]
+    assert _half_digest(res, "+") == "e19dcaa4e10abffacea27a58a66c4f70dee6071f43c9e82848313c673b7a68d9"
+    plus, minus = res.solutions["+"], res.solutions["-"]
+    assert plus.shooting.b.hex() == "0x1.84d25fa5af439p+1" and minus.shooting.b.hex() == "-0x1.84d25fa5af439p+1"
+    for p, m in zip(res.branches["+"].points, res.branches["-"].points, strict=True):
+        assert (m.lam, m.amplitude, m.arclength, m.energy_dev, m.scales) == \
+            (p.lam, p.amplitude, p.arclength, p.energy_dev, p.scales)
+        assert (m.shooting.a, m.shooting.b) == (_negated(p.shooting.a), _negated(p.shooting.b))
+        assert m.shooting.residuals == tuple(map(_negated, p.shooting.residuals))
+        assert [x.label() for x in m.nodal] == [x.label().replace("^+", "^-") for x in p.nodal]
+    assert (minus.shooting.a, minus.shooting.b) == (_negated(plus.shooting.a), _negated(plus.shooting.b))
+    assert minus.shooting.residuals == tuple(map(_negated, plus.shooting.residuals))
+    for name in ("u", "up"):
+        got, want = getattr(minus.trace, name), getattr(plus.trace, name)
+        assert got.tobytes() == (0.0 - want).tobytes() and not np.signbit(got[got == 0.0]).any()
+    assert "T_1^-" in [m.label() for m in res.verdicts["-"]]
+
+
+# f0 = 4 and finf = 1 as in the worked example, but an even term makes f
+# neither odd nor even: both halves are traced and corrected, as before.
+def test_non_odd_f_traces_both_halves(spec, monkeypatch):
+    nl = NonlinearitySpec.from_text("xi*(1+3/(1+xi^2)) + 0.5*xi^4/(1+xi^6)", f0=4.0, finf=1.0)
+    assert not nl.odd
+    traced = _traced_signs(monkeypatch)
+    res = nodal_solutions_at_one(spec, nl, 0)
+    assert traced == ["+", "-"]
+    assert [len(res.branches[sign].points) for sign in "+-"] == [21, 20]
+    assert [round(res.solutions[sign].shooting.b, 2) for sign in "+-"] == [3.29, -2.74]
+    assert [_half_digest(res, sign) for sign in "+-"] == [
+        "3e1e88ba60b51efe40ae54407af42fc5835cecc576da65fdde2b64bc9d29a16b",
+        "713213d0cf265c8e108884668953e09a9cf0e5b0e2c7bb8876f539b253623037",
+    ]
 
 
 def test_nodal_solutions_no_crossing(spec):

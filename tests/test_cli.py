@@ -203,6 +203,20 @@ def test_branch_files(tmp_path):
     assert svg.startswith("<svg") and 'viewBox="0 0 800 500"' in svg
 
 
+# The worked example's f is odd: the '-' branch is the '+' one mirrored, with
+# a and b negated and every label's sign flipped.
+def test_branch_of_odd_f_writes_the_mirrored_minus_file(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, "nonlinearity": {"f": "xi*(1+3/(1+xi^2))", "f0": 4.0, "finf": 1.0}}))
+    assert main(["branch", str(path), "--k", "0", "--out", str(tmp_path)]) == 0
+    header, plus = read_csv(tmp_path / "branch_k0_plus.csv")
+    minus_header, minus = read_csv(tmp_path / "branch_k0_minus.csv")
+    assert minus_header == header and len(minus) == len(plus) > 5
+    for m, p in zip(minus, plus):
+        assert m[:3] == p[:3] and m[5] == p[5].replace("^+", "^-")
+        assert [float(v) for v in m[3:5]] == [-float(v) for v in p[3:5]] and "-0" not in m[3:5]
+
+
 def test_nodal_solve_files(tmp_path):
     prob = dict(HALF_U0)
     prob["nonlinearity"] = {"f": "xi*(1+3/(1+xi^2))", "f0": 4.0, "finf": 1.0}
@@ -677,6 +691,16 @@ def test_unsettled_f0_exits_2(tmp_path, capsys):
     assert main(["nodal-solve", str(path), "--k", "0", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot estimate f0 (f(xi)/xi does not settle: ") and err.endswith("): declare f0\n")
+
+
+# An undeclared finf whose two signs of xi give opposite levels asks for finf
+# (exit 2); xi^2 went on with finf = 0.0, the mean of +-1.1e7.
+def test_finf_with_opposite_levels_exits_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, "nonlinearity": {"f": "xi^2", "f0": 1.0}}))
+    assert main(["nodal-solve", str(path), "--k", "0", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot estimate finf (f(xi)/xi has the levels ") and err.endswith("): declare finf\n")
 
 
 # A complex constant makes every value of f complex, and a complex value is

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -256,6 +257,51 @@ def test_unsettled_f0_estimate_is_refused(f):
                                    ("xi + 1000*xi^3", 1.0)])
 def test_settled_f0_estimate_is_kept(f, f0):
     assert NonlinearitySpec.from_text(f, finf=1.0).f0 == pytest.approx(f0, rel=1e-7, abs=1e-8)
+
+
+# finf is estimated only where both signs of xi give one level: xi^2 gave
+# 0.0, the mean of its levels +-1.1e7.  Levels beyond 1e12 in the same
+# direction still give inf.
+def test_finf_estimate_with_opposite_levels_is_refused():
+    with pytest.raises(ParseError, match=r"^cannot estimate finf \(f\(xi\)/xi has the levels .*\): declare finf$"):
+        NonlinearitySpec.from_text("xi^2", f0=1.0)
+
+
+def test_superlinear_finf_estimate_is_inf():
+    assert NonlinearitySpec.from_text("xi*(1+xi^2)", f0=1.0).finf == math.inf
+
+
+@pytest.mark.parametrize("f, odd", [
+    ("xi", True), ("-xi^3", True), ("xi/(1+abs(xi))", True), ("xi*(1+3/(1+xi^2))", True),
+    ("sin(xi)*cos(xi)^2", True),
+    ("xi^2", False), ("xi*(2+sin(xi))", False), ("exp(xi)", False), ("xi+1", False), ("xi^0.5", False),
+])
+def test_odd_is_decided_from_the_tree(f, odd):
+    assert NonlinearitySpec.from_text(f, f0=1.0, finf=1.0).odd is odd
+
+
+PARITY_XI = (0.0, 1e-300, 0.1, 0.5, 1.0, 2.0, 3.0, 1e3, 1e300)
+
+
+# Wherever the parity walk calls f odd, the compiled f is odd in floats.
+# The variable x becomes xi, so that every expression is a nonlinearity.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_expression_strings(4).map(lambda text: re.sub(r"\bx\b", "xi", text)))
+@example("sin(xi)*cos(xi)^2 - atan(-xi)^3/(pi + abs(xi))")
+def test_odd_f_is_odd_in_floats(text):
+    try:
+        nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
+    except ParseError:
+        return
+    if not nl.odd:
+        return
+    for xi in PARITY_XI:
+        try:
+            plus, minus = nl.f(xi), nl.f(-xi)
+        except (ArithmeticError, ValueError):
+            continue
+        if all(isinstance(v, float) and math.isfinite(v) for v in (plus, minus)):
+            assert minus == -plus
 
 
 def test_F_values():

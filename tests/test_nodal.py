@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -473,6 +475,21 @@ def test_batched_cell_roots_equal_per_cell_np_roots(trace):
     """On smooth traces np.roots per candidate cell (the oracle) and the
     bracketed Newton find as many zeros, each within 1e-15."""
     _assert_zeros_near_np_roots(trace)
+
+
+# X_k^- := -X_k^+: the negated trace has every membership of the trace, each
+# sign flipped, which is what mirrors the nodal labels of a '-' branch.
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_traces())
+def test_negated_trace_flips_every_membership_sign(trace):
+    negated = SampledTrace(trace.x, 0.0 - trace.u, 0.0 - trace.up)
+    try:
+        want = [m.negated() for m in classify(trace).memberships]
+    except UnresolvableZeros as exc:
+        with pytest.raises(UnresolvableZeros, match=re.escape(str(exc))):
+            classify(negated)
+        return
+    assert classify(negated).memberships == want
 
 
 def _cell_poly(trace, which, i):
