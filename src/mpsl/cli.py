@@ -38,6 +38,7 @@ EXIT_NUMERIC = 3
 EXIT_HYPOTHESIS = 4
 
 TOL_RANGE = (1e-14, 1e-2)
+SIGN_WORDS = {"+": "plus", "-": "minus"}  # the sign in a branch's or nodal solution's file tag
 
 # The gallery abscissae: np.linspace(-1, 1, 401) bit for bit, which also
 # forms i*step + start and sets the last point to stop.
@@ -395,7 +396,7 @@ def cmd_branch(args) -> int:
         else:  # the '-' branch is the '+' one mirrored for an odd f
             signed = both_signs(nl, lambda sign: trace(k, sign), mirrored_branch)
         for sign, br in signed:
-            tag = f"branch_k{k}_{'plus' if sign == '+' else 'minus'}"
+            tag = f"branch_k{k}_{SIGN_WORDS[sign]}"
             _branch_files(args, br, tag)
             print(f"{tag}: {len(br.points)} points, termination {br.termination}")
     return EXIT_OK
@@ -409,7 +410,7 @@ def cmd_nodal_solve(args) -> int:
     for k in _parse_k_range(args.k):
         res = nodal_solutions_at_one(spec, nl, k, eps_seed=args.eps_seed)
         for sign, sol in res.solutions.items():
-            tag = f"nodal_k{k}_{'plus' if sign == '+' else 'minus'}"
+            tag = f"nodal_k{k}_{SIGN_WORDS[sign]}"
             _solution_files(args, sol, tag, {
                 "family": res.family,
                 "class_index": res.class_index,

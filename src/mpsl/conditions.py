@@ -331,7 +331,7 @@ def confirm_prediction(pred: Prediction, trace) -> bool:
     """Does a computed eigenfunction trace confirm a determinate prediction?
 
     Plain verdicts are checked by literal family membership (R verdicts in
-    the mirrored orientation classify the reflected trace).  Redefined
+    the mirrored orientation classify the reflected ``ClosedTrace``).  Redefined
     verdicts weaken the family data at the BC-pinned endpoint: the pinned
     value must vanish there (simply), everything else — the other endpoint,
     zero counts, simplicity, interleaving — is checked as usual, with the

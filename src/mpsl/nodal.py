@@ -150,13 +150,9 @@ class SampledTrace:
         return self.x
 
 
-def reflected_trace(trace: ClosedTrace | SampledTrace) -> ClosedTrace | SampledTrace:
+def reflected_trace(trace: ClosedTrace) -> ClosedTrace:
     """The trace of v(x) = u(-x)."""
-    if isinstance(trace, ClosedTrace):
-        return ClosedTrace(_trig_reflected(trace.sol))
-    if isinstance(trace, SampledTrace):
-        return SampledTrace(-trace.x[::-1], trace.u[::-1], -trace.up[::-1])
-    raise TypeError(f"cannot reflect {type(trace).__name__}")
+    return ClosedTrace(_trig_reflected(trace.sol))
 
 
 @dataclass(frozen=True)

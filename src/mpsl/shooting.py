@@ -11,6 +11,8 @@ damping that takes its Jacobian from a callback, drives both residuals
 below tolerance.  It is the one Newton loop in the package: forced solves
 here and the pseudo-arclength corrector in ``branching`` both run it on
 ``bvp_residual`` and ``bvp_jacobian``, each in its own coordinates.
+``solve_bvp_multistart`` starts Newton from four axis starts (u, u')(-1), then
+continues a forced problem in lam from the linear problem -u'' = h.
 ``integrate_ivp`` and ``bvp_jacobian`` step DOP853 through ``_march``,
 one loop on Python floats for any number of (u, u') pairs, which holds the
 step-size control and every divergence rule and imports nothing of scipy;
@@ -31,12 +33,11 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DivergenceError, NoConvergence, ProblemDataError, SingularSystem
+from .errors import DivergenceError, NoConvergence, SingularSystem
 from .expressions import ForcingTerm, NonlinearitySpec, _on_floats
 from .nodal import SampledTrace, _median_spread
 from .problem import BoundarySide, ProblemSpec
-from .spectrum import eigen_scan, robin_anchor
-from .trig import TrigSolution, normalized
+from .spectrum import eigen_scan
 
 IVP_RTOL = 1e-11
 IVP_ATOL = 1e-12
@@ -50,6 +51,8 @@ NEWTON_MAX_HALVINGS = 30  # solve_bvp step halvings per iteration
 AMPLITUDE_RUNAWAY = 1e8  # forced-solve iterates beyond this |u|_0 are resonance artefacts
 ENERGY_STRIDE = 20
 NONRESONANCE_MARGIN = 10.0
+AXIS_STARTS = ((0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0))  # (u, u')(-1), tried in order
+LAMBDA_RUNGS = 8  # rungs of the forced fallback's continuation in lam from -u'' = h
 
 
 # The sample nodes of every IntegratedTrace: one array on an immutable buffer,
@@ -473,40 +476,37 @@ def solve_bvp(
     return sol
 
 
-def default_guesses(spec: ProblemSpec) -> list[tuple[float, float]]:
-    """Deterministic multistart list: axis seeds plus the first three
-    Robin-anchor eigenfunctions scaled over amplitudes 10^-2 .. 10^2."""
-    guesses: list[tuple[float, float]] = [(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)]
-    try:
-        for k in range(3):
-            lam = robin_anchor(spec, k)
-            psi = normalized(TrigSolution(lam, -spec.minus.beta0, spec.minus.alpha0))
-            for amp in (1e-2, 1e-1, 1.0, 1e1, 1e2):
-                guesses.append((amp * psi.A, amp * psi.B))
-    except ProblemDataError:
-        # Robin anchors need the sign convention; fall back to axis seeds.
-        pass
-    return guesses
-
-
 def solve_bvp_multistart(
     spec: ProblemSpec,
     nl: NonlinearitySpec | None,
     h: ForcingTerm | None,
     lam: float,
 ) -> SampledSolution:
-    """Try ``default_guesses(spec)`` in order; first accepted solution wins.
-    If none is, the error carries the smallest residual of any start."""
-    guesses = default_guesses(spec)
+    """Try ``AXIS_STARTS`` in order; the first accepted solution wins.  Failing
+    that, continue a forced problem in lam from -u'' = h (Leray-Schauder): at
+    lam*j/LAMBDA_RUNGS for j = 0 .. LAMBDA_RUNGS, from (0, 0) and then from the
+    last rung's (a, b), all nonresonant while lam*finf is below lam_0.  h = 0
+    would keep every rung on u = 0, so it gets no ladder.  The error carries
+    the smallest residual of the axis starts."""
     best = math.inf
-    for g in guesses:
+    for start in AXIS_STARTS:
         try:
-            return solve_bvp(spec, nl, h, lam, g)
+            return solve_bvp(spec, nl, h, lam, start)
         except NoConvergence as exc:
             best = min(best, exc.best_residual)
         except (SingularSystem, DivergenceError):
             pass
-    raise NoConvergence(best, f"not found from {len(guesses)} starts")
+    if h is not None:
+        try:
+            sol = solve_bvp(spec, None, h, 0.0, (0.0, 0.0))
+            if sol.amplitude > 0.0:
+                for j in range(1, LAMBDA_RUNGS + 1):
+                    sol = solve_bvp(spec, nl, h, lam * j / LAMBDA_RUNGS, (sol.shooting.a, sol.shooting.b))
+                return sol
+        except (NoConvergence, SingularSystem, DivergenceError):
+            pass
+    ladder = "" if h is None else " or by continuation in lambda from -u'' = h"
+    raise NoConvergence(best, f"not found from {len(AXIS_STARTS)} axis starts{ladder}")
 
 
 @dataclass

@@ -20,7 +20,7 @@ with it each root's exact tangent dlam/dt that the continuation steps on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ContinuationBreakdown, HypothesisError, NumericError, ProblemDataError
 from .nodal import ClosedTrace, NodalClass, classify
@@ -133,7 +133,7 @@ def _eigenpair(spec: ProblemSpec, k: int, lam: float,
     lead = psi.A if psi.A != 0.0 else psi.B
     if signs == {"-"} or (signs != {"+"} and lead < 0.0):
         psi = TrigSolution(lam, -psi.A, -psi.B)
-        memberships = tuple(replace(m, sign="-" if m.sign == "+" else "+") for m in memberships)
+        memberships = tuple(m.negated() for m in memberships)
     return Eigenpair(k=k, lam=lam, psi=psi, nodal=memberships, t_path=t_path,
                      simple=simple and abs(slope) >= SIMPLE_DET_TOL * scale,
                      det_slope=slope,

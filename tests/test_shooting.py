@@ -314,9 +314,36 @@ def test_multistart_deterministic(half_u0_spec):
     assert list(s1.trace.u) == list(s2.trace.u)
 
 
-# A forced sublinear problem on which every start stops at the same scaled
-# residual ("damping exhausted"): the error reports it, not inf.
-def test_multistart_reports_the_smallest_residual_of_its_starts():
+def _counted_solves(monkeypatch) -> list:
+    """Record (nl, lam, start) of every ``solve_bvp`` call from here on."""
+    calls = []
+    solve = shooting.solve_bvp
+
+    def counting(spec, nl, h, lam, start):
+        calls.append((nl, lam, tuple(start)))
+        return solve(spec, nl, h, lam, start)
+
+    monkeypatch.setattr(shooting, "solve_bvp", counting)
+    return calls
+
+
+def test_multistart_is_the_first_axis_start_where_that_one_solves(half_u0_spec):
+    # The selftest's forced problem: (0, 1) solves it, so the answer is that
+    # solve's, bit for bit.
+    nl = NonlinearitySpec.from_text("xi/(1+abs(xi))", f0=1.0, finf=0.0)
+    h = ForcingTerm.from_text("x")
+
+    def hexes(sol):
+        return [float(v).hex() for v in (sol.shooting.a, sol.shooting.b, *sol.trace.u, *sol.trace.up)]
+
+    assert hexes(solve_bvp_multistart(half_u0_spec, nl, h, 1.0)) == hexes(
+        solve_bvp(half_u0_spec, nl, h, 1.0, (0.0, 1.0)))
+
+
+# A forced sublinear problem on which every axis start stops at a scaled
+# residual of about 1e-2 ("damping exhausted"); the continuation in lam from
+# -u'' = h reaches its solution.
+def test_multistart_continues_from_the_linear_problem_where_the_axis_starts_fail(monkeypatch):
     spec = ProblemSpec(
         minus=BoundarySide(0.5582991359201157, -1.9854409272852585, side="minus"),
         plus=BoundarySide(1.6415742184361892, 1.4005627939316034, (0.412003298287241,), (0.0,),
@@ -324,9 +351,64 @@ def test_multistart_reports_the_smallest_residual_of_its_starts():
     )
     nl = NonlinearitySpec.from_text("xi/(1+abs(xi))", f0=1.0, finf=0.0)
     h = ForcingTerm.from_text("1.5219703048977613*x")
-    with pytest.raises(NoConvergence, match=r"best residual 1\.080e-02\): not found from 19 starts") as info:
-        solve_bvp_multistart(spec, nl, h, 1.0)
-    assert math.isfinite(info.value.best_residual)
+    calls = _counted_solves(monkeypatch)
+    sol = solve_bvp_multistart(spec, nl, h, 1.0)
+    assert [start for _, _, start in calls[:4]] == list(shooting.AXIS_STARTS)
+    assert calls[4] == (None, 0.0, (0.0, 0.0))
+    rungs = shooting.LAMBDA_RUNGS
+    assert [lam for _, lam, _ in calls[5:]] == [j / rungs for j in range(1, rungs + 1)]
+    assert sol.accepted() and sol.shooting.lam == 1.0
+    for r, scale in zip(sol.shooting.residuals, sol.scales):
+        assert abs(r) <= 1e-8 * scale
+    tight = integrate_ivp(nl, h, 1.0, sol.shooting.a, sol.shooting.b, rtol=1e-12, atol=1e-14)
+    for side, scale in zip(spec.sides, sol.scales):
+        assert abs(side.residual(tight.eval)) <= 1e-8 * scale
+    assert sol.shooting.a == pytest.approx(-2.2155, abs=1e-4)
+    assert sol.shooting.b == pytest.approx(-0.6230, abs=1e-4)
+
+
+# u'(-1) = 0 and u'(1) = 0.5*u'(0).  For -u'' = g with g > 0 these give
+# 0.5*int_{-1}^0 g + int_0^1 g = 0, so with g = xi/(1+abs(xi)) + 3 > 2 there
+# is no solution, whether the 3 is written as h or as part of f.
+NO_SOLUTION_SPEC = ProblemSpec(
+    minus=BoundarySide(0.0, -1.0, side="minus"),
+    plus=BoundarySide(0.0, 1.0, alpha=(0.0,), beta=(0.5,), eta=(0.0,), side="plus"),
+)
+
+
+def test_multistart_reports_the_smallest_residual_of_its_starts():
+    nl = NonlinearitySpec.from_text("xi/(1+abs(xi))", f0=1.0, finf=0.0)
+    h = ForcingTerm.from_text("3")
+    residuals = []
+    for start in shooting.AXIS_STARTS:
+        try:
+            solve_bvp(NO_SOLUTION_SPEC, nl, h, 1.0, start)
+        except NoConvergence as exc:
+            residuals.append(exc.best_residual)
+        except SingularSystem:
+            pass
+    assert math.isfinite(min(residuals))
+    with pytest.raises(NoConvergence, match="not found from 4 axis starts or by continuation in lambda") as info:
+        solve_bvp_multistart(NO_SOLUTION_SPEC, nl, h, 1.0)
+    assert info.value.best_residual == min(residuals)
+
+
+def test_unforced_multistart_makes_no_fallback_solve(monkeypatch):
+    nl = NonlinearitySpec.from_text("xi/(1+abs(xi)) + 3", f0=1.0, finf=0.0)
+    calls = _counted_solves(monkeypatch)
+    with pytest.raises(NoConvergence, match="not found from 4 axis starts$"):
+        solve_bvp_multistart(NO_SOLUTION_SPEC, nl, None, 1.0)
+    assert [start for _, _, start in calls] == list(shooting.AXIS_STARTS)
+
+
+def test_zero_forcing_climbs_no_ladder(monkeypatch):
+    # h = 0 makes the linear solution u = 0, which every rung would keep; an
+    # exactly zero solution must not be returned.
+    nl = NonlinearitySpec.from_text("xi/(1+abs(xi)) + 3", f0=1.0, finf=0.0)
+    calls = _counted_solves(monkeypatch)
+    with pytest.raises(NoConvergence, match="or by continuation"):
+        solve_bvp_multistart(NO_SOLUTION_SPEC, nl, ForcingTerm.from_text("0"), 1.0)
+    assert calls[4:] == [(None, 0.0, (0.0, 0.0))]
 
 
 def test_multistart_takes_the_smallest_residual_and_skips_other_failures(half_u0_spec, monkeypatch):

@@ -34,7 +34,6 @@ from mpsl.spectrum import (
     eigen_scan,
     robin_anchor,
 )
-from mpsl.shooting import default_guesses
 from mpsl.trig import TrigSolution, _fundamental, _fundamental_dlam
 
 
@@ -295,15 +294,11 @@ def test_robin_anchor_errors(exc, caught, half_u0_spec, monkeypatch):
         raise exc
 
     monkeypatch.setattr("mpsl.spectrum.robin_anchor", anchor)
-    monkeypatch.setattr("mpsl.shooting.robin_anchor", anchor)
     if caught:
         assert eigen_scan(half_u0_spec, 12.0).robin_count is None
-        assert default_guesses(half_u0_spec) == [(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)]
     else:
         with pytest.raises(TypeError):
             eigen_scan(half_u0_spec, 12.0)
-        with pytest.raises(TypeError):
-            default_guesses(half_u0_spec)
 
 
 # _bc_rows is Gamma's hot path and keeps its own copy of the boundary
