@@ -271,18 +271,13 @@ def _require_f0(nl: NonlinearitySpec) -> None:
 
 
 def _branch_start(spec: ProblemSpec, k: int, sign: str, eigenpair: Eigenpair | None, origin: str,
-                  slope: float, eps_seed: float | None = None):
-    """(ep, branch, s, z0) of a branch leaving lam_k/slope: sign, then eps_seed
-    if given, checked (ValueError); ep looked up unless given; the empty
-    ``Branch``; s = +-1; z0 = (lam_k/slope, 0, 0)."""
+                  slope: float) -> tuple[Eigenpair, Branch]:
+    """(ep, empty Branch) of the branch leaving lam_k/slope: sign checked
+    (ValueError), then ep looked up unless given."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    if eps_seed is not None and not (math.isfinite(eps_seed) and eps_seed > 0.0):
-        raise ValueError(f"eps_seed must be positive and finite, got {eps_seed!r}")
     ep = eigenpair if eigenpair is not None else eigen_continuation(spec, k)
-    lam_star = ep.lam / slope
-    branch = Branch(k=k, sign=sign, origin=origin, origin_lambda=lam_star)
-    return ep, branch, 1.0 if sign == "+" else -1.0, np.array([lam_star, 0.0, 0.0])
+    return ep, Branch(k=k, sign=sign, origin=origin, origin_lambda=ep.lam / slope)
 
 
 def branch_from_zero(
@@ -304,7 +299,9 @@ def branch_from_zero(
     eps_seed must be positive and finite (ValueError).
     """
     _require_f0(nl)
-    ep, branch, s, z0 = _branch_start(spec, k, sign, eigenpair, FROM_ZERO, nl.f0, eps_seed)
+    if not (math.isfinite(eps_seed) and eps_seed > 0.0):
+        raise ValueError(f"eps_seed must be positive and finite, got {eps_seed!r}")
+    ep, branch = _branch_start(spec, k, sign, eigenpair, FROM_ZERO, nl.f0)
     lam_star = branch.origin_lambda
     branch.points.append(
         BranchPoint(
@@ -317,6 +314,8 @@ def branch_from_zero(
         )
     )
 
+    s = 1.0 if sign == "+" else -1.0
+    z0 = np.array([lam_star, 0.0, 0.0])
     # Componentwise, so a zero component keeps the sign of s.
     z1, seed = _seed(spec, nl, z0, np.array([lam_star, eps_seed * s * ep.psi.A, eps_seed * s * ep.psi.B]))
     branch.points.append(_make_point(nl, seed, arclength=float(np.linalg.norm(z1 - z0))))
@@ -343,10 +342,13 @@ def branch_from_infinity(
     """
     if not (math.isfinite(nl.finf) and nl.finf > 0.0):
         raise HypothesisReport("finf in (0, inf)", f"finf={nl.finf}")
-    ep, branch, s, z0 = _branch_start(spec, k, sign, eigenpair, FROM_INFINITY, nl.finf)
+    ep, branch = _branch_start(spec, k, sign, eigenpair, FROM_INFINITY, nl.finf)
+    lam_star = branch.origin_lambda
+    s = 1.0 if sign == "+" else -1.0
+    z0 = np.array([lam_star, 0.0, 0.0])
     for A in (SEED_AMPLITUDE, 10.0 * SEED_AMPLITUDE, 100.0 * SEED_AMPLITUDE):
         try:
-            zb, big = _seed(spec, nl, z0, np.array([branch.origin_lambda, A * s * ep.psi.A, A * s * ep.psi.B]))
+            zb, big = _seed(spec, nl, z0, np.array([lam_star, A * s * ep.psi.A, A * s * ep.psi.B]))
             zs, shrunk = _seed(spec, nl, zb, np.array([zb[0], zb[1] / 1.05, zb[2] / 1.05]))
             break
         except SeedFailure:

@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -391,6 +392,30 @@ def test_multistart_reports_the_smallest_residual_of_its_starts():
     with pytest.raises(NoConvergence, match="not found from 4 axis starts or by continuation in lambda") as info:
         solve_bvp_multistart(NO_SOLUTION_SPEC, nl, h, 1.0)
     assert info.value.best_residual == min(residuals)
+
+
+@pytest.mark.parametrize("rung", [1, 4, shooting.LAMBDA_RUNGS])
+@pytest.mark.parametrize("failure", [NoConvergence(1e-4), SingularSystem(1e15), DivergenceError(0.5)])
+def test_a_failing_rung_ends_the_ladder_with_the_axis_starts_residual(rung, failure, half_u0_spec, monkeypatch):
+    # The linear solve and the rungs below `rung` pass; the rung's own
+    # failure ends the ladder, and its residual (1e-4) is not reported.
+    axis = iter([NoConvergence(3e-2), SingularSystem(1e15), NoConvergence(2e-3), DivergenceError(0.5)])
+    lams = []
+
+    def solving(spec, nl, h, lam, start):
+        lams.append(lam)
+        if len(lams) <= len(shooting.AXIS_STARTS):
+            raise next(axis)
+        if len(lams) == len(shooting.AXIS_STARTS) + 1 + rung:
+            raise failure
+        return SimpleNamespace(amplitude=1.0, shooting=SimpleNamespace(a=lam, b=1.0))
+
+    monkeypatch.setattr(shooting, "solve_bvp", solving)
+    with pytest.raises(NoConvergence, match=r"residual 2\.000e-03\): not found from 4 axis starts or by "
+                                            r"continuation in lambda from -u'' = h$") as info:
+        solve_bvp_multistart(half_u0_spec, LIN, ForcingTerm.from_text("x"), 2.0)
+    assert info.value.best_residual == 2e-3
+    assert lams[4:] == [0.0] + [2.0 * j / shooting.LAMBDA_RUNGS for j in range(1, rung + 1)]
 
 
 def test_unforced_multistart_makes_no_fallback_solve(monkeypatch):
