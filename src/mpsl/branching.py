@@ -272,8 +272,7 @@ def _require_f0(nl: NonlinearitySpec) -> None:
 
 def _branch_start(spec: ProblemSpec, k: int, sign: str, eigenpair: Eigenpair | None, origin: str,
                   slope: float) -> tuple[Eigenpair, Branch]:
-    """(ep, empty Branch) of the branch leaving lam_k/slope: sign checked
-    (ValueError), then ep looked up unless given."""
+    """(ep, empty Branch) leaving lam_k/slope; sign checked (ValueError), ep looked up unless given."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     ep = eigenpair if eigenpair is not None else eigen_continuation(spec, k)
@@ -343,12 +342,11 @@ def branch_from_infinity(
     if not (math.isfinite(nl.finf) and nl.finf > 0.0):
         raise HypothesisReport("finf in (0, inf)", f"finf={nl.finf}")
     ep, branch = _branch_start(spec, k, sign, eigenpair, FROM_INFINITY, nl.finf)
-    lam_star = branch.origin_lambda
     s = 1.0 if sign == "+" else -1.0
-    z0 = np.array([lam_star, 0.0, 0.0])
+    z0 = np.array([branch.origin_lambda, 0.0, 0.0])
     for A in (SEED_AMPLITUDE, 10.0 * SEED_AMPLITUDE, 100.0 * SEED_AMPLITUDE):
         try:
-            zb, big = _seed(spec, nl, z0, np.array([lam_star, A * s * ep.psi.A, A * s * ep.psi.B]))
+            zb, big = _seed(spec, nl, z0, np.array([z0[0], A * s * ep.psi.A, A * s * ep.psi.B]))
             zs, shrunk = _seed(spec, nl, zb, np.array([zb[0], zb[1] / 1.05, zb[2] / 1.05]))
             break
         except SeedFailure:
