@@ -356,7 +356,9 @@ def cmd_solve(args) -> int:
     spec, extras = _load(args.problem)
     nl = _nonlinearity(extras, "solve")
     h = _forcing(extras)
-    verdict = nonresonance_check(spec, nl)
+    verdict = nonresonance_check(spec, nl, args.lam)
+    if not verdict.ok:
+        print(f"warning: {verdict.reason}", file=sys.stderr)
     sol = solve_bvp_multistart(spec, nl, h, args.lam)
     _solution_files(args, sol, "solution", {"nonresonance": dataclasses.asdict(verdict)})
     print(f"solution found: residuals {sol.shooting.residuals[0]:.3e}, {sol.shooting.residuals[1]:.3e}")

@@ -314,34 +314,6 @@ def compile_callable(node: Expr, varname: str, namespace: dict = _EVAL_NS) -> Ca
     return eval(src, dict(namespace))  # noqa: S307 - our own AST, closed namespace
 
 
-def evaluate(node: Expr, **values: float) -> float:
-    """The tree's value, walked node by node in Python arithmetic.  It
-    shares no code with ``compile_callable``'s generated source, so the
-    tests use it as the oracle that the compiled callable is checked
-    against."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.name not in values:
-            raise ParseError(f"unbound variable {node.name!r}")
-        return values[node.name]
-    if isinstance(node, Neg):
-        return -evaluate(node.child, **values)
-    if isinstance(node, Call):
-        return _EVAL_NS[f"_{node.fn}"](evaluate(node.arg, **values))
-    a = evaluate(node.left, **values)
-    b = evaluate(node.right, **values)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        return a / b
-    return a ** b
-
-
 def _walk(node: Expr):
     """Every (node, level) of a syntax tree, the root at level 1, without recursion."""
     stack = [(node, 1)]

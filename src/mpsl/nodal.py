@@ -28,12 +28,12 @@ never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import UnresolvableZeros
 from .reference import _bracketed_root
-from .trig import ZERO_LAMBDA_CUTOFF, TrigSolution, _phase_form, eval_solution, sup_norms
+from .trig import ZERO_LAMBDA_CUTOFF, TrigSolution, _closed_values, eval_solution
 from .trig import reflected as _trig_reflected
 
 DEFAULT_TOL = 1e-8
@@ -49,13 +49,17 @@ PHASE_COUNT_W_MAX = 1e4
 
 
 class ClosedTrace:
-    """Closed-form solution of -u'' = lam*u; its sup-norms are computed once."""
+    """Closed-form solution of -u'' = lam*u.  Its end values, its phase form
+    (w, R, phi) (None for lam < ZERO_LAMBDA_CUTOFF) and its sup norms are
+    computed once, at construction (``trig._closed_values``)."""
 
     def __init__(self, sol: TrigSolution):
         self.sol = sol
-        self._sups = sup_norms(sol)
+        self.ends, self.phase, self._sups = _closed_values(sol)
 
     def eval(self, x: float) -> tuple[float, float]:
+        if x in (-1.0, 1.0):
+            return self.ends[0 if x < 0.0 else 1]
         return eval_solution(self.sol, x)
 
     def sup_u(self) -> float:
@@ -167,7 +171,7 @@ class NodalClass:
 
     def negated(self) -> "NodalClass":
         """The class of -u, the same family and index with the other sign."""
-        return replace(self, sign="-" if self.sign == "+" else "+")
+        return NodalClass(self.family, self.k, "-" if self.sign == "+" else "+", self.note)
 
 
 @dataclass
@@ -229,15 +233,15 @@ def _closed_range(w: float, phi: float, which: str) -> tuple[float, int, int]:
 def _phase_simple(trace: ClosedTrace, which: str, tol: float) -> bool:
     """The flag of every zero of u (u'): |u'| = R*w there (|u''| = lam*R)."""
     lam = trace.sol.lam
-    w, R, _ = _phase_form(trace.sol)
-    return R * w > tol * trace.sup_uprime() if which == "u" else lam * R > tol * lam * trace.sup_u()
+    w, R, _ = trace.phase
+    return R * w > tol * trace._sups[1] if which == "u" else lam * R > tol * lam * trace._sups[0]
 
 
-def _closed_zeros(sol: TrigSolution, which: str) -> list[float]:
+def _closed_zeros(trace: ClosedTrace, which: str) -> list[float]:
     """Interior zeros of u or u' of a closed form, ascending: for
     lam >= ZERO_LAMBDA_CUTOFF the phase zeros of ``_closed_range``, below it
     at most one (u is linear near lam = 0; one atanh root for lam < 0)."""
-    lam, A, B = sol.lam, sol.A, sol.B
+    lam, A, B = trace.sol.lam, trace.sol.A, trace.sol.B
     if abs(lam) < ZERO_LAMBDA_CUTOFF:
         if which == "u":
             if B == 0.0:
@@ -246,7 +250,7 @@ def _closed_zeros(sol: TrigSolution, which: str) -> list[float]:
             return [y0 - 1.0] if ENDPOINT_GUARD < y0 < 2.0 - ENDPOINT_GUARD else []
         return []  # u' is the constant B: no interior zeros (or identically 0)
     if lam > 0.0:
-        w, R, phi = _phase_form(sol)
+        w, R, phi = trace.phase
         if R == 0.0:
             return []
         offset, first, end = _closed_range(w, phi, which)
@@ -336,7 +340,7 @@ def zeros_of(
     simple = None  # the flag of every zero, where the phase form gives it
     if isinstance(trace, ClosedTrace):
         lam = trace.sol.lam
-        xs = _closed_zeros(trace.sol, which)
+        xs = _closed_zeros(trace, which)
         if lam >= ZERO_LAMBDA_CUTOFF:
             simple = _phase_simple(trace, which, tol)
         elif which == "u":
@@ -396,6 +400,74 @@ def _t_obstruction(ds: list[float], zs: list[float]) -> str | None:
     return None if interleaved else "no-interleaving-zero"
 
 
+def _channel(trace, which: str, tol: float, counted: bool) -> tuple[int, bool, list | None]:
+    """(number of interior zeros of u (of u'), whether all are simple, their
+    ``zeros_of`` list): where ``counted``, from ``_closed_range`` in O(1), no list."""
+    if counted:
+        _, first, end = _closed_range(trace.phase[0], trace.phase[2], which)
+        return end - first, first == end or _phase_simple(trace, which, tol), None
+    zeros = zeros_of(trace, which, tol)
+    return len(zeros), all(simple for _, simple in zeros), zeros
+
+
+def _counted(trace) -> bool:
+    """Do zero counts decide the trace?  A closed form with lam >= ZERO_LAMBDA_CUTOFF,
+    R > 0 and w <= PHASE_COUNT_W_MAX: its zeros of u and u' interleave by construction."""
+    phase = trace.phase if isinstance(trace, ClosedTrace) else None
+    return phase is not None and phase[1] > 0.0 and phase[0] <= PHASE_COUNT_W_MAX
+
+
+def _families(trace, ends, tol: float, counted: bool):
+    """The S, T and R rules on a trace's end values ((u, u')(-1), (u, u')(1)) and
+    sup norms: (status, memberships, u, uprime), u and uprime the ``_channel``
+    results of the channels the rules read (None for the others).  A channel is
+    read once, u before u' when S reads it; T checks the interleaving of zero
+    lists (``_t_obstruction``)."""
+    sup_u, sup_up = trace.sup_u(), trace.sup_uprime()
+    (u_m, up_m), (u_p, up_p) = ends
+    degenerate, nonsimple = ("unclassified", "boundary-degenerate"), ("unclassified", "nonsimple-zero")
+    status: dict = {}
+    u = up = None
+
+    if min(abs(u_m), abs(u_p)) <= tol * sup_u:
+        status["S"] = degenerate
+    else:
+        u = _channel(trace, "u", tol, counted)
+        status["S"] = ("member", NodalClass("S", u[0], _sign(u_m))) if u[1] else nonsimple
+
+    if sup_up == 0.0 or min(abs(up_m), abs(up_p)) <= tol * sup_up:
+        status["T"] = degenerate
+    else:
+        up = _channel(trace, "uprime", tol, counted)
+        if not up[1]:
+            status["T"] = nonsimple
+        else:
+            u = u or _channel(trace, "u", tol, counted)  # T consults both channels
+            reason = None if up[2] is None else _t_obstruction([x for x, _ in up[2]], [x for x, _ in u[2]])
+            status["T"] = ("member", NodalClass("T", up[0], _sign(up_m))) if reason is None else \
+                ("unclassified", reason)
+
+    if sup_up == 0.0 or abs(up_m) <= tol * sup_up or abs(u_p) <= tol * sup_u:
+        status["R"] = degenerate
+    else:
+        u = u or _channel(trace, "u", tol, counted)
+        if not u[1]:
+            status["R"] = nonsimple
+        else:
+            s, z = _sign(up_m), u[0]
+            # u(1)*sign > 0 wants k even, < 0 wants k odd; of the two
+            # admissible counts {z-1, z} exactly one has the right parity.
+            want_even = (u_p > 0.0) == (s == "+")
+            k = z if (z % 2 == 0) == want_even else z - 1  # >= -1, as z >= 0
+            status["R"] = ("member", NodalClass("R", k, s, note="nonstandard" if k == -1 else ""))
+    return status, [entry[1] for entry in status.values() if entry[0] == "member"], u, up
+
+
+def _memberships(trace: ClosedTrace, tol: float = DEFAULT_TOL) -> list[NodalClass]:
+    """``classify(trace, tol).memberships`` of a closed form, without the result."""
+    return _families(trace, trace.ends, tol, _counted(trace))[1]
+
+
 def classify(trace: ClosedTrace | SampledTrace, tol: float = DEFAULT_TOL, spec=None) -> ClassificationResult:
     """All S/T/R memberships of a trace (they are not mutually exclusive).
 
@@ -406,83 +478,24 @@ def classify(trace: ClosedTrace | SampledTrace, tol: float = DEFAULT_TOL, spec=N
     vanish at an endpoint and the plain families cannot apply).  tol lies
     in (0, 1): as |u(+-1)| <= |u|_0, tol >= 1 makes every boundary degenerate.
     A closed form with lam >= ZERO_LAMBDA_CUTOFF, w <= PHASE_COUNT_W_MAX is
-    decided from zero counts; other traces from zero lists (T by their merge).
+    decided from zero counts, whose lists are built on first read; other
+    traces from zero lists (T by their merge).
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    sup_u = trace.sup_u()
-    sup_up = trace.sup_uprime()
+    sup_u, sup_up = trace.sup_u(), trace.sup_uprime()
     if sup_u == 0.0:
         raise ValueError("cannot classify the zero function")
-    u_m, up_m = trace.eval(-1.0)
-    u_p, up_p = trace.eval(1.0)
-
-    result = ClassificationResult()
-    result.boundary = {"u(-1)": u_m, "u(1)": u_p, "uprime(-1)": up_m, "uprime(1)": up_p}
-
-    by_counts = False
-    if isinstance(trace, ClosedTrace) and trace.sol.lam >= ZERO_LAMBDA_CUTOFF:
-        w, R, phi = _phase_form(trace.sol)
-        by_counts = R > 0.0 and w <= PHASE_COUNT_W_MAX
-    counted: dict[str, tuple[int, bool]] = {}
-
-    def count(which: str) -> tuple[int, bool]:
-        """The number of interior zeros of u (of u') and whether all are simple."""
-        if which not in counted:
-            name = "zeros_u" if which == "u" else "zeros_uprime"
-            if by_counts:
-                _, first, end = _closed_range(w, phi, which)
-                result._pending[name] = (trace, which, tol)
-                counted[which] = end - first, first == end or _phase_simple(trace, which, tol)
-            else:
-                zeros = zeros_of(trace, which, tol)
-                setattr(result, name, zeros)
-                counted[which] = len(zeros), all(simple for _, simple in zeros)
-        return counted[which]
-
-    if min(abs(u_m), abs(u_p)) <= tol * sup_u:
-        result.status["S"] = ("unclassified", "boundary-degenerate")
-    else:
-        z, simple = count("u")
-        if simple:
-            cls = NodalClass("S", z, _sign(u_m))
-            result.status["S"] = ("member", cls)
-            result.memberships.append(cls)
-        else:
-            result.status["S"] = ("unclassified", "nonsimple-zero")
-
-    if sup_up == 0.0 or min(abs(up_m), abs(up_p)) <= tol * sup_up:
-        result.status["T"] = ("unclassified", "boundary-degenerate")
-    else:
-        d, simple = count("uprime")
-        if not simple:
-            result.status["T"] = ("unclassified", "nonsimple-zero")
-        else:
-            count("u")  # T consults both channels; a phase form's alternate pi/(2w) apart
-            reason = None if by_counts else _t_obstruction([x for x, _ in result.zeros_uprime],
-                                                       [x for x, _ in result.zeros_u])
-            if reason is not None:
-                result.status["T"] = ("unclassified", reason)
-            else:
-                cls = NodalClass("T", d, _sign(up_m))
-                result.status["T"] = ("member", cls)
-                result.memberships.append(cls)
-
-    if sup_up == 0.0 or abs(up_m) <= tol * sup_up or abs(u_p) <= tol * sup_u:
-        result.status["R"] = ("unclassified", "boundary-degenerate")
-    else:
-        z, simple = count("u")
-        if not simple:
-            result.status["R"] = ("unclassified", "nonsimple-zero")
-        else:
-            s = _sign(up_m)
-            # u(1)*sign > 0 wants k even, < 0 wants k odd; of the two
-            # admissible counts {z-1, z} exactly one has the right parity.
-            want_even = (u_p > 0.0) == (s == "+")
-            k = z if (z % 2 == 0) == want_even else z - 1  # >= -1, as z >= 0
-            cls = NodalClass("R", k, s, note="nonstandard" if k == -1 else "")
-            result.status["R"] = ("member", cls)
-            result.memberships.append(cls)
+    counted = _counted(trace)
+    ends = (u_m, up_m), (u_p, up_p) = trace.eval(-1.0), trace.eval(1.0)
+    status, members, u, up = _families(trace, ends, tol, counted)
+    result = ClassificationResult(members, status,
+                                  boundary={"u(-1)": u_m, "u(1)": u_p, "uprime(-1)": up_m, "uprime(1)": up_p})
+    for name, which, read in (("zeros_u", "u", u), ("zeros_uprime", "uprime", up)):
+        if read is not None and counted:
+            result._pending[name] = (trace, which, tol)
+        elif read is not None:
+            setattr(result, name, read[2])
 
     if spec is not None:
         result.satisfies_minus_bc, result.satisfies_plus_bc = (

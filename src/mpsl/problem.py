@@ -124,7 +124,7 @@ class BoundarySide:
         """The condition as terms (a, b, x) with residual = -sum(a*u(x) + b*u'(x)):
         the endpoint's first, its sign flipped, then the interior ones.
 
-        Gamma's rows (``spectrum._bc_rows``) read them.  Every a and b is
+        Gamma's rows (``spectrum._det``) read them.  Every a and b is
         multiplied by one power of two, which brings the largest |coefficient|
         into [0.5, 1) when it lies outside [2^-100, 2^100] and is exactly 1
         inside.  A positive factor does not change the condition, so Gamma

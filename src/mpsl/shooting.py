@@ -37,7 +37,7 @@ from .errors import DivergenceError, NoConvergence, SingularSystem
 from .expressions import ForcingTerm, NonlinearitySpec, _on_floats
 from .nodal import SampledTrace, _median_spread
 from .problem import BoundarySide, ProblemSpec
-from .spectrum import eigen_scan
+from .spectrum import SCAN_MAX_POINTS, SCAN_STEP_OMEGA, eigen_scan
 
 IVP_RTOL = 1e-11
 IVP_ATOL = 1e-12
@@ -519,9 +519,11 @@ class NonresonanceVerdict:
     out_of_scope: bool = False
 
 
-def nonresonance_check(spec: ProblemSpec, nl: NonlinearitySpec) -> NonresonanceVerdict:
-    """Solvability check for -u'' = f(u) + h: finf finite and off the spectrum
-    (scanned up to finf + NONRESONANCE_MARGIN).
+def nonresonance_check(spec: ProblemSpec, nl: NonlinearitySpec, lam: float = 1.0) -> NonresonanceVerdict:
+    """Solvability check for -u'' = lam*f(u) + h: finf finite and lam*finf off the
+    spectrum (scanned up to lam*finf + NONRESONANCE_MARGIN).  ``finf`` reports f's
+    own limit; the nearest eigenvalue and the distance are those of lam*finf.  A
+    window past the scan ceiling is not checked, and the verdict says so.
 
     Requires alpha0- + alpha0+ > 0; the Neumann-type case is a different
     (non-invertible) theory and is reported out of scope.
@@ -537,12 +539,18 @@ def nonresonance_check(spec: ProblemSpec, nl: NonlinearitySpec) -> NonresonanceV
         )
     if not math.isfinite(nl.finf):
         return NonresonanceVerdict(False, "finf is not finite", nl.finf, None, None)
-    window = eigen_scan(spec, max(nl.finf + NONRESONANCE_MARGIN, NONRESONANCE_MARGIN))
+    level = lam * nl.finf
+    top = max(level + NONRESONANCE_MARGIN, NONRESONANCE_MARGIN)
+    if math.sqrt(top) > SCAN_MAX_POINTS * SCAN_STEP_OMEGA:
+        return NonresonanceVerdict(False, f"lam*finf = {level:.6g} lies past the scan ceiling: not checked",
+                                   nl.finf, None, None)
+    window = eigen_scan(spec, top)
     lams = window.lambdas()
     if not lams:
         return NonresonanceVerdict(True, "no eigenvalues in the window", nl.finf, None, None)
-    nearest = min(lams, key=lambda l: abs(l - nl.finf))
-    dist = abs(nearest - nl.finf)
+    nearest = min(lams, key=lambda l: abs(l - level))
+    dist = abs(nearest - level)
     if dist <= 1e-6:
-        return NonresonanceVerdict(False, "resonant: finf is an eigenvalue", nl.finf, nearest, dist)
+        name = "finf" if lam == 1.0 else f"lam*finf = {level:.12g}"
+        return NonresonanceVerdict(False, f"resonant: {name} is an eigenvalue", nl.finf, nearest, dist)
     return NonresonanceVerdict(True, "", nl.finf, nearest, dist)

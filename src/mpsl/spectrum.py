@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ContinuationBreakdown, HypothesisError, NumericError, ProblemDataError
-from .nodal import ClosedTrace, NodalClass, classify
+from .nodal import ClosedTrace, NodalClass, _memberships
 from .problem import LEVEL_QUADRATIC, ProblemSpec, level_at_least
 from .reference import _bracketed_root, separated_eigenvalue
 from .trig import TrigSolution, _functional_rows, bc_functional, normalized
@@ -75,30 +75,32 @@ class SpectrumWindow:
         return [ep.lam for ep in self.eigenpairs]
 
 
-def _bc_rows(spec: ProblemSpec, lam: float, t: float = 1.0):
-    """``trig._functional_rows`` on both sides' ``row_terms``: ``BoundarySide.residual``
-    on c, s and their lam-derivatives, interior terms scaled by t (at t = 1 bit for bit
-    the unscaled sum), and (i_c, i_s) = d(r_c, r_s)/dt."""
-    return _functional_rows(lam, (spec.minus.row_terms, spec.plus.row_terms), t)
-
-
-def _det(rows) -> tuple[float, float, float, float]:
-    """(Gamma, dGamma/dlam, scale, dGamma/dt) from ``_bc_rows``; scale: product
-    of the value rows' norms."""
+def _det(spec: ProblemSpec, lam: float, t: float = 1.0):
+    """(Gamma, dGamma/dlam, dGamma/dt, rows) at (lam, t) from one ``trig._functional_rows``
+    pass on both sides' ``row_terms``: the rows are ``BoundarySide.residual`` on c, s and
+    their lam-derivatives, interior terms scaled by t (at t = 1 bit for bit the unscaled
+    sum), and (i_c, i_s) = d(r_c, r_s)/dt."""
+    rows = _functional_rows(lam, (spec.minus.row_terms, spec.plus.row_terms), t)
     (m11, m12, d11, d12, i11, i12), (m21, m22, d21, d22, i21, i22) = rows
     return (m11 * m22 - m12 * m21, d11 * m22 + m11 * d22 - d12 * m21 - m12 * d21,
-            math.hypot(m11, m12) * math.hypot(m21, m22) + 1e-300,
-            i11 * m22 + m11 * i22 - i12 * m21 - m12 * i21)
+            i11 * m22 + m11 * i22 - i12 * m21 - m12 * i21, rows)
+
+
+def _scale(rows) -> float:
+    """Gamma's scale: the product of the value rows' norms."""
+    (m11, m12, *_), (m21, m22, *_) = rows
+    return math.hypot(m11, m12) * math.hypot(m21, m22) + 1e-300
 
 
 def _gamma(spec: ProblemSpec, lam: float, t: float = 1.0) -> tuple[float, float, float]:
     """(Gamma, dGamma/dlam, scale) at (lam, t) from one row pass."""
-    return _det(_bc_rows(spec, lam, t))[:3]
+    g, slope, _, rows = _det(spec, lam, t)
+    return g, slope, _scale(rows)
 
 
 def char_det(spec: ProblemSpec, lam: float) -> float:
     """The characteristic determinant Gamma(lam)."""
-    return _gamma(spec, lam)[0]
+    return _det(spec, lam)[0]
 
 
 def _eigenpair(spec: ProblemSpec, k: int, lam: float,
@@ -111,8 +113,7 @@ def _eigenpair(spec: ProblemSpec, k: int, lam: float,
     memberships (X_k^- := -X_k^+), so psi is classified once.
     """
     # The null vector of the larger row, for stability.
-    rows = _bc_rows(spec, lam)
-    _, slope, scale, _ = _det(rows)
+    _, slope, _, rows = _det(spec, lam)
     (m11, m12, *_), (m21, m22, *_) = rows
     if math.hypot(m11, m12) >= math.hypot(m21, m22):
         A, B = -m12, m11
@@ -122,20 +123,21 @@ def _eigenpair(spec: ProblemSpec, k: int, lam: float,
     if nrm == 0.0:
         raise NumericError(f"boundary matrix vanished identically at lam={lam:.6g}")
     try:
-        psi = normalized(TrigSolution(lam, A / nrm, B / nrm))
+        trace = ClosedTrace(normalized(TrigSolution(lam, A / nrm, B / nrm)))
     except ValueError:
         raise NumericError(f"degenerate eigenfunction at lam={lam:.6g}") from None
     try:
-        memberships = tuple(classify(ClosedTrace(psi)).memberships)
+        memberships = tuple(_memberships(trace))
     except NumericError:
         memberships = ()
+    psi = trace.sol
     signs = {m.sign for m in memberships}
     lead = psi.A if psi.A != 0.0 else psi.B
     if signs == {"-"} or (signs != {"+"} and lead < 0.0):
         psi = TrigSolution(lam, -psi.A, -psi.B)
         memberships = tuple(m.negated() for m in memberships)
     return Eigenpair(k=k, lam=lam, psi=psi, nodal=memberships, t_path=t_path,
-                     simple=simple and abs(slope) >= SIMPLE_DET_TOL * scale,
+                     simple=simple and abs(slope) >= SIMPLE_DET_TOL * _scale(rows),
                      det_slope=slope,
                      bc_residuals=(bc_functional(spec.minus, psi), bc_functional(spec.plus, psi)))
 
@@ -160,7 +162,7 @@ def _cell_roots(spec: ProblemSpec, a: float, fa: float, da: float, b: float, fb:
         s = fa / (fa - fb) if fa and fb else 0.5
         for _ in range(3):  # Newton on the cubic from the secant root
             s -= cubic(s) / (((3.0 * p3 * s + 2.0 * p2) * s + ma) or math.inf)
-        return [(_bracketed_root(lambda lam: _gamma(spec, lam)[:2], a, b, ga, a + s * h), True)]
+        return [(_bracketed_root(lambda lam: _det(spec, lam)[:2], a, b, ga, a + s * h), True)]
     disc = p2 * p2 - 3.0 * p3 * ma  # of p'(s) = 3*p3*s^2 + 2*p2*s + ma
     if not (probes and ga and gb) or (ga * da >= 0.0 and ga * db <= 0.0) or disc < 0.0:
         return []  # no probe left, the slopes point away from zero, or p is monotone
@@ -214,7 +216,7 @@ def eigen_scan(spec: ProblemSpec, lambda_max: float) -> SpectrumWindow:
     mu, step = math.sqrt(LAMBDA_MIN_GUARD), SCAN_STEP_OMEGA
     grid = [-(mu - n * step) ** 2 for n in range(math.ceil(mu / step))] + [0.0]
     grid += [(n * step) ** 2 for n in range(1, math.ceil(math.sqrt(lambda_max) / step))] + [lambda_max]
-    nodes = [(lam, *_gamma(spec, lam)[:2]) for lam in grid]
+    nodes = [(lam, *_det(spec, lam)[:2]) for lam in grid]
     roots = [(lam, True) for lam, f, _ in nodes if f == 0.0]
     for (a, fa, da), (b, fb, db) in zip(nodes, nodes[1:]):
         roots += _cell_roots(spec, a, fa, da, b, fb, db)
@@ -243,7 +245,7 @@ def _newton_root(spec: ProblemSpec, lam0: float, t: float) -> tuple[float, float
     lam = lam0
     last_step = math.inf
     for _ in range(15):
-        g, gp, scale, gt = _det(_bc_rows(spec, lam, t))
+        g, gp, gt, rows = _det(spec, lam, t)
         if gp == 0.0 or not math.isfinite(gp):
             raise NumericError("flat determinant in corrector")
         step = g / gp
@@ -253,7 +255,7 @@ def _newton_root(spec: ProblemSpec, lam0: float, t: float) -> tuple[float, float
         if abs(step) > 10.0 * max(1.0, abs(lam0)) and abs(step) > last_step * 4.0:
             raise NumericError("corrector diverging")
         last_step = abs(step)
-    if abs(g) <= 1e-9 * scale:  # Gamma at the last iterate
+    if abs(g) <= 1e-9 * _scale(rows):  # Gamma at the last iterate
         return lam, -gt / gp
     raise NumericError("corrector did not converge")
 

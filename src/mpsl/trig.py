@@ -112,23 +112,24 @@ def bc_functional(side, sol: TrigSolution) -> float:
 
 
 def sup_norms(sol: TrigSolution) -> tuple[float, float]:
-    """Exact (|u|_0, |u'|_0) over [-1, 1].
+    """Exact (|u|_0, |u'|_0) over [-1, 1] (see ``_closed_values``)."""
+    return _closed_values(sol)[2]
 
-    For lam > 0 the candidates are the endpoints plus the interior critical
-    points of the phase-amplitude form R*cos(w(x+1) - phi); for lam <= 0 the
-    maxima sit at the endpoints (|u| has no interior maximum there).
-    """
-    lam = sol.lam
-    u_m, up_m = eval_solution(sol, -1.0)
-    u_p, up_p = eval_solution(sol, 1.0)
+
+def _closed_values(sol: TrigSolution):
+    """(ends, phase, sups), each evaluated once: ends = ((u, u')(-1), (u, u')(1)),
+    phase = ``_phase_form`` for lam >= ZERO_LAMBDA_CUTOFF (else None), and the exact
+    sups = (|u|_0, |u'|_0) over [-1, 1]: the largest of the endpoints and, for lam > 0,
+    the interior critical points of R*cos(w(x+1) - phi) (none for lam <= 0)."""
+    ends = (u_m, up_m), (u_p, up_p) = eval_solution(sol, -1.0), eval_solution(sol, 1.0)
     sup_u = max(abs(u_m), abs(u_p))
     sup_up = max(abs(up_m), abs(up_p))
-    if abs(lam) < ZERO_LAMBDA_CUTOFF or lam < 0.0:
-        return sup_u, sup_up
+    if sol.lam < ZERO_LAMBDA_CUTOFF:
+        return ends, None, (sup_u, sup_up)
 
-    w, R, phi = _phase_form(sol)
+    phase = w, R, phi = _phase_form(sol)
     if R == 0.0:
-        return 0.0, 0.0
+        return ends, phase, (0.0, 0.0)
     span = 2.0 * w  # theta = w*(x+1) ranges over [0, span]
 
     # |u| = R at theta = phi + n*pi, |u'| = R*w at theta = phi + pi/2 + n*pi.
@@ -136,7 +137,7 @@ def sup_norms(sol: TrigSolution) -> tuple[float, float]:
         sup_u = R
     if _multiple_in_range(phi + 0.5 * math.pi, span):
         sup_up = R * w
-    return sup_u, sup_up
+    return ends, phase, (sup_u, sup_up)
 
 
 def _phase_form(sol: TrigSolution) -> tuple[float, float, float]:

@@ -253,7 +253,7 @@ def test_criterion_08_linear_degeneration(half_u0):
 def test_criterion_09_parser_roundtrip():
     t0 = time.perf_counter()
     from test_expressions import PRECEDENCE_FIXTURES, random_tree
-    from mpsl.expressions import evaluate
+    from expr_oracle import evaluate
 
     for text, expected in PRECEDENCE_FIXTURES:
         assert evaluate(parse_expr(text)) == pytest.approx(expected, rel=1e-14)

@@ -125,15 +125,19 @@ def test_spectrum_classifies_each_eigenpair_once(tmp_path, monkeypatch):
     path = tmp_path / "two_mp.json"
     path.write_text(json.dumps(two_mp))
     calls = []
-    original = nodal.classify
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counting(original):
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+        return counted
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("mpsl") and getattr(module, "classify", None) is original:
-            monkeypatch.setattr(module, "classify", counted)
+    # An eigenpair takes its memberships from nodal._memberships, classify's S/T/R rules.
+    for attr in ("classify", "_memberships"):
+        original = getattr(nodal, attr)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mpsl") and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counting(original))
     assert main(["spectrum", str(path), "--lambda-max", "2e4", "--out", str(tmp_path)]) == 0
     _, rows = read_csv(tmp_path / "spectrum.csv")
     assert len(rows) == 91
@@ -187,6 +191,39 @@ def test_solve_warns_of_estimated_limits(limits, estimated, tmp_path, capsys):
     assert main(["solve", str(path), "--out", str(tmp_path)]) == 0
     warned = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
     assert warned == [f"warning: {name} estimated from samples (declare it for exactness)" for name in estimated]
+
+
+# Nonresonance is read at lam*finf, the slope of lam*f at infinity, and a verdict
+# that is not ok is a warning on stderr that leaves the exit code to the solve.
+# On the worked example (finf = 1) lam*finf = lam_0 = 1.73743 is resonance at
+# infinity, and lam*finf = 20 lies between lam_1 = 9.87 and lam_2 = 24.65.
+WORKED = {**HALF_U0, "nonlinearity": {"f": "xi*(1+3/(1+xi^2))", "f0": 4.0, "finf": 1.0}, "forcing": {"h": "x"}}
+
+
+@pytest.mark.parametrize("lam, ok, nearest", [("1", True, 1.7374299783494567),
+                                              ("1.7374299783494567", False, 1.7374299783494567),
+                                              ("20", True, 24.651912513574374)])
+def test_solve_reads_nonresonance_at_lam_times_finf(lam, ok, nearest, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(WORKED))
+    assert main(["solve", str(path), "--lam", lam, "--out", str(tmp_path)]) == 0
+    verdict = json.loads((tmp_path / "solution.json").read_text())["nonresonance"]
+    assert verdict["ok"] is ok and verdict["finf"] == 1.0
+    assert verdict["nearest_eigenvalue"] == pytest.approx(nearest, rel=1e-12)
+    assert verdict["distance"] == pytest.approx(abs(nearest - float(lam)), abs=1e-12)
+    warned = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert warned == ([] if ok else [f"warning: {verdict['reason']}"])
+    assert ok or verdict["reason"].startswith("resonant: lam*finf = 1.73742997835")
+
+
+# u'(-1) = 0, u'(1) = u'(0)/2 with f = exp(xi): Neumann-type, outside the theory.
+def test_solve_warns_that_a_neumann_type_problem_is_out_of_scope(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"minus": {"alpha0": 0.0, "beta0": -1.0},
+                                "plus": {"alpha0": 0.0, "beta0": 1.0, "alpha": [0.0], "beta": [0.5], "eta": [0.0]},
+                                "nonlinearity": {"f": "exp(xi)", "f0": 1.0}}))
+    main(["solve", str(path), "--out", str(tmp_path)])
+    assert "warning: out of scope: Neumann-type problem (alpha0- + alpha0+ = 0)" in capsys.readouterr().err.splitlines()
 
 
 def test_branch_files(tmp_path):

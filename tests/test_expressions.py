@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from expr_oracle import evaluate
 from mpsl.errors import NumericError, ParseError, QuadratureError
 from mpsl.expressions import (
     F_BIG,
@@ -25,7 +26,6 @@ from mpsl.expressions import (
     Var,
     certify_hypotheses,
     compile_callable,
-    evaluate,
     parse_expr,
     to_source,
 )

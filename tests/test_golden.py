@@ -1,0 +1,56 @@
+"""Golden outputs of the linear CLI: `spectrum`, `classify` and `predict` on the
+CI's worked-example, two-roots and touching problems, run in-process and
+compared byte for byte with the files under tests/golden/.
+
+The golden files were written at commit 674c961; this test holds every
+later change to the linear pipeline to the same bytes.  Each run's exit code,
+stdout and stderr are in tests/golden/runs.json; its output files are in
+tests/golden/<problem>-<command>/.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from mpsl.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# The problem files of the CI's determinism step.
+PROBLEMS = {
+    "worked": {"minus": {"alpha0": 1.0, "beta0": 0.0, "alpha": [], "beta": [], "eta": []},
+               "plus": {"alpha0": 1.0, "beta0": 0.0, "alpha": [0.5], "beta": [0.0], "eta": [0.0]},
+               "nonlinearity": {"f": "xi*(1+3/(1+xi^2))", "f0": 4.0, "finf": 1.0}, "forcing": {"h": "x"}},
+    "tworoots": {"minus": {"alpha0": 1.0, "beta0": 0.0},
+                 "plus": {"alpha0": 0.0, "beta0": 1.0, "alpha": [0.0, 0.0], "beta": [2.0, -1.48], "eta": [0.0, -1.0]}},
+    "touching": {"minus": {"alpha0": 1.0, "beta0": 0.0},
+                 "plus": {"alpha0": 0.0, "beta0": 1.0, "alpha": [0.0, 0.0], "beta": [3.6, -2.62], "eta": [0.0, -1.0]}},
+}
+COMMANDS = {
+    "spectrum": ["--lambda-max", "2e4"],
+    "classify": ["--k", "0..40", "--format", "json"],
+    "predict": ["--k", "0..40"],
+}
+RUNS = [(problem, command) for problem in PROBLEMS for command in COMMANDS]
+
+
+def run(problem: str, command: str, tmp_path: pathlib.Path, capsys) -> tuple[dict, pathlib.Path]:
+    """Run one subcommand in-process; its exit code, stdout and stderr, and its output directory."""
+    path = tmp_path / f"{problem}.json"
+    path.write_text(json.dumps(PROBLEMS[problem]))
+    out = tmp_path / "out"
+    code = main([command, str(path), *COMMANDS[command], "--out", str(out)])
+    captured = capsys.readouterr()
+    return {"exit": code, "stdout": captured.out, "stderr": captured.err.replace(str(path), "PROBLEM")}, out
+
+
+@pytest.mark.parametrize("problem, command", RUNS)
+def test_linear_cli_outputs_equal_the_golden_files(problem, command, tmp_path, capsys):
+    record, out = run(problem, command, tmp_path, capsys)
+    assert record == json.loads((GOLDEN / "runs.json").read_text())[f"{problem}-{command}"]
+    golden = GOLDEN / f"{problem}-{command}"
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written == (sorted(p.name for p in golden.iterdir()) if golden.exists() else [])
+    for name in written:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name

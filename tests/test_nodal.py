@@ -637,31 +637,32 @@ def test_phase_form_flags_equal_evaluated_flags(sol, tol):
 
 
 # Work counts that do not depend on the hardware: one classify of a closed
-# form costs the same trig evaluations however many zeros it has.
+# form costs the same trig evaluations however many zeros it has, and its
+# end values, phase form and sup norms are evaluated once, with the trace.
 def test_closed_classify_work_does_not_grow_with_zeros(monkeypatch):
-    counts = {"fundamental": 0, "sup_norms": 0}
-    fundamental, norms = trig._fundamental, trig.sup_norms
+    counts = {"fundamental": 0, "closed_values": 0}
+    fundamental, closed_values = trig._fundamental, trig._closed_values
 
     def counting_fundamental(*args):
         counts["fundamental"] += 1
         return fundamental(*args)
 
-    def counting_sup_norms(*args):
-        counts["sup_norms"] += 1
-        return norms(*args)
+    def counting_closed_values(*args):
+        counts["closed_values"] += 1
+        return closed_values(*args)
 
     monkeypatch.setattr(trig, "_fundamental", counting_fundamental)
-    monkeypatch.setattr(trig, "sup_norms", counting_sup_norms)
-    monkeypatch.setattr(nodal, "sup_norms", counting_sup_norms)
+    monkeypatch.setattr(trig, "_closed_values", counting_closed_values)
+    monkeypatch.setattr(nodal, "_closed_values", counting_closed_values)
     seen = []
     for k in (0, 40, 400):
         w = (k + 0.3) * math.pi / 2.0  # about k zeros of u and of u' on [-1, 1]
-        counts.update(fundamental=0, sup_norms=0)
+        counts.update(fundamental=0, closed_values=0)
         result = classify(ClosedTrace(TrigSolution(w * w, 1.0, 0.5)))
         assert len(result.zeros_u) == k and len(result.zeros_uprime) in (k, k + 1)
         assert len(result.memberships) == 3
         seen.append(dict(counts))
-    assert seen[0] == seen[1] == seen[2] == {"fundamental": 4, "sup_norms": 1}
+    assert seen[0] == seen[1] == seen[2] == {"fundamental": 2, "closed_values": 1}
 
 
 # The count rule against the list rule it replaces, written out here: zero

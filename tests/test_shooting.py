@@ -463,6 +463,18 @@ def test_nonresonance_resonant(half_u0_spec):
     assert not v.ok and "resonant" in v.reason
 
 
+def test_nonresonance_is_read_at_lam_times_finf(half_u0_spec):
+    lam0 = eigen_continuation(half_u0_spec, 0).lam
+    nl = NonlinearitySpec.from_text("xi", f0=1.0, finf=1.0)
+    assert nonresonance_check(half_u0_spec, nl) == nonresonance_check(half_u0_spec, nl, 1.0)
+    v = nonresonance_check(half_u0_spec, nl, lam0)
+    assert not v.ok and v.reason.startswith("resonant: lam*finf") and v.finf == 1.0
+    v = nonresonance_check(half_u0_spec, nl, 20.0)
+    assert v.ok and v.nearest_eigenvalue == pytest.approx(24.6519125136, rel=1e-9)
+    v = nonresonance_check(half_u0_spec, nl, 1e7)
+    assert not v.ok and "scan ceiling" in v.reason
+
+
 def test_nonresonance_out_of_scope():
     spec = ProblemSpec(
         minus=BoundarySide(0.0, -1.0, side="minus"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spec
-from mpsl import spectrum
+from mpsl import spectrum, trig
 from mpsl.cli import main
 from mpsl.errors import HypothesisError, ProblemDataError
 from mpsl.nodal import ClosedTrace, classify
@@ -26,7 +26,7 @@ from mpsl.spectrum import (
     SCAN_MAX_POINTS,
     SCAN_STEP_OMEGA,
     SIMPLE_DET_TOL,
-    _bc_rows,
+    _det,
     _gamma,
     char_det,
     continuation_spectrum,
@@ -157,7 +157,8 @@ def test_gamma_t_derivative_is_the_central_difference(half_u0_spec):
     for spec in (half_u0_spec, *(random_spec(np.random.default_rng(seed)) for seed in range(5))):
         for t in (h, 0.5, 1.0 - h):
             for lam in (-3.7, 0.0, 2.5, 81.0, 1234.5):
-                _, _, scale, g_t = spectrum._det(_bc_rows(spec, lam, t))
+                _, _, g_t, _ = _det(spec, lam, t)
+                scale = _gamma(spec, lam, t)[2]
                 central = (_gamma(spec, lam, t + h)[0] - _gamma(spec, lam, t - h)[0]) / (2.0 * h)
                 assert abs(g_t - central) <= 1e-13 * scale
 
@@ -301,9 +302,9 @@ def test_robin_anchor_errors(exc, caught, half_u0_spec, monkeypatch):
             eigen_scan(half_u0_spec, 12.0)
 
 
-# _bc_rows is Gamma's hot path and keeps its own copy of the boundary
-# functional, sharing each fundamental-pair evaluation between the c and s
-# columns and their lam-derivatives; it must equal BoundarySide.residual on
+# The rows that _det returns are Gamma's hot path and keep their own copy of the
+# boundary functional, sharing each fundamental-pair evaluation between the c and s
+# columns and their lam-derivatives; they must equal BoundarySide.residual on
 # c and on s, and on the derivative pair from trig._fundamental_dlam (at
 # these ordinary magnitudes the power of two in row_terms is exactly 1).
 # Its t columns, the interior terms alone, are the residual with alpha0 = beta0 = 0.
@@ -312,7 +313,7 @@ def test_bc_rows_equal_the_boundary_functional_on_c_and_s():
     for _ in range(30):
         spec = random_spec(rng)
         for lam in (-3.7, 0.0, 1e-12, 2.5, 81.0, 1234.5):
-            rows = _bc_rows(spec, lam)
+            rows = _det(spec, lam)[3]
 
             def dpair(x, col):
                 y = x + 1.0
@@ -398,7 +399,7 @@ def test_the_spectrum_does_not_depend_on_the_coefficient_scale(c, half_u0_spec, 
     assert payload["eigenvalues"] == pytest.approx(expected, rel=1e-14)
 
 
-# Work counts that do not depend on the hardware: row passes of _bc_rows.
+# Work counts that do not depend on the hardware: row passes of _functional_rows.
 # A scanned root costs the passes of its bracket's safeguarded Newton, about
 # 6.1 from the cell cubic's root (7.3 from the midpoint; bisection to adjacent
 # floats took about 46), and about 4.5 grid passes (8.9 on a grid twice as
@@ -407,11 +408,12 @@ def test_the_spectrum_does_not_depend_on_the_coefficient_scale(c, half_u0_spec, 
 # all, since one Euler step on the exact tangent usually reaches t = 1.
 def test_row_passes_per_root(monkeypatch):
     counts = {"rows": 0, "bracket": 0, "newton": 0}
-    bc_rows, bracketed_root, newton_root = spectrum._bc_rows, spectrum._bracketed_root, spectrum._newton_root
+    functional_rows, bracketed_root, newton_root = \
+        spectrum._functional_rows, spectrum._bracketed_root, spectrum._newton_root
 
     def rows(*args):
         counts["rows"] += 1
-        return bc_rows(*args)
+        return functional_rows(*args)
 
     def bracketed(*args):
         before = counts["rows"]
@@ -423,7 +425,7 @@ def test_row_passes_per_root(monkeypatch):
         counts["newton"] += 1
         return newton_root(*args)
 
-    monkeypatch.setattr(spectrum, "_bc_rows", rows)
+    monkeypatch.setattr(spectrum, "_functional_rows", rows)
     monkeypatch.setattr(spectrum, "_bracketed_root", bracketed)
     monkeypatch.setattr(spectrum, "_newton_root", newton)
     rng = np.random.default_rng(17)
@@ -444,6 +446,34 @@ def test_row_passes_per_root(monkeypatch):
     assert grid_passes / scan_roots <= 5.0
     assert cont_passes / counts["newton"] <= 2.6
     assert cont_passes / cont_roots <= 8.0
+
+
+# One eigenpair costs one row pass, and the same trig evaluations whatever its
+# index: two end-value pairs to normalise psi, two for its trace (end values,
+# phase form and sup norms, read by the S/T/R rules), and one per boundary term
+# for its residuals (three on the worked example).
+def test_eigenpair_work_does_not_grow_with_k(monkeypatch, half_u0_spec):
+    lams = eigen_scan(half_u0_spec, 4e5).lambdas()
+    counts = {"rows": 0, "fundamental": 0}
+    functional_rows, fundamental = spectrum._functional_rows, trig._fundamental
+
+    def counting_rows(*args):
+        counts["rows"] += 1
+        return functional_rows(*args)
+
+    def counting_fundamental(*args):
+        counts["fundamental"] += 1
+        return fundamental(*args)
+
+    monkeypatch.setattr(spectrum, "_functional_rows", counting_rows)
+    monkeypatch.setattr(trig, "_fundamental", counting_fundamental)
+    seen = []
+    for k in (0, 40, 400):
+        counts.update(rows=0, fundamental=0)
+        ep = spectrum._eigenpair(half_u0_spec, k, lams[k])
+        seen.append(dict(counts))
+        assert ep.k == k and len(ep.nodal) == 2
+    assert seen[0] == seen[1] == seen[2] == {"rows": 1, "fundamental": 7}
 
 
 def _bisected_roots(spec: ProblemSpec, grid: list[float]) -> list[float]:
@@ -482,10 +512,10 @@ def test_scan_roots_are_the_bisection_roots(seed, lambda_max):
 
     def recording(spec_, lam, *args):
         grid.append(lam)
-        return _gamma(spec_, lam, *args)
+        return _det(spec_, lam, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectrum, "_gamma", recording)
+        patch.setattr(spectrum, "_det", recording)
         window = eigen_scan(spec, lambda_max)
     reference = _bisected_roots(spec, sorted(set(grid)))
     assert len(window.eigenpairs) == len(reference)
