@@ -55,7 +55,7 @@ from .shooting import (
     nonlinear_energy_deviation,
     solve_bvp,
 )
-from .spectrum import CONTINUATION_K_MAX, Eigenpair, continuation_spectrum, eigen_continuation
+from .spectrum import CONTINUATION_K_MAX, Eigenpair, continuation_spectrum
 
 AMPLITUDE_CAP = 1e6
 POINT_BUDGET = 10000
@@ -275,7 +275,7 @@ def _branch_start(spec: ProblemSpec, k: int, sign: str, eigenpair: Eigenpair | N
     """(ep, empty Branch) leaving lam_k/slope; sign checked (ValueError), ep looked up unless given."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    ep = eigenpair if eigenpair is not None else eigen_continuation(spec, k)
+    ep = eigenpair if eigenpair is not None else continuation_spectrum(spec, k)[k]
     return ep, Branch(k=k, sign=sign, origin=origin, origin_lambda=ep.lam / slope)
 
 
@@ -462,7 +462,9 @@ def nodal_solutions_at_one(
     crossing, refines it by secant and polishes with a fixed-lam solve.
     """
     _require_f0(nl)
-    ep = eigen_continuation(spec, k)
+    # One list for psi_k and the uniqueness window; a k past the cap is refused.
+    pairs = continuation_spectrum(spec, min(max(k + 3, 6), max(k, CONTINUATION_K_MAX)))
+    ep = pairs[k]
     lam_k = ep.lam
     f0, finf = nl.f0, nl.finf
 
@@ -479,7 +481,7 @@ def nodal_solutions_at_one(
     route_errors: list[str] = []
     for family in ("T", "S"):
         try:
-            return _run_route(spec, nl, k, ep, family, orientation, eps_seed)
+            return _run_route(spec, nl, k, pairs, family, orientation, eps_seed)
         except HypothesisReport as exc:
             route_errors.append(f"{family}-route: {exc.failed}" + (f" ({exc.detail})" if exc.detail else ""))
     raise HypothesisReport("; ".join(route_errors))
@@ -500,8 +502,8 @@ def _certify(nl: NonlinearitySpec, gamma: float, direction: str, failed: str) ->
     return cert
 
 
-def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutionsResult:
-    lam_k, f0, finf = ep.lam, nl.f0, nl.finf
+def _run_route(spec, nl, k, pairs, family, orientation, eps_seed) -> NodalSolutionsResult:
+    ep, f0, finf = pairs[k], nl.f0, nl.finf
     if family == "T":
         if not _in_family(ep.nodal, "T", k + 1):
             raise HypothesisReport("eigenfunction membership in the derivative family")
@@ -530,7 +532,7 @@ def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutions
     # lam_j inside the crossing window.  The theorems quantify over all such
     # j; this checks the computed spectrum up to the larger slope + margin.
     window = max(f0, finf) if math.isfinite(finf) else f0
-    _check_uniqueness(spec, k, family, class_index, window + UNIQUENESS_MARGIN)
+    _check_uniqueness(spec, pairs, k, family, class_index, window + UNIQUENESS_MARGIN)
 
     def crossing(sign: str) -> tuple[Branch, SampledSolution]:
         if route == FROM_ZERO:
@@ -574,11 +576,12 @@ def _run_route(spec, nl, k, ep, family, orientation, eps_seed) -> NodalSolutions
     )
 
 
-def _check_uniqueness(spec, k, family, class_index, lam_window) -> None:
-    try:
-        pairs = continuation_spectrum(spec, min(max(k + 3, 6), CONTINUATION_K_MAX))
-    except NumericError:
-        raise HypothesisReport("eigenfunction uniqueness", "could not compute the window")
+def _check_uniqueness(spec, pairs, k, family, class_index, lam_window) -> None:
+    """HypothesisReport if some psi_j, j != k, with lam_j <= lam_window lies in
+    the target family.  ``pairs`` is continued further, doubling its k_max up to
+    CONTINUATION_K_MAX, until its last eigenvalue passes lam_window."""
+    while pairs[-1].lam <= lam_window and len(pairs) <= CONTINUATION_K_MAX:
+        pairs = continuation_spectrum(spec, min(2 * (len(pairs) - 1), CONTINUATION_K_MAX))
     for epj in pairs:
         if epj.k != k and epj.lam <= lam_window and _in_family(epj.nodal, family, class_index):
             raise HypothesisReport(

@@ -332,9 +332,9 @@ def cmd_predict(args) -> int:
 
 
 def _solution_files(args, sol, tag: str, extra: dict) -> None:
+    result = classify(sol.trace)  # before any file: an UnresolvableZeros here leaves none
     rows = [[float(x), float(u), float(up)] for x, u, up in zip(sol.trace.x, sol.trace.u, sol.trace.up)]
     reporting.write_csv(os.path.join(args.out, f"{tag}.csv"), ["x", "u", "uprime"], rows)
-    result = classify(sol.trace)
     payload = {
         "a": sol.shooting.a,
         "b": sol.shooting.b,
@@ -386,13 +386,15 @@ def cmd_branch(args) -> int:
 
     spec, extras = _load(args.problem)
     nl = _nonlinearity(extras, "branch")
+    ks = _parse_k_range(args.k)
+    pairs = continuation_spectrum(spec, max(ks))  # one continuation for every k and sign
 
     def trace(k: int, sign: str):
         if args.from_infinity:
-            return branch_from_infinity(spec, nl, k, sign)
-        return branch_from_zero(spec, nl, k, sign, eps_seed=args.eps_seed)
+            return branch_from_infinity(spec, nl, k, sign, eigenpair=pairs[k])
+        return branch_from_zero(spec, nl, k, sign, eps_seed=args.eps_seed, eigenpair=pairs[k])
 
-    for k in _parse_k_range(args.k):
+    for k in ks:
         if args.sign:
             signed = [(args.sign, trace(k, args.sign))]
         else:  # the '-' branch is the '+' one mirrored for an odd f

@@ -57,7 +57,6 @@ class Eigenpair:
     nodal: tuple[NodalClass, ...]
     t_path: tuple[tuple[float, float], ...] | None = None
     simple: bool = True
-    det_slope: float = 0.0
     bc_residuals: tuple[float, float] = (0.0, 0.0)
 
     @property
@@ -106,7 +105,8 @@ def char_det(spec: ProblemSpec, lam: float) -> float:
 def _eigenpair(spec: ProblemSpec, k: int, lam: float,
                t_path: tuple[tuple[float, float], ...] | None = None, simple: bool = True) -> Eigenpair:
     """Eigenpair at the root lam: the null direction of the boundary matrix,
-    normalized and signed, with its nodal class, Gamma slope and simple flag.
+    normalized and signed, with its nodal class and its simple flag (from
+    the Gamma slope).
 
     Sign rule: '+' nodal class when the classifier gives one; otherwise the
     first nonvanishing of (u(-1), u'(-1)) is positive.  A flip mirrors the
@@ -138,7 +138,6 @@ def _eigenpair(spec: ProblemSpec, k: int, lam: float,
         memberships = tuple(m.negated() for m in memberships)
     return Eigenpair(k=k, lam=lam, psi=psi, nodal=memberships, t_path=t_path,
                      simple=simple and abs(slope) >= SIMPLE_DET_TOL * _scale(rows),
-                     det_slope=slope,
                      bc_residuals=(bc_functional(spec.minus, psi), bc_functional(spec.plus, psi)))
 
 
@@ -260,22 +259,9 @@ def _newton_root(spec: ProblemSpec, lam0: float, t: float) -> tuple[float, float
     raise NumericError("corrector did not converge")
 
 
-def eigen_continuation(spec: ProblemSpec, k: int) -> Eigenpair:
-    """Track lam_k from its Robin anchor at t=0 to the full problem at t=1.
-
-    Euler predictor on the exact tangent in t, Newton corrector in lam (see
-    ``continuation_spectrum``).  The neighbours k-1 and
-    k+1 are tracked alongside to watch for path collisions, which abort with
-    a diagnostic rather than re-indexing.
-    """
-    for ep in continuation_spectrum(spec, k, k_lo=max(0, k - 1)):
-        if ep.k == k:
-            return ep
-    raise NumericError(f"continuation lost index k={k}")  # pragma: no cover
-
-
-def continuation_spectrum(spec: ProblemSpec, k_max: int, k_lo: int = 0) -> list[Eigenpair]:
-    """Continue all indices k_lo..k_max together (plus one guard path above).
+def continuation_spectrum(spec: ProblemSpec, k_max: int) -> list[Eigenpair]:
+    """Continue all indices 0..k_max together (plus one guard path above):
+    the one way to eigenpairs with their oscillation index, list position k.
 
     Each path starts at its Robin anchor, polished by Newton at t = 0.  From
     every accepted t, an Euler step on the exact tangents -Gamma_t/Gamma_lam
@@ -287,7 +273,7 @@ def continuation_spectrum(spec: ProblemSpec, k_max: int, k_lo: int = 0) -> list[
     raises ContinuationBreakdown; a k_max past CONTINUATION_K_MAX raises
     ProblemDataError.
     """
-    if k_max < k_lo or k_lo < 0:
+    if k_max < 0:
         raise ValueError("bad index range")
     if k_max > CONTINUATION_K_MAX:
         raise ProblemDataError(f"k = {k_max} is past the largest index continuation takes, "
@@ -296,8 +282,7 @@ def continuation_spectrum(spec: ProblemSpec, k_max: int, k_lo: int = 0) -> list[
         raise HypothesisError(
             "eigenvalue continuation requires the squared-fraction hypothesis level"
         )
-    indices = list(range(k_lo, k_max + 2))
-    lams, tangents = zip(*(_newton_root(spec, robin_anchor(spec, j), 0.0) for j in indices))
+    lams, tangents = zip(*(_newton_root(spec, robin_anchor(spec, j), 0.0) for j in range(k_max + 2)))
     accepted = [(0.0, lams)]  # (t, lams) of every accepted step
 
     t, t_next = 0.0, 1.0
@@ -326,5 +311,5 @@ def continuation_spectrum(spec: ProblemSpec, k_max: int, k_lo: int = 0) -> list[
         t, lams, tangents, t_next = t_next, news, new_tangents, 1.0
         accepted.append((t, lams))
 
-    return [_eigenpair(spec, j, lam, tuple((t, ls[i]) for t, ls in accepted))
-            for i, (j, lam) in enumerate(zip(indices, lams)) if j <= k_max]
+    return [_eigenpair(spec, k, lam, tuple((t, ls[k]) for t, ls in accepted))
+            for k, lam in enumerate(lams[:-1])]

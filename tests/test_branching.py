@@ -20,7 +20,7 @@ from mpsl.branching import (
 from mpsl.errors import HypothesisReport
 from mpsl.expressions import NonlinearitySpec
 from mpsl.problem import BoundarySide, ProblemSpec
-from mpsl.spectrum import eigen_continuation
+from mpsl.spectrum import continuation_spectrum
 
 LIN = NonlinearitySpec.from_text("xi", f0=1.0, finf=1.0)
 CROSSING = NonlinearitySpec.from_text("xi*(1+3/(1+xi^2))", f0=4.0, finf=1.0)
@@ -36,7 +36,7 @@ def spec():
 
 @pytest.fixture(scope="module")
 def lam0(spec):
-    return eigen_continuation(spec, 0).lam
+    return continuation_spectrum(spec, 0)[0].lam
 
 
 def test_linear_branch_is_vertical(spec, lam0):
@@ -234,6 +234,30 @@ def test_non_odd_f_traces_both_halves(spec, monkeypatch):
         "3e1e88ba60b51efe40ae54407af42fc5835cecc576da65fdde2b64bc9d29a16b",
         "713213d0cf265c8e108884668953e09a9cf0e5b0e2c7bb8876f539b253623037",
     ]
+
+
+# f0 = 201 puts the uniqueness window at 203, past lam_6 = 126.5 where the
+# nodal solve's list ends: the list is continued again to k_max = 12, and
+# psi_1 .. psi_8 (lam_8 = 192.8 <= 203 < lam_9 = 246.7) are checked against T_1.
+def test_uniqueness_window_covers_its_lambda_range(spec, monkeypatch):
+    nl = NonlinearitySpec.from_text("xi*(1+200/(1+xi^2))", f0=201.0, finf=1.0)
+    continued, checked = [], []
+    real_spectrum, real_in_family = branching.continuation_spectrum, branching._in_family
+
+    def spectrum(spec, k_max):
+        continued.append(k_max)
+        return real_spectrum(spec, k_max)
+
+    def in_family(nodal, family, index):
+        checked.append((family, index))
+        return real_in_family(nodal, family, index)
+
+    monkeypatch.setattr(branching, "continuation_spectrum", spectrum)
+    monkeypatch.setattr(branching, "_in_family", in_family)
+    res = nodal_solutions_at_one(spec, nl, 0)
+    assert (res.family, res.class_index) == ("T", 1)
+    assert continued == [6, 12]
+    assert checked == [("T", 1)] * 9  # psi_0's own membership, then the eight others
 
 
 def test_nodal_solutions_no_crossing(spec):

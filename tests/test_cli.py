@@ -266,6 +266,58 @@ def test_nodal_solve_files(tmp_path):
     assert "T_1^+" in payload["classification"]["memberships"]
 
 
+NONODD = {**HALF_U0, "nonlinearity": {"f": "xi*(1+3/(1+xi^2)) + 0.5*xi^4/(1+xi^6)", "f0": 4.0, "finf": 1.0}}
+
+
+def _count_continuations(monkeypatch):
+    """Record k_max of every continuation_spectrum call, from any module."""
+    import mpsl.branching
+    import mpsl.cli
+    import mpsl.spectrum
+
+    calls = []
+    real = mpsl.cli.continuation_spectrum
+
+    def counted(spec, k_max):
+        calls.append(k_max)
+        return real(spec, k_max)
+
+    for module in (mpsl.cli, mpsl.branching, mpsl.spectrum):
+        monkeypatch.setattr(module, "continuation_spectrum", counted)
+    return calls
+
+
+# One continued spectrum per run: the nodal solve reads psi_k and its
+# uniqueness window from one list, and a multi-k branch run passes each
+# tracer, for every k and both signs, its eigenpair from one list.
+@pytest.mark.parametrize("command, prob, k_range", [("nodal-solve", WORKED, "0"), ("branch", NONODD, "0..2")])
+def test_a_nonlinear_run_continues_once(command, prob, k_range, tmp_path, monkeypatch):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(prob))
+    calls = _count_continuations(monkeypatch)
+    assert main([command, str(path), "--k", k_range, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+# classify runs before the solution's files are written, so a classification
+# that fails leaves no CSV without its JSON.
+@pytest.mark.parametrize("command, flags", [("solve", []), ("nodal-solve", ["--k", "0"])])
+def test_a_failed_classification_writes_no_solution_file(command, flags, tmp_path, monkeypatch, capsys):
+    import mpsl.cli
+    from mpsl.errors import UnresolvableZeros
+
+    def fail(trace):
+        raise UnresolvableZeros("zeros not resolved")
+
+    monkeypatch.setattr(mpsl.cli, "classify", fail)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(WORKED))
+    out = tmp_path / "out"
+    assert main([command, str(path), *flags, "--out", str(out)]) == 3
+    assert not out.exists() or os.listdir(out) == []
+    assert "zeros not resolved" in capsys.readouterr().err
+
+
 def test_nodal_solve_hypothesis_failure_exit_4(tmp_path):
     prob = dict(HALF_U0)
     prob["nonlinearity"] = {"f": "xi", "f0": 1.0, "finf": 1.0}

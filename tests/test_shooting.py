@@ -25,7 +25,7 @@ from mpsl.shooting import (
     solve_bvp,
     solve_bvp_multistart,
 )
-from mpsl.spectrum import eigen_continuation
+from mpsl.spectrum import continuation_spectrum
 from mpsl.trig import TrigSolution, eval_solution
 
 LIN = NonlinearitySpec.from_text("xi", f0=1.0, finf=1.0)
@@ -172,7 +172,7 @@ def test_solve_bvp_at_exact_resonance(half_u0_spec):
     # singular up to finite-difference noise.  Either the guard fires or
     # Newton lands somewhere on the eigenline (every multiple of psi_0
     # solves the problem there) -- never on a spurious answer.
-    ep = eigen_continuation(half_u0_spec, 0)
+    ep = continuation_spectrum(half_u0_spec, 0)[0]
     try:
         sol = solve_bvp(half_u0_spec, LIN, None, ep.lam, (ep.psi.A + 0.1, ep.psi.B - 0.05))
     except (SingularSystem, NoConvergence):
@@ -184,7 +184,7 @@ def test_solve_bvp_at_exact_resonance(half_u0_spec):
 def test_solve_bvp_forced_resonance_fails(half_u0_spec):
     # Forcing with a component along the eigenfunction leaves no solution at
     # resonance: the solver must fail rather than fabricate one.
-    ep = eigen_continuation(half_u0_spec, 0)
+    ep = continuation_spectrum(half_u0_spec, 0)[0]
     h = ForcingTerm.from_text("1")
     with pytest.raises((SingularSystem, NoConvergence)):
         solve_bvp(half_u0_spec, LIN, h, ep.lam, (0.3, 0.4))
@@ -211,7 +211,7 @@ def test_shooting_jacobian_conditioning_near_spectrum(half_u0_spec):
             J[:, col] = [(r[0] - base[0]) / 1e-6, (r[1] - base[1]) / 1e-6]
         return np.linalg.cond(J)
 
-    lam0 = eigen_continuation(half_u0_spec, 0).lam
+    lam0 = continuation_spectrum(half_u0_spec, 0)[0].lam
     mid = 0.5 * (lam0 + math.pi**2)
     assert jac_cond(lam0 + 0.01) > 1e3 * 0.001
     assert jac_cond(lam0 + 0.01) / jac_cond(mid) > 1e3 * 1e-3
@@ -457,14 +457,14 @@ def test_nonresonance_pass(half_u0_spec):
 
 
 def test_nonresonance_resonant(half_u0_spec):
-    lam0 = eigen_continuation(half_u0_spec, 0).lam
+    lam0 = continuation_spectrum(half_u0_spec, 0)[0].lam
     nl = NonlinearitySpec.from_text("xi", f0=1.0, finf=lam0)
     v = nonresonance_check(half_u0_spec, nl)
     assert not v.ok and "resonant" in v.reason
 
 
 def test_nonresonance_is_read_at_lam_times_finf(half_u0_spec):
-    lam0 = eigen_continuation(half_u0_spec, 0).lam
+    lam0 = continuation_spectrum(half_u0_spec, 0)[0].lam
     nl = NonlinearitySpec.from_text("xi", f0=1.0, finf=1.0)
     assert nonresonance_check(half_u0_spec, nl) == nonresonance_check(half_u0_spec, nl, 1.0)
     v = nonresonance_check(half_u0_spec, nl, lam0)

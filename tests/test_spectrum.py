@@ -30,7 +30,6 @@ from mpsl.spectrum import (
     _gamma,
     char_det,
     continuation_spectrum,
-    eigen_continuation,
     eigen_scan,
     robin_anchor,
 )
@@ -119,7 +118,7 @@ def test_continuation_constant_when_interior_zero():
         plus=BoundarySide(1.0, 0.7, side="plus"),
     )
     for k in range(3):
-        ep = eigen_continuation(spec, k)
+        ep = continuation_spectrum(spec, k)[k]
         anchor = robin_anchor(spec, k)
         assert ep.lam == pytest.approx(anchor, rel=1e-12)
         for _, lam in ep.t_path:
@@ -127,8 +126,8 @@ def test_continuation_constant_when_interior_zero():
 
 
 def test_continuation_half_u0_matches_scan(half_u0_spec):
-    ep0 = eigen_continuation(half_u0_spec, 0)
-    ep1 = eigen_continuation(half_u0_spec, 1)
+    ep0 = continuation_spectrum(half_u0_spec, 0)[0]
+    ep1 = continuation_spectrum(half_u0_spec, 1)[1]
     assert ep0.lam == pytest.approx(bisect_half_u0_ground(), abs=1e-9)
     assert ep1.lam == pytest.approx(math.pi**2, abs=1e-9)
     # index-1 path is constant: the anchor already solves the full problem
@@ -223,7 +222,7 @@ def test_neumann_type_ground_state_is_zero():
         plus=BoundarySide(0.0, 1.0, (0.0,), (-0.1,), (0.2,), "plus"),
     )
     assert spec.hypothesis_level == "linear"
-    ep = eigen_continuation(spec, 0)
+    ep = continuation_spectrum(spec, 0)[0]
     assert abs(ep.lam) <= 1e-12
     # constant eigenfunction
     assert ep.psi.B == pytest.approx(0.0, abs=1e-12)
@@ -238,7 +237,7 @@ def test_positivity_of_ground_state():
         spec = random_spec(rng)
         if spec.minus.alpha0 + spec.plus.alpha0 <= 0.0:
             continue
-        ep = eigen_continuation(spec, 0)
+        ep = continuation_spectrum(spec, 0)[0]
         assert ep.lam > 0.0
         count += 1
     assert count >= 5
@@ -250,7 +249,18 @@ def test_continuation_requires_quadratic_level():
         plus=BoundarySide(1.0, 0.0, side="plus"),
     )
     with pytest.raises(HypothesisError):
-        eigen_continuation(spec, 0)
+        continuation_spectrum(spec, 0)[0]
+
+
+# A caller reads eigenpair k from one list continued to its own k_max: on the
+# worked example the pair of index k <= 3 is the same, in lam, psi, nodal
+# classes and simple flag, whether the list reaches k, k + 1, ... or k + 4.
+def test_eigenpair_does_not_depend_on_the_window(half_u0_spec):
+    for k in range(4):
+        pairs = [continuation_spectrum(half_u0_spec, window)[k] for window in range(k, k + 5)]
+        for ep in pairs:
+            assert (ep.k, ep.lam, ep.psi, ep.nodal, ep.simple) == (
+                k, pairs[0].lam, pairs[0].psi, pairs[0].nodal, pairs[0].simple)
 
 
 def test_monotone_ordering_of_indices(two_mp_spec):
