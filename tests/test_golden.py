@@ -1,11 +1,16 @@
-"""Golden outputs of the linear CLI: `spectrum`, `classify` and `predict` on the
-CI's worked-example, two-roots and touching problems, run in-process and
-compared byte for byte with the files under tests/golden/.
+"""Golden outputs of the CLI, run in-process and compared byte for byte with
+the files under tests/golden/: `spectrum`, `classify` and `predict` on the
+CI's worked-example, two-roots and touching problems, and the nonlinear
+`solve`, `branch` and `nodal-solve`.
 
-The golden files were written at commit 674c961; this test holds every
-later change to the linear pipeline to the same bytes.  Each run's exit code,
-stdout and stderr are in tests/golden/runs.json; its output files are in
-tests/golden/<problem>-<command>/.
+The linear golden files were written at commit 674c961 and the nonlinear ones
+at commit 5613099; this test holds every later change to the same bytes.  The
+nonlinear runs are `solve` on the CI's forced problem, which no axis start
+solves, so it is reached by continuation in lambda, and `solve`, `branch`
+and `nodal-solve` on the worked conditions with f = xi*(1+3/(1+abs(xi))).
+That f has no `^`, so its files do not depend on the platform's `pow`.  Each
+run's exit code, stdout and stderr are in tests/golden/runs.json; its output
+files are in tests/golden/<problem>-<command>/.
 """
 
 import json
@@ -17,22 +22,35 @@ from mpsl.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-# The problem files of the CI's determinism step.
+# The problem files of the CI's determinism step, and the worked conditions with f = xi*(1+3/(1+abs(xi))).
+WORKED_SIDES = {"minus": {"alpha0": 1.0, "beta0": 0.0, "alpha": [], "beta": [], "eta": []},
+                "plus": {"alpha0": 1.0, "beta0": 0.0, "alpha": [0.5], "beta": [0.0], "eta": [0.0]}}
 PROBLEMS = {
-    "worked": {"minus": {"alpha0": 1.0, "beta0": 0.0, "alpha": [], "beta": [], "eta": []},
-               "plus": {"alpha0": 1.0, "beta0": 0.0, "alpha": [0.5], "beta": [0.0], "eta": [0.0]},
-               "nonlinearity": {"f": "xi*(1+3/(1+xi^2))", "f0": 4.0, "finf": 1.0}, "forcing": {"h": "x"}},
+    "worked": {**WORKED_SIDES, "nonlinearity": {"f": "xi*(1+3/(1+xi^2))", "f0": 4.0, "finf": 1.0},
+               "forcing": {"h": "x"}},
     "tworoots": {"minus": {"alpha0": 1.0, "beta0": 0.0},
                  "plus": {"alpha0": 0.0, "beta0": 1.0, "alpha": [0.0, 0.0], "beta": [2.0, -1.48], "eta": [0.0, -1.0]}},
     "touching": {"minus": {"alpha0": 1.0, "beta0": 0.0},
                  "plus": {"alpha0": 0.0, "beta0": 1.0, "alpha": [0.0, 0.0], "beta": [3.6, -2.62], "eta": [0.0, -1.0]}},
+    "forced": {"minus": {"alpha0": 0.5582991359201157, "beta0": -1.9854409272852585},
+               "plus": {"alpha0": 1.6415742184361892, "beta0": 1.4005627939316034, "alpha": [0.412003298287241],
+                        "beta": [0.0], "eta": [-0.167247]},
+               "nonlinearity": {"f": "xi/(1+abs(xi))", "f0": 1.0, "finf": 0.0},
+               "forcing": {"h": "1.5219703048977613*x"}},
+    "abs": {**WORKED_SIDES, "nonlinearity": {"f": "xi*(1+3/(1+abs(xi)))", "f0": 4.0, "finf": 1.0},
+            "forcing": {"h": "x"}},
 }
 COMMANDS = {
     "spectrum": ["--lambda-max", "2e4"],
     "classify": ["--k", "0..40", "--format", "json"],
     "predict": ["--k", "0..40"],
+    "solve": [],
+    "branch": ["--k", "0", "--sign", "+"],
+    "nodal-solve": ["--k", "0"],
 }
-RUNS = [(problem, command) for problem in PROBLEMS for command in COMMANDS]
+RUNS = [(problem, command) for problem in ("worked", "tworoots", "touching")
+        for command in ("spectrum", "classify", "predict")]
+NONLINEAR_RUNS = [("forced", "solve"), ("abs", "solve"), ("abs", "branch"), ("abs", "nodal-solve")]
 
 
 def run(problem: str, command: str, tmp_path: pathlib.Path, capsys) -> tuple[dict, pathlib.Path]:
@@ -45,8 +63,7 @@ def run(problem: str, command: str, tmp_path: pathlib.Path, capsys) -> tuple[dic
     return {"exit": code, "stdout": captured.out, "stderr": captured.err.replace(str(path), "PROBLEM")}, out
 
 
-@pytest.mark.parametrize("problem, command", RUNS)
-def test_linear_cli_outputs_equal_the_golden_files(problem, command, tmp_path, capsys):
+def check_golden(problem: str, command: str, tmp_path: pathlib.Path, capsys) -> None:
     record, out = run(problem, command, tmp_path, capsys)
     assert record == json.loads((GOLDEN / "runs.json").read_text())[f"{problem}-{command}"]
     golden = GOLDEN / f"{problem}-{command}"
@@ -54,3 +71,13 @@ def test_linear_cli_outputs_equal_the_golden_files(problem, command, tmp_path, c
     assert written == (sorted(p.name for p in golden.iterdir()) if golden.exists() else [])
     for name in written:
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("problem, command", RUNS)
+def test_linear_cli_outputs_equal_the_golden_files(problem, command, tmp_path, capsys):
+    check_golden(problem, command, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("problem, command", NONLINEAR_RUNS)
+def test_nonlinear_cli_outputs_equal_the_golden_files(problem, command, tmp_path, capsys):
+    check_golden(problem, command, tmp_path, capsys)
