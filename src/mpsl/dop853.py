@@ -9,18 +9,23 @@ and stage 12 is the right-hand side there; ``E3`` and ``E5`` weight stages
 0-12 for the error estimate.  Stages 13-15 are the extra stages of the dense
 output, and ``D`` gives the four highest rows of the interpolant.
 
-``kernels(pairs)`` compiles one DOP853 step for -u_p'' = lam_p*f(u_p) + h(x),
-p < pairs, to straight-line Python on floats, once per process and pair
-count.  The state is (u_0, u_0', u_1, ...), and k = (u', -(lam*f(u) + h)) is
-written once, with h called once per stage.  ``attempt`` runs stages 1-12 and
-returns the end state, stage 12, the two squared error sums and all stages;
-``dense`` adds stages 13-15 and returns the seven interpolant rows, highest
-power first.  Each stage sum adds its products left to right, as Python does
-in every version.  Compiling the kernels for 1, 3 and 4 pairs took 2.3, 5.8
-and 7.4 ms on a quiet 2-vCPU x86 host, up to twice that under load.
+``kernels(pairs)`` compiles the whole DOP853 march of ``shooting._march``
+for -u_p'' = lam_p*f(u_p) + h(x), p < pairs, to one generator of
+straight-line Python on floats, once per process and pair count: the initial
+step, the step loop with its error control and divergence rules, the dense
+stages on the steps that ask for them, and the yield of each step.  The state
+is (u_0, u_0', u_1, ...), and each stage writes k = (u', -(lam*f(u) + h))
+once, calling h once and f once per pair with no wrapper between; h = 0 is
+folded in where there is no forcing.  Each stage sum adds its products left
+to right, as Python does in every version.  Compiling the march for 1, 3 and
+4 pairs took 3.3, 7.5 and 9.4 ms on a quiet 2-vCPU x86 host, up to twice
+that under load.
 """
 
 import functools
+import math
+
+from .errors import DivergenceError
 
 A = (
     (),
@@ -92,58 +97,101 @@ def _dot(row, i):
     return " + ".join(f"{c!r} * k{j}_{i}" for j, c in enumerate(row) if c)
 
 
+def _float_of(var, fn, arg):
+    """Lines setting var to _<fn>(arg) as a float, or to slow_<fn>(arg) where
+    that raises or gives no float (a complex value)."""
+    return ["try:", f"    {var} = float(_{fn}({arg}))",
+            "except (ArithmeticError, ValueError, TypeError):", f"    {var} = slow_{fn}({arg})"]
+
+
 @functools.cache
 def kernels(pairs: int):
-    """make(hf, f, lams, atol, rtol) -> (rhs, attempt, dense), the kernels
-    for `pairs` (u, u') pairs with h, f, the lams and the tolerances bound."""
-    comps = range(2 * pairs)
+    """march(_f, slow_f, _h, slow_h, lams, y, rtol, atol, dense, budget, limit),
+    the generator ``shooting._march`` returns for `pairs` (u, u') pairs: f is
+    _f, or slow_f where _f raises or gives no float, h likewise (_h None for
+    h = 0), and budget and limit are IVP_MAX_RHS_CALLS and BLOWUP_LIMIT."""
+    comps, n = range(2 * pairs), 2 * pairs
 
     def names(fmt):
         return ", ".join(fmt.format(i) for i in comps)
 
     def rhs(s, x, Y):
         """Lines setting k<s> = (Y', -(lam*f(Y) + h(x))), one pair at a time."""
-        yield f"hx = hf({x})"
+        lines = ["if forced:", f"    x = {x}", *("    " + line for line in _float_of("hx", "h", "x"))]
         for p in range(pairs):
-            yield f"k{s}_{2 * p} = {Y[2 * p + 1]}"
-            yield f"k{s}_{2 * p + 1} = -(lam{p} * f({Y[2 * p]}) + hx)"
+            lines += [f"k{s}_{2 * p} = {Y[2 * p + 1]}", f"a = {Y[2 * p]}", *_float_of("v", "f", "a"),
+                      f"k{s}_{2 * p + 1} = -(lam{p} * v + hx)"]
+        return lines
 
-    def stages(*ss):
+    def stages(t, *ss):
         return [line for s in ss for line in rhs(
-            s, f"t + {C[s]!r} * h", [f"y{i} + ({_dot(A[s], i)}) * h" for i in comps])]
+            s, f"{t} + {C[s]!r} * h", [f"y{i} + ({_dot(A[s], i)}) * h" for i in comps])]
+
+    def rms(v):
+        return f"sqrt(fsum([{', '.join(f'({v}{i} / sc{i}) * ({v}{i} / sc{i})' for i in comps)}]) / {n})"
 
     def squares(e):
         return " + ".join(f"{e}{i} * {e}{i}" for i in comps)
 
-    k = ", ".join(names(f"k{s}_{{}}") for s in range(13))
-    attempt = [*stages(*range(1, 12)), *(f"w{i} = y{i} + h * ({_dot(B, i)})" for i in comps),
-               *rhs(12, "t + h", [f"w{i}" for i in comps])]
+    start = [*rhs(0, "t", [f"y{i}" for i in comps]),
+             f"if not all(map(isfinite, ({names('y{}')}, {names('k0_{}')}))):",
+             "    raise DivergenceError(-1.0)", *(f"sc{i} = atol + abs(y{i}) * rtol" for i in comps),
+             f"d0, d1 = {rms('y')}, {rms('k0_')}",
+             "h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 2.0)",
+             *rhs("i", "t + h0", [f"y{i} + h0 * k0_{i}" for i in comps]),
+             *(f"g{i} = ki_{i} - k0_{i}" for i in comps), f"d2 = {rms('g')} / h0"]
+    attempt = [*stages("t", *range(1, 12)), *(f"w{i} = y{i} + h * ({_dot(B, i)})" for i in comps),
+               *rhs(12, "t + h", [f"w{i}" for i in comps]), "nfev += 12"]
     for i in comps:
         attempt += [f"sc = atol + max(abs(w{i}), abs(y{i})) * rtol",
                     f"e5_{i} = ({_dot(E5, i)}) / sc", f"e3_{i} = ({_dot(E3, i)}) / sc"]
     rows = [[f"h * ({_dot(row, i)})" for i in comps] for row in D[::-1]] + [
-        [f"2.0 * d{i} - h * (k12_{i} + k0_{i})" for i in comps], [f"h * k0_{i} - d{i}" for i in comps],
-        [f"d{i}" for i in comps]]
-    dense = [*stages(13, 14, 15), *(f"d{i} = w{i} - y{i}" for i in comps)]
-    body = "\n        ".join
-    src = f"""def make(hf, f, lams, atol, rtol):
+        [f"2.0 * dy{i} - h * (k12_{i} + k0_{i})" for i in comps], [f"h * k0_{i} - dy{i}" for i in comps],
+        [f"dy{i}" for i in comps]]
+    F = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+    dense = [*stages("t_old", 13, 14, 15), *(f"dy{i} = w{i} - y{i}" for i in comps),
+             f"piece = t_old, h, [{F}], y", "nfev += 3"]
+
+    def body(lines, indent):
+        return f"\n{' ' * indent}".join(lines)
+
+    src = f"""def march(_f, slow_f, _h, slow_h, lams, y, rtol, atol, dense, budget, limit):
     {", ".join(f"lam{p}" for p in range(pairs))}, = lams
-    def rhs(x, y):
+    forced, t, hx = _h is not None, -1.0, 0.0
+    try:
         {names("y{}")}, = y
-        {body(rhs(0, "x", [f"y{i}" for i in comps]))}
-        return [{names("k0_{}")}]
-    def attempt(t, h, y, k):
-        {names("y{}")}, = y
-        {names("k0_{}")}, = k
-        {body(attempt)}
-        return [{names("w{}")}], [{names("k12_{}")}], {squares("e5_")}, {squares("e3_")}, ({k},)
-    def dense(t, h, y, w, K):
-        {names("y{}")}, = y
-        {names("w{}")}, = w
-        {k}, = K
-        {body(dense)}
-        return [{", ".join(f"[{', '.join(row)}]" for row in rows)}]
-    return rhs, attempt, dense"""
-    namespace = {}
-    exec(compile(src, f"<dop853 kernels, {pairs} pairs>", "exec"), namespace)  # noqa: S102
-    return namespace["make"]
+        {body(start, 8)}
+        h_abs = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+        h_abs, nfev = min(100.0 * h0, h_abs, 2.0), 2
+        while t < 1.0:
+            min_step = 10.0 * (nextafter(t, inf) - t)
+            h_abs, rejected = max(h_abs, min_step), False
+            while True:
+                if h_abs < min_step:
+                    raise DivergenceError(t)
+                t_new = min(t + h_abs, 1.0)
+                h = t_new - t
+                {body(attempt, 16)}
+                err5, err3 = {squares("e5_")}, {squares("e3_")}
+                err = h * err5 / sqrt((err5 + 0.01 * err3) * {n}) if err5 else 0.0
+                if err < 1.0:
+                    factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
+                    h_abs = h * (min(1.0, factor) if rejected else factor)
+                    break
+                h_abs, rejected = h * max(0.2, 0.9 * err ** -0.125), True
+            t_old, t = t, t_new
+            if {" or ".join(f"abs(w{i}) > limit" for i in comps[::2])} or nfev > budget:
+                raise DivergenceError(t)
+            piece = None
+            if dense(t):
+                {body(dense, 16)}
+            y = [{names("w{}")}]
+            {names("y{}")} = {names("w{}")}
+            {names("k0_{}")} = {names("k12_{}")}
+            yield t, y, piece
+    except (ValueError, ArithmeticError):
+        raise DivergenceError(t) from None"""
+    namespace = {"DivergenceError": DivergenceError, "isfinite": math.isfinite, "sqrt": math.sqrt,
+                 "fsum": math.fsum, "nextafter": math.nextafter, "inf": math.inf}
+    exec(compile(src, f"<dop853 march, {pairs} pairs>", "exec"), namespace)  # noqa: S102
+    return namespace["march"]

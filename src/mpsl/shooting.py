@@ -13,12 +13,12 @@ here and the pseudo-arclength corrector in ``branching`` both run it on
 ``bvp_residual`` and ``bvp_jacobian``, each in its own coordinates.
 ``solve_bvp_multistart`` starts Newton from four axis starts (u, u')(-1), then
 continues a forced problem in lam from the linear problem -u'' = h.
-``integrate_ivp`` and ``bvp_jacobian`` step DOP853 through ``_march``,
-one loop on Python floats for any number of (u, u') pairs, which holds the
-step-size control and every divergence rule and imports nothing of scipy;
-its stages run in ``dop853``'s step kernels, generated from the tableau and
-compiled once per process and pair count (a forced solve uses 1 and 3
-pairs, the branch corrector 1 and 4).
+``integrate_ivp`` and ``bvp_jacobian`` step DOP853 through ``_march`` for
+any number of (u, u') pairs side by side, importing nothing of scipy.  The
+whole march, its step-size control and every divergence rule included, is
+``dop853``'s loop on Python floats, generated from the tableau and compiled
+once per process and pair count (a forced solve uses 1 and 3 pairs, the
+branch corrector 1 and 4).
 
 Acceptance scale per side: 1 + |alpha0|*|u|_0 + |beta0|*|u'|_0.
 """
@@ -178,10 +178,6 @@ def _zero(_x):
     return 0.0
 
 
-def _rms(v, scale) -> float:
-    return math.sqrt(math.fsum([(a / b) * (a / b) for a, b in zip(v, scale)]) / len(v))
-
-
 def _march(nl: NonlinearitySpec | None, forcing: ForcingTerm | None, lams, y0: list[float],
            rtol: float, atol: float, dense):
     """DOP853 on -u_i'' = lams[i]*f(u_i) + h, the state y = (u_0, u_0', u_1,
@@ -194,10 +190,14 @@ def _march(nl: NonlinearitySpec | None, forcing: ForcingTerm | None, lams, y0: l
     tableau of ``dop853``: its initial step, its step control (safety 0.9,
     factors 0.2 to 10, exponent -1/8, failure below 10 float spacings of t)
     and its RMS error norm over all components, so trajectories integrated
-    side by side share one step sequence.  The stages are ``dop853``'s
-    compiled kernels for len(lams) pairs, which add every stage sum left to
-    right in every Python version.  Right-hand-side calls count as scipy's
-    nfev, the three dense-output stages of a step included.
+    side by side share one step sequence.  The whole march is ``dop853``'s
+    compiled loop for len(lams) pairs, which adds every stage sum left to
+    right in every Python version.  It calls f and h as ``nl._f`` and
+    ``forcing._h``, once per stage, and where either raises or gives no
+    float, again through ``_on_floats``, which makes a value that Python
+    cannot give (x/0, ** overflowing) NaN or inf as numpy does.
+    Right-hand-side calls count as scipy's nfev, the three dense-output
+    stages of a step included.
 
     These are divergence, checked in this order, and raise DivergenceError
     at the x named:
@@ -216,47 +216,9 @@ def _march(nl: NonlinearitySpec | None, forcing: ForcingTerm | None, lams, y0: l
     """
     from .dop853 import kernels
 
-    hf = _on_floats(forcing.h) if forcing is not None else _zero
-    fu = _on_floats(nl.f) if nl is not None else _zero
-    rhs, attempt, interpolant = kernels(len(lams))(hf, fu, lams, atol, rtol)
-    t, y, n = -1.0, y0, len(y0)
-    try:
-        f = rhs(t, y)
-        if not all(map(math.isfinite, y + f)):
-            raise DivergenceError(-1.0)
-        scale = [atol + abs(v) * rtol for v in y]
-        d0, d1 = _rms(y, scale), _rms(f, scale)
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 2.0)
-        d2 = _rms([a - b for a, b in zip(rhs(t + h0, [v + h0 * g for v, g in zip(y, f)]), f)], scale) / h0
-        h_abs = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
-        h_abs, nfev = min(100.0 * h0, h_abs, 2.0), 2
-        while t < 1.0:
-            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-            h_abs, rejected = max(h_abs, min_step), False
-            while True:
-                if h_abs < min_step:
-                    raise DivergenceError(t)
-                t_new = min(t + h_abs, 1.0)
-                h = t_new - t
-                y_new, f_new, err5, err3, K = attempt(t, h, y, f)
-                nfev += 12
-                err = h * err5 / math.sqrt((err5 + 0.01 * err3) * n) if err5 else 0.0
-                if err < 1.0:
-                    factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
-                    h_abs = h * (min(1.0, factor) if rejected else factor)
-                    break
-                h_abs, rejected = h * max(0.2, 0.9 * err ** -0.125), True
-            t_old, y_old = t, y
-            t, y, f = t_new, y_new, f_new
-            if any(abs(u) > BLOWUP_LIMIT for u in y[::2]) or nfev > IVP_MAX_RHS_CALLS:
-                raise DivergenceError(t)
-            piece = None
-            if dense(t):
-                piece = (t_old, h, interpolant(t_old, h, y_old, y, K), y_old)
-                nfev += 3
-            yield t, y, piece
-    except (ValueError, ArithmeticError):
-        raise DivergenceError(t) from None
+    f = (nl._f, _on_floats(nl.f)) if nl is not None else (_zero, _zero)
+    h = (forcing._h, _on_floats(forcing.h)) if forcing is not None else (None, None)
+    return kernels(len(lams))(*f, *h, lams, y0, rtol, atol, dense, IVP_MAX_RHS_CALLS, BLOWUP_LIMIT)
 
 
 # A value of f that is not finite ends as a rejected step or divergence; numpy need not warn.
@@ -350,10 +312,8 @@ def collocation_residual(
         raise ValueError("trace too short for the collocation stencil")
     dx = float(np.mean(np.diff(x)))
     upp = (-up[4:] + 8.0 * up[3:-1] - 8.0 * up[1:-3] + up[:-4]) / (12.0 * dx)
-    xs = x[2:-2]
-    us = u[2:-2]
-    fvals = np.array([nl.f(float(v)) for v in us]) if nl is not None else 0.0
-    hvals = np.array([h.h(float(v)) for v in xs]) if h is not None else 0.0
+    fvals = np.array(list(map(nl._f, u[2:-2].tolist()))) if nl is not None else 0.0
+    hvals = np.array(list(map(h._h, x[2:-2].tolist()))) if h is not None else 0.0
     res = upp + lam * fvals + hvals if nl is not None else upp + hvals
     return float(np.max(np.abs(res)))
 

@@ -5,9 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpsl.errors import DivergenceError, NoConvergence, SingularSystem
-from mpsl.expressions import ForcingTerm, NonlinearitySpec
+from mpsl.expressions import ForcingTerm, NonlinearitySpec, parse_expr
 from mpsl.problem import BoundarySide, ProblemSpec
 from mpsl import shooting
 from mpsl.shooting import (
@@ -580,7 +582,7 @@ def test_integrate_ivp_is_solve_ivp_bit_for_bit(text, h, lam, a, b, few):
     # against the closed form in the linear cases).
     nl = NonlinearitySpec.from_text(text, f0=1.0, finf=1.0)
     calls = []
-    nl.f = lambda xi, f=nl.f: calls.append(xi) or f(xi)
+    nl._f = lambda xi, f=nl._f: calls.append(xi) or f(xi)
     ref = _scipy_solution(text, h, lam, a, b)
     trace = integrate_ivp(nl, ForcingTerm.from_text(h) if h else None, lam, a, b)
     assert len(trace._steps) == len(ref.t) - 1
@@ -592,11 +594,12 @@ def test_integrate_ivp_is_solve_ivp_bit_for_bit(text, h, lam, a, b, few):
 
 
 def _reference_march(nl, forcing, lams, y0, dense):
-    """``_march``'s DOP853 without its divergence rules, in the plain loops the
-    method is written in, straight from ``dop853``'s tableau: each stage sum
-    adds the products with a row's nonzero coefficients left to right.
-    Returns the (t, y, piece) of every accepted step, the rejected steps and
-    the right-hand-side calls."""
+    """``_march``'s DOP853 in the plain loops the method is written in, straight
+    from ``dop853``'s tableau: each stage sum adds the products with a row's
+    nonzero coefficients left to right.  Its divergence rules are those of
+    ``_march``'s docstring, checked in that order.  Returns the (t, y, piece)
+    of every accepted step, the rejected steps, the right-hand-side calls and
+    the x of the divergence, None where the march reaches x = 1."""
     from mpsl.dop853 import A, B, C, D, E3, E5
 
     f = shooting._on_floats(nl.f)
@@ -616,52 +619,65 @@ def _reference_march(nl, forcing, lams, y0, dense):
         return math.sqrt(math.fsum([(a / b) * (a / b) for a, b in zip(v, scale)]) / n)
 
     t, y = -1.0, y0
-    fy = rhs(t, y)
-    scale = [atol + abs(v) * rtol for v in y]
-    d0, d1 = rms(y, scale), rms(fy, scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 2.0)
-    d2 = rms([a - b for a, b in zip(rhs(t + h0, [v + h0 * g for v, g in zip(y, fy)]), fy)], scale) / h0
-    h_abs = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
-    h_abs = min(100.0 * h0, h_abs, 2.0)
-    while t < 1.0:
-        h_abs, rejected = max(h_abs, 10.0 * (math.nextafter(t, math.inf) - t)), False
-        while True:
-            t_new = min(t + h_abs, 1.0)
-            h = t_new - t
-            K = [[v] for v in fy]  # K[i][s]: stage s of component i
-            for s in range(1, 12):
-                stage = rhs(t + C[s] * h, [v + a * h for v, a in zip(y, dot(A[s], K))])
-                for k, v in zip(K, stage):
+    try:
+        fy = rhs(t, y)
+        if not all(map(math.isfinite, y + fy)):
+            raise DivergenceError(-1.0)
+        scale = [atol + abs(v) * rtol for v in y]
+        d0, d1 = rms(y, scale), rms(fy, scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 2.0)
+        d2 = rms([a - b for a, b in zip(rhs(t + h0, [v + h0 * g for v, g in zip(y, fy)]), fy)], scale) / h0
+        h_abs = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+        h_abs = min(100.0 * h0, h_abs, 2.0)
+        while t < 1.0:
+            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+            h_abs, rejected = max(h_abs, min_step), False
+            while True:
+                if h_abs < min_step:
+                    raise DivergenceError(t)
+                t_new = min(t + h_abs, 1.0)
+                h = t_new - t
+                K = [[v] for v in fy]  # K[i][s]: stage s of component i
+                for s in range(1, 12):
+                    stage = rhs(t + C[s] * h, [v + a * h for v, a in zip(y, dot(A[s], K))])
+                    for k, v in zip(K, stage):
+                        k.append(v)
+                y_new = [v + h * b for v, b in zip(y, dot(B, K))]
+                f_new = rhs(t + h, y_new)
+                for k, v in zip(K, f_new):
                     k.append(v)
-            y_new = [v + h * b for v, b in zip(y, dot(B, K))]
-            f_new = rhs(t + h, y_new)
-            for k, v in zip(K, f_new):
-                k.append(v)
-            sc = [atol + max(abs(w), abs(v)) * rtol for v, w in zip(y, y_new)]
-            err5 = err3 = 0.0
-            for e5, e3, s in zip(dot(E5, K), dot(E3, K), sc):
-                err5 += (e5 / s) * (e5 / s)
-                err3 += (e3 / s) * (e3 / s)
-            err = h * err5 / math.sqrt((err5 + 0.01 * err3) * n) if err5 else 0.0
-            if err < 1.0:
-                factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
-                h_abs = h * (min(1.0, factor) if rejected else factor)
-                break
-            h_abs, rejected, rejections = h * max(0.2, 0.9 * err ** -0.125), True, rejections + 1
-        piece = None
-        if dense(t_new):
-            for s in (13, 14, 15):
-                stage = rhs(t + C[s] * h, [v + a * h for v, a in zip(y, dot(A[s], K))])
-                for k, v in zip(K, stage):
-                    k.append(v)
-            dy = [w - v for v, w in zip(y, y_new)]
-            F = [[h * d for d in dot(row, K)] for row in reversed(D)]
-            F += [[2.0 * d - h * (g + g0) for d, g, g0 in zip(dy, f_new, fy)],
-                  [h * g0 - d for d, g0 in zip(dy, fy)], dy]
-            piece = (t, h, F, y)
-        t, y, fy = t_new, y_new, f_new
-        steps.append((t, y, piece))
-    return steps, rejections, nfev
+                sc = [atol + max(abs(w), abs(v)) * rtol for v, w in zip(y, y_new)]
+                err5 = err3 = 0.0
+                for e5, e3, s in zip(dot(E5, K), dot(E3, K), sc):
+                    err5 += (e5 / s) * (e5 / s)
+                    err3 += (e3 / s) * (e3 / s)
+                err = h * err5 / math.sqrt((err5 + 0.01 * err3) * n) if err5 else 0.0
+                if err < 1.0:
+                    factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
+                    h_abs = h * (min(1.0, factor) if rejected else factor)
+                    break
+                h_abs, rejected, rejections = h * max(0.2, 0.9 * err ** -0.125), True, rejections + 1
+            t_old, t = t, t_new
+            if any(abs(u) > shooting.BLOWUP_LIMIT for u in y_new[::2]) or nfev > shooting.IVP_MAX_RHS_CALLS:
+                raise DivergenceError(t)
+            piece = None
+            if dense(t):
+                for s in (13, 14, 15):
+                    stage = rhs(t_old + C[s] * h, [v + a * h for v, a in zip(y, dot(A[s], K))])
+                    for k, v in zip(K, stage):
+                        k.append(v)
+                dy = [w - v for v, w in zip(y, y_new)]
+                F = [[h * d for d in dot(row, K)] for row in reversed(D)]
+                F += [[2.0 * d - h * (g + g0) for d, g, g0 in zip(dy, f_new, fy)],
+                      [h * g0 - d for d, g0 in zip(dy, fy)], dy]
+                piece = (t_old, h, F, y)
+            y, fy = y_new, f_new
+            steps.append((t, y, piece))
+    except (ValueError, ArithmeticError):
+        return steps, rejections, nfev, t
+    except DivergenceError as exc:
+        return steps, rejections, nfev, exc.x
+    return steps, rejections, nfev, None
 
 
 @pytest.mark.parametrize("h", [None, "x"], ids=["unforced", "forced"])
@@ -676,9 +692,10 @@ def test_march_is_the_plain_dop853_loop_bit_for_bit(lams, y0, h):
     nl = NonlinearitySpec.from_text("xi+xi^3", f0=1.0, finf=1.0)
     forcing = ForcingTerm.from_text(h) if h else None
     calls = []
-    nl.f = lambda xi, f=nl.f: calls.append(xi) or f(xi)
-    ref, rejections, nfev = _reference_march(nl, forcing, lams, y0, lambda t: t >= 0.0)
+    nl._f = lambda xi, f=nl._f: calls.append(xi) or f(xi)
+    ref, rejections, nfev, diverged = _reference_march(nl, forcing, lams, y0, lambda t: t >= 0.0)
     ref_calls, calls[:] = calls[:], []
+    assert diverged is None
     assert rejections > 0 and len(ref_calls) == nfev * len(lams)
     assert any(p is None for _, _, p in ref) and any(p is not None for _, _, p in ref)
     got = list(shooting._march(nl, forcing, lams, list(y0), IVP_RTOL, IVP_ATOL, lambda t: t >= 0.0))
@@ -686,6 +703,91 @@ def test_march_is_the_plain_dop853_loop_bit_for_bit(lams, y0, h):
     for step, (a, b) in enumerate(zip(got, ref)):
         assert repr(a) == repr(b), step  # repr tells -0.0 from 0.0
     assert next((i for i, (a, b) in enumerate(zip(calls, ref_calls)) if a != b), None) is None
+
+
+# f and h that fail at stage arguments in each way the march must pass to
+# _on_floats: (f, lam, (u, u')(-1) of the pair that meets the failure, h).
+# exp overflows once a trial step carries u past 709.8, xi^0.5 is complex once
+# u < 0, log has no value at u <= 0, and 1/xi divides by u(-1) = 0.0; h fails
+# the same four ways in x.
+FAILING = {
+    "overflow": ("exp(xi)", -1e-300, [0.0, 2000.0], "1e-300*exp(1000*x)"),
+    "complex": ("xi^0.5", 2.0, [0.5, -5.0], "(0.5-x)^0.5"),
+    "domain": ("log(xi)", 2.0, [0.5, -5.0], "log(0.5-x)"),
+    "zero-divisor": ("1/xi", 2.0, [0.0, 1.0], "1/(1+x)"),
+}
+# The pairs beside it: lam > 0, so none blows up before an h fails.
+OTHER_PAIRS = st.lists(st.tuples(st.floats(0.5, 500.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                       min_size=3, max_size=3)
+
+
+@pytest.mark.parametrize("pairs", [1, 3, 4], ids=["1-pair", "3-pairs", "4-pairs"])
+@pytest.mark.parametrize("fails", ["f-unforced", "f-forced", "h"])
+@pytest.mark.parametrize("kind", FAILING)
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(others=OTHER_PAIRS)
+@example(others=[(30.0, 0.1, -1.0), (400.0, 0.5, 0.0), (5.0, 0.3, 2.0)])
+def test_march_fails_as_the_plain_loop_on_failing_f_and_h(kind, fails, pairs, others):
+    # The compiled march calls nl._f and forcing._h once per stage and goes
+    # through _on_floats only where they raise or give no float; the plain
+    # loop calls _on_floats every time.  Both take the same steps, hit the
+    # same failure and end in the same DivergenceError, after as many
+    # right-hand-side calls.  The hooks count the compiled march's stage
+    # calls: its slow path reaches f and h through nl.f and forcing.h, which
+    # are set to the unhooked callables, as the plain loop's are.
+    f_text, lam, y, h_text = FAILING[kind]
+    nl = NonlinearitySpec.from_text("xi" if fails == "h" else f_text, f0=1.0, finf=1.0)
+    forcing = {"f-unforced": None, "f-forced": ForcingTerm.from_text("x"),
+               "h": ForcingTerm(parse_expr(h_text))}[fails]
+    lams = (lam, *(l for l, _, _ in others[:pairs - 1]))
+    y0 = [*y, *(v for _, *start in others[:pairs - 1] for v in start)]
+    calls, failed = {"f": 0, "h": 0}, []
+
+    def hooked(name, fn):
+        def hook(v):
+            calls[name] += 1
+            try:
+                value = fn(v)
+            except (ArithmeticError, ValueError):
+                failed.append(name)
+                raise
+            if isinstance(value, complex):
+                failed.append(name)
+            return value
+        return hook
+
+    nl.f, nl._f = nl._f, hooked("f", nl._f)
+    if forcing is not None:
+        forcing.h, forcing._h = forcing._h, hooked("h", forcing._h)
+    ref, _, nfev, x = _reference_march(nl, forcing, lams, list(y0), lambda t: t >= 0.0)
+    assert x is not None and not failed and calls == {"f": 0, "h": 0}
+    got = []
+    with pytest.raises(DivergenceError) as exc:
+        for step in shooting._march(nl, forcing, lams, list(y0), IVP_RTOL, IVP_ATOL, lambda t: t >= 0.0):
+            got.append(step)
+    assert exc.value.x == x and len(got) == len(ref)
+    for step, (a, b) in enumerate(zip(got, ref)):
+        assert repr(a) == repr(b), step
+    assert (calls["h"] if forcing is not None else -(-calls["f"] // pairs)) == nfev
+    assert failed and failed[-1] == fails[0]
+
+
+def test_march_compiles_once_per_pair_count(monkeypatch):
+    # f, h, lam and the tolerances are arguments of the compiled march, and
+    # the right-hand-side budget is read when a march starts, not compiled in.
+    from mpsl import dop853
+
+    dop853.kernels.cache_clear()
+    quintic = NonlinearitySpec.from_text("xi+xi^5", f0=1.0, finf=1.0)
+    integrate_ivp(LIN, ForcingTerm.from_text("x"), 2.0, 0.0, 1.0)
+    integrate_ivp(quintic, ForcingTerm.from_text("sin(3*x)"), 30.0, 0.5, -1.0, rtol=1e-9, atol=1e-10)
+    integrate_ivp(quintic, None, 5.0, 0.1, 0.0)
+    info = dop853.kernels.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    monkeypatch.setattr(shooting, "IVP_MAX_RHS_CALLS", 50)
+    with pytest.raises(DivergenceError):
+        integrate_ivp(LIN, None, 400.0, 0.0, 1.0)
+    assert dop853.kernels.cache_info().misses == 1
 
 
 def test_rhs_budget_bounds_one_ivp(monkeypatch):
