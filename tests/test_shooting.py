@@ -707,9 +707,10 @@ def test_march_is_the_plain_dop853_loop_bit_for_bit(lams, y0, h):
 
 # f and h that fail at stage arguments in each way the march must pass to
 # _on_floats: (f, lam, (u, u')(-1) of the pair that meets the failure, h).
-# exp overflows once a trial step carries u past 709.8, xi^0.5 is complex once
-# u < 0, log has no value at u <= 0, and 1/xi divides by u(-1) = 0.0; h fails
-# the same four ways in x.
+# u'' = 1e-300*exp(u) blows up past u = 709.8, where exp overflows at stage
+# arguments long before the step size fails; xi^0.5 is complex once u < 0,
+# log has no value at u <= 0, and 1/xi divides by u(-1) = 0.0.  h fails the
+# same four ways in x.
 FAILING = {
     "overflow": ("exp(xi)", -1e-300, [0.0, 2000.0], "1e-300*exp(1000*x)"),
     "complex": ("xi^0.5", 2.0, [0.5, -5.0], "(0.5-x)^0.5"),
