@@ -3,12 +3,15 @@ the files under tests/golden/: `spectrum`, `classify` and `predict` on the
 CI's worked-example, two-roots and touching problems, and the nonlinear
 `solve`, `branch` and `nodal-solve`.
 
-The linear golden files were written at commit 674c961 and the nonlinear ones
-at commit 5613099; this test holds every later change to the same bytes.  The
-nonlinear runs are `solve` on the CI's forced problem, which no axis start
-solves, so it is reached by continuation in lambda, and `solve`, `branch`
-and `nodal-solve` on the worked conditions with f = xi*(1+3/(1+abs(xi))).
-That f has no `^`, so its files do not depend on the platform's `pow`.  Each
+The linear golden files were written at commit 674c961, the nonlinear ones
+at commit 5613099 and the f = xi branch at commit 201e591; this test holds
+every later change to the same bytes.  The nonlinear runs are `solve` on the
+CI's forced problem, which no axis start solves, so it is reached by
+continuation in lambda, `solve`, `branch` and `nodal-solve` on the worked
+conditions with f = xi*(1+3/(1+abs(xi))), and `branch` on the worked
+conditions with f = xi, the kind of branch the benchmark's
+nonlinear-continuation workload traces.  Neither f has `^`, so their files
+do not depend on the platform's `pow`.  Each
 run's exit code, stdout and stderr are in tests/golden/runs.json; its output
 files are in tests/golden/<problem>-<command>/.
 """
@@ -39,6 +42,7 @@ PROBLEMS = {
                "forcing": {"h": "1.5219703048977613*x"}},
     "abs": {**WORKED_SIDES, "nonlinearity": {"f": "xi*(1+3/(1+abs(xi)))", "f0": 4.0, "finf": 1.0},
             "forcing": {"h": "x"}},
+    "xi": {**WORKED_SIDES, "nonlinearity": {"f": "xi", "f0": 1.0, "finf": 1.0}},
 }
 COMMANDS = {
     "spectrum": ["--lambda-max", "2e4"],
@@ -50,7 +54,8 @@ COMMANDS = {
 }
 RUNS = [(problem, command) for problem in ("worked", "tworoots", "touching")
         for command in ("spectrum", "classify", "predict")]
-NONLINEAR_RUNS = [("forced", "solve"), ("abs", "solve"), ("abs", "branch"), ("abs", "nodal-solve")]
+NONLINEAR_RUNS = [("forced", "solve"), ("abs", "solve"), ("abs", "branch"), ("abs", "nodal-solve"),
+                  ("xi", "branch")]
 
 
 def run(problem: str, command: str, tmp_path: pathlib.Path, capsys) -> tuple[dict, pathlib.Path]:
