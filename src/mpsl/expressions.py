@@ -440,15 +440,16 @@ SLOPE_SETTLE_TOL = 1e-6
 
 @functools.cache
 def _gauss_rules() -> tuple[np.ndarray, np.ndarray, int]:
-    """The GAUSS_ORDERS rules side by side: (t, w, n) with the positive nodes
-    t and weights w of the low rule in [:n] and of the high rule in [n:].
-    Computed on first use, so importing mpsl computes nothing.  leggauss's
+    """The GAUSS_ORDERS rules side by side: (t, w, n), the weights w of the
+    positive nodes of the low rule in [:n] and of the high rule in [n:], t
+    those nodes and then their negatives.  Computed on first use.  leggauss's
     nodes ascend and are exactly symmetric: [n:] is the positive half."""
     from numpy.polynomial.legendre import leggauss
 
     (t_low, w_low), (t_high, w_high) = map(leggauss, GAUSS_ORDERS)
     n, m = len(t_low) // 2, len(t_high) // 2
-    return np.concatenate([t_low[n:], t_high[m:]]), np.concatenate([w_low[n:], w_high[m:]]), n
+    t = np.concatenate([t_low[n:], t_high[m:]])
+    return np.concatenate([t, -t]), np.concatenate([w_low[n:], w_high[m:]]), n
 
 
 def _slope_levels(f: Callable[[float], float], scales: list[float]) -> tuple[list[float], list[float]]:
@@ -617,26 +618,27 @@ class NonlinearitySpec:
         integrals on mirrored pieces."""
         t, w, n = _gauss_rules()
         value, size, agree = np.empty(len(lo)), np.empty(len(lo)), np.empty(len(lo), bool)
-        for i in range(0, len(lo), GAUSS_BLOCK):
-            a, b, block = lo[i:i + GAUSS_BLOCK], hi[i:i + GAUSS_BLOCK], slice(i, i + GAUSS_BLOCK)
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            with np.errstate(all="ignore"):
-                pts = mid[:, None] + half[:, None] * np.concatenate([t, -t])
-                fx = np.broadcast_to(self._f_array(pts), pts.shape)  # f may not depend on xi
-                plus, minus = fx[:, :len(t)], fx[:, len(t):]
+        with np.errstate(all="ignore"):
+            for i in range(0, len(lo), GAUSS_BLOCK):
+                a, b, block = lo[i:i + GAUSS_BLOCK], hi[i:i + GAUSS_BLOCK], slice(i, i + GAUSS_BLOCK)
+                mid, half = 0.5 * (a + b), 0.5 * (b - a)
+                pts = mid[:, None] + half[:, None] * t
+                fx = self._f_array(pts)
+                fx = fx if np.shape(fx) == pts.shape else np.broadcast_to(fx, pts.shape)  # f may be constant
+                plus, minus = fx[:, :len(w)], fx[:, len(w):]
                 signed = (plus + minus) * w
                 absolute = (np.abs(plus) + np.abs(minus)) * w
                 low, high = half * signed[:, :n].sum(axis=1), half * signed[:, n:].sum(axis=1)
                 size_low, size[block] = half * absolute[:, :n].sum(axis=1), half * absolute[:, n:].sum(axis=1)
                 finite = np.isfinite(size_low + size[block])
-            if np.iscomplexobj(fx) or not finite.all():
-                _finite_reals(self._f, pts, "f", "xi", fx)  # raises the scalar f's own error where it has one
-                i = int(np.argmin(finite))
-                raise QuadratureError(f"f is not integrable on [{a[i]:.6g}, {b[i]:.6g}]: "
-                                      "not finite, or its integral overflows")
-            value[block] = high
-            bound = GAUSS_RTOL * size[block] if tol is None else tol[block]
-            agree[block] = (np.abs(high - low) <= bound) & (np.abs(size[block] - size_low) <= bound)
+                if np.iscomplexobj(fx) or not finite.all():
+                    _finite_reals(self._f, pts, "f", "xi", fx)  # raises the scalar f's own error where it has one
+                    i = int(np.argmin(finite))
+                    raise QuadratureError(f"f is not integrable on [{a[i]:.6g}, {b[i]:.6g}]: "
+                                          "not finite, or its integral overflows")
+                value[block] = high
+                bound = GAUSS_RTOL * size[block] if tol is None else tol[block]
+                agree[block] = (np.abs(high - low) <= bound) & (np.abs(size[block] - size_low) <= bound)
         return value, size, agree
 
 

@@ -21,8 +21,8 @@ of u'.  So ``classify`` decides it from two counts and two comparisons, and
 a zero list is built only when it is read.
 
 The closed-form half is plain Python; numpy is imported where the sampled
-routines start (``SampledTrace``, ``_sampled_zeros``), so linear callers
-never load it.
+routines start (``SampledTrace``) and by the energy profile's median
+(``_median_spread``), so linear callers never load it.
 """
 
 from __future__ import annotations
@@ -76,19 +76,18 @@ class ClosedTrace:
 class SampledTrace:
     """Dense (x, u, u') samples with cubic Hermite interpolation between nodes.
 
-    The sup norms and, on first use, all cells' Hermite coefficients are
-    computed once, so the samples must not change after construction."""
+    The sup norms and, on first use, all cells' Hermite coefficients and zero
+    candidates are computed once, so the samples must not change after construction."""
 
     def __init__(self, x, u, uprime):
         import numpy as np
 
-        self.x = np.asarray(x, dtype=float)
-        self.u = np.asarray(u, dtype=float)
-        self.up = np.asarray(uprime, dtype=float)
-        if self.x.ndim != 1 or self.x.shape != self.u.shape or self.x.shape != self.up.shape:
+        self.x, u, up = (np.asarray(v, dtype=float) for v in (x, u, uprime))
+        if self.x.ndim != 1 or self.x.shape != u.shape or self.x.shape != up.shape:
             raise ValueError("x, u, uprime must be 1-d arrays of equal length")
         if len(self.x) < 2:
             raise ValueError("need at least two samples")
+        self.u, self.up = self._y = np.stack([u, up])
         finite = np.isfinite(self.x) & np.isfinite(self.u) & np.isfinite(self.up)
         if not finite.all():
             row = int(np.argmin(finite))
@@ -103,6 +102,7 @@ class SampledTrace:
             raise ValueError(
                 f"sample step {dx.max():.3g} exceeds the allowed {MAX_SAMPLE_STEP:.3g}"
             )
+        self._dx, self._dx2 = dx, dx * dx
         self._sups = float(abs(self.u).max()), float(abs(self.up).max())
 
     def _locate(self, x: float) -> int:
@@ -113,8 +113,7 @@ class SampledTrace:
     def _cells(self):
         """(a, b, c, d, h) of every cell: the cubic u = a s^3 + b s^2 + c s + d
         on s in [0, 1] and the cell width."""
-        x, u, up = self.x, self.u, self.up
-        h = x[1:] - x[:-1]
+        u, up, h = self.u, self.up, self._dx
         u0, u1 = u[:-1], u[1:]
         p0, p1 = h * up[:-1], h * up[1:]
         a = 2.0 * u0 + p0 - 2.0 * u1 + p1
@@ -146,9 +145,20 @@ class SampledTrace:
         the largest of H''(0)/h^2 and H''(1)/h^2 over the cells."""
         import numpy as np
 
-        a, b, _, _, h = self._cells
-        vals = np.maximum(np.abs(2.0 * b), np.abs(6.0 * a + 2.0 * b)) / (h * h)
-        return float(np.max(vals))
+        a, b = self._cells[:2]
+        return float((np.maximum(np.abs(2.0 * b), np.abs(6.0 * a + 2.0 * b)) / self._dx2).max())
+
+    @cached_property
+    def _candidates(self):
+        """(cells, nodes, slope bound) of u and of u' for ``_sampled_zeros``, from one pass over both."""
+        import numpy as np
+
+        n, y, bounds = len(self.x), self._y.ravel(), (self._sups[1], self.sup_usecond())
+        mag = np.abs(y)
+        reach = np.concatenate([self._dx * bounds[0], [0.0], self._dx * bounds[1]]) * 1.5 + 1e-300
+        cells, zero = (y[:-1] * y[1:] < 0.0) | (np.minimum(mag[:-1], mag[1:]) <= reach), mag == 0.0
+        return [(np.flatnonzero(cells[:n - 1]), np.flatnonzero(zero[:n]), bounds[0]),
+                (np.flatnonzero(cells[n:]), np.flatnonzero(zero[n:]), bounds[1])]
 
     def grid(self):
         return self.x
@@ -270,35 +280,33 @@ def _closed_zeros(trace: ClosedTrace, which: str) -> list[float]:
     return [y - 1.0] if ENDPOINT_GUARD < y < 2.0 - ENDPOINT_GUARD else []
 
 
-def _sampled_zeros(trace: SampledTrace, which: str, slope_bound: float) -> list[float]:
+def _sampled_zeros(trace: SampledTrace, which: str) -> list[float]:
     """Real roots of the per-cell interpolant of the requested channel.
 
     A node whose sample is exactly 0 is a root, unless the channel's
     polynomial vanishes identically on both its cells (inside a flat run).
-    Candidate cells are those with a sign change or a value within reach of
-    ``slope_bound`` (a bound on the channel's slope), found in one numpy
-    pass.  Each candidate's polynomial p on s in [0, 1], the cubic (u) or
-    its derivative quadratic (u'), is split at its critical points in
-    (0, 1).  A piece whose end values are nonzero and of opposite sign holds
-    one root, which ``_bracketed_root`` closes; the values at s = 0 and 1
-    are the node samples, not p rounded there, so a sign change between two
-    samples always yields one root in their cell.  A critical point c where
-    p touches zero, 0 <= 2 p(c)/p''(c) <= 1e-18 (np.roots' |imag| <= 1e-9
-    on the local quadratic), is a root.
+    Candidate cells are those with a sign change or a sample within 1.5
+    widths times a bound on the channel's slope (|u'|_0 for u,
+    ``sup_usecond`` for u') of 0, found with u''s in one numpy pass
+    (``SampledTrace._candidates``).  Each candidate's polynomial p on s in
+    [0, 1], the cubic (u) or its derivative quadratic (u'), is split at its
+    critical points in (0, 1).  A piece whose end values are nonzero and of
+    opposite sign holds one root, which ``_bracketed_root`` closes; the
+    values at s = 0 and 1 are the node samples, not p rounded there, so a
+    sign change between two samples always yields one root in their cell.
+    A critical point c where p touches zero, 0 <= 2 p(c)/p''(c) <= 1e-18
+    (np.roots' |imag| <= 1e-9 on the local quadratic), is a root.
     """
-    import numpy as np
-
     x = trace.x
     a, b, c, d, h = trace._cells
     vals = trace.u if which == "u" else trace.up
     v0, v1 = vals[:-1], vals[1:]
-    near = np.minimum(np.abs(v0), np.abs(v1)) <= h * slope_bound * 1.5 + 1e-300
-    cells = np.nonzero((v0 * v1 < 0.0) | near)[0]
+    cells, nodes, _ = trace._candidates[which == "uprime"]
 
     def flat(i):  # p is identically 0 on cell i, or there is no cell i
         return not 0 <= i < len(h) or not (a[i] or b[i] or c[i] or (which == "u" and d[i]))
 
-    zeros = [float(x[j]) for j in np.flatnonzero(vals == 0.0).tolist() if not (flat(j - 1) and flat(j))]
+    zeros = [float(x[j]) for j in nodes.tolist() if not (flat(j - 1) and flat(j))]
     for x0, h0, f0, f1, a0, b0, c0, d0 in zip(*(v[cells].tolist() for v in (x, h, v0, v1, a, b, c, d))):
         p3, p2, p1, p0 = (a0, b0, c0, d0) if which == "u" else (0.0, 3.0 * a0, 2.0 * b0, c0)
         p = lambda s: (((p3 * s + p2) * s + p1) * s + p0, (3.0 * p3 * s + 2.0 * p2) * s + p1)
@@ -350,18 +358,16 @@ def zeros_of(
             deriv_sup = abs(trace.sol.lam) * trace.sup_u()
             deriv = lambda x: -trace.sol.lam * trace.eval(x)[0]
     elif isinstance(trace, SampledTrace):
+        deriv_sup = trace._candidates[which == "uprime"][2]
         if which == "u":
-            deriv_sup = trace.sup_uprime()
             deriv = lambda x: trace.eval(x)[1]
         else:
-            deriv_sup = trace.sup_usecond()
-
             def deriv(xv, _t=trace):
                 i = _t._locate(xv)
                 a, b, c, _, h = _t._cell_coeffs(i)
                 s = (xv - _t.x[i]) / h
-                return (6.0 * a * s + 2.0 * b) / (h * h)
-        xs = _sampled_zeros(trace, which, deriv_sup)
+                return (6.0 * a * s + 2.0 * b) / _t._dx2[i]
+        xs = _sampled_zeros(trace, which)
     else:
         raise TypeError(f"unsupported trace type {type(trace).__name__}")
 
@@ -524,14 +530,16 @@ def energy_deviation(lam: float, trace: ClosedTrace | SampledTrace) -> float:
     return float(spread)
 
 
-def _median_spread(profile: list[float]) -> tuple[float, float]:
-    """(m, max |p - m| / m) of an energy profile, m its median as np.median
-    gives it: the middle element, or the mean of the two middle ones.  The
-    spread is NaN when m = 0, and both are NaN when a p is (as in numpy)."""
-    if any(p != p for p in profile):
+def _median_spread(profile) -> tuple[float, float]:
+    """(m, max |p - m| / m) of an energy profile (list or array), m its median
+    as np.median gives it: the middle element, or the mean of the two middle
+    ones.  The spread is NaN when m = 0, and both are NaN when a p is."""
+    import numpy as np
+
+    ordered, n = np.sort(profile), len(profile)
+    if ordered[-1] != ordered[-1]:  # NaN sorts last
         return math.nan, math.nan
-    ordered, n = sorted(profile), len(profile)
-    med = ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
+    med = float(ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0)
     if med == 0.0:
         return med, math.nan
-    return med, max(abs(p - med) for p in profile) / med
+    return med, float(np.abs(np.subtract(profile, med)).max()) / med

@@ -55,49 +55,54 @@ AXIS_STARTS = ((0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0))  # (u, u')(-1),
 LAMBDA_RUNGS = 8  # rungs of the forced fallback's continuation in lam from -u'' = h
 
 
-# The sample nodes of every IntegratedTrace: one array on an immutable buffer,
-# which no trace can write to or make writeable, so none can move another's.
+# The sample nodes of every IntegratedTrace, their widths x[1:] - x[:-1], the widths' squares
+# and mean: arrays on immutable buffers, which no trace can write to or make writeable.
 GRID = np.frombuffer(np.linspace(-1.0, 1.0, int(round(2.0 / DENSE_STEP)) + 1).tobytes())
+GRID_DX = np.frombuffer((GRID[1:] - GRID[:-1]).tobytes())
+GRID_DX2 = np.frombuffer((GRID_DX * GRID_DX).tobytes())
+GRID_STEP = float(np.mean(GRID_DX))
 
 
 class IntegratedTrace(SampledTrace):
     """Sampled trace backed by the integrator's dense output.
 
     Built from the accepted steps as ``_march`` yields them: each step's
-    start t_old, size h, interpolant rows F (highest power first) and start
-    state y_old.  ``_dense`` evaluates the interpolants at many points in one
-    numpy pass, on (state, point) arrays, and ``_interpolate`` at one point
-    on Python floats.  Both pick the segment as scipy's ``OdeSolution``
-    does, where a step end belongs to the lower step, and run the Horner
-    loop of scipy's ``Dop853DenseOutput`` in its operation order, so they
-    agree bit for bit with each other and with scipy's interpolant on the
-    same steps.  The samples are ``_dense`` at the fixed nodes ``GRID``, so
-    ``SampledTrace``'s checks are skipped, with both sup norms from the same
-    arrays, once; ``eval`` goes through ``_interpolate``.
+    start t_old, size h, interpolant rows F (highest power first, each over
+    u and u') and start state y_old, in this order the rows of one array.
+    ``_dense`` evaluates the interpolants at many points in one numpy pass
+    and ``_interpolate`` at one point on Python floats.  Both pick the step
+    as scipy's ``OdeSolution`` does, where a step end belongs to the lower
+    step, and run the Horner loop of scipy's ``Dop853DenseOutput`` in its
+    operation order, so they agree bit for bit with each other and with
+    scipy's interpolant.  The samples are ``_dense`` at ``GRID``, the steps'
+    starts located in it once, with both sup norms from the same arrays.
     """
+
+    _dx, _dx2 = GRID_DX, GRID_DX2
 
     def __init__(self, t_old, h, F, y_old):
         self._starts, self._steps = t_old, list(zip(t_old, h, F, y_old))
-        self._t_old, self._h = np.array(t_old, dtype=float), np.array(h, dtype=float)
-        F = np.fromiter(chain.from_iterable(chain.from_iterable(F)), float).reshape(len(h), len(F[0]), -1)
-        self._F = F.transpose(1, 2, 0)  # (power, state, segment)
-        self._y_old = np.array(y_old, dtype=float).T  # (state, segment)
-        y = self._dense(GRID)
+        columns = (chain((t, s), chain.from_iterable(f), y) for t, s, f, y in self._steps)
+        self._rows = np.fromiter(chain.from_iterable(columns), float).reshape(len(h), -1).T
+        edges = [0, *GRID.searchsorted(self._rows[0, 1:], side="right").tolist(), len(GRID)]
+        y = self._dense(GRID, [hi - lo for lo, hi in zip(edges, edges[1:])])
         sups = np.abs(y).max(axis=1).tolist()
         if not all(map(math.isfinite, sups)):
             raise DivergenceError(float(GRID[np.argmin(np.isfinite(y).all(axis=0))]))
-        self.x, (self.u, self.up), self._sups = GRID, y, tuple(sups)
+        self.x, self._y, (self.u, self.up), self._sups = GRID, y, y, tuple(sups)
 
-    def _dense(self, t: np.ndarray) -> np.ndarray:
-        seg = np.searchsorted(self._t_old, t, side="left") - 1
-        np.clip(seg, 0, len(self._h) - 1, out=seg)
-        s = (t - self._t_old.take(seg)) / self._h.take(seg)
+    def _dense(self, t: np.ndarray, counts=None) -> np.ndarray:
+        """(u, u') at t; with ``counts``, t ascends and its next counts[j] points lie in step j."""
+        if counts is None:
+            seg = np.clip(np.searchsorted(self._rows[0], t, side="left") - 1, 0, len(self._steps) - 1)
+        rows = self._rows.take(seg, axis=1) if counts is None else np.repeat(self._rows, counts, axis=1)
+        s = (t - rows[0]) / rows[1]
         r = 1 - s
-        y = np.zeros((self._y_old.shape[0], len(t)))
-        for i, F in enumerate(self._F.take(seg, axis=2)):
+        y = np.zeros((2, len(t)))
+        for i, F in enumerate(rows[2:-2].reshape(-1, 2, len(t))):
             y += F
             y *= r if i % 2 else s
-        y += self._y_old.take(seg, axis=1)
+        y += rows[-2:]
         return y
 
     def negated(self) -> "IntegratedTrace":
@@ -106,11 +111,11 @@ class IntegratedTrace(SampledTrace):
         value the new trace gives is exactly this trace's negated, and no
         sample is -0.0."""
         neg = object.__new__(IntegratedTrace)
-        neg._starts, neg._t_old, neg._h = self._starts, self._t_old, self._h
+        neg._starts, neg.x, neg._sups = self._starts, self.x, self._sups
         neg._steps = [(t, h, [[0.0 - c for c in row] for row in F], [0.0 - v for v in y])
                       for t, h, F, y in self._steps]
-        neg._F, neg._y_old = 0.0 - self._F, 0.0 - self._y_old
-        neg.x, neg.u, neg.up, neg._sups = self.x, 0.0 - self.u, 0.0 - self.up, self._sups
+        neg._rows = np.concatenate([self._rows[:2], 0.0 - self._rows[2:]])
+        neg.u, neg.up = neg._y = 0.0 - self._y
         return neg
 
     def eval(self, x: float) -> tuple[float, float]:
@@ -310,7 +315,7 @@ def collocation_residual(
     x, u, up = trace.x, trace.u, trace.up
     if len(x) < 5:
         raise ValueError("trace too short for the collocation stencil")
-    dx = float(np.mean(np.diff(x)))
+    dx = GRID_STEP if x is GRID else float(np.mean(np.diff(x)))
     upp = (-up[4:] + 8.0 * up[3:-1] - 8.0 * up[1:-3] + up[:-4]) / (12.0 * dx)
     fvals = np.array(list(map(nl._f, u[2:-2].tolist()))) if nl is not None else 0.0
     hvals = np.array(list(map(h._h, x[2:-2].tolist()))) if h is not None else 0.0
@@ -333,7 +338,7 @@ def nonlinear_energy_deviation(trace: SampledTrace, nl: NonlinearitySpec, lam: f
     samples from one ``NonlinearitySpec.F_many`` call."""
     idx = _energy_nodes(len(trace.x))
     up = trace.up[idx]
-    return _median_spread((lam * nl.F_many(trace.u[idx]) + up * up).tolist())[1]
+    return _median_spread(lam * nl.F_many(trace.u[idx]) + up * up)[1]
 
 
 def damped_newton(

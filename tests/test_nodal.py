@@ -420,7 +420,7 @@ def _channels(trace):
 
 def _assert_zeros_near_np_roots(trace):
     for which, bound in _channels(trace):
-        got = _sampled_zeros(trace, which, bound)
+        got = _sampled_zeros(trace, which)
         want = _per_cell_sampled_zeros(trace, which, bound)
         assert len(got) == len(want)
         assert all(abs(g - w) <= 1e-15 for g, w in zip(got, want))
@@ -506,7 +506,7 @@ def test_sampled_zeros_are_node_zeros_or_cell_roots(trace):
     cell's polynomial is 0 up to rounding."""
     x = trace.x.tolist()
     for which, bound in _channels(trace):
-        zeros = _sampled_zeros(trace, which, bound)
+        zeros = _sampled_zeros(trace, which)
         vals = (trace.u if which == "u" else trace.up).tolist()
         for i in range(1, len(x) - 2):
             if vals[i] < 0.0 < vals[i + 1] or vals[i + 1] < 0.0 < vals[i]:
@@ -574,7 +574,7 @@ def test_batched_cell_roots_on_degenerate_cells():
     a, b, c, d = _cell_poly(trace, "u", 999)
     assert ((a + b) + c) + d < 0.0 < u[1000]
     assert _cell_poly(trace, "u", 1500) == (0.0, 4.0, -4.0, 1.0)
-    zeros = {which: _sampled_zeros(trace, which, bound) for which, bound in _channels(trace)}
+    zeros = {which: _sampled_zeros(trace, which) for which in ("u", "uprime")}
 
     def between(which, lo, hi):
         return [z for z in zeros[which] if _X[lo] <= z <= _X[hi]]

@@ -27,6 +27,7 @@ from mpsl.shooting import (
     solve_bvp,
     solve_bvp_multistart,
 )
+from mpsl.nodal import SampledTrace
 from mpsl.spectrum import continuation_spectrum
 from mpsl.trig import TrigSolution, eval_solution
 
@@ -94,6 +95,88 @@ def test_shared_passes_classify_as_a_plain_sampled_trace(half_u0_spec, monkeypat
                 [(z.hex(), simple) for z, simple in getattr(want, name)]
         for sup in ("sup_u", "sup_uprime", "sup_usecond"):
             assert getattr(trace, sup)().hex() == getattr(plain, sup)().hex()
+
+
+WORKED = NonlinearitySpec.from_text("xi*(1+3/(1+xi^2))", f0=4.0, finf=1.0)
+
+
+def _per_node_samples(trace):
+    """A trace's samples as the per-node formula gives them: each node's step
+    by searchsorted, every per-step array gathered by take, then the Horner
+    loop of ``IntegratedTrace._dense``."""
+    t_old, h, F, y_old = (np.array(v, dtype=float) for v in zip(*trace._steps))
+    F, y_old = F.transpose(1, 2, 0), y_old.T  # (power, state, step), (state, step)
+    seg = np.clip(np.searchsorted(t_old, shooting.GRID, side="left") - 1, 0, len(h) - 1)
+    s = (shooting.GRID - t_old.take(seg)) / h.take(seg)
+    r = 1 - s
+    y = np.zeros((y_old.shape[0], len(seg)))
+    for i, rows in enumerate(F.take(seg, axis=2)):
+        y += rows
+        y *= r if i % 2 else s
+    return y + y_old.take(seg, axis=1)
+
+
+def _per_channel_candidates(trace):
+    """The zero search's candidate cells and exact-zero nodes, channel by
+    channel, and |u''|_0's estimate, each by the formula on the samples."""
+    x, u, up = trace.x, trace.u, trace.up
+    h = x[1:] - x[:-1]
+    p0, p1 = h * up[:-1], h * up[1:]
+    a = 2.0 * u[:-1] + p0 - 2.0 * u[1:] + p1
+    b = -3.0 * u[:-1] - 2.0 * p0 + 3.0 * u[1:] - p1
+    usecond = float(np.max(np.maximum(np.abs(2.0 * b), np.abs(6.0 * a + 2.0 * b)) / (h * h)))
+    cells, nodes = [], []
+    for vals, bound in ((u, trace.sup_uprime()), (up, usecond)):
+        v0, v1 = vals[:-1], vals[1:]
+        near = np.minimum(np.abs(v0), np.abs(v1)) <= h * bound * 1.5 + 1e-300
+        cells.append(np.nonzero((v0 * v1 < 0.0) | near)[0].tolist())
+        nodes.append(np.flatnonzero(vals == 0.0).tolist())
+    return cells, nodes, usecond
+
+
+@st.composite
+def _drawn_traces(draw):
+    """An IntegratedTrace of f = xi or of the worked f, u(-1) = 0 among the
+    starts, or a SampledTrace on its samples with exact zeros at drawn nodes
+    and a window where u = c*(x - x0)^2, whose cell cubic touches zero at its
+    critical point x0 inside a cell; or an IntegratedTrace on made-up steps
+    that start at nodes, which belong to the step below."""
+    if draw(st.integers(0, 4)) == 0:
+        starts = [0, *sorted(set(draw(st.lists(st.integers(1, 1999), min_size=1, max_size=12))))]
+        t_old = shooting.GRID[starts].tolist()
+        h = [b - a for a, b in zip(t_old, t_old[1:] + [1.0])]
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return IntegratedTrace(t_old, h, rng.uniform(-1.0, 1.0, (len(h), 7, 2)).tolist(),
+                               rng.uniform(-1.0, 1.0, (len(h), 2)).tolist())
+    nl = draw(st.sampled_from([LIN, WORKED]))
+    a = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    trace = integrate_ivp(nl, None, draw(st.floats(0.1, 400.0)), a, draw(st.floats(-3.0, 3.0)))
+    if draw(st.booleans()):
+        return trace
+    x, u, up = trace.x, trace.u.copy(), trace.up.copy()
+    u[draw(st.lists(st.integers(0, 2000), max_size=20))] = 0.0
+    up[draw(st.lists(st.integers(0, 2000), max_size=20))] = 0.0
+    i, width = draw(st.integers(10, 1990)), draw(st.integers(1, 10))
+    x0, c = 0.5 * (x[i] + x[i + 1]), draw(st.sampled_from((-3.0, 1e-4, 2.0)))
+    window = slice(i - width + 1, i + width + 1)
+    u[window], up[window] = c * (x[window] - x0) ** 2, 2.0 * c * (x[window] - x0)
+    return SampledTrace(x, u, up)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_drawn_traces())
+def test_resample_and_candidate_pass_are_the_per_node_and_per_channel_formulas(trace):
+    # The samples of an IntegratedTrace come from its steps located in GRID
+    # once and expanded by np.repeat, and the zero search's candidates of u
+    # and u' from one pass over both channels; each is the same, bit for
+    # bit, as the formula it replaces.
+    if type(trace) is IntegratedTrace:
+        assert trace._y.tobytes() == _per_node_samples(trace).tobytes()
+    cells, nodes, usecond = _per_channel_candidates(trace)
+    assert trace.sup_usecond().hex() == usecond.hex()
+    assert [c.tolist() for c, _, _ in trace._candidates] == cells
+    assert [n.tolist() for _, n, _ in trace._candidates] == nodes
+    assert [b.hex() for _, _, b in trace._candidates] == [trace.sup_uprime().hex(), usecond.hex()]
 
 
 def test_linear_energy_identity_on_integrated_trace():
