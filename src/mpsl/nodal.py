@@ -22,7 +22,8 @@ a zero list is built only when it is read.
 
 The closed-form half is plain Python; numpy is imported where the sampled
 routines start (``SampledTrace``) and by the energy profile's median
-(``_median_spread``), so linear callers never load it.
+(``_median_spread``), so of the linear calls only ``energy_deviation``
+loads it, on a closed form too.
 """
 
 from __future__ import annotations

@@ -55,12 +55,11 @@ AXIS_STARTS = ((0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0))  # (u, u')(-1),
 LAMBDA_RUNGS = 8  # rungs of the forced fallback's continuation in lam from -u'' = h
 
 
-# The sample nodes of every IntegratedTrace, their widths x[1:] - x[:-1], the widths' squares
-# and mean: arrays on immutable buffers, which no trace can write to or make writeable.
+# The sample nodes of every IntegratedTrace, their widths x[1:] - x[:-1] and the widths'
+# squares: arrays on immutable buffers, which no trace can write to or make writeable.
 GRID = np.frombuffer(np.linspace(-1.0, 1.0, int(round(2.0 / DENSE_STEP)) + 1).tobytes())
 GRID_DX = np.frombuffer((GRID[1:] - GRID[:-1]).tobytes())
 GRID_DX2 = np.frombuffer((GRID_DX * GRID_DX).tobytes())
-GRID_STEP = float(np.mean(GRID_DX))
 
 
 class IntegratedTrace(SampledTrace):
@@ -315,7 +314,7 @@ def collocation_residual(
     x, u, up = trace.x, trace.u, trace.up
     if len(x) < 5:
         raise ValueError("trace too short for the collocation stencil")
-    dx = GRID_STEP if x is GRID else float(np.mean(np.diff(x)))
+    dx = float(np.mean(trace._dx))
     upp = (-up[4:] + 8.0 * up[3:-1] - 8.0 * up[1:-3] + up[:-4]) / (12.0 * dx)
     fvals = np.array(list(map(nl._f, u[2:-2].tolist()))) if nl is not None else 0.0
     hvals = np.array(list(map(h._h, x[2:-2].tolist()))) if h is not None else 0.0
