@@ -95,9 +95,9 @@ def _load(path: str):
 
 def _section(extras: dict, name: str, expr_key: str, keys: set) -> dict | None:
     """An optional problem-file section: an object with known keys and an
-    expression string under ``expr_key``; None when absent or empty."""
+    expression string under ``expr_key``; None when absent, null or {}."""
     section = extras.get(name)
-    if not section:
+    if section is None or section == {}:
         return None
     if not isinstance(section, dict):
         raise ProblemDataError(f"{name} must be a JSON object")
@@ -548,6 +548,9 @@ def main(argv=None) -> int:
     except MpslError as exc:  # pragma: no cover - catch-all
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # an output that cannot be written, as an --out naming a file
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

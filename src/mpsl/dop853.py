@@ -13,13 +13,15 @@ output, and ``D`` gives the four highest rows of the interpolant.
 for -u_p'' = lam_p*f(u_p) + h(x), p < pairs, to one generator of
 straight-line Python on floats, once per process and pair count: the initial
 step, the step loop with its error control and divergence rules, the dense
-stages on the steps that ask for them, and the yield of each step.  The state
-is (u_0, u_0', u_1, ...), and each stage writes k = (u', -(lam*f(u) + h))
-once, calling h once and f once per pair with no wrapper between; h = 0 is
-folded in where there is no forcing.  Each stage sum adds its products left
-to right, as Python does in every version.  Compiling the march for 1, 3 and
-4 pairs took 3.3, 7.5 and 9.4 ms on a quiet 2-vCPU x86 host, up to twice
-that under load.
+stages on the steps that ask for them, and the yield of each step.  A dense
+step's record is one flat list: t_old, h, the seven interpolant rows
+(highest power first, each over every component) and the start state, 2 +
+16*pairs floats.  The state is (u_0, u_0', u_1, ...), and each stage writes
+k = (u', -(lam*f(u) + h)) once, calling h once and f once per pair with no
+wrapper between; h = 0 is folded in where there is no forcing.  Each stage
+sum adds its products left to right, as Python does in every version.
+Compiling the march for 1, 3 and 4 pairs took 3.3, 7.5 and 9.4 ms on a
+quiet 2-vCPU x86 host, up to twice that under load.
 """
 
 import functools
@@ -145,12 +147,11 @@ def kernels(pairs: int):
     for i in comps:
         attempt += [f"sc = atol + max(abs(w{i}), abs(y{i})) * rtol",
                     f"e5_{i} = ({_dot(E5, i)}) / sc", f"e3_{i} = ({_dot(E3, i)}) / sc"]
-    rows = [[f"h * ({_dot(row, i)})" for i in comps] for row in D[::-1]] + [
-        [f"2.0 * dy{i} - h * (k12_{i} + k0_{i})" for i in comps], [f"h * k0_{i} - dy{i}" for i in comps],
-        [f"dy{i}" for i in comps]]
-    F = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+    record = ["t_old", "h", *(f"h * ({_dot(row, i)})" for row in D[::-1] for i in comps),
+              *(f"2.0 * dy{i} - h * (k12_{i} + k0_{i})" for i in comps), *(f"h * k0_{i} - dy{i}" for i in comps),
+              *(f"dy{i}" for i in comps), *(f"y{i}" for i in comps)]
     dense = [*stages("t_old", 13, 14, 15), *(f"dy{i} = w{i} - y{i}" for i in comps),
-             f"piece = t_old, h, [{F}], y", "nfev += 3"]
+             f"piece = [{', '.join(record)}]", "nfev += 3"]
 
     def body(lines, indent):
         return f"\n{' ' * indent}".join(lines)

@@ -412,4 +412,6 @@ def load_problem(path) -> tuple[ProblemSpec, dict]:
         raise ProblemDataError(f"cannot read problem file {path}: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ProblemDataError(f"problem file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProblemDataError(f"problem file {path} nests too deeply for the JSON decoder") from None
     return problem_from_dict(data)

@@ -18,7 +18,9 @@ any number of (u, u') pairs side by side, importing nothing of scipy.  The
 whole march, its step-size control and every divergence rule included, is
 ``dop853``'s loop on Python floats, generated from the tableau and compiled
 once per process and pair count (a forced solve uses 1 and 3 pairs, the
-branch corrector 1 and 4).
+branch corrector 1 and 4).  The march yields each dense step as one flat
+record [t_old, h, F rows, y_old]: ``IntegratedTrace`` keeps the records as
+the columns of one array, and ``_interpolate`` is their one scalar reader.
 
 Acceptance scale per side: 1 + |alpha0|*|u|_0 + |beta0|*|u'|_0.
 """
@@ -26,10 +28,8 @@ Acceptance scale per side: 1 + |alpha0|*|u|_0 + |beta0|*|u'|_0.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -65,36 +65,32 @@ GRID_DX2 = np.frombuffer((GRID_DX * GRID_DX).tobytes())
 class IntegratedTrace(SampledTrace):
     """Sampled trace backed by the integrator's dense output.
 
-    Built from the accepted steps as ``_march`` yields them: each step's
-    start t_old, size h, interpolant rows F (highest power first, each over
-    u and u') and start state y_old, in this order the rows of one array.
-    ``_dense`` evaluates the interpolants at many points in one numpy pass
-    and ``_interpolate`` at one point on Python floats.  Both pick the step
-    as scipy's ``OdeSolution`` does, where a step end belongs to the lower
-    step, and run the Horner loop of scipy's ``Dop853DenseOutput`` in its
-    operation order, so they agree bit for bit with each other and with
-    scipy's interpolant.  The samples are ``_dense`` at ``GRID``, the steps'
-    starts located in it once, with both sup norms from the same arrays.
+    Built from the accepted steps' records as ``_march`` yields them, which
+    are the columns of ``_rows``: each step's start t_old, size h,
+    interpolant rows F (highest power first, each over u and u') and start
+    state y_old.  ``_dense`` evaluates the interpolants at many ascending
+    points in one numpy pass and ``_interpolate`` at one point on Python
+    floats.  Both pick the step as scipy's ``OdeSolution`` does, where a step
+    end belongs to the lower step, and run the Horner loop of scipy's
+    ``Dop853DenseOutput`` in its operation order, so they agree bit for bit
+    with each other and with scipy's interpolant.  The samples are
+    ``_dense`` at ``GRID``, with both sup norms from the same arrays.
     """
 
     _dx, _dx2 = GRID_DX, GRID_DX2
 
-    def __init__(self, t_old, h, F, y_old):
-        self._starts, self._steps = t_old, list(zip(t_old, h, F, y_old))
-        columns = (chain((t, s), chain.from_iterable(f), y) for t, s, f, y in self._steps)
-        self._rows = np.fromiter(chain.from_iterable(columns), float).reshape(len(h), -1).T
-        edges = [0, *GRID.searchsorted(self._rows[0, 1:], side="right").tolist(), len(GRID)]
-        y = self._dense(GRID, [hi - lo for lo, hi in zip(edges, edges[1:])])
+    def __init__(self, steps):
+        self._rows = np.array(steps, dtype=float).T
+        y = self._dense(GRID)
         sups = np.abs(y).max(axis=1).tolist()
         if not all(map(math.isfinite, sups)):
             raise DivergenceError(float(GRID[np.argmin(np.isfinite(y).all(axis=0))]))
         self.x, self._y, (self.u, self.up), self._sups = GRID, y, y, tuple(sups)
 
-    def _dense(self, t: np.ndarray, counts=None) -> np.ndarray:
-        """(u, u') at t; with ``counts``, t ascends and its next counts[j] points lie in step j."""
-        if counts is None:
-            seg = np.clip(np.searchsorted(self._rows[0], t, side="left") - 1, 0, len(self._steps) - 1)
-        rows = self._rows.take(seg, axis=1) if counts is None else np.repeat(self._rows, counts, axis=1)
+    def _dense(self, t: np.ndarray) -> np.ndarray:
+        """(u, u') at ascending t, each point on its step's interpolant."""
+        ends = t.searchsorted(self._rows[0, 1:], side="right")
+        rows = np.repeat(self._rows, np.diff(ends, prepend=0, append=len(t)), axis=1)
         s = (t - rows[0]) / rows[1]
         r = 1 - s
         y = np.zeros((2, len(t)))
@@ -110,9 +106,7 @@ class IntegratedTrace(SampledTrace):
         value the new trace gives is exactly this trace's negated, and no
         sample is -0.0."""
         neg = object.__new__(IntegratedTrace)
-        neg._starts, neg.x, neg._sups = self._starts, self.x, self._sups
-        neg._steps = [(t, h, [[0.0 - c for c in row] for row in F], [0.0 - v for v in y])
-                      for t, h, F, y in self._steps]
+        neg.x, neg._sups = self.x, self._sups
         neg._rows = np.concatenate([self._rows[:2], 0.0 - self._rows[2:]])
         neg.u, neg.up = neg._y = 0.0 - self._y
         return neg
@@ -124,23 +118,25 @@ class IntegratedTrace(SampledTrace):
         if abs(x) == 1.0:  # an end node, already sampled by the same kernel
             i = 0 if x < 0.0 else -1
             return float(self.u[i]), float(self.up[i])
-        seg = min(max(bisect_left(self._starts, x) - 1, 0), len(self._steps) - 1)
-        u, up = _interpolate(x, *self._steps[seg])
+        seg = min(max(int(self._rows[0].searchsorted(x)) - 1, 0), self._rows.shape[1] - 1)
+        u, up = _interpolate(x, self._rows[:, seg].tolist())
         return u, up
 
 
-def _interpolate(x: float, t_old: float, h: float, F, y_old) -> list[float]:
-    """One step's DOP853 interpolant at x on Python floats, every state
-    component, in the operation order of ``IntegratedTrace._dense``: float64
+def _interpolate(x: float, step) -> list[float]:
+    """The DOP853 interpolant of one step's record [t_old, h, F rows, y_old]
+    at x on Python floats, every state component: its Horner loop written
+    out in the operation order of ``IntegratedTrace._dense``.  float64
     arithmetic rounds alike in numpy and Python, so the values agree bit for
     bit."""
-    s = (x - t_old) / h
+    n = (len(step) - 2) // 8
+    s = (x - step[0]) / step[1]
     r = 1.0 - s
-    y = [0.0] * len(y_old)
-    for i, row in enumerate(F):
-        w = r if i % 2 else s
-        y = [(v + c) * w for v, c in zip(y, row)]
-    return [v + c for v, c in zip(y, y_old)]
+    y = []
+    for i in range(2, 2 + n):
+        f0, f1, f2, f3, f4, f5, f6, y_old = step[i::n]
+        y.append((((((((0.0 + f0) * s + f1) * r + f2) * s + f3) * r + f4) * s + f5) * r + f6) * s + y_old)
+    return y
 
 
 @dataclass(frozen=True)
@@ -186,9 +182,9 @@ def _march(nl: NonlinearitySpec | None, forcing: ForcingTerm | None, lams, y0: l
            rtol: float, atol: float, dense):
     """DOP853 on -u_i'' = lams[i]*f(u_i) + h, the state y = (u_0, u_0', u_1,
     u_1', ...) a list of floats, from y(-1) = y0 to x = 1, yielding (t, y,
-    piece) after each accepted step.  piece is the step's interpolant
-    (t_old, h, F, y_old), F's rows highest power first, if dense(t) holds,
-    and None otherwise.
+    piece) after each accepted step.  piece is the step's interpolant record,
+    the flat list [t_old, h, F, y_old] with F's seven rows highest power
+    first, each over every component, if dense(t) holds, and None otherwise.
 
     This is scipy's DOP853 (Hairer, Norsett & Wanner, Sec. II.10) on the
     tableau of ``dop853``: its initial step, its step control (safety 0.9,
@@ -243,7 +239,7 @@ def integrate_ivp(
     at that sample's x.
     """
     march = _march(nl, h, (float(lam),), [float(a), float(b)], rtol, atol, lambda t: True)
-    return IntegratedTrace(*zip(*(piece for _, _, piece in march)))
+    return IntegratedTrace([piece for _, _, piece in march])
 
 
 def bc_residual_on_trace(side: BoundarySide, trace) -> float:
@@ -295,7 +291,7 @@ def bvp_jacobian(spec: ProblemSpec, nl: NonlinearitySpec | None, h: ForcingTerm 
                               lambda t: bool(etas) and etas[0] <= t):
         while etas and etas[0] <= t:
             eta = etas.pop(0)
-            at[eta] = _interpolate(eta, *piece)
+            at[eta] = _interpolate(eta, piece)
     at[1.0] = y
     r = np.array([[side.residual(lambda x: at[x][2 * i:2 * i + 2]) for side in spec.sides]
                   for i in range(len(starts))])

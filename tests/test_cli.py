@@ -539,7 +539,8 @@ def test_gallery_abscissae_are_numpy_linspace_bit_for_bit():
     '{"minus": {"alpha0": 1.0, ',  # malformed JSON
     json.dumps({**HALF_U0, "minus": {"alpha0": "a", "beta0": 0.0}}),  # non-numeric coefficient
     None,  # missing file
-], ids=["malformed-json", "non-numeric-coefficient", "missing-file"])
+    "[" * 200000,  # nested past the JSON decoder's recursion limit
+], ids=["malformed-json", "non-numeric-coefficient", "missing-file", "nested-past-decoder"])
 def test_problem_file_errors_exit_2(body, tmp_path, capsys):
     path = tmp_path / "p.json"
     if body is not None:
@@ -547,6 +548,17 @@ def test_problem_file_errors_exit_2(body, tmp_path, capsys):
     assert main(["validate", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "selftest"])
+def test_out_naming_a_file_exits_2(command, problem_file, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    problem = [] if command == "selftest" else [problem_file]
+    assert main([command, *problem, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs: ") and str(out) in err and err.count("\n") == 1
+    assert out.read_text() == ""
 
 
 NONLINEAR = {"f": "xi/(1+abs(xi))", "f0": 1.0, "finf": 0.0}
@@ -566,6 +578,30 @@ def test_nonlinear_section_errors_exit_2(sections, message, tmp_path, capsys):
     assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+# Only an absent key, null or {} means no section; any other value that is
+# not an object, falsy ones included, is refused before anything is solved.
+@pytest.mark.parametrize("name", ["forcing", "nonlinearity"])
+@pytest.mark.parametrize("value", [0, False, [], "", "x", 1, [{"h": "x"}]],
+                         ids=["zero", "false", "empty-list", "empty-string", "string", "one", "list"])
+def test_section_that_is_not_an_object_exits_2(name, value, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, "nonlinearity": NONLINEAR, name: value}))
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be a JSON object\n"
+    assert not (tmp_path / "solution.json").exists()
+
+
+@pytest.mark.parametrize("value", [None, {}], ids=["null", "empty-object"])
+def test_null_or_empty_section_is_absent(value, tmp_path, capsys):
+    from mpsl.cli import _forcing
+
+    assert _forcing({"forcing": value}) is None
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**HALF_U0, "nonlinearity": value}))
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: solve needs a 'nonlinearity' section in the problem file\n"
 
 
 @pytest.mark.parametrize("body", [

@@ -104,8 +104,8 @@ def _per_node_samples(trace):
     """A trace's samples as the per-node formula gives them: each node's step
     by searchsorted, every per-step array gathered by take, then the Horner
     loop of ``IntegratedTrace._dense``."""
-    t_old, h, F, y_old = (np.array(v, dtype=float) for v in zip(*trace._steps))
-    F, y_old = F.transpose(1, 2, 0), y_old.T  # (power, state, step), (state, step)
+    rows = trace._rows  # one column per step: t_old, h, F (power, state), y_old (state)
+    t_old, h, F, y_old = rows[0], rows[1], rows[2:-2].reshape(7, 2, -1), rows[-2:]
     seg = np.clip(np.searchsorted(t_old, shooting.GRID, side="left") - 1, 0, len(h) - 1)
     s = (shooting.GRID - t_old.take(seg)) / h.take(seg)
     r = 1 - s
@@ -146,8 +146,8 @@ def _drawn_traces(draw):
         t_old = shooting.GRID[starts].tolist()
         h = [b - a for a, b in zip(t_old, t_old[1:] + [1.0])]
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        return IntegratedTrace(t_old, h, rng.uniform(-1.0, 1.0, (len(h), 7, 2)).tolist(),
-                               rng.uniform(-1.0, 1.0, (len(h), 2)).tolist())
+        F, y_old = rng.uniform(-1.0, 1.0, (len(h), 14)), rng.uniform(-1.0, 1.0, (len(h), 2))
+        return IntegratedTrace(np.column_stack([t_old, h, F, y_old]))
     nl = draw(st.sampled_from([LIN, WORKED]))
     a = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
     trace = integrate_ivp(nl, None, draw(st.floats(0.1, 400.0)), a, draw(st.floats(-3.0, 3.0)))
@@ -177,6 +177,34 @@ def test_resample_and_candidate_pass_are_the_per_node_and_per_channel_formulas(t
     assert [c.tolist() for c, _, _ in trace._candidates] == cells
     assert [n.tolist() for _, n, _ in trace._candidates] == nodes
     assert [b.hex() for _, _, b in trace._candidates] == [trace.sup_uprime().hex(), usecond.hex()]
+
+
+def _step_points(trace):
+    """Ascending points in [-1, 1]: every step end, its float neighbours, each
+    step's midpoint, 0 and both ends."""
+    ends, mids = trace._rows[0, 1:], trace._rows[0] + 0.5 * trace._rows[1]
+    points = np.concatenate([ends, np.nextafter(ends, -2.0), np.nextafter(ends, 2.0), mids, [-1.0, 0.0, 1.0]])
+    return np.sort(points[(points >= -1.0) & (points <= 1.0)])
+
+
+@pytest.mark.parametrize("nl, lam, a, b", [
+    (WORKED, 5.0, 0.0, 1.0),
+    (LIN, 300.0, 0.4, -3.0),
+    (NonlinearitySpec.from_text("xi^3", f0=1.0, finf=math.inf), 1.0, 0.0, 0.0),
+], ids=["worked", "linear-fast", "trivial"])
+def test_negated_trace_is_the_negated_interpolant_between_samples(nl, lam, a, b):
+    # negated() negates the steps' interpolant rows and start states, so
+    # between the samples, at step ends and just beside them, both the numpy
+    # pass and the scalar kernel give 0.0 - v of the original, never -0.0.
+    trace = integrate_ivp(nl, None, lam, a, b)
+    neg = trace.negated()
+    points = _step_points(trace)
+    for got, want in zip(neg._dense(points), trace._dense(points)):
+        assert got.tobytes() == (0.0 - want).tobytes() and not np.signbit(got[got == 0.0]).any()
+    for x in points.tolist():
+        got, want = neg.eval(x), trace.eval(x)
+        assert [v.hex() for v in got] == [(0.0 - v).hex() for v in want]
+        assert all(math.copysign(1.0, v) > 0.0 for v in got if v == 0.0)
 
 
 def test_linear_energy_identity_on_integrated_trace():
@@ -611,9 +639,7 @@ def _scipy_solution(text, h, lam, a, b):
 
 def _trace_of(sol):
     """IntegratedTrace on the steps of scipy's OdeSolution."""
-    pieces = sol.interpolants
-    return IntegratedTrace([p.t_old for p in pieces], [p.h for p in pieces],
-                           [p.F[::-1] for p in pieces], [p.y_old for p in pieces])
+    return IntegratedTrace([[p.t_old, p.h, *p.F[::-1].ravel(), *p.y_old] for p in sol.interpolants])
 
 
 DOP853_CASES = pytest.mark.parametrize("text, h, lam, a, b, few", [
@@ -648,7 +674,7 @@ def test_dense_kernel_is_scipys_interpolant_bit_for_bit(text, h, lam, a, b, few)
     # segment boundaries, where OdeSolution picks the lower segment, and the ends
     ts = np.asarray(sol.ts)
     points = np.concatenate([ts, np.nextafter(ts, -2.0), np.nextafter(ts, 2.0), [-1.0, 0.0, 1.0]])
-    points = points[(points >= -1.0) & (points <= 1.0)]
+    points = np.sort(points[(points >= -1.0) & (points <= 1.0)])
     for name, got in zip(("u", "up"), trace._dense(points)):
         assert np.array_equal(got, sol(points)[0 if name == "u" else 1])
     for t in points.tolist():
@@ -668,7 +694,7 @@ def test_integrate_ivp_is_solve_ivp_bit_for_bit(text, h, lam, a, b, few):
     nl._f = lambda xi, f=nl._f: calls.append(xi) or f(xi)
     ref = _scipy_solution(text, h, lam, a, b)
     trace = integrate_ivp(nl, ForcingTerm.from_text(h) if h else None, lam, a, b)
-    assert len(trace._steps) == len(ref.t) - 1
+    assert trace._rows.shape[1] == len(ref.t) - 1
     assert len(calls) == ref.nfev
     expected = _trace_of(ref.sol)
     for name in ("u", "up"):
@@ -753,7 +779,7 @@ def _reference_march(nl, forcing, lams, y0, dense):
                 F = [[h * d for d in dot(row, K)] for row in reversed(D)]
                 F += [[2.0 * d - h * (g + g0) for d, g, g0 in zip(dy, f_new, fy)],
                       [h * g0 - d for d, g0 in zip(dy, fy)], dy]
-                piece = (t_old, h, F, y)
+                piece = [t_old, h, *(c for row in F for c in row), *y]
             y, fy = y_new, f_new
             steps.append((t, y, piece))
     except (ValueError, ArithmeticError):
