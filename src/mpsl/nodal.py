@@ -9,8 +9,9 @@ For a C^2 function u on [-1, 1] the families are
           only simple interior zeros, either k or k+1 of them  (k >= -1);
 
 with X_k^- := -X_k^+.  Membership is decided from exact phase arithmetic
-for closed-form solutions and from per-cell cubic Hermite interpolation for
-sampled traces.  Boundary data within tolerance of a degeneracy yields an
+for closed-form solutions and from the Bernstein form of sampled traces'
+pieces (an integrated trace's DOP853 steps, a user trace's cubic Hermite
+cells).  Boundary data within tolerance of a degeneracy yields an
 "unclassified" verdict for that family, never a false negative.
 
 A zero of u (of u') is simple when |u'| (|u''|) there exceeds tol in (0, 1)
@@ -47,6 +48,9 @@ ENDPOINT_GUARD = 1e-12
 # u' alternate pi/(2w) >= 1.57e-4 (15700 CLUSTER_TOL) apart, rounding moves one
 # by ~1e-15, so T interleaves by construction.  Scans stay below w = 1975.
 PHASE_COUNT_W_MAX = 1e4
+# Where 0 <= 2 p(c)/p''(c) <= TOUCH_WIDTH^2, p's roots c +- i*TOUCH_WIDTH are one double root.
+TOUCH_WIDTH = 1e-12
+_BINOMIALS = [[math.comb(n, j) for j in range(n + 1)] for n in range(8)]
 
 
 class ClosedTrace:
@@ -75,10 +79,11 @@ class ClosedTrace:
 
 
 class SampledTrace:
-    """Dense (x, u, u') samples with cubic Hermite interpolation between nodes.
+    """Dense (x, u, u') samples with cubic Hermite interpolation between nodes,
+    a node on the cell above it.  The sup norms, and on first use the cells'
+    Bernstein coefficients, are computed once: the samples must not change."""
 
-    The sup norms and, on first use, all cells' Hermite coefficients and zero
-    candidates are computed once, so the samples must not change after construction."""
+    _side = "right"  # the side of a piece start that searchsorted takes
 
     def __init__(self, x, u, uprime):
         import numpy as np
@@ -103,37 +108,30 @@ class SampledTrace:
             raise ValueError(
                 f"sample step {dx.max():.3g} exceeds the allowed {MAX_SAMPLE_STEP:.3g}"
             )
-        self._dx, self._dx2 = dx, dx * dx
+        self._dx = dx
         self._sups = float(abs(self.u).max()), float(abs(self.up).max())
 
-    def _locate(self, x: float) -> int:
-        i = int(self.x.searchsorted(x, side="right")) - 1
-        return min(max(i, 0), len(self.x) - 2)
+    def _piece(self, i: int):
+        """(u, u') on cell i as a function of x: the cubic ((a s + b) s + c) s + d,
+        s = (x - x_i)/h, through the cell's end samples and slopes, and its derivative."""
+        (u0, u1), (v0, v1), x0, h = self.u[i:i + 2].tolist(), self.up[i:i + 2].tolist(), float(self.x[i]), \
+            float(self._dx[i])
+        c, p1 = h * v0, h * v1
+        a, b = 2.0 * u0 + c - 2.0 * u1 + p1, -3.0 * u0 - 2.0 * c + 3.0 * u1 - p1
 
-    @cached_property
-    def _cells(self):
-        """(a, b, c, d, h) of every cell: the cubic u = a s^3 + b s^2 + c s + d
-        on s in [0, 1] and the cell width."""
-        u, up, h = self.u, self.up, self._dx
-        u0, u1 = u[:-1], u[1:]
-        p0, p1 = h * up[:-1], h * up[1:]
-        a = 2.0 * u0 + p0 - 2.0 * u1 + p1
-        b = -3.0 * u0 - 2.0 * p0 + 3.0 * u1 - p1
-        return a, b, p0, u0, h
-
-    def _cell_coeffs(self, i):
-        """``_cells`` of cell i, or of the cells of an index array i."""
-        return tuple(c[i] for c in self._cells)
+        def value(x):
+            s = (x - x0) / h
+            return ((a * s + b) * s + c) * s + u0, ((3.0 * a * s + 2.0 * b) * s + c) / h
+        return value
 
     def eval(self, x: float) -> tuple[float, float]:
         if not -1.0 - 1e-12 <= x <= 1.0 + 1e-12:
             raise ValueError(f"x={x} outside [-1, 1]")
-        i = self._locate(x)
-        a, b, c, d, h = self._cell_coeffs(i)
-        s = (x - self.x[i]) / h
-        u = ((a * s + b) * s + c) * s + d
-        up = ((3.0 * a * s + 2.0 * b) * s + c) / h
-        return u, up
+        if abs(x) >= 1.0:
+            i = 0 if x < 0.0 else -1
+            return float(self.u[i]), float(self.up[i])
+        starts = self._pieces[0]
+        return tuple(self._piece(min(max(int(starts.searchsorted(x, side=self._side)) - 1, 0), len(starts) - 1))(x))
 
     def sup_u(self) -> float:
         return self._sups[0]
@@ -141,25 +139,18 @@ class SampledTrace:
     def sup_uprime(self) -> float:
         return self._sups[1]
 
-    def sup_usecond(self) -> float:
-        """Estimated |u''|_0 from the interpolant (used for zero simplicity):
-        the largest of H''(0)/h^2 and H''(1)/h^2 over the cells."""
-        import numpy as np
-
-        a, b = self._cells[:2]
-        return float((np.maximum(np.abs(2.0 * b), np.abs(6.0 * a + 2.0 * b)) / self._dx2).max())
-
     @cached_property
-    def _candidates(self):
-        """(cells, nodes, slope bound) of u and of u' for ``_sampled_zeros``, from one pass over both."""
+    def _pieces(self):
+        """(starts, widths, (cu, cup)): the Bernstein coefficients on s in [0, 1] of
+        each piece's u and u', whose ends are its end values; a cell's cubic has
+        [u0, u0 + h u0'/3, u1 - h u1'/3, u1], its derivative [u0', 3 (middle difference) / h, u1']."""
         import numpy as np
 
-        n, y, bounds = len(self.x), self._y.ravel(), (self._sups[1], self.sup_usecond())
-        mag = np.abs(y)
-        reach = np.concatenate([self._dx * bounds[0], [0.0], self._dx * bounds[1]]) * 1.5 + 1e-300
-        cells, zero = (y[:-1] * y[1:] < 0.0) | (np.minimum(mag[:-1], mag[1:]) <= reach), mag == 0.0
-        return [(np.flatnonzero(cells[:n - 1]), np.flatnonzero(zero[:n]), bounds[0]),
-                (np.flatnonzero(cells[n:]), np.flatnonzero(zero[n:]), bounds[1])]
+        u, up, h = self.u, self.up, self._dx
+        inner = u[:-1] + h * up[:-1] / 3.0, u[1:] - h * up[1:] / 3.0
+        cu = np.stack([u[:-1], *inner, u[1:]], axis=1)
+        cup = np.stack([up[:-1], 3.0 * (inner[1] - inner[0]) / h, up[1:]], axis=1)
+        return self.x[:-1], h, (cu, cup)
 
     def grid(self):
         return self.x
@@ -281,54 +272,75 @@ def _closed_zeros(trace: ClosedTrace, which: str) -> list[float]:
     return [y - 1.0] if ENDPOINT_GUARD < y < 2.0 - ENDPOINT_GUARD else []
 
 
-def _sampled_zeros(trace: SampledTrace, which: str) -> list[float]:
-    """Real roots of the per-cell interpolant of the requested channel.
+def _bernstein_at(b: list[float], s: float) -> float:
+    """The polynomial with Bernstein coefficients b on [0, 1] at s: Horner's rule on
+    b[j]*C(n, j) in s/(1 - s) (in (1 - s)/s past s = 1/2), times (1 - s)^n (s^n)."""
+    n, r = len(b) - 1, 1.0 - s
+    if s > 0.5:
+        b, s, r = b[::-1], r, s
+    t, acc = s / r, 0.0
+    for q, m in zip(reversed(b), _BINOMIALS[n]):  # C(n, j) = C(n, n - j)
+        acc = acc * t + q * m
+    return acc * r ** n
 
-    A node whose sample is exactly 0 is a root, unless the channel's
-    polynomial vanishes identically on both its cells (inside a flat run).
-    Candidate cells are those with a sign change or a sample within 1.5
-    widths times a bound on the channel's slope (|u'|_0 for u,
-    ``sup_usecond`` for u') of 0, found with u''s in one numpy pass
-    (``SampledTrace._candidates``).  Each candidate's polynomial p on s in
-    [0, 1], the cubic (u) or its derivative quadratic (u'), is split at its
-    critical points in (0, 1).  A piece whose end values are nonzero and of
-    opposite sign holds one root, which ``_bracketed_root`` closes; the
-    values at s = 0 and 1 are the node samples, not p rounded there, so a
-    sign change between two samples always yields one root in their cell.
-    A critical point c where p touches zero, 0 <= 2 p(c)/p''(c) <= 1e-18
-    (np.roots' |imag| <= 1e-9 on the local quadratic), is a root.
+
+def _straddling(c):
+    """The rows of Bernstein coefficients c not all of one strict sign: a polynomial on
+    [0, 1] lies in the hull of its coefficients, so no other row's has a zero there."""
+    return ((c.min(axis=1) <= 0.0) & (c.max(axis=1) >= 0.0)).nonzero()[0]
+
+
+def _bernstein_zeros(trace: SampledTrace, which: str, tol: float) -> list[tuple[float, bool]]:
+    """``zeros_of`` a sampled trace before its cluster check, ascending.
+
+    Only the pieces of ``trace._pieces`` whose hull meets 0 are searched
+    (``_straddling``).  A piece's polynomial p is monotone where the hull of
+    p' has one sign; elsewhere the zeros of p', found the same way, cut it
+    into monotone parts.  ``_bracketed_root`` closes each part whose end
+    values differ in sign on the piece's own values (``trace._piece``), with
+    slopes from p''s coefficients.  A critical point c where p touches zero
+    (p(c) = 0 or 0 <= 2 p(c)/p''(c) <= TOUCH_WIDTH^2) is a zero, and so is an
+    end value exactly 0 unless p vanishes (a flat run).  Zeros closer than
+    1e-10 merge.  A zero is simple where |p'| > tol * |u'|_0 (for u), or tol
+    times the largest |coefficient| of p' over the pieces (for u').
     """
-    x = trace.x
-    a, b, c, d, h = trace._cells
-    vals = trace.u if which == "u" else trace.up
-    v0, v1 = vals[:-1], vals[1:]
-    cells, nodes, _ = trace._candidates[which == "uprime"]
-
-    def flat(i):  # p is identically 0 on cell i, or there is no cell i
-        return not 0 <= i < len(h) or not (a[i] or b[i] or c[i] or (which == "u" and d[i]))
-
-    zeros = [float(x[j]) for j in nodes.tolist() if not (flat(j - 1) and flat(j))]
-    for x0, h0, f0, f1, a0, b0, c0, d0 in zip(*(v[cells].tolist() for v in (x, h, v0, v1, a, b, c, d))):
-        p3, p2, p1, p0 = (a0, b0, c0, d0) if which == "u" else (0.0, 3.0 * a0, 2.0 * b0, c0)
-        p = lambda s: (((p3 * s + p2) * s + p1) * s + p0, (3.0 * p3 * s + 2.0 * p2) * s + p1)
-        disc = p2 * p2 - 3.0 * p3 * p1  # of p'(s) = 3*p3*s^2 + 2*p2*s + p1; no real root: q = nan
-        q = -(p2 + math.copysign(math.sqrt(disc), p2)) if disc >= 0.0 else math.nan
-        crit = sorted(s for s in (q / (3.0 * p3) if p3 else -1.0, p1 / q if q else -1.0) if 0.0 < s < 1.0)
-        ends = [(0.0, f0)] + [(s, p(s)[0]) for s in crit] + [(1.0, f1)]
-        zeros += [x0 + _bracketed_root(p, lo, hi, g_lo) * h0
-                  for (lo, g_lo), (hi, g_hi) in zip(ends, ends[1:]) if g_lo < 0.0 < g_hi or g_hi < 0.0 < g_lo]
-        zeros += [x0 + s * h0 for s, g in ends[1:-1]  # p touches zero at s (p''(s) = 0: only if p(s) is)
-                  if g == 0.0 or 0.0 <= 2.0 * g / (6.0 * p3 * s + 2.0 * p2 or math.nan) <= 1e-18]
-    zeros.sort()
-    # A root can come twice, from the two cells beside a node or from a
-    # double critical point; merge well below the cluster threshold so
-    # genuine near-tangencies still raise.
-    merged: list[float] = []
-    for z in zeros:
-        if merged and z - merged[-1] < 1e-10:
+    channel = int(which == "uprime")
+    starts, widths, coeffs = trace._pieces
+    c = coeffs[channel]
+    found = []
+    for i in _straddling(c).tolist():
+        x0, h, value = float(starts[i]), float(widths[i]), trace._piece(i)
+        B = [c[i].tolist()]  # p, p', p'', ... in Bernstein form, each built by the first roots() to read it
+        if not any(B[0]):
             continue
-        merged.append(z)
-    return [z for z in merged if -1.0 + ENDPOINT_GUARD < z < 1.0 - ENDPOINT_GUARD]
+        p = lambda k, x: value(x)[channel] if k == 0 else _bernstein_at(B[k], (x - x0) / h)
+
+        def roots(k):  # the zeros of p's k-th derivative on the piece, ascending
+            b = B[k]
+            if len(B) == k + 1:
+                B.append([(len(b) - 1) / h * (w - v) for v, w in zip(b, b[1:])])
+            ends = [(x0, b[0]), (x0 + h, b[-1])]
+            hits = [x for x, v in ends if v == 0.0]
+            if min(b) >= 0.0 or max(b) <= 0.0:  # the hull of p^(k) has one sign
+                return hits
+            if min(B[k + 1]) < 0.0 < max(B[k + 1]):  # p^(k) is not monotone
+                for crit in roots(k + 1):
+                    top = p(k, crit)
+                    if top == 0.0 or 0.0 <= 2.0 * top / (p(k + 2, crit) or math.nan) <= TOUCH_WIDTH ** 2:
+                        hits.append(crit)
+                    ends.insert(-1, (crit, top))
+            hits += [_bracketed_root(lambda x: (p(k, x), p(k + 1, x)), xl, xr, fl, xl - fl * (xr - xl) / (fr - fl))
+                     for (xl, fl), (xr, fr) in zip(ends, ends[1:]) if fl * fr < 0.0]
+            return sorted(hits)
+
+        found += [(z, p(1, z)) for z in roots(0)]
+    zeros = []
+    for z, slope in sorted(found):
+        if -1.0 + ENDPOINT_GUARD < z < 1.0 - ENDPOINT_GUARD and not (zeros and z - zeros[-1][0] < 1e-10):
+            zeros.append((z, slope))
+    bound = float((abs(c[:, 1:] - c[:, :-1]) / widths[:, None]).max()) * (c.shape[1] - 1) if channel else \
+        trace.sup_uprime()
+    return [(z, abs(slope) > tol * bound) for z, slope in zeros]
 
 
 def zeros_of(
@@ -338,48 +350,34 @@ def zeros_of(
 
     A zero x0 of u is simple iff |u'(x0)| > tol * |u'|_0 (analogously with
     u'' for zeros of u'); a closed form with lam >= ZERO_LAMBDA_CUTOFF flags
-    its whole list at once by R*w > tol*|u'|_0 (lam*R > tol*lam*|u|_0 for u').
-    Zeros closer together than the cluster tolerance raise
-    UnresolvableZeros: the data cannot distinguish a tangency.
+    its whole list at once by R*w > tol*|u'|_0 (lam*R > tol*lam*|u|_0 for u');
+    a sampled trace bounds |u''|_0 by ``_bernstein_zeros``' hull.  Zeros closer
+    together than the cluster tolerance raise UnresolvableZeros: the data
+    cannot distinguish a tangency.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     if which not in ("u", "uprime"):
         raise ValueError("which must be 'u' or 'uprime'")
-    simple = None  # the flag of every zero, where the phase form gives it
-    if isinstance(trace, ClosedTrace):
+    if isinstance(trace, SampledTrace):
+        zeros = _bernstein_zeros(trace, which, tol)
+    elif isinstance(trace, ClosedTrace):
         lam = trace.sol.lam
         xs = _closed_zeros(trace, which)
         if lam >= ZERO_LAMBDA_CUTOFF:
             simple = _phase_simple(trace, which, tol)
+            zeros = [(z, simple) for z in xs]
         elif which == "u":
-            deriv_sup = trace.sup_uprime()
-            deriv = lambda x: trace.eval(x)[1]
+            zeros = [(z, bool(abs(trace.eval(z)[1]) > tol * trace.sup_uprime())) for z in xs]
         else:
-            deriv_sup = abs(trace.sol.lam) * trace.sup_u()
-            deriv = lambda x: -trace.sol.lam * trace.eval(x)[0]
-    elif isinstance(trace, SampledTrace):
-        deriv_sup = trace._candidates[which == "uprime"][2]
-        if which == "u":
-            deriv = lambda x: trace.eval(x)[1]
-        else:
-            def deriv(xv, _t=trace):
-                i = _t._locate(xv)
-                a, b, c, _, h = _t._cell_coeffs(i)
-                s = (xv - _t.x[i]) / h
-                return (6.0 * a * s + 2.0 * b) / _t._dx2[i]
-        xs = _sampled_zeros(trace, which)
+            zeros = [(z, bool(abs(-lam * trace.eval(z)[0]) > tol * abs(lam) * trace.sup_u())) for z in xs]
     else:
         raise TypeError(f"unsupported trace type {type(trace).__name__}")
 
-    for za, zb in zip(xs, xs[1:]):
+    for (za, _), (zb, _) in zip(zeros, zeros[1:]):
         if zb - za < CLUSTER_TOL:
-            raise UnresolvableZeros(
-                f"zeros of {which} at {za:.12g} and {zb:.12g} are unresolvably close"
-            )
-    if simple is not None:
-        return [(z, simple) for z in xs]
-    return [(z, bool(abs(deriv(z)) > tol * deriv_sup)) for z in xs]
+            raise UnresolvableZeros(f"zeros of {which} at {za:.12g} and {zb:.12g} are unresolvably close")
+    return zeros
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,29 +55,31 @@ AXIS_STARTS = ((0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0))  # (u, u')(-1),
 LAMBDA_RUNGS = 8  # rungs of the forced fallback's continuation in lam from -u'' = h
 
 
-# The sample nodes of every IntegratedTrace, their widths x[1:] - x[:-1] and the widths'
-# squares: arrays on immutable buffers, which no trace can write to or make writeable.
+# The sample nodes of every IntegratedTrace: an array on an immutable buffer, which no
+# trace can write to or make writeable.
 GRID = np.frombuffer(np.linspace(-1.0, 1.0, int(round(2.0 / DENSE_STEP)) + 1).tobytes())
-GRID_DX = np.frombuffer((GRID[1:] - GRID[:-1]).tobytes())
-GRID_DX2 = np.frombuffer((GRID_DX * GRID_DX).tobytes())
+# Row j maps a step record's rows [F0, ..., F6, y_old] to the j-th Bernstein coefficient of its
+# interpolant on s in [0, 1]: ``_interpolate``'s Horner form sums F_i s^a (1 - s)^b, (a, b) as in
+# _POWERS, and raised to degree 7 that term puts C(7 - a - b, j - a) / C(7, j) on C(7, j) s^j (1 - s)^(7 - j).
+_POWERS = ((4, 3), (3, 3), (3, 2), (2, 2), (2, 1), (1, 1), (1, 0), (0, 0))
+BERNSTEIN = np.array([[math.comb(7 - a - b, j - a) / math.comb(7, j) if a <= j <= 7 - b else 0.0
+                       for a, b in _POWERS] for j in range(8)])
 
 
 class IntegratedTrace(SampledTrace):
-    """Sampled trace backed by the integrator's dense output.
-
-    Built from the accepted steps' records as ``_march`` yields them, which
-    are the columns of ``_rows``: each step's start t_old, size h,
-    interpolant rows F (highest power first, each over u and u') and start
-    state y_old.  ``_dense`` evaluates the interpolants at many ascending
-    points in one numpy pass and ``_interpolate`` at one point on Python
-    floats.  Both pick the step as scipy's ``OdeSolution`` does, where a step
-    end belongs to the lower step, and run the Horner loop of scipy's
-    ``Dop853DenseOutput`` in its operation order, so they agree bit for bit
-    with each other and with scipy's interpolant.  The samples are
-    ``_dense`` at ``GRID``, with both sup norms from the same arrays.
+    """Sampled trace backed by the integrator's dense output: the accepted
+    steps' records as ``_march`` yields them, the columns of ``_rows`` (each
+    step's t_old, h, interpolant rows F highest power first over u and u',
+    and y_old).  ``_dense`` evaluates them at many ascending points in one
+    numpy pass, ``_interpolate`` at one point on Python floats.  Both pick a
+    step as scipy's ``OdeSolution`` does (a step end on the lower step) and
+    run the Horner loop of scipy's ``Dop853DenseOutput`` in its operation
+    order, so they agree bit for bit with each other and with scipy.  The
+    samples and both sup norms are ``_dense`` at ``GRID``; zeros come from
+    the steps' polynomials (``_pieces``).
     """
 
-    _dx, _dx2 = GRID_DX, GRID_DX2
+    _side = "left"
 
     def __init__(self, steps):
         self._rows = np.array(steps, dtype=float).T
@@ -100,6 +102,16 @@ class IntegratedTrace(SampledTrace):
         y += rows[-2:]
         return y
 
+    @cached_property
+    def _pieces(self):
+        """``SampledTrace._pieces`` of the steps, from one product with BERNSTEIN."""
+        rows = self._rows
+        return rows[0], rows[1], (BERNSTEIN @ rows[2:].reshape(8, -1)).reshape(8, 2, -1).transpose(1, 2, 0)
+
+    def _piece(self, k: int):
+        """(u, u') on step k's interpolant as a function of x (``_interpolate``)."""
+        return lambda x, step=self._rows[:, k].tolist(): _interpolate(x, step)
+
     def negated(self) -> "IntegratedTrace":
         """The trace of -u on the same steps: every sample, interpolant row
         and start state is 0.0 - v.  Negation rounds symmetrically, so each
@@ -110,17 +122,6 @@ class IntegratedTrace(SampledTrace):
         neg._rows = np.concatenate([self._rows[:2], 0.0 - self._rows[2:]])
         neg.u, neg.up = neg._y = 0.0 - self._y
         return neg
-
-    def eval(self, x: float) -> tuple[float, float]:
-        if not -1.0 - 1e-12 <= x <= 1.0 + 1e-12:
-            raise ValueError(f"x={x} outside [-1, 1]")
-        x = min(max(x, -1.0), 1.0)
-        if abs(x) == 1.0:  # an end node, already sampled by the same kernel
-            i = 0 if x < 0.0 else -1
-            return float(self.u[i]), float(self.up[i])
-        seg = min(max(int(self._rows[0].searchsorted(x)) - 1, 0), self._rows.shape[1] - 1)
-        u, up = _interpolate(x, self._rows[:, seg].tolist())
-        return u, up
 
 
 def _interpolate(x: float, step) -> list[float]:
@@ -310,7 +311,7 @@ def collocation_residual(
     x, u, up = trace.x, trace.u, trace.up
     if len(x) < 5:
         raise ValueError("trace too short for the collocation stencil")
-    dx = float(np.mean(trace._dx))
+    dx = float(np.mean(x[1:] - x[:-1]))
     upp = (-up[4:] + 8.0 * up[3:-1] - 8.0 * up[1:-3] + up[:-4]) / (12.0 * dx)
     fvals = np.array(list(map(nl._f, u[2:-2].tolist()))) if nl is not None else 0.0
     hvals = np.array(list(map(h._h, x[2:-2].tolist()))) if h is not None else 0.0

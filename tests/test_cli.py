@@ -182,6 +182,36 @@ def test_solve_writes_solution(tmp_path):
     assert len(rows) == 2001
 
 
+FORCED = {"minus": {"alpha0": 0.5582991359201157, "beta0": -1.9854409272852585},
+          "plus": {"alpha0": 1.6415742184361892, "beta0": 1.4005627939316034, "alpha": [0.412003298287241],
+                   "beta": [0.0], "eta": [-0.167247]},
+          "nonlinearity": {"f": "xi/(1+abs(xi))", "f0": 1.0, "finf": 0.0}, "forcing": {"h": "1.5219703048977613*x"}}
+
+
+@pytest.mark.parametrize("prob", [
+    {**HALF_U0, "nonlinearity": {"f": "xi/(1+abs(xi))", "f0": 1.0, "finf": 0.0}, "forcing": {"h": "x"}},
+    {**HALF_U0, "nonlinearity": {"f": "xi*(1+3/(1+abs(xi)))", "f0": 4.0, "finf": 1.0}, "forcing": {"h": "x"}},
+    FORCED,
+], ids=["sublinear", "abs", "forced"])
+def test_classify_trace_of_a_solution_csv_gives_its_memberships(prob, tmp_path, capsys):
+    # solution.csv holds the GRID samples of the trace that solution.json
+    # classified from its DOP853 steps; classify --trace reads them as a user
+    # trace (Hermite cells), and must give the same memberships, status and
+    # flags, with zeros within 2e-8 (the Hermite derivative's error in u').
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(prob))
+    assert main(["solve", str(path), "--out", str(tmp_path / "solve")]) == 0
+    assert main(["classify", "--trace", str(tmp_path / "solve" / "solution.csv"),
+                 "--out", str(tmp_path / "trace")]) == 0
+    want = json.loads((tmp_path / "solve" / "solution.json").read_text())["classification"]
+    got = json.loads((tmp_path / "trace" / "classify.json").read_text())["classification"]
+    assert capsys.readouterr().out.splitlines()[-1] == (", ".join(want["memberships"]) or "unclassified")
+    assert got["memberships"] == want["memberships"] and got["status"] == want["status"]
+    for name in ("zeros_u", "zeros_uprime"):
+        assert [s for _, s in got[name]] == [s for _, s in want[name]]
+        assert all(abs(z - w) <= 2e-8 for (z, _), (w, _) in zip(got[name], want[name]))
+
+
 @pytest.mark.parametrize("limits, estimated", [({"f0": 1.0, "finf": 0.0}, []), ({"finf": 0.0}, ["f0"])],
                          ids=["declared", "f0-omitted"])
 def test_solve_warns_of_estimated_limits(limits, estimated, tmp_path, capsys):

@@ -1,12 +1,15 @@
+import functools
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hermite_oracle
 from mpsl import nodal, trig
 from mpsl.errors import UnresolvableZeros
 from mpsl.nodal import (
@@ -14,7 +17,7 @@ from mpsl.nodal import (
     DEFAULT_TOL,
     ClosedTrace,
     SampledTrace,
-    _sampled_zeros,
+    _bernstein_zeros,
     _t_obstruction,
     classify,
     energy_deviation,
@@ -390,9 +393,10 @@ def _per_cell_sampled_zeros(trace, which, slope_bound):
     vals = trace.u if which == "u" else trace.up
     v0, v1 = vals[:-1], vals[1:]
     near = np.minimum(np.abs(v0), np.abs(v1)) <= dx * slope_bound * 1.5 + 1e-300
+    cells = hermite_oracle.cells(trace.x, trace.u, trace.up)
     zeros = []
     for i in np.nonzero((v0 * v1 < 0.0) | near)[0]:
-        a, b, c, d, h = trace._cell_coeffs(i)
+        a, b, c, d, h = (v[i] for v in cells)
         poly = np.array([a, b, c, d] if which == "u" else [3.0 * a, 2.0 * b, c])
         lead = np.max(np.abs(poly))
         if lead == 0.0:
@@ -406,22 +410,54 @@ def _per_cell_sampled_zeros(trace, which, slope_bound):
             roots = [min(np.roots(poly), key=lambda r: abs(r - 0.5))]
         for r in roots:
             zeros.append(float(x[i] + min(max(r.real, 0.0), 1.0) * h))
-    zeros.sort()
+    return _merged(zeros)
+
+
+def _merged(zeros):
     merged = []
-    for z in zeros:
+    for z in sorted(zeros):
         if not merged or z - merged[-1] >= 1e-10:
             merged.append(z)
     return [z for z in merged if -1.0 + 1e-12 < z < 1.0 - 1e-12]
 
 
+def _step_poly(trace, k, which):
+    """Step k's interpolant of u (of u') in s as a numpy polynomial, expanded
+    from the record's Horner form in numpy's polynomial arithmetic."""
+    P = np.polynomial.Polynomial
+    s, r = P([0.0, 1.0]), P([1.0, -1.0])
+    rows = trace._rows[2:, k].reshape(8, 2)[:, int(which == "uprime")].tolist()
+    p = P([0.0])
+    for i, f in enumerate(rows[:7]):
+        p = (p + f) * (r if i % 2 else s)
+    return p + rows[7]
+
+
+def _per_step_np_roots(trace, which):
+    """Reference for an IntegratedTrace: np.roots of every step's degree-7
+    polynomial, its real roots in [0, 1]."""
+    zeros = []
+    for k, (t0, h) in enumerate(trace._rows[:2].T.tolist()):
+        roots = _step_poly(trace, k, which).roots()
+        zeros += [t0 + r.real * h for r in roots if abs(r.imag) <= 1e-9 and 0.0 <= r.real <= 1.0]
+    return _merged(zeros)
+
+
 def _channels(trace):
-    return ("u", trace.sup_uprime()), ("uprime", trace.sup_usecond())
+    return ("u", trace.sup_uprime()), ("uprime", hermite_oracle.sup_usecond(trace.x, trace.u, trace.up))
+
+
+def _finder_zeros(trace, which):
+    return [z for z, _ in _bernstein_zeros(trace, which, DEFAULT_TOL)]
 
 
 def _assert_zeros_near_np_roots(trace):
     for which, bound in _channels(trace):
-        got = _sampled_zeros(trace, which)
-        want = _per_cell_sampled_zeros(trace, which, bound)
+        got = _finder_zeros(trace, which)
+        if type(trace) is SampledTrace:
+            want = _per_cell_sampled_zeros(trace, which, bound)
+        else:
+            want = _per_step_np_roots(trace, which)
         assert len(got) == len(want)
         assert all(abs(g - w) <= 1e-15 for g, w in zip(got, want))
 
@@ -472,8 +508,9 @@ def _smooth_traces(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(_smooth_traces())
 def test_batched_cell_roots_equal_per_cell_np_roots(trace):
-    """On smooth traces np.roots per candidate cell (the oracle) and the
-    bracketed Newton find as many zeros, each within 1e-15."""
+    """On smooth traces np.roots per piece (the oracle: per candidate Hermite
+    cell of a user trace, per DOP853 step of an integrated one) and the
+    Bernstein zero finder find as many zeros, each within 1e-15."""
     _assert_zeros_near_np_roots(trace)
 
 
@@ -493,7 +530,7 @@ def test_negated_trace_flips_every_membership_sign(trace):
 
 
 def _cell_poly(trace, which, i):
-    a, b, c, d, _ = (float(v) for v in trace._cell_coeffs(i))
+    a, b, c, d, _ = (float(v[i]) for v in hermite_oracle.cells(trace.x, trace.u, trace.up))
     return (a, b, c, d) if which == "u" else (0.0, 3.0 * a, 2.0 * b, c)
 
 
@@ -502,29 +539,28 @@ def _cell_poly(trace, which, i):
 def test_sampled_zeros_are_node_zeros_or_cell_roots(trace):
     """Every cell whose node values change sign holds a reported zero (but the
     end cells, whose zero may lie within ENDPOINT_GUARD of +-1), and every
-    reported zero is a node zero or a point of a candidate cell where that
-    cell's polynomial is 0 up to rounding."""
+    reported zero is a node zero or a point of a cell whose Bernstein hull
+    meets 0 where that cell's polynomial is 0 up to rounding."""
     x = trace.x.tolist()
-    for which, bound in _channels(trace):
-        zeros = _sampled_zeros(trace, which)
+    for which, _ in _channels(trace):
+        zeros = _finder_zeros(trace, which)
         vals = (trace.u if which == "u" else trace.up).tolist()
+        kept = set(nodal._straddling(trace._pieces[2][which == "uprime"]).tolist())
         for i in range(1, len(x) - 2):
             if vals[i] < 0.0 < vals[i + 1] or vals[i + 1] < 0.0 < vals[i]:
                 assert any(x[i] - 1e-10 <= z <= x[i + 1] + 1e-10 for z in zeros)
         for z in zeros:
-            k = trace._locate(z)
-            assert any(_cell_holds(trace, which, bound, i, z) for i in (k - 1, k) if x[i] <= z <= x[i + 1])
+            k = min(int(trace.x.searchsorted(z, side="right")) - 1, len(x) - 2)
+            assert any(_cell_holds(trace, which, i, z) for i in (k - 1, k) if i in kept and x[i] <= z <= x[i + 1])
 
 
-def _cell_holds(trace, which, bound, i, z):
-    """z is a zero node of cell i, or a point of candidate cell i where the
-    cell's polynomial is 0 up to rounding (of z as well)."""
+def _cell_holds(trace, which, i, z):
+    """z is a zero node of cell i, or a point of cell i where the cell's
+    polynomial is 0 up to rounding (of z as well)."""
     x0, x1 = trace.x[i:i + 2].tolist()
     v0, v1 = (trace.u if which == "u" else trace.up)[i:i + 2].tolist()
     if (z == x0 and v0 == 0.0) or (z == x1 and v1 == 0.0):
         return True
-    if not (v0 * v1 < 0.0 or min(abs(v0), abs(v1)) <= (x1 - x0) * bound * 1.5):
-        return False
     p3, p2, p1, p0 = _cell_poly(trace, which, i)
     s = (z - x0) / (x1 - x0)
     return abs(((p3 * s + p2) * s + p1) * s + p0) <= 1e-11 * (abs(p3) + abs(p2) + abs(p1) + abs(p0))
@@ -566,15 +602,14 @@ def test_batched_cell_roots_on_degenerate_cells():
     h = _X[1501] - _X[1500]  # u = 4 (s - 1/2)^2 on cell 1500: p0 = -4, p1 = 4 exactly
     u[1500:1502], up[1500], up[1501] = 1.0, -4.0 / h, 4.0 / h
     trace = SampledTrace(_X, u, up)
-    cells = np.arange(2000)
-    a, b, c, d, _ = trace._cell_coeffs(cells)
+    a, b, c, d, _ = hermite_oracle.cells(trace.x, trace.u, trace.up)
     assert np.any(d == 0.0) and np.any((a == 0.0) & (b != 0.0))
     assert np.any((a == 0.0) & (b == 0.0) & (c != 0.0))  # u: 2 coefficients
     assert np.any((a == 0.0) & (b != 0.0) & (c != 0.0))  # u': 2 coefficients
     a, b, c, d = _cell_poly(trace, "u", 999)
     assert ((a + b) + c) + d < 0.0 < u[1000]
     assert _cell_poly(trace, "u", 1500) == (0.0, 4.0, -4.0, 1.0)
-    zeros = {which: _sampled_zeros(trace, which) for which in ("u", "uprime")}
+    zeros = {which: _finder_zeros(trace, which) for which in ("u", "uprime")}
 
     def between(which, lo, hi):
         return [z for z in zeros[which] if _X[lo] <= z <= _X[hi]]
@@ -587,12 +622,37 @@ def test_batched_cell_roots_on_degenerate_cells():
     assert between("u", 1499, 1502) == [_X[1500] + 0.5 * h]
 
 
+@pytest.mark.parametrize("c", [-3.0, 1e-4, 2.0])
+@pytest.mark.parametrize("shift", [0.5, 0.3])
+def test_touching_window_gives_the_oracle_s_zeros(c, shift):
+    """u = c (x - x0)^2 on a window of cells, x0 inside one of them: the
+    Hermite cubics reproduce the parabola up to rounding, and the finder
+    reports its double root once where the oracle's critical-point rule sees
+    one, within the 1e-10 at which zeros merge: rounding of the samples
+    (about 1e-22 for c = 2) may split it into two roots 1e-12 apart."""
+    u, up = np.sin(3.0 * _X) + 2.0, 3.0 * np.cos(3.0 * _X)
+    x0 = _X[1200] + shift * (_X[1201] - _X[1200])
+    window = slice(1195, 1207)
+    u[window], up[window] = c * (_X[window] - x0) ** 2, 2.0 * c * (_X[window] - x0)
+    trace = SampledTrace(_X, u, up)
+    got = [z for z in _finder_zeros(trace, "u") if _X[1195] <= z <= _X[1206]]
+    want = [z for z in hermite_oracle.hermite_zeros(_X, u, up, "u") if _X[1195] <= z <= _X[1206]]
+    assert len(got) == len(want)
+    assert all(abs(g - x0) <= 1e-10 for g in got)
+
+
 def test_zeros_of_estimates_the_second_derivative_once(monkeypatch):
+    """The Bernstein coefficients that bound |u''| (and screen both channels)
+    are computed once per trace, however often its zeros are asked for."""
     trace = sampled_from_solution(TrigSolution(30.0, 0.3, 1.0))
     calls = []
-    real = SampledTrace.sup_usecond
-    monkeypatch.setattr(SampledTrace, "sup_usecond", lambda self: calls.append(1) or real(self))
+    real = SampledTrace._pieces.func
+    counted = functools.cached_property(lambda self: calls.append(1) or real(self))
+    counted.__set_name__(SampledTrace, "_pieces")
+    monkeypatch.setattr(SampledTrace, "_pieces", counted)
     zeros_of(trace, "uprime")
+    zeros_of(trace, "u")
+    classify(trace)
     assert len(calls) == 1
 
 
@@ -792,3 +852,47 @@ def test_closed_classify_builds_no_zero_list(k, monkeypatch):
     assert calls == ["u", "u"]
     assert read == unread and fresh == other and repr(read) == repr(fresh)
     assert classify(trace, 1e-14) == classify(trace, 1e-14) != classify(trace, 0.5)
+
+
+_XI = NonlinearitySpec.from_text("xi", f0=1.0, finf=1.0)
+
+
+# u'(-1) away from 0: a trace whose amplitude nears IVP_ATOL (a = b = 1e-13,
+# say) is integrated to an absolute 1e-12, so its zeros are noise in either
+# interpolant (ROADMAP item 2), and they differ.
+_SLOPES = st.floats(0.1, 5.0).flatmap(lambda b: st.sampled_from((b, -b)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from([_XI, _NL]), st.floats(0.5, 60.0), st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), _SLOPES)
+def test_step_zeros_agree_with_the_hermite_finder(nl, lam, a, b):
+    """Integrated traces of f = xi and of the worked f: the hull screen keeps
+    a step at every GRID sign change of u and of u'; the step polynomials'
+    zeros give the Hermite oracle's memberships wherever no family is
+    boundary-degenerate (and raise where it raises), its zeros of u within
+    1e-9, and zeros of u' within 1e-9 of an rtol 1e-13 integration's."""
+    trace = integrate_ivp(nl, None, lam, a, b)
+    starts, _, coeffs = trace._pieces
+    for channel, y in enumerate((trace.u, trace.up)):
+        kept = set(nodal._straddling(coeffs[channel]).tolist())
+        for i in np.flatnonzero(y[:-1] * y[1:] < 0.0).tolist():
+            first, last = (max(int(starts.searchsorted(x)) - 1, 0) for x in trace.x[i:i + 2])
+            assert kept.intersection(range(first, last + 1))
+    results = []
+    for finder in (zeros_of, hermite_oracle.zeros_of):
+        with mock.patch.object(nodal, "zeros_of", finder):
+            try:
+                results.append(classify(trace))
+            except UnresolvableZeros:
+                results.append(None)
+    got, want = results
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    if ("unclassified", "boundary-degenerate") not in got.status.values():
+        assert got.memberships == want.memberships
+    mine, theirs = zeros_of(trace, "u"), hermite_oracle.zeros_of(trace, "u")
+    assert len(mine) == len(theirs) and all(abs(z - w) <= 1e-9 for (z, _), (w, _) in zip(mine, theirs))
+    tight = integrate_ivp(nl, None, lam, a, b, rtol=1e-13, atol=1e-15)
+    mine, theirs = zeros_of(trace, "uprime"), zeros_of(tight, "uprime")
+    assert len(mine) == len(theirs) and all(abs(z - w) <= 1e-9 for (z, _), (w, _) in zip(mine, theirs))

@@ -72,10 +72,13 @@ def test_trace_nodes_cannot_be_corrupted():
 
 
 def test_shared_passes_classify_as_a_plain_sampled_trace(half_u0_spec, monkeypatch):
-    # An IntegratedTrace takes its nodes, sup norms and cell data from passes
-    # shared with its construction; a SampledTrace on copies of its samples
-    # recomputes each.  Both classify every accepted point of the worked
-    # example's branches and nodal pair alike, bit for bit.
+    # An IntegratedTrace takes its nodes and sup norms from passes shared with
+    # its construction, and its zeros from its DOP853 steps; a SampledTrace
+    # on copies of its samples recomputes the norms and finds the zeros of
+    # its Hermite cubics.  On every accepted point of the worked example's
+    # branches and nodal pair both give the same memberships, status, zero
+    # counts and flags, and sup norms bit for bit.  Their zeros of u agree
+    # within 1e-9; zeros of u' within 2e-8, the Hermite derivative's own error.
     from mpsl import branching
     from mpsl.nodal import SampledTrace, classify
 
@@ -90,10 +93,11 @@ def test_shared_passes_classify_as_a_plain_sampled_trace(half_u0_spec, monkeypat
         plain = SampledTrace(trace.x.copy(), trace.u.copy(), trace.up.copy())
         got, want = classify(trace), classify(plain)
         assert got.memberships == want.memberships and got.status == want.status
-        for name in ("zeros_u", "zeros_uprime"):
-            assert [(z.hex(), simple) for z, simple in getattr(got, name)] == \
-                [(z.hex(), simple) for z, simple in getattr(want, name)]
-        for sup in ("sup_u", "sup_uprime", "sup_usecond"):
+        for name, within in (("zeros_u", 1e-9), ("zeros_uprime", 2e-8)):
+            mine, theirs = getattr(got, name), getattr(want, name)
+            assert [simple for _, simple in mine] == [simple for _, simple in theirs]
+            assert all(abs(z - w) <= within for (z, _), (w, _) in zip(mine, theirs))
+        for sup in ("sup_u", "sup_uprime"):
             assert getattr(trace, sup)().hex() == getattr(plain, sup)().hex()
 
 
@@ -116,22 +120,28 @@ def _per_node_samples(trace):
     return y + y_old.take(seg, axis=1)
 
 
-def _per_channel_candidates(trace):
-    """The zero search's candidate cells and exact-zero nodes, channel by
-    channel, and |u''|_0's estimate, each by the formula on the samples."""
-    x, u, up = trace.x, trace.u, trace.up
-    h = x[1:] - x[:-1]
-    p0, p1 = h * up[:-1], h * up[1:]
-    a = 2.0 * u[:-1] + p0 - 2.0 * u[1:] + p1
-    b = -3.0 * u[:-1] - 2.0 * p0 + 3.0 * u[1:] - p1
-    usecond = float(np.max(np.maximum(np.abs(2.0 * b), np.abs(6.0 * a + 2.0 * b)) / (h * h)))
-    cells, nodes = [], []
-    for vals, bound in ((u, trace.sup_uprime()), (up, usecond)):
-        v0, v1 = vals[:-1], vals[1:]
-        near = np.minimum(np.abs(v0), np.abs(v1)) <= h * bound * 1.5 + 1e-300
-        cells.append(np.nonzero((v0 * v1 < 0.0) | near)[0].tolist())
-        nodes.append(np.flatnonzero(vals == 0.0).tolist())
-    return cells, nodes, usecond
+def _per_piece_coefficients(trace):
+    """The Bernstein coefficients of u's and u''s interpolant on every piece,
+    piece by piece in Python floats: for an IntegratedTrace each step's
+    record rows times BERNSTEIN's rows, summed exactly (``math.fsum``), with
+    the sum of the absolute terms; for a user trace each cell's cubic
+    [u0, u0 + h u0'/3, u1 - h u1'/3, u1] and its derivative quadratic."""
+    if type(trace) is IntegratedTrace:
+        M = shooting.BERNSTEIN.tolist()
+        coeffs, sizes = [[], []], [[], []]
+        for record in trace._rows.T.tolist():
+            for channel in (0, 1):
+                rows = record[2 + channel::2]
+                coeffs[channel].append([math.fsum(m * v for m, v in zip(row, rows)) for row in M])
+                sizes[channel].append([math.fsum(abs(m * v) for m, v in zip(row, rows)) for row in M])
+        return coeffs, sizes
+    cu, cup = [], []
+    for u0, u1, v0, v1, h in zip(*(a.tolist() for a in (trace.u[:-1], trace.u[1:], trace.up[:-1],
+                                                        trace.up[1:], np.diff(trace.x)))):
+        inner = u0 + h * v0 / 3.0, u1 - h * v1 / 3.0
+        cu.append([u0, *inner, u1])
+        cup.append([v0, 3.0 * (inner[1] - inner[0]) / h, v1])
+    return [cu, cup], None
 
 
 @st.composite
@@ -167,16 +177,51 @@ def _drawn_traces(draw):
 @given(_drawn_traces())
 def test_resample_and_candidate_pass_are_the_per_node_and_per_channel_formulas(trace):
     # The samples of an IntegratedTrace come from its steps located in GRID
-    # once and expanded by np.repeat, and the zero search's candidates of u
-    # and u' from one pass over both channels; each is the same, bit for
-    # bit, as the formula it replaces.
+    # once and expanded by np.repeat, the same bit for bit as the per-node
+    # formula.  The Bernstein coefficients of both channels come from one
+    # pass per trace: an IntegratedTrace's within 4 ulps of each step's exact
+    # sum, a user trace's cells bit for bit as the per-cell formula.  The hull
+    # screen keeps exactly the pieces whose coefficients, read one by one,
+    # do not all have one strict sign.
+    from mpsl import nodal
+
     if type(trace) is IntegratedTrace:
         assert trace._y.tobytes() == _per_node_samples(trace).tobytes()
-    cells, nodes, usecond = _per_channel_candidates(trace)
-    assert trace.sup_usecond().hex() == usecond.hex()
-    assert [c.tolist() for c, _, _ in trace._candidates] == cells
-    assert [n.tolist() for _, n, _ in trace._candidates] == nodes
-    assert [b.hex() for _, _, b in trace._candidates] == [trace.sup_uprime().hex(), usecond.hex()]
+    coeffs = trace._pieces[2]
+    want, sizes = _per_piece_coefficients(trace)
+    for channel in (0, 1):
+        got = coeffs[channel].tolist()
+        if sizes is None:
+            assert [[v.hex() for v in b] for b in got] == [[v.hex() for v in b] for b in want[channel]]
+        else:
+            assert all(abs(g - w) <= 4 * math.ulp(size) for gs, ws, ss in zip(got, want[channel], sizes[channel])
+                       for g, w, size in zip(gs, ws, ss))
+        assert nodal._straddling(coeffs[channel]).tolist() == [k for k, b in enumerate(got) if min(b) <= 0.0 <= max(b)]
+
+
+def _casteljau(b, s):
+    """de Casteljau's algorithm: the polynomial with Bernstein coefficients b on [0, 1] at s."""
+    while len(b) > 1:
+        b = [(1.0 - s) * p + s * q for p, q in zip(b, b[1:])]
+    return b[0]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.sampled_from((1e-6, 1.0, 1e6)))
+def test_bernstein_matrix_maps_a_step_record_to_its_interpolant(seed, s, scale):
+    # BERNSTEIN maps a step record's rows [F0, ..., F6, y_old] to the
+    # Bernstein coefficients of its degree-7 interpolant: de Casteljau on
+    # them gives _interpolate's Horner value at every s within a few ulps of
+    # the terms' size, in both channels of random records.
+    rng = np.random.default_rng(seed)
+    t_old, h = -1.0 + rng.uniform(0.0, 1.5), rng.uniform(1e-4, 0.5)
+    record = [t_old, h, *(scale * rng.uniform(-1.0, 1.0, 16))]
+    x = t_old + s * h
+    got = (shooting.BERNSTEIN @ np.array(record[2:]).reshape(8, 2)).T.tolist()
+    s = (x - t_old) / h
+    size = sum(abs(v) for v in record[2:])
+    for channel, value in enumerate(shooting._interpolate(x, record)):
+        assert abs(_casteljau(got[channel], s) - value) <= 8 * math.ulp(size)
 
 
 def _step_points(trace):
