@@ -93,7 +93,7 @@ class SampledTrace:
             raise ValueError("x, u, uprime must be 1-d arrays of equal length")
         if len(self.x) < 2:
             raise ValueError("need at least two samples")
-        self.u, self.up = self._y = np.stack([u, up])
+        self.u, self.up = np.stack([u, up])
         finite = np.isfinite(self.x) & np.isfinite(self.u) & np.isfinite(self.up)
         if not finite.all():
             row = int(np.argmin(finite))

@@ -4,8 +4,10 @@ CI's worked-example, two-roots and touching problems, and the nonlinear
 `solve`, `branch` and `nodal-solve`.
 
 The linear golden files were written at commit 674c961, the nonlinear ones
-at commit 5613099 and the f = xi branch at commit 201e591; this test holds
-every later change to the same bytes.  The nonlinear runs are `solve` on the
+at commit 5613099 and the f = xi branch at commit 201e591, and the u' zero
+lists of the nonlinear solve files were rewritten when sampled zeros came
+to be read from the DOP853 step polynomials; this test holds every later
+change to the same bytes.  The nonlinear runs are `solve` on the
 CI's forced problem, which no axis start solves, so it is reached by
 continuation in lambda, `solve`, `branch` and `nodal-solve` on the worked
 conditions with f = xi*(1+3/(1+abs(xi))), and `branch` on the worked
