@@ -108,12 +108,11 @@ class SampledTrace:
             raise ValueError(
                 f"sample step {dx.max():.3g} exceeds the allowed {MAX_SAMPLE_STEP:.3g}"
             )
-        self._dx = dx
+        self._starts, self._dx = self.x[:-1], dx
         self._sups = float(abs(self.u).max()), float(abs(self.up).max())
 
     def _piece(self, i: int):
-        """(u, u') on cell i as a function of x: the cubic ((a s + b) s + c) s + d,
-        s = (x - x_i)/h, through the cell's end samples and slopes, and its derivative."""
+        """(u, u') on cell i as a function of x: its Hermite cubic ((a s + b) s + c) s + d and the derivative."""
         (u0, u1), (v0, v1), x0, h = self.u[i:i + 2].tolist(), self.up[i:i + 2].tolist(), float(self.x[i]), \
             float(self._dx[i])
         c, p1 = h * v0, h * v1
@@ -130,7 +129,7 @@ class SampledTrace:
         if abs(x) >= 1.0:
             i = 0 if x < 0.0 else -1
             return float(self.u[i]), float(self.up[i])
-        starts = self._pieces[0]
+        starts = self._starts
         return tuple(self._piece(min(max(int(starts.searchsorted(x, side=self._side)) - 1, 0), len(starts) - 1))(x))
 
     def sup_u(self) -> float:
@@ -150,7 +149,7 @@ class SampledTrace:
         inner = u[:-1] + h * up[:-1] / 3.0, u[1:] - h * up[1:] / 3.0
         cu = np.stack([u[:-1], *inner, u[1:]], axis=1)
         cup = np.stack([up[:-1], 3.0 * (inner[1] - inner[0]) / h, up[1:]], axis=1)
-        return self.x[:-1], h, (cu, cup)
+        return self._starts, h, (cu, cup)
 
     def grid(self):
         return self.x
@@ -285,8 +284,7 @@ def _bernstein_at(b: list[float], s: float) -> float:
 
 
 def _straddling(c):
-    """The rows of Bernstein coefficients c not all of one strict sign: a polynomial on
-    [0, 1] lies in the hull of its coefficients, so no other row's has a zero there."""
+    """The rows of Bernstein coefficients c not all of one strict sign, the only ones whose polynomial has a zero."""
     return ((c.min(axis=1) <= 0.0) & (c.max(axis=1) >= 0.0)).nonzero()[0]
 
 

@@ -87,7 +87,7 @@ class IntegratedTrace(SampledTrace):
         sups = np.abs(y).max(axis=1).tolist()
         if not all(map(math.isfinite, sups)):
             raise DivergenceError(float(GRID[np.argmin(np.isfinite(y).all(axis=0))]))
-        self.x, self._y, (self.u, self.up), self._sups = GRID, y, y, tuple(sups)
+        self.x, self._y, (self.u, self.up), self._sups, self._starts = GRID, y, y, tuple(sups), self._rows[0]
 
     def _dense(self, t: np.ndarray) -> np.ndarray:
         """(u, u') at ascending t, each point on its step's interpolant."""
@@ -106,7 +106,7 @@ class IntegratedTrace(SampledTrace):
     def _pieces(self):
         """``SampledTrace._pieces`` of the steps, from one product with BERNSTEIN."""
         rows = self._rows
-        return rows[0], rows[1], (BERNSTEIN @ rows[2:].reshape(8, -1)).reshape(8, 2, -1).transpose(1, 2, 0)
+        return self._starts, rows[1], (BERNSTEIN @ rows[2:].reshape(8, -1)).reshape(8, 2, -1).transpose(1, 2, 0)
 
     def _piece(self, k: int):
         """(u, u') on step k's interpolant as a function of x (``_interpolate``)."""
@@ -118,7 +118,7 @@ class IntegratedTrace(SampledTrace):
         value the new trace gives is exactly this trace's negated, and no
         sample is -0.0."""
         neg = object.__new__(IntegratedTrace)
-        neg.x, neg._sups = self.x, self._sups
+        neg.x, neg._sups, neg._starts = self.x, self._sups, self._starts
         neg._rows = np.concatenate([self._rows[:2], 0.0 - self._rows[2:]])
         neg.u, neg.up = neg._y = 0.0 - self._y
         return neg
