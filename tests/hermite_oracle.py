@@ -77,8 +77,10 @@ def hermite_zeros(x, u, up, which):
 
 def zeros_of(trace, which="u", tol=DEFAULT_TOL):
     """``nodal.zeros_of`` on a sampled trace as the Hermite finder gave it: a
-    zero of u is simple iff |u'| > tol*|u'|_0 there, a zero of u' iff the
-    cubic's |u''| > tol * ``sup_usecond``."""
+    zero of u is simple iff the cubic's |u'| > tol*|u'|_0 there (on an
+    integrated trace that finder read u' from the step instead, which moves
+    no flag off its threshold in practice), a zero of u' iff the cubic's
+    |u''| > tol * ``sup_usecond``."""
     x, u, up = (np.asarray(v, dtype=float) for v in (trace.x, trace.u, trace.up))
     xs = hermite_zeros(x, u, up, which)
     for za, zb in zip(xs, xs[1:]):
